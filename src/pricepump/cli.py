@@ -6,8 +6,9 @@ investment cycle), ``ponzi`` (either scheme's trajectory), ``fit-c0``
 (calibrate the flow-response coefficient against ensemble output), and
 ``stats`` (return statistics of a stored price series).  All verbs read
 a JSON configuration (optional; defaults are complete), write CSV/JSON
-into the output directory, and exit 0 on success.  Failures print a
-machine-readable JSON error record to stderr and exit non-zero.
+plus ``manifest.json`` and ``config.json`` into the output directory,
+and exit 0 on success.  Failures print a machine-readable JSON error
+record to stderr and exit non-zero.
 """
 from __future__ import annotations
 
@@ -87,6 +88,16 @@ def _write_json(path: Path, payload: dict) -> Path:
     return path
 
 
+def _ensemble_counters(ens, prefix: str = "") -> dict[str, int]:
+    return {f"{prefix}clamp_events": ens.clamp_events, f"{prefix}path_failures": ens.n_failures}
+
+
+def _write_run_record(out: Path, cfg: ExperimentConfig, counters: dict[str, int]) -> None:
+    """Every verb's ``manifest.json`` and ``config.json``."""
+    write_manifest(out, config_hash(cfg), cfg.seed, counters)
+    (out / "config.json").write_text(serialize_config(cfg) + "\n")
+
+
 def _cmd_simulate(args) -> int:
     cfg = _load(args)
     block = _override_paths(cfg.aspp, args.paths)
@@ -102,13 +113,7 @@ def _cmd_simulate(args) -> int:
     )
     out = _out_dir(args, cfg)
     emit_series(ens, out)
-    write_manifest(
-        out,
-        config_hash(cfg),
-        cfg.seed,
-        {"clamp_events": ens.clamp_events, "path_failures": ens.n_failures},
-    )
-    (out / "config.json").write_text(serialize_config(cfg) + "\n")
+    _write_run_record(out, cfg, _ensemble_counters(ens))
     return 0
 
 
@@ -129,10 +134,8 @@ def _cmd_regimes(args) -> int:
     counters = {}
     for name, ens in comparison.as_dict().items():
         emit_series(ens, out / name)
-        counters[f"{name}_clamp_events"] = ens.clamp_events
-        counters[f"{name}_path_failures"] = ens.n_failures
-    write_manifest(out, config_hash(cfg), cfg.seed, counters)
-    (out / "config.json").write_text(serialize_config(cfg) + "\n")
+        counters.update(_ensemble_counters(ens, f"{name}_"))
+    _write_run_record(out, cfg, counters)
     return 0
 
 
@@ -158,13 +161,7 @@ def _cmd_cycle(args) -> int:
     ens = run_ensemble(cycle_cfg, n_workers=args.threads)
     out = _out_dir(args, cfg)
     emit_series(ens, out)
-    write_manifest(
-        out,
-        config_hash(cfg),
-        cfg.seed,
-        {"clamp_events": ens.clamp_events, "path_failures": ens.n_failures},
-    )
-    (out / "config.json").write_text(serialize_config(cfg) + "\n")
+    _write_run_record(out, cfg, _ensemble_counters(ens))
     return 0
 
 
@@ -199,9 +196,8 @@ def _cmd_ponzi(args) -> int:
         results = {"collapse_time": collapse_time(sol)}
     out = _out_dir(args, cfg)
     emit_series(sol, out)
-    write_manifest(out, config_hash(cfg), cfg.seed, {})
+    _write_run_record(out, cfg, {})
     _write_json(out / "results.json", results)
-    (out / "config.json").write_text(serialize_config(cfg) + "\n")
     return 0
 
 
@@ -221,7 +217,7 @@ def _cmd_fit(args) -> int:
         cycle_cfg = _cycle_config(cfg, args.paths)
         ens = run_ensemble(cycle_cfg, n_workers=args.threads)
         emit_series(ens, out)
-        counters = {"clamp_events": ens.clamp_events, "path_failures": ens.n_failures}
+        counters = _ensemble_counters(ens)
         times, values = ens.times, ens.series["S_ext"].mean
     tau, observed = investment_phase_series(times, values, cfg.cycle.pre_phase)
     target_rate = (
@@ -250,7 +246,7 @@ def _cmd_fit(args) -> int:
         float(tau[1] - tau[0]),
     )
     emit_series(fitted, out, basename="fitted_ode")
-    write_manifest(out, config_hash(cfg), cfg.seed, counters)
+    _write_run_record(out, cfg, counters)
     _write_json(
         out / "fit.json",
         {
@@ -260,7 +256,6 @@ def _cmd_fit(args) -> int:
             "target_rate": target_rate,
         },
     )
-    (out / "config.json").write_text(serialize_config(cfg) + "\n")
     return 0
 
 
@@ -277,7 +272,7 @@ def _cmd_stats(args) -> int:
     measured = return_stats(table[column])
     predicted = cfg.market.theoretical()
     out = _out_dir(args, cfg)
-    out.mkdir(parents=True, exist_ok=True)
+    _write_run_record(out, cfg, {})
     _write_json(
         out / "stats.json",
         {
@@ -296,7 +291,6 @@ def _cmd_stats(args) -> int:
             },
         },
     )
-    write_manifest(out, config_hash(cfg), cfg.seed, {})
     return 0
 
 

@@ -10,32 +10,34 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
-from dataclasses import dataclass, field
+import types
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from functools import cache
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Optional, Union, get_args, get_origin, get_type_hints
 
 from .errors import ConfigurationError
-from .market import ConstantSignal, GreedFearSpec, SignalSchedule, WindowSignal, default_greed_fear
+from .market import ConstantSignal, SignalSchedule, WindowSignal
 from .cycle import MarketParams
 from .risk import HazardParams
 from .schedules import ScheduleSpec
 
 EXPERIMENT_KINDS = (
-    "aspp",
-    "regimes",
-    "cycle",
-    "ponzi-classical",
-    "ponzi-speculative",
-    "fit-c0",
-    "stats",
+    "aspp", "regimes", "cycle", "ponzi-classical", "ponzi-speculative", "fit-c0", "stats",
 )
 
 # Ponzi runs are scale-free; unit first-year mass keeps their default
-# rate response O(1).  Market experiments default to a first-year mass
-# matching the population's initial cash reserve.
-_MARKET_FIRST_YEAR_TOTAL = 5000.0
-_PONZI_FIRST_YEAR_TOTAL = 1.0
+# rate response O(1).  Market experiments keep ScheduleSpec's default, a
+# first-year mass matching the population's initial cash reserve.
+_PONZI_SCHEDULE = ScheduleSpec(first_year_total=1.0)
+
+# ``market.signal`` is one flat object: the signal's ``kind``, the fields
+# of that kind's class (a constant signal ignores ``start`` and ``end``),
+# and the schedule's amplitudes under shorter names.
+_SIGNAL_KINDS = {"constant": ConstantSignal, "window": WindowSignal}
+_AMPLITUDE_KEYS = {
+    "greed_amplitude": "base_greed_amplitude", "fear_amplitude": "base_fear_amplitude",
+}
 
 
 @dataclass(frozen=True)
@@ -116,20 +118,14 @@ class ExperimentConfig:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
 
-def _check_keys(block: dict, allowed: tuple[str, ...], context: str) -> None:
-    unknown = sorted(set(block) - set(allowed))
+def _key(context: str, name: str) -> str:
+    return f"{context}.{name}" if context else name
+
+
+def _check_keys(data: dict, allowed, context: str) -> None:
+    unknown = sorted(set(data) - set(allowed))
     if unknown:
-        where = f"{context}.{unknown[0]}" if context else unknown[0]
-        raise ConfigurationError(f"unknown configuration key '{where}'")
-
-
-def _get(block: dict, key: str, default: Any, caster, context: str) -> Any:
-    if key not in block or block[key] is None:
-        return default
-    try:
-        return caster(block[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"invalid value for '{context}.{key}': {block[key]!r}") from exc
+        raise ConfigurationError(f"unknown configuration key '{_key(context, unknown[0])}'")
 
 
 def _as_int(value) -> int:
@@ -144,196 +140,63 @@ def _as_bool(value) -> bool:
     return value
 
 
-def _parse_greed_fear(block: dict, context: str) -> GreedFearSpec:
-    _check_keys(block, ("mean_log_greed", "mean_log_fear", "log_variance", "correlation"), context)
-    base = default_greed_fear()
-    return GreedFearSpec(
-        mean_log_greed=_get(block, "mean_log_greed", base.mean_log_greed, float, context),
-        mean_log_fear=_get(block, "mean_log_fear", base.mean_log_fear, float, context),
-        log_variance=_get(block, "log_variance", base.log_variance, float, context),
-        correlation=_get(block, "correlation", base.correlation, float, context),
-    )
+def _as_floats(value) -> tuple[float, ...]:
+    if not isinstance(value, list):
+        raise ValueError(value)
+    return tuple(float(v) for v in value)
 
 
-def _parse_signal(block: dict, context: str) -> SignalSchedule:
-    _check_keys(
-        block, ("kind", "level", "start", "end", "greed_amplitude", "fear_amplitude"), context
-    )
-    kind = _get(block, "kind", "constant", str, context)
-    if kind == "constant":
-        signal = ConstantSignal(level=_get(block, "level", 1.0, float, context))
-    elif kind == "window":
-        signal = WindowSignal(
-            start=_get(block, "start", 0.0, float, context),
-            end=_get(block, "end", math.inf, float, context),
-            level=_get(block, "level", 1.0, float, context),
-        )
-    else:
+_CASTS = {int: _as_int, bool: _as_bool, float: float, str: str, tuple[float, ...]: _as_floats}
+_hints = cache(get_type_hints)  # resolving the string annotations dominates a parse
+
+
+def _value(hint, raw: Any, default: Any, key: str) -> Any:
+    """JSON value ``raw`` cast to the type ``hint``; null keeps ``default``."""
+    if raw is None:
+        return default
+    if get_origin(hint) in (Union, types.UnionType):  # Optional[T]
+        hint = next(arg for arg in get_args(hint) if arg is not type(None))
+    if is_dataclass(hint):
+        if not isinstance(raw, dict):
+            raise ConfigurationError(f"'{key}' must be a JSON object, got {raw!r}")
+        return (_parse_signal if hint is SignalSchedule else _parse)(default, raw, key)
+    try:
+        return _CASTS[hint](raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"invalid value for '{key}': {raw!r}") from exc
+
+
+def _parse(default, data: dict, context: str):
+    """Copy of the dataclass instance ``default`` with the fields set in ``data``."""
+    hints = _hints(type(default))
+    _check_keys(data, hints, context)
+    return replace(default, **{
+        name: _value(hints[name], raw, getattr(default, name), _key(context, name))
+        for name, raw in data.items()
+    })
+
+
+def _parse_signal(default: SignalSchedule, data: dict, context: str) -> SignalSchedule:
+    signal_keys = {f.name for cls in _SIGNAL_KINDS.values() for f in fields(cls)}
+    _check_keys(data, {"kind", *_AMPLITUDE_KEYS, *signal_keys}, context)
+    kind = _value(str, data.get("kind"), "constant", _key(context, "kind"))
+    if kind not in _SIGNAL_KINDS:
         raise ConfigurationError(
             f"'{context}.kind' must be 'constant' or 'window', got {kind!r}"
         )
-    return SignalSchedule(
-        base_greed_amplitude=_get(block, "greed_amplitude", 0.0, float, context),
-        base_fear_amplitude=_get(block, "fear_amplitude", 0.0, float, context),
-        signal=signal,
-    )
-
-
-def _parse_market(block: dict) -> MarketParams:
-    _check_keys(
-        block,
-        (
-            "n_agents",
-            "n_active",
-            "initial_cash",
-            "initial_ratio",
-            "stock_noise_range",
-            "days_per_year",
-            "greed_fear",
-            "signal",
-            "invert_flow_sign",
-        ),
-        "market",
-    )
-    return MarketParams(
-        n_agents=_get(block, "n_agents", 500, _as_int, "market"),
-        n_active=_get(block, "n_active", 125, _as_int, "market"),
-        initial_cash=_get(block, "initial_cash", 10.0, float, "market"),
-        initial_ratio=_get(block, "initial_ratio", 1.0, float, "market"),
-        stock_noise_range=_get(block, "stock_noise_range", 0.1, float, "market"),
-        days_per_year=_get(block, "days_per_year", 360, _as_int, "market"),
-        greed_fear=_parse_greed_fear(block.get("greed_fear") or {}, "market.greed_fear"),
-        signal=_parse_signal(block.get("signal") or {}, "market.signal"),
-        invert_flow_sign=_get(block, "invert_flow_sign", False, _as_bool, "market"),
-    )
-
-
-def _parse_hazard(block: dict) -> HazardParams:
-    _check_keys(block, ("cash_scale", "crash_scale", "shortfall_scale", "cap"), "hazard")
-    return HazardParams(
-        cash_scale=_get(block, "cash_scale", 70.0, float, "hazard"),
-        crash_scale=_get(block, "crash_scale", 5.0, float, "hazard"),
-        shortfall_scale=_get(block, "shortfall_scale", 1.0, float, "hazard"),
-        cap=_get(block, "cap", 1e6, float, "hazard"),
-    )
-
-
-def _parse_schedule(block: dict, kind: str) -> ScheduleSpec:
-    _check_keys(block, ("kind", "first_year_total", "growth"), "schedule")
-    default_total = (
-        _PONZI_FIRST_YEAR_TOTAL if kind.startswith("ponzi") else _MARKET_FIRST_YEAR_TOTAL
-    )
-    return ScheduleSpec(
-        kind=_get(block, "kind", "exponential", str, "schedule"),
-        first_year_total=_get(block, "first_year_total", default_total, float, "schedule"),
-        growth=_get(block, "growth", 0.1, float, "schedule"),
-    )
-
-
-def _parse_aspp(block: dict) -> FlowBlock:
-    _check_keys(block, ("flow_rate", "horizon", "n_paths"), "aspp")
-    return FlowBlock(
-        flow_rate=_get(block, "flow_rate", 0.0, float, "aspp"),
-        horizon=_get(block, "horizon", 3.0, float, "aspp"),
-        n_paths=_get(block, "n_paths", 1000, _as_int, "aspp"),
-    )
-
-
-def _parse_regimes(block: dict) -> RegimesBlock:
-    _check_keys(block, ("inflow_rate", "outflow_rate", "horizon", "n_paths"), "regimes")
-    return RegimesBlock(
-        inflow_rate=_get(block, "inflow_rate", None, float, "regimes"),
-        outflow_rate=_get(block, "outflow_rate", None, float, "regimes"),
-        horizon=_get(block, "horizon", 2.0, float, "regimes"),
-        n_paths=_get(block, "n_paths", 100, _as_int, "regimes"),
-    )
-
-
-def _parse_cycle(block: dict) -> CycleBlock:
-    _check_keys(
-        block,
-        ("pre_phase", "maturity", "target_rate", "horizon", "n_paths", "checkpoints"),
-        "cycle",
-    )
-    checkpoints = block.get("checkpoints")
-    if checkpoints is not None:
-        try:
-            checkpoints = tuple(float(c) for c in checkpoints)
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(
-                f"invalid value for 'cycle.checkpoints': {block['checkpoints']!r}"
-            ) from exc
-    return CycleBlock(
-        pre_phase=_get(block, "pre_phase", 3.0, float, "cycle"),
-        maturity=_get(block, "maturity", 3.0, float, "cycle"),
-        target_rate=_get(block, "target_rate", None, float, "cycle"),
-        horizon=_get(block, "horizon", 20.0, float, "cycle"),
-        n_paths=_get(block, "n_paths", 1000, _as_int, "cycle"),
-        checkpoints=checkpoints,
-    )
-
-
-def _parse_ponzi(block: dict) -> PonziBlock:
-    _check_keys(
-        block,
-        (
-            "nominal_rate",
-            "promised_rate",
-            "withdrawal_rate",
-            "maturity",
-            "initial_capital",
-            "market_impact",
-            "external_rate",
-            "literal_rate_coupling",
-            "horizon",
-            "step",
-            "steady_window",
-        ),
-        "ponzi",
-    )
-    return PonziBlock(
-        nominal_rate=_get(block, "nominal_rate", 0.0, float, "ponzi"),
-        promised_rate=_get(block, "promised_rate", 0.41, float, "ponzi"),
-        withdrawal_rate=_get(block, "withdrawal_rate", 0.41, float, "ponzi"),
-        maturity=_get(block, "maturity", 3.0, float, "ponzi"),
-        initial_capital=_get(block, "initial_capital", 0.0, float, "ponzi"),
-        market_impact=_get(block, "market_impact", 1.0, float, "ponzi"),
-        external_rate=_get(block, "external_rate", 0.0, float, "ponzi"),
-        literal_rate_coupling=_get(block, "literal_rate_coupling", False, _as_bool, "ponzi"),
-        horizon=_get(block, "horizon", 20.0, float, "ponzi"),
-        step=_get(block, "step", 1.0 / 360.0, float, "ponzi"),
-        steady_window=_get(block, "steady_window", 5.0, float, "ponzi"),
-    )
-
-
-def _parse_fit(block: dict) -> FitBlock:
-    _check_keys(block, ("bracket_low", "bracket_high", "tol", "source_csv"), "fit")
-    return FitBlock(
-        bracket_low=_get(block, "bracket_low", 1e-5, float, "fit"),
-        bracket_high=_get(block, "bracket_high", 1e-2, float, "fit"),
-        tol=_get(block, "tol", 1e-3, float, "fit"),
-        source_csv=_get(block, "source_csv", None, str, "fit"),
-    )
-
-
-def _parse_stats(block: dict) -> StatsBlock:
-    _check_keys(block, ("input_csv", "price_column"), "stats")
-    return StatsBlock(
-        input_csv=_get(block, "input_csv", None, str, "stats"),
-        price_column=_get(block, "price_column", "price", str, "stats"),
-    )
+    cls = _SIGNAL_KINDS[kind]
+    own_keys = {f.name for f in fields(cls)}
+    signal = _parse(cls(), {k: v for k, v in data.items() if k in own_keys}, context)
+    return replace(default, signal=signal, **{
+        name: _value(float, data.get(key), getattr(default, name), _key(context, key))
+        for key, name in _AMPLITUDE_KEYS.items()
+    })
 
 
 def load_config_data(data: dict, default_kind: Optional[str] = None) -> ExperimentConfig:
     """Build a validated configuration from a parsed JSON document."""
     if not isinstance(data, dict):
         raise ConfigurationError("configuration must be a JSON object")
-    _check_keys(
-        data,
-        ("kind", "seed", "out", "market", "hazard", "schedule",
-         "aspp", "regimes", "cycle", "ponzi", "fit", "stats"),
-        "",
-    )
     kind = data.get("kind", default_kind)
     if kind is None:
         raise ConfigurationError("missing configuration key 'kind'")
@@ -342,20 +205,9 @@ def load_config_data(data: dict, default_kind: Optional[str] = None) -> Experime
             f"configuration kind {data['kind']!r} does not match the requested "
             f"experiment {default_kind!r}"
         )
-    return ExperimentConfig(
-        kind=str(kind),
-        seed=_get(data, "seed", 12345, _as_int, ""),
-        out=_get(data, "out", None, str, ""),
-        market=_parse_market(data.get("market") or {}),
-        hazard=_parse_hazard(data.get("hazard") or {}),
-        schedule=_parse_schedule(data.get("schedule") or {}, str(kind)),
-        aspp=_parse_aspp(data.get("aspp") or {}),
-        regimes=_parse_regimes(data.get("regimes") or {}),
-        cycle=_parse_cycle(data.get("cycle") or {}),
-        ponzi=_parse_ponzi(data.get("ponzi") or {}),
-        fit=_parse_fit(data.get("fit") or {}),
-        stats=_parse_stats(data.get("stats") or {}),
-    )
+    kind = str(kind)
+    schedule = _PONZI_SCHEDULE if kind.startswith("ponzi") else ScheduleSpec()
+    return _parse(ExperimentConfig(kind=kind, schedule=schedule), data, "")
 
 
 def parse_config(path: str | Path, default_kind: Optional[str] = None) -> ExperimentConfig:
@@ -374,94 +226,28 @@ def parse_config(path: str | Path, default_kind: Optional[str] = None) -> Experi
 
 def _signal_to_dict(schedule: SignalSchedule) -> dict:
     signal = schedule.signal
-    if isinstance(signal, ConstantSignal):
-        body: dict[str, Any] = {"kind": "constant", "level": signal.level}
-    elif isinstance(signal, WindowSignal):
-        body = {"kind": "window", "start": signal.start, "end": signal.end, "level": signal.level}
-    else:
+    kind = next((k for k, cls in _SIGNAL_KINDS.items() if type(signal) is cls), None)
+    if kind is None:
         raise ConfigurationError(f"signal {signal!r} has no configuration form")
-    body["greed_amplitude"] = schedule.base_greed_amplitude
-    body["fear_amplitude"] = schedule.base_fear_amplitude
+    body = {"kind": kind, **config_to_dict(signal)}
+    body.update((key, getattr(schedule, name)) for key, name in _AMPLITUDE_KEYS.items())
     return body
 
 
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    """Complete, explicit dictionary form (every default spelled out)."""
-    gf = cfg.market.greed_fear
-    return {
-        "kind": cfg.kind,
-        "seed": cfg.seed,
-        "out": cfg.out,
-        "market": {
-            "n_agents": cfg.market.n_agents,
-            "n_active": cfg.market.n_active,
-            "initial_cash": cfg.market.initial_cash,
-            "initial_ratio": cfg.market.initial_ratio,
-            "stock_noise_range": cfg.market.stock_noise_range,
-            "days_per_year": cfg.market.days_per_year,
-            "greed_fear": {
-                "mean_log_greed": gf.mean_log_greed,
-                "mean_log_fear": gf.mean_log_fear,
-                "log_variance": gf.log_variance,
-                "correlation": gf.correlation,
-            },
-            "signal": _signal_to_dict(cfg.market.signal),
-            "invert_flow_sign": cfg.market.invert_flow_sign,
-        },
-        "hazard": {
-            "cash_scale": cfg.hazard.cash_scale,
-            "crash_scale": cfg.hazard.crash_scale,
-            "shortfall_scale": cfg.hazard.shortfall_scale,
-            "cap": cfg.hazard.cap,
-        },
-        "schedule": {
-            "kind": cfg.schedule.kind,
-            "first_year_total": cfg.schedule.first_year_total,
-            "growth": cfg.schedule.growth,
-        },
-        "aspp": {
-            "flow_rate": cfg.aspp.flow_rate,
-            "horizon": cfg.aspp.horizon,
-            "n_paths": cfg.aspp.n_paths,
-        },
-        "regimes": {
-            "inflow_rate": cfg.regimes.inflow_rate,
-            "outflow_rate": cfg.regimes.outflow_rate,
-            "horizon": cfg.regimes.horizon,
-            "n_paths": cfg.regimes.n_paths,
-        },
-        "cycle": {
-            "pre_phase": cfg.cycle.pre_phase,
-            "maturity": cfg.cycle.maturity,
-            "target_rate": cfg.cycle.target_rate,
-            "horizon": cfg.cycle.horizon,
-            "n_paths": cfg.cycle.n_paths,
-            "checkpoints": list(cfg.cycle.checkpoints) if cfg.cycle.checkpoints else None,
-        },
-        "ponzi": {
-            "nominal_rate": cfg.ponzi.nominal_rate,
-            "promised_rate": cfg.ponzi.promised_rate,
-            "withdrawal_rate": cfg.ponzi.withdrawal_rate,
-            "maturity": cfg.ponzi.maturity,
-            "initial_capital": cfg.ponzi.initial_capital,
-            "market_impact": cfg.ponzi.market_impact,
-            "external_rate": cfg.ponzi.external_rate,
-            "literal_rate_coupling": cfg.ponzi.literal_rate_coupling,
-            "horizon": cfg.ponzi.horizon,
-            "step": cfg.ponzi.step,
-            "steady_window": cfg.ponzi.steady_window,
-        },
-        "fit": {
-            "bracket_low": cfg.fit.bracket_low,
-            "bracket_high": cfg.fit.bracket_high,
-            "tol": cfg.fit.tol,
-            "source_csv": cfg.fit.source_csv,
-        },
-        "stats": {
-            "input_csv": cfg.stats.input_csv,
-            "price_column": cfg.stats.price_column,
-        },
-    }
+def config_to_dict(cfg) -> dict:
+    """Complete, explicit dictionary form (every default spelled out) of an
+    ``ExperimentConfig`` or of one of its blocks."""
+    body = {}
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, SignalSchedule):
+            value = _signal_to_dict(value)
+        elif is_dataclass(value):
+            value = config_to_dict(value)
+        elif isinstance(value, tuple):
+            value = list(value)
+        body[f.name] = value
+    return body
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:

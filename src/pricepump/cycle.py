@@ -15,6 +15,7 @@ import math
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -401,6 +402,15 @@ class CashHistogram(NamedTuple):
     counts: np.ndarray
 
 
+def cash_histogram(time: float, cash: np.ndarray) -> CashHistogram:
+    """Counts of ``cash`` in HISTOGRAM_BINS equal bins on [0, max cash]
+    ([0, 1] when no agent holds cash)."""
+    top = float(cash.max())
+    edges = np.linspace(0.0, top if top > 0.0 else 1.0, HISTOGRAM_BINS + 1)
+    counts, edges = np.histogram(cash, bins=edges)
+    return CashHistogram(time, edges, counts)
+
+
 @dataclass(frozen=True)
 class EnsembleStats:
     """Cross-path aggregates: per-day summary of every tracked series,
@@ -439,18 +449,13 @@ def _aggregate(records: dict[int, PathRecord], market: MarketParams,
     for i in order:
         for snap in records[i].snapshots:
             by_time.setdefault(snap.time, []).append(snap.cash)
-    histograms = []
-    for time in sorted(by_time):
-        pooled_cash = np.concatenate(by_time[time])
-        top = float(pooled_cash.max())
-        edges = np.linspace(0.0, top if top > 0.0 else 1.0, HISTOGRAM_BINS + 1)
-        counts, edges = np.histogram(pooled_cash, bins=edges)
-        histograms.append(CashHistogram(time, edges, counts))
     return EnsembleStats(
         times=first.times,
         series=series,
         pooled_returns=pooled,
-        histograms=tuple(histograms),
+        histograms=tuple(
+            cash_histogram(time, np.concatenate(by_time[time])) for time in sorted(by_time)
+        ),
         theoretical=market.theoretical(),
         n_paths=len(order),
         n_failures=len(failures),
@@ -485,9 +490,7 @@ def run_ensemble(cfg: CycleConfig, n_workers: int = 1) -> EnsembleStats:
     Aggregates are indexed by path number, so the result is identical for
     any worker count and execution order.
     """
-    records, failures = _collect(
-        _CyclePathWorker(cfg), range(cfg.n_paths), n_workers
-    )
+    records, failures = _collect(partial(run_path, cfg), range(cfg.n_paths), n_workers)
     return _aggregate(records, cfg.market, failures)
 
 
@@ -505,31 +508,12 @@ def run_flow_ensemble(
     if n_paths < 1:
         raise ConfigurationError(f"n_paths must be >= 1, got {n_paths}")
     records, failures = _collect(
-        _FlowPathWorker(market, hazard, flow_rate, horizon, base_seed, tuple(checkpoints)),
+        partial(run_flow_path, market, hazard, flow_rate, horizon, base_seed,
+                checkpoints=tuple(checkpoints)),
         range(n_paths),
         n_workers,
     )
     return _aggregate(records, market, failures)
-
-
-class _CyclePathWorker:
-    def __init__(self, cfg: CycleConfig):
-        self.cfg = cfg
-
-    def __call__(self, path_index: int) -> PathRecord:
-        return run_path(self.cfg, path_index)
-
-
-class _FlowPathWorker:
-    def __init__(self, market, hazard, flow_rate, horizon, base_seed, checkpoints):
-        self.args = (market, hazard, flow_rate, horizon, base_seed)
-        self.checkpoints = checkpoints
-
-    def __call__(self, path_index: int) -> PathRecord:
-        market, hazard, flow_rate, horizon, base_seed = self.args
-        return run_flow_path(
-            market, hazard, flow_rate, horizon, base_seed, path_index, self.checkpoints
-        )
 
 
 @dataclass(frozen=True)

@@ -105,8 +105,8 @@ class ConstantSignal:
 class WindowSignal:
     """Signal at ``level`` for start <= t < end, zero elsewhere."""
 
-    start: float
-    end: float
+    start: float = 0.0
+    end: float = math.inf
     level: float = 1.0
 
     def __post_init__(self):

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import __version__
-from .cycle import EnsembleStats, PathRecord
+from .cycle import CashHistogram, EnsembleStats, PathRecord, cash_histogram
 from .ponzi import OdeSolution
 
 # Banded columns get mean/p10/p50/p90; everything else mean only.
@@ -46,22 +46,17 @@ def write_path_record(record: PathRecord, out_dir: Path, basename: str = "path")
     columns = [record.times, *(series[name] for name in _PATH_COLUMNS)]
     files = [_write_csv(out_dir / f"{basename}.csv", header, columns)]
     if record.snapshots:
-        files.append(_write_snapshot_histograms(record, out_dir / f"{basename}_cash_hist.csv"))
+        histograms = (cash_histogram(snap.time, snap.cash) for snap in record.snapshots)
+        files.append(_write_histograms(histograms, out_dir / f"{basename}_cash_hist.csv"))
     return files
 
 
-def _write_snapshot_histograms(record: PathRecord, path: Path, bins: int = 50) -> Path:
-    rows: list[tuple[float, float, float, float]] = []
-    for snap in record.snapshots:
-        top = float(snap.cash.max())
-        edges = np.linspace(0.0, top if top > 0.0 else 1.0, bins + 1)
-        counts, edges = np.histogram(snap.cash, bins=edges)
-        for lo, hi, count in zip(edges[:-1], edges[1:], counts):
-            rows.append((snap.time, float(lo), float(hi), float(count)))
+def _write_histograms(histograms: Iterable[CashHistogram], path: Path) -> Path:
     with open(path, "w", newline="") as handle:
         handle.write("checkpoint_t,bin_lo,bin_hi,count\n")
-        for row in rows:
-            handle.write(",".join(format_float(v) for v in row) + "\n")
+        for hist in histograms:
+            for lo, hi, count in zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts):
+                handle.write(",".join(format_float(v) for v in (hist.time, lo, hi, count)) + "\n")
     return path
 
 
@@ -79,15 +74,7 @@ def write_ensemble(stats: EnsembleStats, out_dir: Path, basename: str = "ensembl
     files = [_write_csv(out_dir / f"{basename}.csv", header, columns)]
 
     if stats.histograms:
-        hist_path = out_dir / f"{basename}_cash_hist.csv"
-        with open(hist_path, "w", newline="") as handle:
-            handle.write("checkpoint_t,bin_lo,bin_hi,count\n")
-            for hist in stats.histograms:
-                for lo, hi, count in zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts):
-                    handle.write(
-                        ",".join(format_float(v) for v in (hist.time, lo, hi, count)) + "\n"
-                    )
-        files.append(hist_path)
+        files.append(_write_histograms(stats.histograms, out_dir / f"{basename}_cash_hist.csv"))
 
     returns_path = out_dir / f"{basename}_returns.json"
     pooled = stats.pooled_returns

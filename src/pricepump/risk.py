@@ -42,8 +42,9 @@ class HazardParams:
 def cash_concentration(cash_values: Sequence[float] | np.ndarray, cash_scale: float = 70.0) -> float:
     """Concentration of agents at low cash: mean of exp(-cash^2 / scale).
 
-    Lies in (0, 1]; equals 1 exactly when every agent holds zero cash and
-    vanishes as all agents become cash-rich.
+    Lies in [0, 1]; equals 1 exactly when every agent holds zero cash and
+    vanishes as all agents become cash-rich (it underflows to exactly 0
+    once every agent holds more than about sqrt(745 * cash_scale)).
     """
     if cash_scale <= 0.0:
         raise ValueError(f"cash_scale must be positive, got {cash_scale}")
@@ -56,11 +57,12 @@ def cash_concentration(cash_values: Sequence[float] | np.ndarray, cash_scale: fl
 def crash_hazard(concentration: float, params: HazardParams) -> float:
     """Crash hazard from cash concentration: scale * sqrt(h) / (1 - sqrt(h)).
 
-    Strictly increasing in the concentration, zero in the diffuse limit,
-    and capped at ``params.cap`` where the expression diverges.
+    Strictly increasing in the concentration, zero at zero concentration
+    (no agent short of cash), and capped at ``params.cap`` where the
+    expression diverges.
     """
-    if not 0.0 < concentration <= 1.0:
-        raise ValueError(f"concentration must lie in (0, 1], got {concentration}")
+    if not 0.0 <= concentration <= 1.0:
+        raise ValueError(f"concentration must lie in [0, 1], got {concentration}")
     root = math.sqrt(concentration)
     if root >= 1.0:
         return params.cap

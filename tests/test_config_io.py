@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pricepump import (
     ConfigurationError,
@@ -20,7 +22,118 @@ from pricepump import (
     write_manifest,
 )
 from pricepump.cli import main
+from pricepump.config import EXPERIMENT_KINDS
 from pricepump.ponzi import PonziParams, classical_ponzi_solve
+from pricepump.schedules import SCHEDULE_KINDS
+
+ROUND_TRIP_FIXTURE = {
+    "kind": "cycle",
+    "seed": 7,
+    "market": {
+        "n_agents": 64,
+        "n_active": 16,
+        "signal": {"kind": "window", "start": 1.0, "end": 2.0},
+    },
+    "schedule": {"kind": "linear", "first_year_total": 111.0},
+    "cycle": {"horizon": 9.0, "checkpoints": [1.0, 9.0]},
+}
+
+# Hashes and text of released configurations: a change to any of them
+# changes the identity of every stored run.
+PINNED_DEFAULT_HASHES = {
+    "aspp": "0952d5a36f69ad559374e2cab25d8eb3d9c422f11347383f3c9f1b70e0f9840c",
+    "regimes": "4495fa7d6c73a942cc280ede359fbb211065edca14fc772fe6fa1f5b1d0f8cb2",
+    "cycle": "9d2a3571c484ede66e620777e8ee189cdcf8f241235a362af3c31e0b4b8c9ee1",
+    "ponzi-classical": "d7d29335ca88763a79acbdd431ee0e79676fff8bffba34745caabd56c4168fa3",
+    "ponzi-speculative": "7e57196496c14bbd4ffaa68875a068f4c5695c3e7a32ebc9934c4c3e3dc28e4e",
+    "fit-c0": "c8b997130b4bfc12030768014954eed5646d41d1023e00e9471d34f46a6f24d1",
+    "stats": "582e8c49e22743045076e3c6130ae210b186659d6dad27b0d87226b320d82a11",
+}
+PINNED_FIXTURE_HASH = "11d9af863cf524401886ef9d5535a9cbccc72ea8fb3e9ea303ab2456058ffd29"
+PINNED_FIXTURE_TEXT = """{
+  "aspp": {
+    "flow_rate": 0.0,
+    "horizon": 3.0,
+    "n_paths": 1000
+  },
+  "cycle": {
+    "checkpoints": [
+      1.0,
+      9.0
+    ],
+    "horizon": 9.0,
+    "maturity": 3.0,
+    "n_paths": 1000,
+    "pre_phase": 3.0,
+    "target_rate": null
+  },
+  "fit": {
+    "bracket_high": 0.01,
+    "bracket_low": 1e-05,
+    "source_csv": null,
+    "tol": 0.001
+  },
+  "hazard": {
+    "cap": 1000000.0,
+    "cash_scale": 70.0,
+    "crash_scale": 5.0,
+    "shortfall_scale": 1.0
+  },
+  "kind": "cycle",
+  "market": {
+    "days_per_year": 360,
+    "greed_fear": {
+      "correlation": 0.95,
+      "log_variance": 0.0012,
+      "mean_log_fear": 0.10436001532424286,
+      "mean_log_greed": 0.11332868530700327
+    },
+    "initial_cash": 10.0,
+    "initial_ratio": 1.0,
+    "invert_flow_sign": false,
+    "n_active": 16,
+    "n_agents": 64,
+    "signal": {
+      "end": 2.0,
+      "fear_amplitude": 0.0,
+      "greed_amplitude": 0.0,
+      "kind": "window",
+      "level": 1.0,
+      "start": 1.0
+    },
+    "stock_noise_range": 0.1
+  },
+  "out": null,
+  "ponzi": {
+    "external_rate": 0.0,
+    "horizon": 20.0,
+    "initial_capital": 0.0,
+    "literal_rate_coupling": false,
+    "market_impact": 1.0,
+    "maturity": 3.0,
+    "nominal_rate": 0.0,
+    "promised_rate": 0.41,
+    "steady_window": 5.0,
+    "step": 0.002777777777777778,
+    "withdrawal_rate": 0.41
+  },
+  "regimes": {
+    "horizon": 2.0,
+    "inflow_rate": null,
+    "n_paths": 100,
+    "outflow_rate": null
+  },
+  "schedule": {
+    "first_year_total": 111.0,
+    "growth": 0.1,
+    "kind": "linear"
+  },
+  "seed": 7,
+  "stats": {
+    "input_csv": null,
+    "price_column": "price"
+  }
+}"""
 
 
 class TestConfigDefaults:
@@ -75,30 +188,153 @@ class TestConfigDefaults:
             load_config_data({"kind": "cycle"}, default_kind="aspp")
 
     def test_round_trip_is_identity(self, tmp_path):
-        source = {
-            "kind": "cycle",
-            "seed": 7,
-            "market": {
-                "n_agents": 64,
-                "n_active": 16,
-                "signal": {"kind": "window", "start": 1.0, "end": 2.0},
-            },
-            "schedule": {"kind": "linear", "first_year_total": 111.0},
-            "cycle": {"horizon": 9.0, "checkpoints": [1.0, 9.0]},
-        }
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(source))
+        path.write_text(json.dumps(ROUND_TRIP_FIXTURE))
         first = parse_config(path)
         path.write_text(serialize_config(first))
         second = parse_config(path)
         assert first == second
         assert config_hash(first) == config_hash(second)
 
+    @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+    def test_default_config_hash_is_pinned(self, kind):
+        assert config_hash(load_config_data({"kind": kind})) == PINNED_DEFAULT_HASHES[kind]
+
+    def test_fixture_serialization_is_pinned(self):
+        cfg = load_config_data(ROUND_TRIP_FIXTURE)
+        assert config_hash(cfg) == PINNED_FIXTURE_HASH
+        assert serialize_config(cfg) == PINNED_FIXTURE_TEXT
+
+    @pytest.mark.parametrize(
+        "data,message",
+        [
+            ({"kind": "aspp", "market": 5}, "'market' must be a JSON object, got 5"),
+            ({"kind": "aspp", "market": "ab"}, "'market' must be a JSON object, got 'ab'"),
+            (
+                {"kind": "aspp", "market": {"greed_fear": 3}},
+                "'market.greed_fear' must be a JSON object, got 3",
+            ),
+            (
+                {"kind": "aspp", "market": {"signal": [1]}},
+                "'market.signal' must be a JSON object, got [1]",
+            ),
+            ({"kind": "aspp", "seed": "x"}, "invalid value for 'seed': 'x'"),
+            (
+                {"kind": "aspp", "market": {"n_agents": 2.5}},
+                "invalid value for 'market.n_agents': 2.5",
+            ),
+            (
+                {"kind": "cycle", "cycle": {"checkpoints": "12"}},
+                "invalid value for 'cycle.checkpoints': '12'",
+            ),
+        ],
+    )
+    def test_malformed_values_rejected_by_name(self, data, message):
+        with pytest.raises(ConfigurationError) as err:
+            load_config_data(data)
+        assert str(err.value) == message
+
     def test_config_dict_is_json_complete(self):
         cfg = load_config_data({"kind": "regimes"})
         payload = config_to_dict(cfg)
         assert json.loads(json.dumps(payload)) == payload
         assert payload["market"]["n_agents"] == 500
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=1e-6, max_value=1e6)
+non_negative = st.floats(min_value=0.0, max_value=1e6)
+names = st.text(max_size=8)
+
+
+def block(**fields):
+    """A JSON block holding any subset of ``fields``; null keeps a default."""
+    return st.fixed_dictionaries(
+        {}, optional={name: st.none() | value for name, value in fields.items()}
+    )
+
+
+# Valid documents only: each constraint of the configuration dataclasses
+# holds whichever subset of keys is drawn (n_active <= 500 = default
+# n_agents, log means >= three standard deviations at any drawn variance).
+valid_documents = st.fixed_dictionaries(
+    {"kind": st.sampled_from(EXPERIMENT_KINDS)},
+    optional={
+        "seed": st.none() | st.integers(0, 2**63 - 1),
+        "out": st.none() | names,
+        "market": st.none() | block(
+            n_agents=st.integers(500, 2000),
+            n_active=st.integers(1, 500),
+            initial_cash=positive,
+            initial_ratio=positive,
+            stock_noise_range=non_negative,
+            days_per_year=st.integers(1, 1000),
+            greed_fear=st.fixed_dictionaries({
+                "mean_log_greed": st.floats(0.31, 1.0),
+                "mean_log_fear": st.floats(0.31, 1.0),
+                "log_variance": st.floats(0.0, 0.01),
+                "correlation": st.floats(-1.0, 1.0),
+            }),
+            signal=block(
+                kind=st.sampled_from(["constant", "window"]),
+                level=st.floats(0.0, 1.0),
+                start=finite,
+                end=finite | st.just(math.inf),
+                greed_amplitude=non_negative,
+                fear_amplitude=non_negative,
+            ),
+            invert_flow_sign=st.booleans(),
+        ),
+        "hazard": st.none() | block(
+            cash_scale=positive, crash_scale=positive, shortfall_scale=positive, cap=positive
+        ),
+        "schedule": st.none() | block(
+            kind=st.sampled_from(SCHEDULE_KINDS), first_year_total=non_negative, growth=finite
+        ),
+        "aspp": st.none() | block(flow_rate=finite, horizon=finite, n_paths=st.integers()),
+        "regimes": st.none() | block(
+            inflow_rate=finite, outflow_rate=finite, horizon=finite, n_paths=st.integers()
+        ),
+        "cycle": st.none() | block(
+            pre_phase=finite,
+            maturity=finite,
+            target_rate=finite,
+            horizon=finite,
+            n_paths=st.integers(),
+            checkpoints=st.lists(finite, max_size=4),
+        ),
+        "ponzi": st.none() | block(
+            nominal_rate=finite,
+            promised_rate=finite,
+            withdrawal_rate=finite,
+            maturity=finite,
+            initial_capital=finite,
+            market_impact=finite,
+            external_rate=finite,
+            literal_rate_coupling=st.booleans(),
+            horizon=finite,
+            step=finite,
+            steady_window=finite,
+        ),
+        "fit": st.none() | block(
+            bracket_low=finite, bracket_high=finite, tol=finite, source_csv=names
+        ),
+        "stats": st.none() | block(input_csv=names, price_column=names),
+    },
+)
+
+
+@settings(deadline=None)
+@given(valid_documents)
+@example({"kind": "cycle", "cycle": {"checkpoints": []}})
+@example({"kind": "aspp", "market": {"signal": {"kind": "constant", "start": 2.0}}})
+def test_serialized_config_reloads_identically(document):
+    cfg = load_config_data(document)
+    text = serialize_config(cfg)
+    reloaded = load_config_data(json.loads(text))
+    assert reloaded == cfg
+    assert serialize_config(reloaded) == text
+    assert config_hash(reloaded) == config_hash(cfg)
 
 
 @pytest.fixture()
@@ -227,6 +463,32 @@ class TestCli:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "ConfigurationError"
         assert "bogus_key" in record["message"]
+
+    @pytest.mark.parametrize(
+        "payload,key",
+        [
+            ({"kind": "aspp", "market": 5}, "'market'"),
+            ({"market": {"greed_fear": 3}}, "'market.greed_fear'"),
+        ],
+    )
+    def test_non_object_block_exit_code(self, tmp_path, capsys, payload, key):
+        cfg = self.write_config(tmp_path, payload)
+        code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigurationError"
+        assert key in record["message"]
+
+    def test_stats_writes_config_json(self, tmp_path):
+        table = tmp_path / "prices.csv"
+        table.write_text("t,price\n0,1.0\n1,1.1\n2,1.05\n3,1.2\n")
+        cfg = self.write_config(tmp_path, {"kind": "stats", "stats": {"input_csv": str(table)}})
+        out = tmp_path / "stats"
+        assert main(["stats", "--config", cfg, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        written = parse_config(out / "config.json")
+        assert written == parse_config(cfg)
+        assert manifest["config_sha256"] == config_hash(written)
 
     def test_paths_override(self, tmp_path):
         cfg = self.write_config(

@@ -184,6 +184,12 @@ class TestEnsembles:
         assert [h.time for h in stats.histograms] == [0.5, 1.0, 2.0]
         assert all(h.counts.sum() == 3 * 60 for h in stats.histograms)
 
+    def test_cash_rich_market_does_not_fail_every_path(self):
+        # a narrow cash kernel drives every path's concentration to exactly 0
+        ens = run_flow_ensemble(MarketParams(), HazardParams(cash_scale=1.0), 5e4, 2.0, 4, 1)
+        assert ens.n_failures == 0
+        assert np.any(ens.series["Ha"].mean == 0.0)  # the underflow did happen
+
     def test_flow_ensemble_records_both_predictions(self):
         stats = run_flow_ensemble(SMALL_MARKET, HAZARD, 0.0, 0.5, 4, 7)
         assert stats.theoretical.daily_factor == pytest.approx(1.0011217, abs=1e-7)

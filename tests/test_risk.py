@@ -70,9 +70,15 @@ class TestCrashHazard:
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            crash_hazard(0.0, HazardParams())
+            crash_hazard(-1e-3, HazardParams())
         with pytest.raises(ValueError):
             crash_hazard(1.1, HazardParams())
+
+    def test_underflowed_concentration_is_zero_hazard(self):
+        # every agent above ~sqrt(745 * cash_scale) dollars underflows the kernel
+        concentration = cash_concentration(np.full(20, 1000.0), 70.0)
+        assert concentration == 0.0
+        assert crash_hazard(concentration, HazardParams()) == 0.0
 
     def test_cap_applies_near_one(self):
         params = HazardParams(cap=10.0)
