@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import types
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import cache
@@ -128,10 +129,28 @@ def _check_keys(data: dict, allowed, context: str) -> None:
         raise ConfigurationError(f"unknown configuration key '{_key(context, unknown[0])}'")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _as_int(value) -> int:
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    if not _is_number(value) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(value)
     return int(value)
+
+
+def _as_float(value) -> float:
+    # Infinity stays valid: a window signal's default end serializes as it.
+    # NaN does not: a NaN config is unequal to itself and to its reload.
+    if not _is_number(value) or math.isnan(value):
+        raise ValueError(value)
+    return float(value)
+
+
+def _as_str(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(value)
+    return value
 
 
 def _as_bool(value) -> bool:
@@ -143,10 +162,11 @@ def _as_bool(value) -> bool:
 def _as_floats(value) -> tuple[float, ...]:
     if not isinstance(value, list):
         raise ValueError(value)
-    return tuple(float(v) for v in value)
+    return tuple(_as_float(v) for v in value)
 
 
-_CASTS = {int: _as_int, bool: _as_bool, float: float, str: str, tuple[float, ...]: _as_floats}
+_CASTS = {int: _as_int, bool: _as_bool, float: _as_float, str: _as_str,
+          tuple[float, ...]: _as_floats}
 _hints = cache(get_type_hints)  # resolving the string annotations dominates a parse
 
 

@@ -29,6 +29,7 @@ from .risk import (
     ReturnStats,
     TheoreticalReturn,
     cash_concentration,
+    cash_kernel,
     crash_hazard,
     stats_from_log_returns,
     theoretical_return,
@@ -225,7 +226,12 @@ def _run_days(
 
     With a schedule, runs the phased investment cycle with an investor
     ledger; otherwise applies a constant external flow and the ledger
-    quantities stay identically zero.
+    quantities stay identically zero.  The schedule is evaluated once,
+    for every day, before the loop.  The crash hazard's per-agent
+    ``cash_kernel`` is kept across days: a session changes the cash of
+    its active agents only, so only their entries are recomputed, and
+    the concentration is the kernel's mean (the same sum and division
+    as ``cash_concentration``, hence the same bits).
     """
     dpy = market.days_per_year
     period = 1.0 / dpy
@@ -243,8 +249,10 @@ def _run_days(
     external_value = np.zeros(n_days + 1)
     total_cash = np.empty(n_days + 1)
 
+    cash_scale = hazard.cash_scale
+    kernel = cash_kernel(state.cash, cash_scale)
     price[0] = state.price
-    hazard_crash[0] = crash_hazard(cash_concentration(state.cash, hazard.cash_scale), hazard)
+    hazard_crash[0] = crash_hazard(cash_concentration(state.cash, cash_scale), hazard)
     total_cash[0] = state.cash.sum()
     external_value[0] = state.external_shares * state.price
 
@@ -253,24 +261,24 @@ def _run_days(
     if 0 in checkpoint_set:
         snapshots.append(CashSnapshot(0.0, state.cash.copy()))
 
-    ledger = (
-        InvestorLedger(target_rate, int(round(maturity * dpy)), period) if cycle_mode else None
-    )
+    if cycle_mode:
+        ledger = InvestorLedger(target_rate, int(round(maturity * dpy)), period)
+        # schedule_eval maps the days before the investment phase (t < 0) to 0
+        inflows = (
+            schedule_eval(schedule, (np.arange(n_days) - invest_day) / dpy) * period
+        ).tolist()
     # a zero-mass schedule means no investors, hence no investor-side risk
     hazard_active = cycle_mode and schedule.first_year_total > 0.0
     shortfall_scale = hazard.shortfall_scale
     signal = market.signal
     n_active = market.n_active
+    day_times = times.tolist()
     clamp_events = 0
     integrand_prev = 0.0
 
     for day in range(n_days):
         if cycle_mode:
-            gross_inflow = (
-                schedule_eval(schedule, (day - invest_day) / dpy) * period
-                if day >= invest_day
-                else 0.0
-            )
+            gross_inflow = inflows[day]
             withdrawing = day >= withdraw_day
             requested = gross_inflow - (target_rate * ledger.value * period if withdrawing else 0.0)
         else:
@@ -279,32 +287,35 @@ def _run_days(
             requested = constant_flow * period
 
         state, outcome = trading_session(
-            state, n_active, sign * requested, signal, times[day]
+            state, n_active, sign * requested, signal, day_times[day]
         )
         clamp_events += outcome.clamped
+        active = outcome.active_indices
+        kernel[active] = cash_kernel(state.cash[active], cash_scale)
         new_price = state.price
         i = day + 1
         price[i] = new_price
         flow[i] = outcome.cash_flow_in
         total_cash[i] = state.cash.sum()
         external_value[i] = state.external_shares * new_price
-        hazard_crash[i] = crash_hazard(
-            cash_concentration(state.cash, hazard.cash_scale), hazard
-        )
+        hazard_crash[i] = crash_hazard(float(kernel.sum()) / kernel.size, hazard)
         if cycle_mode:
-            withdrawable[i] = ledger.record_day(new_price, price[day], gross_inflow, withdrawing)
+            # state.prev_price equals price[day] as a Python float, which
+            # keeps the scalar arithmetic off numpy scalars
+            prev_price = state.prev_price
+            withdrawable[i] = ledger.record_day(new_price, prev_price, gross_inflow, withdrawing)
             if hazard_active and i > withdraw_day:
-                integrand = math.exp(target_rate - (new_price / price[day] - 1.0) / period)
+                integrand = math.exp(target_rate - (new_price / prev_price - 1.0) / period)
                 if i - 1 == withdraw_day:
                     integrand_prev = math.exp(
-                        target_rate - (price[day] / price[day - 1] - 1.0) / period
+                        target_rate - (prev_price / price[day - 1] - 1.0) / period
                     ) if withdraw_day >= 1 else integrand
                 hazard_investor[i] = hazard_investor[i - 1] + shortfall_scale * 0.5 * (
                     integrand_prev + integrand
                 ) * period
                 integrand_prev = integrand
         if i in checkpoint_set:
-            snapshots.append(CashSnapshot(float(times[i]), state.cash.copy()))
+            snapshots.append(CashSnapshot(day_times[i], state.cash.copy()))
 
     return PathRecord(
         times=times,
@@ -546,8 +557,11 @@ def regime_comparison(
 
     Defaults: inflow equal to the population's initial cash per year,
     outflow a quarter of it per year (stronger withdrawals drain the
-    market's cash entirely within the horizon).  Final-day cash
-    snapshots are recorded for distribution comparisons.
+    market's cash entirely within the horizon).  An outflow as strong as
+    the initial cash per year exhausts the market: the liquidity clamp
+    then fires every day, the price underflows to zero after about 1.4
+    years, and every path fails with ``LiquidityExhaustedError``.
+    Final-day cash snapshots are recorded for distribution comparisons.
     """
     total = market.total_initial_cash()
     inflow = inflow_rate if inflow_rate is not None else total

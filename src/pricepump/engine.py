@@ -11,7 +11,7 @@ up by its greed factor (it sold) or down by its fear factor (it bought).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -33,9 +33,9 @@ class Trade(NamedTuple):
     side: str
 
 
-@dataclass(frozen=True)
-class SessionOutcome:
-    """Result of one clearing.
+class SessionOutcome(NamedTuple):
+    """Result of one clearing (a named tuple, the cheapest record to
+    build once per session).
 
     ``trade_amounts[i]`` is the dollar amount agent ``active_indices[i]``
     moved into stock; the amounts sum to ``-cash_flow_in``.
@@ -147,7 +147,9 @@ def trading_session(
     is given), and books the external flow into the outside-investor
     share pool.  A flow so negative that the price would hit zero is
     clamped to keep the price ratio at ``PRICE_RATIO_FLOOR`` and the
-    outcome is flagged.
+    outcome is flagged; once repeated clamps have shrunk the price until
+    it underflows to zero, the session raises ``LiquidityExhaustedError``
+    before changing any holding or price.
     """
     n = state.n_agents
     if not 1 <= n_active <= n:
@@ -160,8 +162,9 @@ def trading_session(
     cash = state.cash[active]
     target = state.target_ratio[active]
     weight = 1.0 / (1.0 + target)
+    target_cash = target * cash
 
-    demand = float(np.dot(target * cash, weight))
+    demand = float(np.dot(target_cash, weight))
     supply = float(np.dot(stock, weight))
     if supply == 0.0:
         raise NoSupplyError("all active stock values are zero")
@@ -171,23 +174,33 @@ def trading_session(
         external_flow = PRICE_RATIO_FLOOR * supply - demand
         ratio = PRICE_RATIO_FLOOR
         clamped = True
+    new_price = ratio * state.price
+    if not new_price > 0.0:
+        # repeated clamps shrink the price by PRICE_RATIO_FLOOR a day until
+        # it underflows; no share count can absorb a flow at price zero
+        raise LiquidityExhaustedError(
+            external_flow,
+            f"price underflowed to {new_price} on day {state.day + 1}: external flow "
+            f"{external_flow} exhausts market liquidity",
+        )
 
-    trades = (target * cash - ratio * stock) * weight
+    revalued = ratio * stock
+    trades = (target_cash - revalued) * weight
 
-    # target update compares pre-trade holdings at the new price; done on
-    # products to avoid dividing by zero-cash agents (who count as sellers)
-    if signal is None:
+    level = 1.0 if signal is None else float(signal.signal(t))
+    if level == 1.0:
+        # 1 + (g - 1) * 1.0 == g for every factor 1 <= g <= 2**53: g and 1
+        # are multiples of ulp(g), so g - 1 is exact and adding 1 restores g
         greed = state.greed[active]
         fear = state.fear[active]
     else:
-        level = float(signal.signal(t))
         greed = 1.0 + (state.greed[active] - 1.0) * level
         fear = 1.0 + (state.fear[active] - 1.0) * level
-    lhs = ratio * stock
-    rhs = target * cash
-    tolerance = RATIO_TIE_RTOL * rhs
-    sold = (lhs > rhs + tolerance) | (cash == 0.0)
-    bought = lhs < rhs - tolerance
+    # target update compares pre-trade holdings at the new price; done on
+    # products to avoid dividing by zero-cash agents (who count as sellers)
+    tolerance = RATIO_TIE_RTOL * target_cash
+    sold = (revalued > target_cash + tolerance) | (cash == 0.0)
+    bought = revalued < target_cash - tolerance
     new_target = np.where(sold, target * greed, np.where(bought, target / fear, target))
 
     state.stock_value *= ratio
@@ -196,7 +209,6 @@ def trading_session(
     state.stock_value[active] = target * new_cash
     state.target_ratio[active] = new_target
 
-    new_price = ratio * state.price
     state.prev_price = state.price
     state.price = new_price
     share_delta = external_flow / new_price

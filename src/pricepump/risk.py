@@ -39,8 +39,17 @@ class HazardParams:
                 raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}")
 
 
+def cash_kernel(cash: np.ndarray, cash_scale: float) -> np.ndarray:
+    """Per-agent low-cash weight exp(-cash^2 / scale), elementwise.
+
+    Each entry depends on its own agent's cash only, so a day loop can
+    keep this array and recompute just the agents whose cash changed.
+    """
+    return np.exp(-(cash * cash) / cash_scale)
+
+
 def cash_concentration(cash_values: Sequence[float] | np.ndarray, cash_scale: float = 70.0) -> float:
-    """Concentration of agents at low cash: mean of exp(-cash^2 / scale).
+    """Concentration of agents at low cash: mean of ``cash_kernel``.
 
     Lies in [0, 1]; equals 1 exactly when every agent holds zero cash and
     vanishes as all agents become cash-rich (it underflows to exactly 0
@@ -51,7 +60,7 @@ def cash_concentration(cash_values: Sequence[float] | np.ndarray, cash_scale: fl
     values = np.asarray(cash_values, dtype=float)
     if values.size == 0:
         raise ValueError("cash_concentration needs at least one agent")
-    return float(np.mean(np.exp(-(values * values) / cash_scale)))
+    return float(np.mean(cash_kernel(values, cash_scale)))
 
 
 def crash_hazard(concentration: float, params: HazardParams) -> float:

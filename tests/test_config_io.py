@@ -227,12 +227,35 @@ class TestConfigDefaults:
                 {"kind": "cycle", "cycle": {"checkpoints": "12"}},
                 "invalid value for 'cycle.checkpoints': '12'",
             ),
+            (
+                {"kind": "aspp", "market": {"initial_cash": True}},
+                "invalid value for 'market.initial_cash': True",
+            ),
+            ({"kind": "aspp", "aspp": {"horizon": "nan"}}, "invalid value for 'aspp.horizon': 'nan'"),
+            ({"kind": "aspp", "aspp": {"horizon": math.nan}}, "invalid value for 'aspp.horizon': nan"),
+            ({"kind": "aspp", "aspp": {"flow_rate": "5"}}, "invalid value for 'aspp.flow_rate': '5'"),
+            (
+                {"kind": "cycle", "cycle": {"checkpoints": [1.0, True]}},
+                "invalid value for 'cycle.checkpoints': [1.0, True]",
+            ),
+            ({"kind": "aspp", "out": 5}, "invalid value for 'out': 5"),
+            (
+                {"kind": "stats", "stats": {"price_column": [1]}},
+                "invalid value for 'stats.price_column': [1]",
+            ),
+            ({"kind": "aspp", "seed": "5"}, "invalid value for 'seed': '5'"),
         ],
     )
     def test_malformed_values_rejected_by_name(self, data, message):
         with pytest.raises(ConfigurationError) as err:
             load_config_data(data)
         assert str(err.value) == message
+
+    def test_infinite_float_stays_valid(self):
+        text = '{"kind": "aspp", "market": {"signal": {"kind": "window", "end": Infinity}}}'
+        cfg = load_config_data(json.loads(text))
+        assert cfg.market.signal.signal.end == math.inf
+        assert load_config_data(json.loads(serialize_config(cfg))) == cfg
 
     def test_config_dict_is_json_complete(self):
         cfg = load_config_data({"kind": "regimes"})
@@ -472,6 +495,23 @@ class TestCli:
         ],
     )
     def test_non_object_block_exit_code(self, tmp_path, capsys, payload, key):
+        cfg = self.write_config(tmp_path, payload)
+        code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigurationError"
+        assert key in record["message"]
+
+    @pytest.mark.parametrize(
+        "payload,key",
+        [
+            ({"market": {"initial_cash": True}}, "'market.initial_cash'"),
+            ({"aspp": {"horizon": "nan"}}, "'aspp.horizon'"),
+            ({"out": 5}, "'out'"),
+            ({"stats": {"price_column": [1]}}, "'stats.price_column'"),
+        ],
+    )
+    def test_invalid_value_exit_code(self, tmp_path, capsys, payload, key):
         cfg = self.write_config(tmp_path, payload)
         code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")])
         assert code == 2

@@ -1,18 +1,28 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pricepump import (
     BracketError,
     ConfigurationError,
+    ConstantSignal,
     CycleConfig,
     DivergenceError,
     HazardParams,
     InvestorLedger,
+    LiquidityExhaustedError,
     MarketParams,
+    PricePumpError,
     ScheduleSpec,
+    SignalSchedule,
     SpeculativePonziParams,
+    WindowSignal,
+    cash_concentration,
+    crash_hazard,
     fit_market_impact,
     investment_phase_series,
     run_ensemble,
@@ -149,6 +159,111 @@ class TestRunPath:
         record = run_path(small_cycle(), 0)
         n = record.times.size
         assert all(series.size == n for series in record.columns().values())
+
+
+def record_digest(record):
+    """sha256 over every series, the clamp count and the cash snapshots."""
+    digest = hashlib.sha256()
+    for name, column in record.columns().items():
+        digest.update(name.encode())
+        digest.update(column.tobytes())
+    digest.update(str(record.clamp_events).encode())
+    for snap in record.snapshots:
+        digest.update(repr(snap.time).encode())
+        digest.update(snap.cash.tobytes())
+    return digest.hexdigest()
+
+
+def signal_market(signal):
+    return MarketParams(signal=SignalSchedule(signal=signal))
+
+
+# Digests recorded from the day loop that recomputed every agent's cash
+# kernel and evaluated the schedule each day.  Any change to the random
+# stream or to a single output bit of the day loop changes them.
+PINNED_PATHS = {
+    "default-cycle": (
+        lambda: run_path(CycleConfig(horizon=6.5), 0),
+        "c92940a1edea2550623b965cf7ef2229eecfd788e3b68d9f0958a0ce418392c2",
+    ),
+    "window-signal-linear-cycle": (
+        lambda: run_path(
+            CycleConfig(
+                market=signal_market(WindowSignal(1.0, 4.0, 0.6)),
+                schedule=ScheduleSpec("linear"),
+                horizon=6.5,
+            ),
+            1,
+        ),
+        "3af95cc49121d8ef82696c070c817efa267184ff189c93728224dc1a7072062f",
+    ),
+    "constant-signal-cycle-checkpoints": (
+        lambda: run_path(
+            CycleConfig(
+                market=signal_market(ConstantSignal(0.3)),
+                pre_phase=1.0,
+                maturity=0.0,
+                horizon=2.0,
+                checkpoints=(0.0, 0.5, 1.0, 2.0),
+            ),
+            2,
+        ),
+        "71f82cdffceceaba65db2d8e58251ea99c1da55ec7d50b74fcd28f59278ad3c6",
+    ),
+    **{
+        f"flow{rate:+g}": (
+            lambda rate=rate: run_flow_path(
+                MarketParams(), HazardParams(), rate, 2.0, 12345, 4, checkpoints=(2.0,)
+            ),
+            digest,
+        )
+        for rate, digest in (
+            (5000.0, "b069f1adcb599bebb4a281d0bef81cb8fa4f0a8aa101960d35eceb1a44cfbcad"),
+            (0.0, "5fc42c8e2179b1ba375b15ff692be07139868b1c8a77f317059b1e481b7a9ba0"),
+            (-1250.0, "26540fe82fb5368c3bbeef7ef671eb2942c52b13182d91eced959d651148f82a"),
+            (-2500.0, "85e33453994d61105450004f00b652392bd89352144d449485d35db914f06bd8"),
+        )
+    },
+}
+
+
+class TestDayLoopBitIdentity:
+    @pytest.mark.parametrize("name", sorted(PINNED_PATHS))
+    def test_path_bits_are_pinned(self, name):
+        run, expected = PINNED_PATHS[name]
+        assert record_digest(run()) == expected
+
+    def test_pinned_withdrawal_path_clamps(self):
+        record = run_flow_path(MarketParams(), HazardParams(), -2500.0, 2.0, 12345, 4)
+        assert record.clamp_events == 29
+
+    @settings(deadline=None, max_examples=20)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        flow=st.floats(-300.0, 300.0),
+        cash_scale=st.floats(0.5, 500.0),
+        cycle=st.booleans(),
+    )
+    def test_crash_hazard_at_checkpoints_is_exact(self, seed, flow, cash_scale, cycle):
+        hazard = HazardParams(cash_scale=cash_scale)
+        checkpoints = (0.0, 0.1, 0.25, 0.5, 1.0)
+        if cycle:
+            record = run_path(
+                small_cycle(hazard=hazard, base_seed=seed, checkpoints=checkpoints), 0
+            )
+        else:
+            record = run_flow_path(SMALL_MARKET, hazard, flow, 1.0, seed, 0, checkpoints)
+        assert len(record.snapshots) == len(checkpoints)
+        for snap in record.snapshots:
+            day = int(round(snap.time * 360))
+            expected = crash_hazard(cash_concentration(snap.cash, cash_scale), hazard)
+            assert record.hazard_crash[day] == expected
+
+    def test_exhausting_withdrawal_fails_typed(self):
+        with pytest.raises(LiquidityExhaustedError, match="price underflowed to 0.0"):
+            run_flow_path(SMALL_MARKET, HAZARD, -3000.0, 1.0, 1, 0)
+        with pytest.raises(PricePumpError, match="all paths failed: LiquidityExhaustedError"):
+            run_flow_ensemble(SMALL_MARKET, HAZARD, -3000.0, 1.0, 2, 1)
 
 
 class TestEnsembles:

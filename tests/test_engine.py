@@ -2,15 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pricepump import (
     AgentPortfolio,
     ConfigurationError,
+    ConstantSignal,
     GreedFearSpec,
     LiquidityExhaustedError,
     MarketState,
     NoSupplyError,
     PRICE_RATIO_FLOOR,
+    SignalSchedule,
     clear_price,
     default_greed_fear,
     init_population,
@@ -190,6 +194,17 @@ class TestTradingSession:
         # executed flow is exactly the one producing the floor ratio
         assert outcome.cash_flow_in == pytest.approx(PRICE_RATIO_FLOOR * 5.0 - 5.0)
 
+    def test_price_underflow_raises_typed_error(self):
+        state = one_agent_state()
+        state.price = 1e-322  # one more clamp at the floor ratio rounds it to zero
+        cash, stock = state.cash.copy(), state.stock_value.copy()
+        with pytest.raises(LiquidityExhaustedError, match="price underflowed to 0.0 on day 1"):
+            trading_session(state, 1, -50.0)
+        assert state.price == 1e-322
+        assert state.day == 0
+        assert np.array_equal(state.cash, cash)
+        assert np.array_equal(state.stock_value, stock)
+
     def test_session_determinism(self):
         a = init_population(50, default_greed_fear(), seed=9)
         b = init_population(50, default_greed_fear(), seed=9)
@@ -245,3 +260,31 @@ class TestTradingSession:
             state = MarketState.from_agents(agents, seed=int(rng.integers(0, 2**31)))
             state, outcome = trading_session(state, n, flow)
             assert outcome.new_price == pytest.approx(expected, rel=1e-12)
+
+
+class TestSessionProperties:
+    """Facts the day loop's shortcuts rely on."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_agents=st.integers(2, 60),
+        active_share=st.floats(0.0, 1.0),
+        flow=st.floats(-20.0, 20.0),
+        level=st.none() | st.sampled_from([0.0, 0.3, 1.0]),
+    )
+    def test_session_changes_only_active_agents(self, seed, n_agents, active_share, flow, level):
+        n_active = max(1, round(active_share * n_agents))
+        signal = None if level is None else SignalSchedule(signal=ConstantSignal(level))
+        state = init_population(n_agents, default_greed_fear(), seed=seed)
+        for _ in range(5):
+            cash, target = state.cash.copy(), state.target_ratio.copy()
+            state, outcome = trading_session(state, n_active, flow, signal)
+            untouched = np.ones(n_agents, dtype=bool)
+            untouched[outcome.active_indices] = False
+            assert state.cash[untouched].tobytes() == cash[untouched].tobytes()
+            assert state.target_ratio[untouched].tobytes() == target[untouched].tobytes()
+
+    @given(st.floats(min_value=1.0, max_value=2.0**53))
+    def test_unit_signal_rescale_is_identity(self, factor):
+        assert 1.0 + (factor - 1.0) * 1.0 == factor
