@@ -92,9 +92,11 @@ def _ensemble_counters(ens, prefix: str = "") -> dict[str, int]:
     return {f"{prefix}clamp_events": ens.clamp_events, f"{prefix}path_failures": ens.n_failures}
 
 
-def _write_run_record(out: Path, cfg: ExperimentConfig, counters: dict[str, int]) -> None:
+def _write_run_record(
+    out: Path, cfg: ExperimentConfig, counters: dict[str, int], extra: dict | None = None
+) -> None:
     """Every verb's ``manifest.json`` and ``config.json``."""
-    write_manifest(out, config_hash(cfg), cfg.seed, counters)
+    write_manifest(out, config_hash(cfg), cfg.seed, counters, extra)
     (out / "config.json").write_text(serialize_config(cfg) + "\n")
 
 
@@ -135,7 +137,13 @@ def _cmd_regimes(args) -> int:
     for name, ens in comparison.as_dict().items():
         emit_series(ens, out / name)
         counters.update(_ensemble_counters(ens, f"{name}_"))
-    _write_run_record(out, cfg, counters)
+    failed = comparison.failed
+    for name, exc in failed.items():
+        counters[f"{name}_path_failures"] = len(exc.failure_messages)
+    extra = {"path_failures": {name: list(exc.failure_messages) for name, exc in failed.items()}}
+    _write_run_record(out, cfg, counters, extra if failed else None)
+    if failed:
+        raise PricePumpError("; ".join(f"regime '{name}': {exc}" for name, exc in failed.items()))
     return 0
 
 

@@ -32,13 +32,10 @@ EXPERIMENT_KINDS = (
 # first-year mass matching the population's initial cash reserve.
 _PONZI_SCHEDULE = ScheduleSpec(first_year_total=1.0)
 
-# ``market.signal`` is one flat object: the signal's ``kind``, the fields
-# of that kind's class (a constant signal ignores ``start`` and ``end``),
-# and the schedule's amplitudes under shorter names.
+# ``market.signal`` is one flat object: the signal's ``kind`` and the
+# fields of that kind's class (a constant signal ignores ``start`` and
+# ``end``).
 _SIGNAL_KINDS = {"constant": ConstantSignal, "window": WindowSignal}
-_AMPLITUDE_KEYS = {
-    "greed_amplitude": "base_greed_amplitude", "fear_amplitude": "base_fear_amplitude",
-}
 
 
 @dataclass(frozen=True)
@@ -198,7 +195,7 @@ def _parse(default, data: dict, context: str):
 
 def _parse_signal(default: SignalSchedule, data: dict, context: str) -> SignalSchedule:
     signal_keys = {f.name for cls in _SIGNAL_KINDS.values() for f in fields(cls)}
-    _check_keys(data, {"kind", *_AMPLITUDE_KEYS, *signal_keys}, context)
+    _check_keys(data, {"kind", *signal_keys}, context)
     kind = _value(str, data.get("kind"), "constant", _key(context, "kind"))
     if kind not in _SIGNAL_KINDS:
         raise ConfigurationError(
@@ -207,10 +204,7 @@ def _parse_signal(default: SignalSchedule, data: dict, context: str) -> SignalSc
     cls = _SIGNAL_KINDS[kind]
     own_keys = {f.name for f in fields(cls)}
     signal = _parse(cls(), {k: v for k, v in data.items() if k in own_keys}, context)
-    return replace(default, signal=signal, **{
-        name: _value(float, data.get(key), getattr(default, name), _key(context, key))
-        for key, name in _AMPLITUDE_KEYS.items()
-    })
+    return replace(default, signal=signal)
 
 
 def load_config_data(data: dict, default_kind: Optional[str] = None) -> ExperimentConfig:
@@ -249,9 +243,7 @@ def _signal_to_dict(schedule: SignalSchedule) -> dict:
     kind = next((k for k, cls in _SIGNAL_KINDS.items() if type(signal) is cls), None)
     if kind is None:
         raise ConfigurationError(f"signal {signal!r} has no configuration form")
-    body = {"kind": kind, **config_to_dict(signal)}
-    body.update((key, getattr(schedule, name)) for key, name in _AMPLITUDE_KEYS.items())
-    return body
+    return {"kind": kind, **config_to_dict(signal)}
 
 
 def config_to_dict(cfg) -> dict:

@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .engine import trading_session
-from .errors import BracketError, ConfigurationError, DivergenceError, PricePumpError
+from .errors import BracketError, ConfigurationError, DivergenceError, EnsembleFailedError
 from .market import GreedFearSpec, MarketState, SignalSchedule, default_greed_fear, init_population
 from .ponzi import SpeculativePonziParams, speculative_ponzi_solve
 from .risk import (
@@ -31,12 +31,19 @@ from .risk import (
     cash_concentration,
     cash_kernel,
     crash_hazard,
+    investor_hazard,
     stats_from_log_returns,
     theoretical_return,
 )
 from .schedules import ScheduleSpec, schedule_eval
 
 HISTOGRAM_BINS = 50
+
+
+def _require_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ConfigurationError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -51,7 +58,6 @@ class MarketParams:
     days_per_year: int = 360
     greed_fear: GreedFearSpec = field(default_factory=default_greed_fear)
     signal: SignalSchedule = field(default_factory=SignalSchedule)
-    invert_flow_sign: bool = False  # audit switch: flips the sign convention of external flows
 
     def __post_init__(self):
         if self.n_agents < 1:
@@ -104,6 +110,12 @@ class CycleConfig:
     checkpoints: Optional[tuple[float, ...]] = None  # None: phase boundaries
 
     def __post_init__(self):
+        _require_finite(
+            pre_phase=self.pre_phase,
+            maturity=self.maturity,
+            horizon=self.horizon,
+            target_rate=0.0 if self.target_rate is None else self.target_rate,
+        )
         if self.pre_phase < 0.0 or self.maturity < 0.0:
             raise ConfigurationError("pre_phase and maturity must be >= 0")
         if self.horizon <= self.pre_phase + self.maturity:
@@ -231,19 +243,19 @@ def _run_days(
     ``cash_kernel`` is kept across days: a session changes the cash of
     its active agents only, so only their entries are recomputed, and
     the concentration is the kernel's mean (the same sum and division
-    as ``cash_concentration``, hence the same bits).
+    as ``cash_concentration``, hence the same bits).  The investor hazard
+    depends on the price path only, so it is computed once, after the
+    loop, from withdrawals' first day on.
     """
     dpy = market.days_per_year
     period = 1.0 / dpy
     cycle_mode = schedule is not None
     invest_day = int(round(pre_phase * dpy))
     withdraw_day = int(round((pre_phase + maturity) * dpy))
-    sign = -1.0 if market.invert_flow_sign else 1.0
 
     times = np.arange(n_days + 1) / dpy
     price = np.empty(n_days + 1)
     hazard_crash = np.empty(n_days + 1)
-    hazard_investor = np.zeros(n_days + 1)
     flow = np.zeros(n_days + 1)
     withdrawable = np.zeros(n_days + 1)
     external_value = np.zeros(n_days + 1)
@@ -267,14 +279,10 @@ def _run_days(
         inflows = (
             schedule_eval(schedule, (np.arange(n_days) - invest_day) / dpy) * period
         ).tolist()
-    # a zero-mass schedule means no investors, hence no investor-side risk
-    hazard_active = cycle_mode and schedule.first_year_total > 0.0
-    shortfall_scale = hazard.shortfall_scale
     signal = market.signal
     n_active = market.n_active
     day_times = times.tolist()
     clamp_events = 0
-    integrand_prev = 0.0
 
     for day in range(n_days):
         if cycle_mode:
@@ -286,9 +294,7 @@ def _run_days(
             withdrawing = False
             requested = constant_flow * period
 
-        state, outcome = trading_session(
-            state, n_active, sign * requested, signal, day_times[day]
-        )
+        state, outcome = trading_session(state, n_active, requested, signal, day_times[day])
         clamp_events += outcome.clamped
         active = outcome.active_indices
         kernel[active] = cash_kernel(state.cash[active], cash_scale)
@@ -301,22 +307,21 @@ def _run_days(
         hazard_crash[i] = crash_hazard(float(kernel.sum()) / kernel.size, hazard)
         if cycle_mode:
             # state.prev_price equals price[day] as a Python float, which
-            # keeps the scalar arithmetic off numpy scalars
-            prev_price = state.prev_price
-            withdrawable[i] = ledger.record_day(new_price, prev_price, gross_inflow, withdrawing)
-            if hazard_active and i > withdraw_day:
-                integrand = math.exp(target_rate - (new_price / prev_price - 1.0) / period)
-                if i - 1 == withdraw_day:
-                    integrand_prev = math.exp(
-                        target_rate - (prev_price / price[day - 1] - 1.0) / period
-                    ) if withdraw_day >= 1 else integrand
-                hazard_investor[i] = hazard_investor[i - 1] + shortfall_scale * 0.5 * (
-                    integrand_prev + integrand
-                ) * period
-                integrand_prev = integrand
+            # keeps the ledger's scalar arithmetic off numpy scalars
+            withdrawable[i] = ledger.record_day(
+                new_price, state.prev_price, gross_inflow, withdrawing
+            )
         if i in checkpoint_set:
             snapshots.append(CashSnapshot(day_times[i], state.cash.copy()))
 
+    # the investor hazard never feeds back into trading; a zero-mass
+    # schedule means no investors, hence no investor-side risk
+    if cycle_mode and schedule.first_year_total > 0.0:
+        hazard_investor = investor_hazard(
+            price, withdraw_day, target_rate, period, hazard.shortfall_scale
+        )
+    else:
+        hazard_investor = np.zeros(n_days + 1)
     return PathRecord(
         times=times,
         price=price,
@@ -365,6 +370,14 @@ def run_path(cfg: CycleConfig, path_index: int) -> PathRecord:
     )
 
 
+def _flow_days(market: MarketParams, horizon: float) -> int:
+    _require_finite(horizon=horizon)
+    n_days = int(round(horizon * market.days_per_year))
+    if n_days < 1:
+        raise ConfigurationError(f"horizon {horizon} is below one trading day")
+    return n_days
+
+
 def run_flow_path(
     market: MarketParams,
     hazard: HazardParams,
@@ -375,9 +388,7 @@ def run_flow_path(
     checkpoints: Sequence[float] = (),
 ) -> PathRecord:
     """Simulate one path under a constant external flow (dollars per year)."""
-    n_days = int(round(horizon * market.days_per_year))
-    if n_days < 1:
-        raise ConfigurationError(f"horizon {horizon} is below one trading day")
+    n_days = _flow_days(market, horizon)
     state = init_population(
         market.n_agents,
         market.greed_fear,
@@ -440,9 +451,10 @@ class EnsembleStats:
 
 def _aggregate(records: dict[int, PathRecord], market: MarketParams,
                failures: dict[int, str]) -> EnsembleStats:
+    failure_messages = tuple(f"path {i}: {failures[i]}" for i in sorted(failures))
     if not records:
-        raise PricePumpError(
-            "all paths failed: " + "; ".join(list(failures.values())[:3])
+        raise EnsembleFailedError(
+            failure_messages, "all paths failed: " + "; ".join(list(failures.values())[:3])
         )
     order = sorted(records)
     first = records[order[0]]
@@ -471,7 +483,7 @@ def _aggregate(records: dict[int, PathRecord], market: MarketParams,
         n_paths=len(order),
         n_failures=len(failures),
         clamp_events=sum(records[i].clamp_events for i in order),
-        failure_messages=tuple(f"path {i}: {failures[i]}" for i in sorted(failures)),
+        failure_messages=failure_messages,
     )
 
 
@@ -516,6 +528,9 @@ def run_flow_ensemble(
     checkpoints: Sequence[float] = (),
 ) -> EnsembleStats:
     """Constant-flow ensemble (zero, investment, or withdrawal regimes)."""
+    # checked here, before any path runs, so that they are not path failures
+    _require_finite(flow_rate=flow_rate)
+    _flow_days(market, horizon)
     if n_paths < 1:
         raise ConfigurationError(f"n_paths must be >= 1, got {n_paths}")
     records, failures = _collect(
@@ -529,18 +544,24 @@ def run_flow_ensemble(
 
 @dataclass(frozen=True)
 class RegimeComparison:
-    investment: EnsembleStats
-    zero: EnsembleStats
-    withdrawal: EnsembleStats
+    """The three regimes' ensembles.  A regime whose every path failed is
+    ``None``, and its error is in ``failed`` under the regime's name."""
+
+    investment: Optional[EnsembleStats]
+    zero: Optional[EnsembleStats]
+    withdrawal: Optional[EnsembleStats]
     inflow_rate: float
     outflow_rate: float
+    failed: dict[str, EnsembleFailedError] = field(default_factory=dict)
 
     def as_dict(self) -> dict[str, EnsembleStats]:
-        return {
+        """The regimes that finished, by name."""
+        regimes = {
             "investment": self.investment,
             "zero": self.zero,
             "withdrawal": self.withdrawal,
         }
+        return {name: ens for name, ens in regimes.items() if ens is not None}
 
 
 def regime_comparison(
@@ -560,26 +581,34 @@ def regime_comparison(
     market's cash entirely within the horizon).  An outflow as strong as
     the initial cash per year exhausts the market: the liquidity clamp
     then fires every day, the price underflows to zero after about 1.4
-    years, and every path fails with ``LiquidityExhaustedError``.
+    years, and every path fails with ``LiquidityExhaustedError``.  Such a
+    regime is reported in ``failed``; the other regimes still run.
     Final-day cash snapshots are recorded for distribution comparisons.
     """
     total = market.total_initial_cash()
     inflow = inflow_rate if inflow_rate is not None else total
     outflow = outflow_rate if outflow_rate is not None else -0.25 * total
+    # the first ensemble checks the horizon; the outflow is used last
+    _require_finite(inflow_rate=inflow, outflow_rate=outflow)
     if inflow <= 0.0 or outflow >= 0.0:
         raise ConfigurationError("inflow_rate must be positive and outflow_rate negative")
-    ensembles = {}
+    ensembles: dict[str, EnsembleStats] = {}
+    failed: dict[str, EnsembleFailedError] = {}
     for name, rate in (("investment", inflow), ("zero", 0.0), ("withdrawal", outflow)):
-        ensembles[name] = run_flow_ensemble(
-            market, hazard, rate, horizon, n_paths, base_seed,
-            n_workers=n_workers, checkpoints=(horizon,),
-        )
+        try:
+            ensembles[name] = run_flow_ensemble(
+                market, hazard, rate, horizon, n_paths, base_seed,
+                n_workers=n_workers, checkpoints=(horizon,),
+            )
+        except EnsembleFailedError as exc:
+            failed[name] = exc
     return RegimeComparison(
-        investment=ensembles["investment"],
-        zero=ensembles["zero"],
-        withdrawal=ensembles["withdrawal"],
+        investment=ensembles.get("investment"),
+        zero=ensembles.get("zero"),
+        withdrawal=ensembles.get("withdrawal"),
         inflow_rate=inflow,
         outflow_rate=outflow,
+        failed=failed,
     )
 
 

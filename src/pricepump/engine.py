@@ -11,13 +11,12 @@ up by its greed factor (it sold) or down by its fear factor (it bought).
 from __future__ import annotations
 
 import math
-from dataclasses import replace
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigurationError, LiquidityExhaustedError, NoSupplyError
-from .market import AgentPortfolio, MarketState, SignalSchedule
+from .market import MarketState, SignalSchedule
 
 # Sessions never clear below this fraction of the prior price; withdrawals
 # that would do so are clamped and flagged instead of annihilating the price.
@@ -25,12 +24,6 @@ PRICE_RATIO_FLOOR = 0.01
 
 # Relative tolerance for the "portfolio exactly on target" (no-update) branch.
 RATIO_TIE_RTOL = 1e-12
-
-
-class Trade(NamedTuple):
-    index: int
-    dollars: float  # > 0: the agent bought stock; < 0: sold
-    side: str
 
 
 class SessionOutcome(NamedTuple):
@@ -49,87 +42,6 @@ class SessionOutcome(NamedTuple):
     external_share_delta: float
     cash_flow_in: float
     clamped: bool = False
-
-    @property
-    def trades(self) -> tuple[Trade, ...]:
-        out = []
-        for i, x in zip(self.active_indices, self.trade_amounts):
-            side = "bought" if x > 0.0 else ("sold" if x < 0.0 else "neutral")
-            out.append(Trade(int(i), float(x), side))
-        return tuple(out)
-
-
-def clear_price(
-    active: Sequence[AgentPortfolio], prev_price: float, external_flow: float = 0.0
-) -> float:
-    """Price ratio (new/old) that clears the active agents' net demand.
-
-    With per-agent weights 1/(1+k), the ratio is
-    (external_flow + sum k*cash*w) / (sum stock*w): the level at which
-    every active agent's target-restoring trade is funded exactly by the
-    other agents plus the external flow.
-    """
-    if prev_price <= 0.0:
-        raise ValueError(f"prev_price must be positive, got {prev_price}")
-    if not math.isfinite(external_flow):
-        raise ValueError(f"external_flow must be finite, got {external_flow}")
-    if len(active) == 0:
-        raise NoSupplyError("no active agents")
-    stock = np.array([a.stock_value for a in active], dtype=float)
-    cash = np.array([a.cash for a in active], dtype=float)
-    ratio_target = np.array([a.target_ratio for a in active], dtype=float)
-    weight = 1.0 / (1.0 + ratio_target)
-    demand = float(np.dot(ratio_target * cash, weight))
-    supply = float(np.dot(stock, weight))
-    if supply == 0.0:
-        raise NoSupplyError("all active stock values are zero")
-    ratio = (external_flow + demand) / supply
-    if ratio <= 0.0:
-        raise LiquidityExhaustedError(external_flow)
-    return ratio
-
-
-def rebalance(agent: AgentPortfolio, price_ratio: float) -> tuple[AgentPortfolio, float]:
-    """Trade back to the target ratio at the new price.
-
-    Returns the updated portfolio and the dollar amount moved into stock,
-    x = (k*cash - ratio*stock) / (1 + k).  The post-trade stock-to-cash
-    ratio equals the target exactly, and both balances stay positive.
-    """
-    if price_ratio <= 0.0:
-        raise ValueError(f"price_ratio must be positive, got {price_ratio}")
-    k = agent.target_ratio
-    x = (k * agent.cash - price_ratio * agent.stock_value) / (1.0 + k)
-    new_cash = agent.cash - x
-    return replace(agent, stock_value=k * new_cash, cash=new_cash), float(x)
-
-
-def update_ratio(
-    agent: AgentPortfolio,
-    price_ratio: float,
-    effective_greed: float,
-    effective_fear: float,
-) -> float:
-    """Adaptive target update from pre-trade holdings valued at the new price.
-
-    Over-performing portfolios (value ratio above target, i.e. the agent
-    sold) scale the target by greed; under-performing ones (the agent
-    bought) divide it by fear; an on-target portfolio keeps it.  A
-    zero-cash agent counts as over-performing.
-    """
-    if price_ratio <= 0.0:
-        raise ValueError(f"price_ratio must be positive, got {price_ratio}")
-    if effective_greed < 1.0 or effective_fear < 1.0:
-        raise ValueError("effective factors must be >= 1")
-    k = agent.target_ratio
-    lhs = price_ratio * agent.stock_value
-    rhs = k * agent.cash
-    tolerance = RATIO_TIE_RTOL * rhs
-    if agent.cash == 0.0 or lhs > rhs + tolerance:
-        return k * effective_greed
-    if lhs < rhs - tolerance:
-        return k / effective_fear
-    return k
 
 
 def trading_session(
@@ -150,6 +62,15 @@ def trading_session(
     outcome is flagged; once repeated clamps have shrunk the price until
     it underflows to zero, the session raises ``LiquidityExhaustedError``
     before changing any holding or price.
+
+    With per-agent weights w = 1/(1+k) over the active agents, the price
+    ratio is (external_flow + sum k*cash*w) / (sum stock*w); each active
+    agent moves x = (k*cash - ratio*stock) * w into stock and ends at
+    stock = k * (cash - x), exactly on target.  Its target becomes k*greed
+    when its pre-trade stock at the new price exceeds k*cash (it sold, or
+    it holds no cash), k/fear when it falls short (it bought), and stays k
+    within a relative ``RATIO_TIE_RTOL``; the factors are scaled as
+    1 + (factor - 1) * signal(t).
     """
     n = state.n_agents
     if not 1 <= n_active <= n:

@@ -32,3 +32,12 @@ class DivergenceError(PricePumpError):
 
 class BracketError(PricePumpError):
     """A bracketing search was started on an interval that does not bracket the target."""
+
+
+class EnsembleFailedError(PricePumpError):
+    """Every path of an ensemble failed; ``failure_messages`` holds one
+    ``'path i: error'`` line per path."""
+
+    def __init__(self, failure_messages: tuple[str, ...], message: str):
+        self.failure_messages = failure_messages
+        super().__init__(message)

@@ -1,18 +1,20 @@
-"""Trader portfolios, market state, and correlated greed/fear sampling.
+"""Market state, correlated greed/fear sampling, and the signal schedule.
 
-The market is a population of portfolio-rebalancing traders.  Each agent
+The market is a population of portfolio-rebalancing traders, held as
+parallel arrays with one entry per agent in ``MarketState``.  Each agent
 holds stock (stored as its dollar value at the current price and revalued
 multiplicatively every session), cash, a private target stock-to-cash
 ratio, and a pair of multiplicative target-update factors: ``greed``
-(applied after selling) and ``fear`` (applied after buying).  Factor
-pairs are drawn once per population from a correlated log-normal
-distribution restricted to factors >= 1.
+(applied after selling) and ``fear`` (applied after buying).  There is
+no per-agent object: a session reads and writes the arrays at its
+active indices.  Factor pairs are drawn once per population from a
+correlated log-normal distribution restricted to factors >= 1.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -20,27 +22,6 @@ from .errors import ConfigurationError
 from .rng import SeedLike, as_rng
 
 _MAX_REDRAW_ROUNDS = 1000
-
-
-@dataclass(frozen=True)
-class AgentPortfolio:
-    """One trader's holdings and behavioral parameters."""
-
-    stock_value: float
-    cash: float
-    target_ratio: float
-    greed: float = 1.0
-    fear: float = 1.0
-
-    def __post_init__(self):
-        if self.stock_value < 0.0 or self.cash < 0.0:
-            raise ValueError(
-                f"holdings must be non-negative, got stock={self.stock_value}, cash={self.cash}"
-            )
-        if self.target_ratio <= 0.0:
-            raise ValueError(f"target_ratio must be positive, got {self.target_ratio}")
-        if self.greed < 1.0 or self.fear < 1.0:
-            raise ValueError(f"greed and fear must be >= 1, got ({self.greed}, {self.fear})")
 
 
 @dataclass(frozen=True)
@@ -121,31 +102,12 @@ class WindowSignal:
 class SignalSchedule:
     """Time modulation of the population's greed/fear intensity.
 
-    The signal maps time (years) into [0, 1]; at zero signal the
-    effective factors are exactly 1 and target ratios never move.  The
-    base amplitudes describe the population-level intensity used when a
-    homogeneous population is built from a signal specification.
+    The signal maps time (years) into [0, 1]; a session scales each
+    factor to 1 + (factor - 1) * signal(t), so at zero signal the
+    effective factors are exactly 1 and target ratios never move.
     """
 
-    base_greed_amplitude: float = 0.0
-    base_fear_amplitude: float = 0.0
     signal: Callable[[float], float] = ConstantSignal(1.0)
-
-    def __post_init__(self):
-        if self.base_greed_amplitude < 0.0 or self.base_fear_amplitude < 0.0:
-            raise ConfigurationError("signal amplitudes must be >= 0")
-
-
-def effective_factors(agent: AgentPortfolio, schedule: SignalSchedule, t: float) -> tuple[float, float]:
-    """Agent's greed/fear factors scaled by the signal at time ``t``.
-
-    Returns ``(1 + (greed-1)*signal(t), 1 + (fear-1)*signal(t))``; with
-    the default always-on signal this is just ``(greed, fear)``.
-    """
-    if t < 0.0:
-        raise ValueError(f"time must be >= 0, got {t}")
-    level = float(schedule.signal(t))
-    return (1.0 + (agent.greed - 1.0) * level, 1.0 + (agent.fear - 1.0) * level)
 
 
 def sample_greed_fear(spec: GreedFearSpec, n: int, rng: SeedLike) -> np.ndarray:
@@ -205,45 +167,12 @@ class MarketState:
     def n_agents(self) -> int:
         return int(self.stock_value.shape[0])
 
-    @property
-    def agents(self) -> tuple[AgentPortfolio, ...]:
-        """Materialized per-agent view; O(n), intended for inspection and tests."""
-        return tuple(
-            AgentPortfolio(float(s), float(b), float(k), float(g), float(f))
-            for s, b, k, g, f in zip(
-                self.stock_value, self.cash, self.target_ratio, self.greed, self.fear
-            )
-        )
-
     def total_cash(self) -> float:
         return float(self.cash.sum())
 
     def total_shares(self) -> float:
         """Agent shares plus the external pool; invariant across sessions."""
         return float(self.stock_value.sum() / self.price + self.external_shares)
-
-    @classmethod
-    def from_agents(
-        cls,
-        agents: Sequence[AgentPortfolio],
-        price: float = 1.0,
-        prev_price: float | None = None,
-        seed: SeedLike = 0,
-    ) -> "MarketState":
-        if not agents:
-            raise ValueError("a market needs at least one agent")
-        if price <= 0.0:
-            raise ValueError(f"price must be positive, got {price}")
-        return cls(
-            stock_value=np.array([a.stock_value for a in agents], dtype=float),
-            cash=np.array([a.cash for a in agents], dtype=float),
-            target_ratio=np.array([a.target_ratio for a in agents], dtype=float),
-            greed=np.array([a.greed for a in agents], dtype=float),
-            fear=np.array([a.fear for a in agents], dtype=float),
-            price=float(price),
-            prev_price=float(prev_price if prev_price is not None else price),
-            rng=as_rng(seed),
-        )
 
 
 def init_population(

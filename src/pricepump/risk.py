@@ -2,14 +2,18 @@
 
 Two independent hazards are tracked.  The crash hazard is endogenous:
 it grows as cash concentrates in a low-cash group of agents, measured by
-a Gaussian-kernel concentration of the cash distribution.  The investor
-hazard accumulates while the realized market rate runs below the rate
-investors were targeting.  Total risk is their sum.
+a Gaussian-kernel concentration of the cash distribution, and a day loop
+evaluates it every day from the agents' cash.  The investor hazard
+accumulates while the realized market rate runs below the rate investors
+were targeting; it does not feed back into trading, so it is computed
+once per path from the finished daily price series (``investor_hazard``).
+Total risk is their sum.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -78,51 +82,34 @@ def crash_hazard(concentration: float, params: HazardParams) -> float:
     return min(params.crash_scale * root / (1.0 - root), params.cap)
 
 
-def underperformance_hazard(
-    times: Sequence[float] | np.ndarray,
-    rates: Sequence[float] | np.ndarray,
-    target_rate: float,
-    maturity: float,
-    t: float,
-    scale: float = 1.0,
-    step: float = 1.0 / 360.0,
-) -> float:
-    """Investor-side risk accumulated from unrealized profit.
+def investor_hazard(
+    price: np.ndarray, start_day: int, target_rate: float, period: float, scale: float = 1.0
+) -> np.ndarray:
+    """Investor-side hazard on a daily price path, accumulated from
+    ``start_day`` (the first day of withdrawals) on.
 
-    Integrates exp(target_rate - rate(s)) from ``maturity`` to ``t`` with
-    the trapezoid rule at spacing ``step``; the sampled rate series is
-    interpolated linearly onto that grid.  Zero for t <= maturity, and
-    non-decreasing in t.  The series must cover the window without
-    internal gaps larger than ``step``.
+    The realized rate of day i is the annualized simple return
+    (price[i] / price[i-1] - 1) / period.  The hazard integrates
+    ``scale * exp(target_rate - rate)`` with the trapezoid rule, one step
+    per day: zero up to ``start_day`` and non-decreasing after it.  Day 0
+    has no realized rate, so a start at day 0 reuses day 1's integrand
+    as its left endpoint.  Each integrand is a scalar ``math.exp`` and the
+    sum runs day by day: ``np.exp`` differs from ``math.exp`` in the last
+    bit on some inputs, and a pairwise sum rounds differently.
     """
-    if step <= 0.0:
-        raise ValueError(f"step must be positive, got {step}")
-    if scale <= 0.0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    if t <= maturity:
-        return 0.0
-    times = np.asarray(times, dtype=float)
-    rates = np.asarray(rates, dtype=float)
-    if times.ndim != 1 or times.shape != rates.shape or times.size < 2:
-        raise ValueError("rate series must be two equal-length 1-d arrays with >= 2 samples")
-    gaps = np.diff(times)
-    if np.any(gaps <= 0.0):
-        raise ValueError("rate series times must be strictly increasing")
-    if times[0] > maturity + 1e-12 or times[-1] < t - 1e-12:
-        raise ValueError(
-            f"rate series [{times[0]}, {times[-1]}] does not cover the window [{maturity}, {t}]"
-        )
-    lo = max(int(np.searchsorted(times, maturity, side="right")) - 1, 0)
-    hi = min(int(np.searchsorted(times, t, side="left")) + 1, times.size)
-    if np.max(np.diff(times[lo:hi])) > step * (1.0 + 1e-9):
-        raise ValueError("rate series has a gap larger than the integration step inside the window")
-
-    n_full = int(math.floor((t - maturity) / step + 1e-12))
-    grid = maturity + step * np.arange(n_full + 1)
-    if grid[-1] < t - 1e-12 * max(1.0, abs(t)):
-        grid = np.append(grid, t)
-    integrand = np.exp(target_rate - np.interp(grid, times, rates))
-    return float(scale * np.trapezoid(integrand, grid))
+    price = np.asarray(price, dtype=float)
+    hazard = np.zeros(price.size)
+    if start_day >= price.size - 1:
+        return hazard
+    first = max(start_day, 1)
+    # elementwise + - * / round exactly as Python floats do
+    exponent = target_rate - (price[first:] / price[first - 1 : -1] - 1.0) / period
+    integrand = np.array([math.exp(x) for x in exponent.tolist()])
+    if start_day == 0:
+        integrand = np.concatenate([integrand[:1], integrand])
+    steps = scale * 0.5 * (integrand[:-1] + integrand[1:]) * period
+    hazard[start_day + 1 :] = list(accumulate(steps.tolist()))
+    return hazard
 
 
 def total_risk(crash: float, investor: float) -> float:

@@ -41,15 +41,15 @@ ROUND_TRIP_FIXTURE = {
 # Hashes and text of released configurations: a change to any of them
 # changes the identity of every stored run.
 PINNED_DEFAULT_HASHES = {
-    "aspp": "0952d5a36f69ad559374e2cab25d8eb3d9c422f11347383f3c9f1b70e0f9840c",
-    "regimes": "4495fa7d6c73a942cc280ede359fbb211065edca14fc772fe6fa1f5b1d0f8cb2",
-    "cycle": "9d2a3571c484ede66e620777e8ee189cdcf8f241235a362af3c31e0b4b8c9ee1",
-    "ponzi-classical": "d7d29335ca88763a79acbdd431ee0e79676fff8bffba34745caabd56c4168fa3",
-    "ponzi-speculative": "7e57196496c14bbd4ffaa68875a068f4c5695c3e7a32ebc9934c4c3e3dc28e4e",
-    "fit-c0": "c8b997130b4bfc12030768014954eed5646d41d1023e00e9471d34f46a6f24d1",
-    "stats": "582e8c49e22743045076e3c6130ae210b186659d6dad27b0d87226b320d82a11",
+    "aspp": "ff5d4d9a76fec9a26d6c778813d8dee9eb32a3f5a846ae35e45c47cc225afd9f",
+    "regimes": "d7db3eedcbd97e8338a5620d580e3ed4f015e7f56a9d3bdfa1858641d5caae01",
+    "cycle": "881dfe8968e83db9652d2f26cb76eecbe2e1e51987b78ebe43d9a1266be4f629",
+    "ponzi-classical": "9a9ecbc2677aa5e1bc8b75630d4c4282270d5082150e94e9ab25399a1813ceb7",
+    "ponzi-speculative": "dc4841201494fd7495c237f10dcf48003f105047160ff39537de6389ce432d67",
+    "fit-c0": "706d89c088397c24572b136fa9dd5872b02111e816e44ece6c934ea710f0ba41",
+    "stats": "cbb756c626412da2727f9d863b1f6bb2d0888c6edbce105ba80d18b95822dba5",
 }
-PINNED_FIXTURE_HASH = "11d9af863cf524401886ef9d5535a9cbccc72ea8fb3e9ea303ab2456058ffd29"
+PINNED_FIXTURE_HASH = "6e75b8ac31371b5bdbb91816431c71d46944c396a688f2ea4d543d2afd1a767d"
 PINNED_FIXTURE_TEXT = """{
   "aspp": {
     "flow_rate": 0.0,
@@ -90,13 +90,10 @@ PINNED_FIXTURE_TEXT = """{
     },
     "initial_cash": 10.0,
     "initial_ratio": 1.0,
-    "invert_flow_sign": false,
     "n_active": 16,
     "n_agents": 64,
     "signal": {
       "end": 2.0,
-      "fear_amplitude": 0.0,
-      "greed_amplitude": 0.0,
       "kind": "window",
       "level": 1.0,
       "start": 1.0
@@ -171,6 +168,16 @@ class TestConfigDefaults:
             ({"kind": "aspp", "market": {"agents": 5}}, "market.agents"),
             ({"kind": "aspp", "hazard": {"gamma": 1}}, "hazard.gamma"),
             ({"kind": "cycle", "cycle": {"warmup": 2}}, "cycle.warmup"),
+            # removed keys that had no behaviour
+            ({"kind": "aspp", "market": {"invert_flow_sign": False}}, "market.invert_flow_sign"),
+            (
+                {"kind": "aspp", "market": {"signal": {"greed_amplitude": 0.0}}},
+                "market.signal.greed_amplitude",
+            ),
+            (
+                {"kind": "aspp", "market": {"signal": {"fear_amplitude": 0.0}}},
+                "market.signal.fear_amplitude",
+            ),
         ],
     )
     def test_unknown_keys_rejected_by_name(self, data, needle):
@@ -303,10 +310,7 @@ valid_documents = st.fixed_dictionaries(
                 level=st.floats(0.0, 1.0),
                 start=finite,
                 end=finite | st.just(math.inf),
-                greed_amplitude=non_negative,
-                fear_amplitude=non_negative,
             ),
-            invert_flow_sign=st.booleans(),
         ),
         "hazard": st.none() | block(
             cash_scale=positive, crash_scale=positive, shortfall_scale=positive, cap=positive
@@ -518,6 +522,61 @@ class TestCli:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "ConfigurationError"
         assert key in record["message"]
+
+    def test_regimes_writes_finished_regimes_when_one_fails(self, tmp_path, capsys):
+        # an outflow of the whole initial cash per year exhausts the market
+        cfg = self.write_config(
+            tmp_path, {"regimes": {"outflow_rate": -5000.0, "horizon": 2.0, "n_paths": 2}}
+        )
+        out = tmp_path / "regimes"
+        assert main(["regimes", "--config", cfg, "--out", str(out)]) == 3
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["message"].startswith(
+            "regime 'withdrawal': all paths failed: LiquidityExhaustedError"
+        )
+        for name in ("investment", "zero"):
+            assert (out / name / "ensemble.csv").exists()
+        assert not (out / "withdrawal").exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["counters"]["withdrawal_path_failures"] == 2
+        assert manifest["counters"]["zero_path_failures"] == 0
+        failures = manifest["path_failures"]["withdrawal"]
+        assert [line.split(":")[0] for line in failures] == ["path 0", "path 1"]
+        assert all("LiquidityExhaustedError" in line for line in failures)
+        assert (out / "config.json").exists()
+
+    @pytest.mark.parametrize(
+        "verb,payload,message",
+        [
+            ("simulate", {"aspp": {"flow_rate": math.inf}}, "flow_rate must be finite, got inf"),
+            (
+                "regimes",
+                {"regimes": {"inflow_rate": math.inf}},
+                "inflow_rate must be finite, got inf",
+            ),
+            ("cycle", {"cycle": {"horizon": math.inf}}, "horizon must be finite, got inf"),
+            ("simulate", {"aspp": {"horizon": math.inf}}, "horizon must be finite, got inf"),
+            # a horizon below one day used to fail every path, like the above
+            (
+                "simulate",
+                {"aspp": {"horizon": 0.001}},
+                "horizon 0.001 is below one trading day",
+            ),
+            (
+                "regimes",
+                {"regimes": {"horizon": 0.001}},
+                "horizon 0.001 is below one trading day",
+            ),
+        ],
+    )
+    def test_unrunnable_inputs_exit_code(self, tmp_path, capsys, verb, payload, message):
+        payload = {"market": {"n_agents": 40, "n_active": 10}, **payload}
+        cfg = self.write_config(tmp_path, payload)
+        out = tmp_path / "x"
+        assert main([verb, "--config", cfg, "--out", str(out), "--paths", "2"]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {"error": "ConfigurationError", "message": message}
+        assert not out.exists()
 
     def test_stats_writes_config_json(self, tmp_path):
         table = tmp_path / "prices.csv"

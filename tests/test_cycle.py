@@ -12,6 +12,7 @@ from pricepump import (
     ConstantSignal,
     CycleConfig,
     DivergenceError,
+    EnsembleFailedError,
     HazardParams,
     InvestorLedger,
     LiquidityExhaustedError,
@@ -25,6 +26,7 @@ from pricepump import (
     crash_hazard,
     fit_market_impact,
     investment_phase_series,
+    regime_comparison,
     run_ensemble,
     run_flow_ensemble,
     run_flow_path,
@@ -68,6 +70,24 @@ class TestConfigs:
         expected = 360.0 * math.log((1.12 / 1.11) ** 0.125)
         assert cfg.resolved_target_rate() == pytest.approx(expected, rel=1e-9)
         assert cfg.resolved_target_rate() == pytest.approx(0.40359, abs=1e-5)
+
+    @pytest.mark.parametrize("field", ["pre_phase", "maturity", "horizon", "target_rate"])
+    def test_cycle_rejects_non_finite(self, field):
+        with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+            small_cycle(**{field: math.inf})
+
+    def test_flow_ensembles_reject_unrunnable_inputs(self):
+        # raised before any path runs, not once per path as path failures
+        with pytest.raises(ConfigurationError, match="flow_rate must be finite"):
+            run_flow_ensemble(SMALL_MARKET, HAZARD, math.inf, 1.0, 2, 1)
+        with pytest.raises(ConfigurationError, match="horizon must be finite"):
+            run_flow_ensemble(SMALL_MARKET, HAZARD, 0.0, math.inf, 2, 1)
+        with pytest.raises(ConfigurationError, match="below one trading day"):
+            run_flow_ensemble(SMALL_MARKET, HAZARD, 0.0, 0.001, 2, 1)
+        with pytest.raises(ConfigurationError, match="outflow_rate must be finite"):
+            regime_comparison(SMALL_MARKET, HAZARD, 1.0, 2, 1, outflow_rate=-math.inf)
+        with pytest.raises(ConfigurationError, match="below one trading day"):
+            regime_comparison(SMALL_MARKET, HAZARD, 0.001, 2, 1)
 
     def test_checkpoints_default_to_phase_ends(self):
         cfg = small_cycle()
@@ -179,8 +199,10 @@ def signal_market(signal):
 
 
 # Digests recorded from the day loop that recomputed every agent's cash
-# kernel and evaluated the schedule each day.  Any change to the random
-# stream or to a single output bit of the day loop changes them.
+# kernel and evaluated the schedule each day; the two zero-pre-phase
+# cycles from the loop that integrated the investor hazard day by day
+# inside it.  Any change to the random stream or to a single output bit
+# of the day loop changes them.
 PINNED_PATHS = {
     "default-cycle": (
         lambda: run_path(CycleConfig(horizon=6.5), 0),
@@ -209,6 +231,25 @@ PINNED_PATHS = {
             2,
         ),
         "71f82cdffceceaba65db2d8e58251ea99c1da55ec7d50b74fcd28f59278ad3c6",
+    ),
+    # withdrawals from day 0: the investor hazard's left endpoint has no
+    # prior price, so it reuses day 1's integrand
+    "zero-phase-cycle": (
+        lambda: run_path(CycleConfig(pre_phase=0.0, maturity=0.0, horizon=2.0), 3),
+        "7670eaceca7ea50a103aa3759c42efbf27503385e4b08d1c501122cd1f581a33",
+    ),
+    "one-day-maturity-cycle": (
+        lambda: run_path(
+            CycleConfig(
+                hazard=HazardParams(shortfall_scale=2.5),
+                pre_phase=0.0,
+                maturity=1.0 / 360.0,
+                target_rate=0.3,
+                horizon=2.0,
+            ),
+            5,
+        ),
+        "a818e6af5fe1829cc6ceabcbf10e392400b1e00fcba4e62405f26a13a1cb384a",
     ),
     **{
         f"flow{rate:+g}": (
@@ -304,6 +345,16 @@ class TestEnsembles:
         ens = run_flow_ensemble(MarketParams(), HazardParams(cash_scale=1.0), 5e4, 2.0, 4, 1)
         assert ens.n_failures == 0
         assert np.any(ens.series["Ha"].mean == 0.0)  # the underflow did happen
+
+    def test_regime_comparison_keeps_finished_regimes(self):
+        comparison = regime_comparison(SMALL_MARKET, HAZARD, 1.0, 2, 1, outflow_rate=-3000.0)
+        assert comparison.withdrawal is None
+        assert list(comparison.as_dict()) == ["investment", "zero"]
+        assert list(comparison.failed) == ["withdrawal"]
+        error = comparison.failed["withdrawal"]
+        assert isinstance(error, EnsembleFailedError)
+        assert [line.split(":")[0] for line in error.failure_messages] == ["path 0", "path 1"]
+        assert comparison.zero.n_paths == 2 and comparison.zero.n_failures == 0
 
     def test_flow_ensemble_records_both_predictions(self):
         stats = run_flow_ensemble(SMALL_MARKET, HAZARD, 0.0, 0.5, 4, 7)

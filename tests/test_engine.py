@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pricepump import (
-    AgentPortfolio,
     ConfigurationError,
     ConstantSignal,
     GreedFearSpec,
@@ -15,129 +14,172 @@ from pricepump import (
     NoSupplyError,
     PRICE_RATIO_FLOOR,
     SignalSchedule,
-    clear_price,
+    WindowSignal,
+    as_rng,
     default_greed_fear,
     init_population,
-    rebalance,
     trading_session,
-    update_ratio,
 )
+from pricepump.engine import RATIO_TIE_RTOL
 
 
-def balanced(stock, cash, k, greed=1.0, fear=1.0):
-    return AgentPortfolio(stock, cash, k, greed, fear)
+def market(stock, cash, target, greed=1.0, fear=1.0, price=1.0, seed=0):
+    """A market built directly from per-agent values (scalars broadcast)."""
+    n = len(stock)
+
+    def column(values):
+        return np.array(values, dtype=float) * np.ones(n)
+
+    return MarketState(
+        stock_value=column(stock),
+        cash=column(cash),
+        target_ratio=column(target),
+        greed=column(greed),
+        fear=column(fear),
+        price=price,
+        prev_price=price,
+        rng=as_rng(seed),
+    )
+
+
+def session_all(state, flow=0.0, signal=None, t=0.0):
+    """One session with every agent active; trades come back in agent order."""
+    state, outcome = trading_session(state, state.n_agents, flow, signal, t)
+    trades = np.empty(state.n_agents)
+    trades[outcome.active_indices] = outcome.trade_amounts
+    return state, outcome, trades
+
+
+# Reference oracle: the clearing ratio and the per-agent rule in plain
+# Python, one agent at a time, as the model states them.
+
+
+def oracle_ratio(stock, cash, target, flow):
+    """Price ratio at which the active agents' target-restoring trades
+    absorb ``flow``: (flow + sum k*cash/(1+k)) / (sum stock/(1+k))."""
+    demand = sum(k * c / (1.0 + k) for k, c in zip(target, cash))
+    supply = sum(s / (1.0 + k) for s, k in zip(stock, target))
+    return (flow + demand) / supply
+
+
+def oracle_agent(stock, cash, k, greed, fear, ratio):
+    """One active agent at price ratio ``ratio``: (dollars moved into
+    stock, new cash, new stock, new target)."""
+    x = (k * cash - ratio * stock) / (1.0 + k)
+    lhs, rhs = ratio * stock, k * cash
+    tolerance = RATIO_TIE_RTOL * rhs
+    if cash == 0.0 or lhs > rhs + tolerance:
+        new_k = k * greed
+    elif lhs < rhs - tolerance:
+        new_k = k / fear
+    else:
+        new_k = k
+    return x, cash - x, k * (cash - x), new_k
 
 
 class TestClearPrice:
     def test_balanced_single_agent(self):
-        assert clear_price([balanced(10, 10, 1)], 1.0, 0.0) == pytest.approx(1.0)
+        state, outcome, _ = session_all(market([10.0], 10.0, 1.0))
+        assert outcome.new_price == pytest.approx(1.0)
 
     def test_two_agent_example(self):
-        agents = [balanced(10, 10, 2), balanced(10, 10, 1)]
-        ratio = clear_price(agents, 1.0, 0.0)
-        assert ratio == pytest.approx(1.4)
-        # implied trades clear exactly
-        _, x1 = rebalance(agents[0], ratio)
-        _, x2 = rebalance(agents[1], ratio)
-        assert x1 == pytest.approx(2.0)
-        assert x2 == pytest.approx(-2.0)
-        assert x1 + x2 == pytest.approx(0.0, abs=1e-12)
+        state, outcome, trades = session_all(market([10.0, 10.0], 10.0, [2.0, 1.0]))
+        assert outcome.new_price == pytest.approx(1.4)
+        # the trades clear exactly
+        assert trades[0] == pytest.approx(2.0)
+        assert trades[1] == pytest.approx(-2.0)
+        assert trades.sum() == pytest.approx(0.0, abs=1e-12)
 
     def test_external_buyer(self):
-        agent = balanced(10, 10, 1)
-        ratio = clear_price([agent], 1.0, 5.0)
-        assert ratio == pytest.approx(2.0)
-        updated, x = rebalance(agent, ratio)
-        assert x == pytest.approx(-5.0)
-        assert updated.stock_value / updated.cash == pytest.approx(1.0)
+        state, outcome, trades = session_all(market([10.0], 10.0, 1.0), flow=5.0)
+        assert outcome.new_price == pytest.approx(2.0)
+        assert trades[0] == pytest.approx(-5.0)
+        assert state.stock_value[0] / state.cash[0] == pytest.approx(1.0)
 
     def test_no_supply(self):
         with pytest.raises(NoSupplyError):
-            clear_price([balanced(0.0, 10.0, 1.0)], 1.0, 0.0)
-        with pytest.raises(NoSupplyError):
-            clear_price([], 1.0, 0.0)
+            session_all(market([0.0], 10.0, 1.0))
 
     def test_liquidity_exhausted_carries_flow(self):
+        state = market([10.0], 10.0, 1.0, price=1e-322)
         with pytest.raises(LiquidityExhaustedError) as err:
-            clear_price([balanced(10, 10, 1)], 1.0, -20.0)
-        assert err.value.flow == -20.0
+            session_all(state, flow=-20.0)
+        # the clamp executes the flow that clears at the floor ratio
+        assert err.value.flow == pytest.approx(PRICE_RATIO_FLOOR * 5.0 - 5.0)
 
 
 class TestRebalance:
     def test_already_balanced(self):
-        agent = balanced(10, 10, 1)
-        updated, x = rebalance(agent, 1.0)
-        assert x == 0.0
-        assert updated == agent
+        state, outcome, trades = session_all(market([10.0], 10.0, 1.0))
+        assert trades[0] == 0.0
+        assert (state.stock_value[0], state.cash[0], state.target_ratio[0]) == (10.0, 10.0, 1.0)
 
     def test_worked_example(self):
-        updated, x = rebalance(balanced(10, 10, 2), 1.4)
-        assert x == pytest.approx(2.0)
-        assert updated.cash == pytest.approx(8.0)
-        assert updated.stock_value == pytest.approx(16.0)
-        assert updated.stock_value / updated.cash == pytest.approx(2.0)
+        state, _, trades = session_all(market([10.0, 10.0], 10.0, [2.0, 1.0]))
+        assert trades[0] == pytest.approx(2.0)
+        assert state.cash[0] == pytest.approx(8.0)
+        assert state.stock_value[0] == pytest.approx(16.0)
+        assert state.stock_value[0] / state.cash[0] == pytest.approx(2.0)
 
     def test_seller(self):
-        updated, x = rebalance(balanced(10, 10, 1), 2.0)
-        assert x == pytest.approx(-5.0)
-        assert updated.cash == pytest.approx(15.0)
-        assert updated.stock_value == pytest.approx(15.0)
-
-    def test_posttrade_ratio_exact_random(self):
-        rng = np.random.default_rng(17)
-        for _ in range(2000):
-            agent = AgentPortfolio(
-                float(rng.uniform(0.0, 100.0)),
-                float(rng.uniform(0.01, 100.0)),
-                float(np.exp(rng.uniform(np.log(0.05), np.log(20.0)))),
-            )
-            ratio = float(np.exp(rng.uniform(np.log(0.2), np.log(5.0))))
-            updated, x = rebalance(agent, ratio)
-            assert updated.cash > 0.0
-            assert updated.stock_value >= 0.0
-            k = agent.target_ratio
-            assert abs(updated.stock_value / updated.cash - k) <= 1e-12 * k
-            # the two algebraic forms of the new stock value agree
-            assert ratio * agent.stock_value + x == pytest.approx(
-                k * (agent.cash - x), rel=1e-9, abs=1e-9
-            )
+        state, _, trades = session_all(market([10.0], 10.0, 1.0), flow=5.0)
+        assert trades[0] == pytest.approx(-5.0)
+        assert state.cash[0] == pytest.approx(15.0)
+        assert state.stock_value[0] == pytest.approx(15.0)
 
     def test_invalid_ratio(self):
-        with pytest.raises(ValueError):
-            rebalance(balanced(10, 10, 1), 0.0)
+        # a flow that would clear at a non-positive ratio never reaches the
+        # rebalance: it is clamped to the floor ratio
+        state, outcome, trades = session_all(market([10.0], 10.0, 1.0), flow=-5.0)
+        assert outcome.clamped
+        assert outcome.new_price == PRICE_RATIO_FLOOR
+        assert state.cash[0] > 0.0 and state.stock_value[0] > 0.0
 
 
 class TestUpdateRatio:
+    def two_agents(self):
+        state = market([10.0, 10.0], 10.0, [2.0, 1.0], greed=1.12, fear=1.11)
+        state, _, _ = session_all(state)
+        return state.target_ratio
+
     def test_buyer_divides_by_fear(self):
-        agent = AgentPortfolio(10, 10, 2, 1.12, 1.11)
-        assert update_ratio(agent, 1.4, 1.12, 1.11) == pytest.approx(2.0 / 1.11)
+        assert self.two_agents()[0] == pytest.approx(2.0 / 1.11)
 
     def test_tie_keeps_ratio(self):
-        agent = AgentPortfolio(10, 10, 1, 1.12, 1.11)
-        assert update_ratio(agent, 1.0, 1.12, 1.11) == 1.0
+        state, _, _ = session_all(market([10.0], 10.0, 1.0, greed=1.12, fear=1.11))
+        assert state.target_ratio[0] == 1.0
 
     def test_seller_multiplies_by_greed(self):
-        agent = AgentPortfolio(10, 10, 1, 1.12, 1.11)
-        assert update_ratio(agent, 2.0, 1.12, 1.11) == pytest.approx(1.12)
+        assert self.two_agents()[1] == pytest.approx(1.12)
 
     def test_zero_cash_counts_as_seller(self):
-        agent = AgentPortfolio(10, 0.0, 1, 1.12, 1.11)
-        assert update_ratio(agent, 0.5, 1.12, 1.11) == pytest.approx(1.12)
+        # the empty agent sits exactly on target (0 == 0) yet counts as a seller
+        state = market([0.0, 10.0], [0.0, 10.0], 1.0, greed=1.12, fear=1.11)
+        state, outcome, _ = session_all(state)
+        assert outcome.new_price == 1.0
+        assert state.target_ratio[0] == pytest.approx(1.12)
+        assert state.target_ratio[1] == 1.0
 
     def test_tie_tolerance(self):
-        # a relative perturbation below 1e-12 is treated as on-target
-        agent = AgentPortfolio(10, 10, 1, 1.5, 1.5)
-        assert update_ratio(agent, 1.0 + 1e-14, 1.5, 1.5) == 1.0
-        assert update_ratio(agent, 1.0 + 1e-9, 1.5, 1.5) == pytest.approx(1.5)
+        # one agent at (10, 10, 1) clears at ratio 1 + flow / 5; a relative
+        # perturbation below 1e-12 is treated as on-target
+        state, outcome, _ = session_all(market([10.0], 10.0, 1.0, 1.5, 1.5), flow=5e-14)
+        assert outcome.new_price == pytest.approx(1.0 + 1e-14, rel=1e-15)
+        assert state.target_ratio[0] == 1.0
+        state, outcome, _ = session_all(market([10.0], 10.0, 1.0, 1.5, 1.5), flow=5e-9)
+        assert state.target_ratio[0] == pytest.approx(1.5)
 
     def test_factor_validation(self):
-        agent = AgentPortfolio(10, 10, 1)
-        with pytest.raises(ValueError):
-            update_ratio(agent, 1.0, 0.99, 1.0)
+        # signal levels are confined to [0, 1], so the effective factors
+        # 1 + (factor - 1) * level never drop below 1
+        with pytest.raises(ConfigurationError):
+            ConstantSignal(1.5)
+        with pytest.raises(ConfigurationError):
+            WindowSignal(0.0, 1.0, -0.1)
 
 
 def one_agent_state(seed=0):
-    return MarketState.from_agents([balanced(10, 10, 1, 1.05, 1.02)], seed=seed)
+    return market([10.0], 10.0, 1.0, greed=1.05, fear=1.02, seed=seed)
 
 
 class TestTradingSession:
@@ -147,7 +189,6 @@ class TestTradingSession:
         assert state.price == 1.0
         assert outcome.trade_amounts[0] == 0.0
         assert state.day == 1
-        assert outcome.trades[0].side == "neutral"
 
     def test_unit_factors_balanced_price_constant(self):
         gf = GreedFearSpec(0.0, 0.0, 0.0, 0.0)
@@ -158,8 +199,7 @@ class TestTradingSession:
         assert np.all(state.target_ratio == 1.0)
 
     def test_two_agent_worked_example(self):
-        agents = [balanced(10, 10, 2, 1.12, 1.11), balanced(10, 10, 1, 1.12, 1.11)]
-        state = MarketState.from_agents(agents, seed=5)
+        state = market([10.0, 10.0], 10.0, [2.0, 1.0], greed=1.12, fear=1.11, seed=5)
         cash_before = state.total_cash()
         state, outcome = trading_session(state, 2, 0.0)
         assert state.price == pytest.approx(1.4)
@@ -245,21 +285,22 @@ class TestTradingSession:
         rng = np.random.default_rng(5)
         for _ in range(100):
             n = int(rng.integers(2, 20))
-            agents = [
-                AgentPortfolio(
-                    float(rng.uniform(0.1, 50)),
-                    float(rng.uniform(0.1, 50)),
-                    float(rng.uniform(0.1, 8)),
-                    1.05,
-                    1.03,
-                )
-                for _ in range(n)
-            ]
+            stock = rng.uniform(0.1, 50, n).tolist()
+            cash = rng.uniform(0.1, 50, n).tolist()
+            target = rng.uniform(0.1, 8, n).tolist()
             flow = float(rng.uniform(-1, 10))
-            expected = clear_price(agents, 1.0, flow)
-            state = MarketState.from_agents(agents, seed=int(rng.integers(0, 2**31)))
-            state, outcome = trading_session(state, n, flow)
+            expected = oracle_ratio(stock, cash, target, flow)
+            state = market(stock, cash, target, 1.05, 1.03, seed=int(rng.integers(0, 2**31)))
+            state, outcome, trades = session_all(state, flow)
             assert outcome.new_price == pytest.approx(expected, rel=1e-12)
+            for i in range(n):
+                x, new_cash, new_stock, new_k = oracle_agent(
+                    stock[i], cash[i], target[i], 1.05, 1.03, expected
+                )
+                assert trades[i] == pytest.approx(x, rel=1e-9, abs=1e-9)
+                assert state.cash[i] == pytest.approx(new_cash, rel=1e-12)
+                assert state.stock_value[i] == pytest.approx(new_stock, rel=1e-12)
+                assert state.target_ratio[i] == pytest.approx(new_k, rel=1e-12)
 
 
 class TestSessionProperties:
@@ -288,3 +329,37 @@ class TestSessionProperties:
     @given(st.floats(min_value=1.0, max_value=2.0**53))
     def test_unit_signal_rescale_is_identity(self, factor):
         assert 1.0 + (factor - 1.0) * 1.0 == factor
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        data=st.data(),
+        n_agents=st.integers(1, 40),
+        price=st.floats(1e-3, 1e3),
+        flow_share=st.floats(-2.0, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_session_invariants_are_exact(self, data, n_agents, price, flow_share, seed):
+        """Cash changes by the executed flow, shares are conserved, and
+        every active agent ends exactly on its pre-session target."""
+        values = st.floats(0.01, 100.0)
+        stock = data.draw(st.lists(values, min_size=n_agents, max_size=n_agents))
+        cash = data.draw(st.lists(st.just(0.0) | values, min_size=n_agents, max_size=n_agents))
+        target = data.draw(st.lists(st.floats(0.05, 20.0), min_size=n_agents, max_size=n_agents))
+        factors = st.lists(st.floats(1.0, 1.5), min_size=n_agents, max_size=n_agents)
+        state = market(stock, cash, target, data.draw(factors), data.draw(factors), price, seed)
+        n_active = data.draw(st.integers(1, n_agents))
+        # flows up to twice the total cash, either sign (withdrawals may clamp)
+        flow = flow_share * sum(cash)
+        old_target = state.target_ratio.copy()
+        cash_before, shares_before = state.total_cash(), state.total_shares()
+
+        state, outcome = trading_session(state, n_active, flow)
+        active = outcome.active_indices
+        assert np.all(state.stock_value[active] == old_target[active] * state.cash[active])
+        # rounding bounds scale with the magnitudes summed: a clamped
+        # withdrawal moves far more shares than the total it conserves
+        cash_scale = cash_before + abs(outcome.cash_flow_in)
+        assert abs(state.total_cash() - cash_before - outcome.cash_flow_in) <= 1e-13 * cash_scale
+        share_scale = state.stock_value.sum() / state.price + abs(state.external_shares)
+        assert abs(state.total_shares() - shares_before) <= 1e-13 * share_scale
+        assert np.all(state.cash >= 0.0) and np.all(state.stock_value >= 0.0)

@@ -4,39 +4,18 @@ import numpy as np
 import pytest
 
 from pricepump import (
-    AgentPortfolio,
     ConfigurationError,
     ConstantSignal,
     GreedFearSpec,
-    MarketState,
     SignalSchedule,
     WindowSignal,
     default_greed_fear,
-    effective_factors,
     init_population,
     make_rng,
     sample_greed_fear,
+    trading_session,
 )
-
-
-class TestAgentPortfolio:
-    def test_valid(self):
-        a = AgentPortfolio(10.0, 10.0, 1.0, 1.12, 1.11)
-        assert a.stock_value == 10.0 and a.greed == 1.12
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(stock_value=-1.0, cash=1.0, target_ratio=1.0),
-            dict(stock_value=1.0, cash=-1.0, target_ratio=1.0),
-            dict(stock_value=1.0, cash=1.0, target_ratio=0.0),
-            dict(stock_value=1.0, cash=1.0, target_ratio=1.0, greed=0.9),
-            dict(stock_value=1.0, cash=1.0, target_ratio=1.0, fear=0.5),
-        ],
-    )
-    def test_invalid(self, kwargs):
-        with pytest.raises(ValueError):
-            AgentPortfolio(**kwargs)
+from tests.test_engine import market, session_all
 
 
 class TestGreedFearSpec:
@@ -106,46 +85,34 @@ class TestSampleGreedFear:
 
 
 class TestEffectiveFactors:
+    """The signal scales each factor to 1 + (factor - 1) * signal(t)."""
+
+    def targets(self, signal, t=0.0):
+        state = market([10.0, 10.0], 10.0, [2.0, 1.0], greed=1.12, fear=1.11)
+        state, _, _ = session_all(state, signal=SignalSchedule(signal=signal), t=t)
+        return state.target_ratio.tolist()
+
     def test_signal_off(self):
-        agent = AgentPortfolio(10, 10, 1, greed=1.12, fear=1.11)
-        sched = SignalSchedule(signal=ConstantSignal(0.0))
-        assert effective_factors(agent, sched, 1.0) == (1.0, 1.0)
+        assert self.targets(ConstantSignal(0.0)) == [2.0, 1.0]
 
     def test_signal_identity(self):
-        agent = AgentPortfolio(10, 10, 1, greed=1.12, fear=1.11)
-        sched = SignalSchedule()
-        assert effective_factors(agent, sched, 0.5) == (1.12, 1.11)
+        assert self.targets(ConstantSignal(1.0)) == [2.0 / 1.11, 1.12]
 
     def test_signal_interpolates(self):
-        agent = AgentPortfolio(10, 10, 1, greed=1.12, fear=1.11)
-        sched = SignalSchedule(signal=ConstantSignal(0.5))
-        greed, fear = effective_factors(agent, sched, 0.0)
-        assert greed == pytest.approx(1.06)
-        assert fear == pytest.approx(1.055)
+        buyer, seller = self.targets(ConstantSignal(0.5))
+        assert seller == pytest.approx(1.06)
+        assert buyer == pytest.approx(2.0 / 1.055)
 
     def test_monotone_in_signal(self):
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            agent = AgentPortfolio(
-                1.0, 1.0, 1.0,
-                greed=1.0 + rng.uniform(0, 0.5), fear=1.0 + rng.uniform(0, 0.5),
-            )
-            lo, hi = sorted(rng.uniform(0.0, 1.0, size=2))
-            g_lo, f_lo = effective_factors(agent, SignalSchedule(signal=ConstantSignal(lo)), 0.0)
-            g_hi, f_hi = effective_factors(agent, SignalSchedule(signal=ConstantSignal(hi)), 0.0)
-            assert g_hi >= g_lo >= 1.0
-            assert f_hi >= f_lo >= 1.0
+        levels = np.linspace(0.0, 1.0, 11)
+        buyers, sellers = zip(*(self.targets(ConstantSignal(level)) for level in levels))
+        assert all(b > a for a, b in zip(sellers, sellers[1:]))
+        assert all(b < a for a, b in zip(buyers, buyers[1:]))
 
     def test_window_signal(self):
-        agent = AgentPortfolio(10, 10, 1, greed=1.2, fear=1.1)
-        sched = SignalSchedule(signal=WindowSignal(start=1.0, end=2.0))
-        assert effective_factors(agent, sched, 0.5) == (1.0, 1.0)
-        assert effective_factors(agent, sched, 1.5) == (1.2, 1.1)
-
-    def test_negative_time_rejected(self):
-        agent = AgentPortfolio(10, 10, 1)
-        with pytest.raises(ValueError):
-            effective_factors(agent, SignalSchedule(), -1.0)
+        window = WindowSignal(start=1.0, end=2.0)
+        assert self.targets(window, t=0.5) == [2.0, 1.0]
+        assert self.targets(window, t=1.5) == [2.0 / 1.11, 1.12]
 
 
 class TestInitPopulation:
@@ -177,16 +144,12 @@ class TestInitPopulation:
 
 
 class TestMarketState:
-    def test_from_agents_round_trip(self):
-        agents = (
-            AgentPortfolio(10.0, 5.0, 2.0, 1.1, 1.05),
-            AgentPortfolio(3.0, 7.0, 0.5, 1.2, 1.2),
-        )
-        state = MarketState.from_agents(agents, price=2.0)
-        assert state.agents == agents
+    def test_totals_of_array_state(self):
+        state = market([10.0, 3.0], [5.0, 7.0], [2.0, 0.5], price=2.0)
+        assert state.n_agents == 2
         assert state.total_cash() == 12.0
         assert state.total_shares() == pytest.approx(6.5)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            MarketState.from_agents([])
+        with pytest.raises(ConfigurationError):
+            trading_session(market([], [], []), 1)

@@ -7,11 +7,11 @@ from pricepump import (
     HazardParams,
     cash_concentration,
     crash_hazard,
+    investor_hazard,
     return_stats,
     stats_from_log_returns,
     theoretical_return,
     total_risk,
-    underperformance_hazard,
 )
 
 
@@ -85,57 +85,87 @@ class TestCrashHazard:
         assert crash_hazard(0.9999999, params) == 10.0
 
 
+DAY = 1.0 / 360.0
+
+
+def price_path(rates):
+    """Daily prices whose realized annualized simple returns are ``rates``."""
+    return np.cumprod(np.concatenate([[1.0], 1.0 + np.asarray(rates) * DAY]))
+
+
+def reference_investor_hazard(price, start_day, target_rate, period, scale):
+    """The day loop's original form: one scalar exp and one trapezoid step
+    per day, summed in day order."""
+    hazard = np.zeros(len(price))
+    previous = None
+    for i in range(start_day + 1, len(price)):
+        integrand = math.exp(target_rate - (price[i] / price[i - 1] - 1.0) / period)
+        if previous is None:
+            previous = integrand if start_day == 0 else math.exp(
+                target_rate - (price[start_day] / price[start_day - 1] - 1.0) / period
+            )
+        hazard[i] = hazard[i - 1] + scale * 0.5 * (previous + integrand) * period
+        previous = integrand
+    return hazard
+
+
 class TestUnderperformanceHazard:
-    def grid(self, t0, t1, rate):
-        times = np.arange(t0, t1 + 1e-9, 1.0 / 360.0)
-        return times, np.full_like(times, rate)
+    """``investor_hazard``: the investor-side (underperformance) hazard."""
 
     def test_zero_before_maturity(self):
-        times, rates = self.grid(0.0, 5.0, 0.3)
-        assert underperformance_hazard(times, rates, 0.3, 3.0, 2.0) == 0.0
-        assert underperformance_hazard(times, rates, 0.3, 3.0, 3.0) == 0.0
+        hazard = investor_hazard(price_path(np.full(5 * 360, 0.3)), 3 * 360, 0.3, DAY)
+        assert np.all(hazard[: 3 * 360 + 1] == 0.0)
+        assert hazard[3 * 360 + 1] > 0.0
 
     def test_rate_matching_target(self):
-        times, rates = self.grid(0.0, 5.0, 0.3)
-        value = underperformance_hazard(times, rates, 0.3, 3.0, 5.0, scale=2.0)
-        assert value == pytest.approx(2.0 * 2.0, rel=1e-9)
+        hazard = investor_hazard(price_path(np.full(5 * 360, 0.3)), 3 * 360, 0.3, DAY, 2.0)
+        assert hazard[-1] == pytest.approx(2.0 * 2.0, rel=1e-9)
 
     def test_unit_shortfall_closed_form(self):
         target = 0.41
-        times, rates = self.grid(3.0, 5.0, target - 1.0)
-        value = underperformance_hazard(times, rates, target, 3.0, 5.0, scale=1.0)
-        assert value == pytest.approx(2.0 * math.e, rel=1e-9)
-        assert value == pytest.approx(5.43656, abs=1e-5)
-
-    def test_gap_detected(self):
-        times = np.concatenate([np.arange(0.0, 3.5, 1 / 360), np.arange(4.0, 6.0, 1 / 360)])
-        rates = np.full_like(times, 0.2)
-        with pytest.raises(ValueError):
-            underperformance_hazard(times, rates, 0.3, 3.0, 5.0)
-
-    def test_coverage_required(self):
-        times, rates = self.grid(0.0, 4.0, 0.2)
-        with pytest.raises(ValueError):
-            underperformance_hazard(times, rates, 0.3, 3.0, 5.0)
+        hazard = investor_hazard(price_path(np.full(5 * 360, target - 1.0)), 3 * 360, target, DAY)
+        assert hazard[-1] == pytest.approx(2.0 * math.e, rel=1e-9)
+        assert hazard[-1] == pytest.approx(5.43656, abs=1e-5)
 
     def test_nondecreasing_in_time(self):
         rng = np.random.default_rng(8)
-        times = np.arange(0.0, 8.0 + 1e-9, 1 / 360)
-        rates = 0.3 + 0.5 * np.sin(times) + rng.normal(0, 0.05, times.size)
-        previous = 0.0
-        for t in np.linspace(3.0, 8.0, 23):
-            value = underperformance_hazard(times, rates, 0.3, 3.0, float(t))
-            assert value >= previous - 1e-12
-            previous = value
+        days = np.arange(1, 8 * 360 + 1) * DAY
+        rates = 0.3 + 0.5 * np.sin(days) + rng.normal(0, 0.05, days.size)
+        hazard = investor_hazard(price_path(rates), 3 * 360, 0.3, DAY)
+        assert np.all(np.diff(hazard) >= 0.0)
 
     def test_growth_rate_brackets_linear(self):
         # rates above the target accumulate slower than the elapsed time,
         # rates below accumulate faster
-        times, above = self.grid(0.0, 6.0, 0.5)
-        times, below = self.grid(0.0, 6.0, 0.1)
         span = 3.0
-        assert underperformance_hazard(times, above, 0.3, 3.0, 6.0) < span
-        assert underperformance_hazard(times, below, 0.3, 3.0, 6.0) > span
+        above = investor_hazard(price_path(np.full(6 * 360, 0.5)), 3 * 360, 0.3, DAY)
+        below = investor_hazard(price_path(np.full(6 * 360, 0.1)), 3 * 360, 0.3, DAY)
+        assert above[-1] < span
+        assert below[-1] > span
+
+    @pytest.mark.parametrize("scale", [1.0, 2.5])
+    def test_matches_day_by_day_reference_bit_for_bit(self, scale):
+        # np.exp differs from math.exp in the last bit on a few percent of
+        # inputs and one ulp of a step is lost in a long running sum, so
+        # every start day is compared, each exposing its first step
+        rng = np.random.default_rng(3)
+        price = price_path(rng.normal(0.3, 5.0, 200))
+        for start in range(price.size):
+            expected = reference_investor_hazard(price, start, 0.25, DAY, scale)
+            assert investor_hazard(price, start, 0.25, DAY, scale).tobytes() == expected.tobytes()
+
+    def test_start_at_day_zero_reuses_first_integrand(self):
+        # day 0 has no realized rate: the left endpoint is day 1's integrand
+        price = price_path([0.1, 0.2])
+        first = math.exp(0.25 - (price[1] / price[0] - 1.0) / DAY)
+        hazard = investor_hazard(price, 0, 0.25, DAY)
+        assert hazard[0] == 0.0
+        assert hazard[1] == first * DAY
+
+    def test_start_at_or_after_last_day_is_zero(self):
+        price = price_path([0.1, 0.2])
+        assert investor_hazard(price, 2, 0.25, DAY).tolist() == [0.0, 0.0, 0.0]
+        assert investor_hazard(price[:1], 0, 0.25, DAY).tolist() == [0.0]
 
 
 class TestTotalRisk:
