@@ -8,7 +8,9 @@ investment cycle), ``ponzi`` (either scheme's trajectory), ``fit-c0``
 a JSON configuration (optional; defaults are complete), write CSV/JSON
 plus ``manifest.json`` and ``config.json`` into the output directory,
 and exit 0 on success.  Failures print a machine-readable JSON error
-record to stderr and exit non-zero.
+record to stderr and exit non-zero (2 for a configuration error, 3 for a
+failed run); ensemble verbs first write a run record listing every failed
+path.
 """
 from __future__ import annotations
 
@@ -27,14 +29,14 @@ from .config import (
     serialize_config,
 )
 from .cycle import (
-    CycleConfig,
+    EnsembleStats,
     fit_market_impact,
     investment_phase_series,
     regime_comparison,
     run_ensemble,
     run_flow_ensemble,
 )
-from .errors import ConfigurationError, PricePumpError
+from .errors import ConfigurationError, EnsembleFailedError, PricePumpError
 from .output import emit_series, read_csv_columns, write_manifest
 from .ponzi import (
     PonziParams,
@@ -88,10 +90,6 @@ def _write_json(path: Path, payload: dict) -> Path:
     return path
 
 
-def _ensemble_counters(ens, prefix: str = "") -> dict[str, int]:
-    return {f"{prefix}clamp_events": ens.clamp_events, f"{prefix}path_failures": ens.n_failures}
-
-
 def _write_run_record(
     out: Path, cfg: ExperimentConfig, counters: dict[str, int], extra: dict | None = None
 ) -> None:
@@ -100,10 +98,42 @@ def _write_run_record(
     (out / "config.json").write_text(serialize_config(cfg) + "\n")
 
 
+def _attempt(run) -> EnsembleStats | EnsembleFailedError:
+    try:
+        return run()
+    except EnsembleFailedError as exc:
+        return exc
+
+
+def _write_ensembles(
+    out: Path, cfg: ExperimentConfig, results: dict[str, EnsembleStats | EnsembleFailedError]
+) -> None:
+    """Write each finished ensemble into ``out / name`` and the run record,
+    whose ``path_failures`` lists every failed path (by name, unless the
+    one ensemble is named ``""``); then raise if an ensemble failed whole."""
+    counters: dict[str, int] = {}
+    failures = {}
+    for name, result in results.items():
+        prefix = f"{name}_" if name else ""
+        if isinstance(result, EnsembleStats):
+            emit_series(result, out / name)
+            counters[f"{prefix}clamp_events"] = result.clamp_events
+        counters[f"{prefix}path_failures"] = len(result.failure_messages)
+        if result.failure_messages:
+            failures[name] = list(result.failure_messages)
+    extra = {"path_failures": failures.get("", failures)} if failures else None
+    _write_run_record(out, cfg, counters, extra)
+    failed = {name: r for name, r in results.items() if isinstance(r, EnsembleFailedError)}
+    if "" in failed:
+        raise failed[""]
+    if failed:
+        raise PricePumpError("; ".join(f"regime '{name}': {exc}" for name, exc in failed.items()))
+
+
 def _cmd_simulate(args) -> int:
     cfg = _load(args)
     block = _override_paths(cfg.aspp, args.paths)
-    ens = run_flow_ensemble(
+    result = _attempt(lambda: run_flow_ensemble(
         cfg.market,
         cfg.hazard,
         block.flow_rate,
@@ -112,10 +142,8 @@ def _cmd_simulate(args) -> int:
         cfg.seed,
         n_workers=args.threads,
         checkpoints=(block.horizon,),
-    )
-    out = _out_dir(args, cfg)
-    emit_series(ens, out)
-    _write_run_record(out, cfg, _ensemble_counters(ens))
+    ))
+    _write_ensembles(_out_dir(args, cfg), cfg, {"": result})
     return 0
 
 
@@ -132,60 +160,35 @@ def _cmd_regimes(args) -> int:
         outflow_rate=block.outflow_rate,
         n_workers=args.threads,
     )
-    out = _out_dir(args, cfg)
-    counters = {}
-    for name, ens in comparison.as_dict().items():
-        emit_series(ens, out / name)
-        counters.update(_ensemble_counters(ens, f"{name}_"))
-    failed = comparison.failed
-    for name, exc in failed.items():
-        counters[f"{name}_path_failures"] = len(exc.failure_messages)
-    extra = {"path_failures": {name: list(exc.failure_messages) for name, exc in failed.items()}}
-    _write_run_record(out, cfg, counters, extra if failed else None)
-    if failed:
-        raise PricePumpError("; ".join(f"regime '{name}': {exc}" for name, exc in failed.items()))
+    _write_ensembles(_out_dir(args, cfg), cfg, {**comparison.as_dict(), **comparison.failed})
     return 0
 
 
-def _cycle_config(cfg: ExperimentConfig, n_paths: int | None) -> CycleConfig:
-    block = _override_paths(cfg.cycle, n_paths)
-    return CycleConfig(
-        market=cfg.market,
-        hazard=cfg.hazard,
-        schedule=cfg.schedule,
-        pre_phase=block.pre_phase,
-        maturity=block.maturity,
-        target_rate=block.target_rate,
-        horizon=block.horizon,
-        n_paths=block.n_paths,
-        base_seed=cfg.seed,
-        checkpoints=block.checkpoints,
-    )
+def _run_cycle(args, cfg: ExperimentConfig) -> EnsembleStats | EnsembleFailedError:
+    cycle = _override_paths(cfg.cycle, args.paths)
+    return _attempt(lambda: run_ensemble(
+        cfg.market, cfg.hazard, cfg.schedule, cycle, cfg.seed, n_workers=args.threads
+    ))
 
 
 def _cmd_cycle(args) -> int:
     cfg = _load(args)
-    cycle_cfg = _cycle_config(cfg, args.paths)
-    ens = run_ensemble(cycle_cfg, n_workers=args.threads)
-    out = _out_dir(args, cfg)
-    emit_series(ens, out)
-    _write_run_record(out, cfg, _ensemble_counters(ens))
+    _write_ensembles(_out_dir(args, cfg), cfg, {"": _run_cycle(args, cfg)})
     return 0
+
+
+def _by_field_name(cls, block):
+    """``cls`` built from the fields of ``block`` that share its field names."""
+    return cls(**{f.name: getattr(block, f.name) for f in dataclasses.fields(cls)})
 
 
 def _cmd_ponzi(args) -> int:
     cfg = _load(args)
     p = cfg.ponzi
     if cfg.kind == "ponzi-speculative":
-        params = SpeculativePonziParams(
-            market_impact=p.market_impact,
-            withdrawal_rate=p.withdrawal_rate,
-            maturity=p.maturity,
-            initial_capital=p.initial_capital,
-            external_rate=p.external_rate,
-            literal_rate_coupling=p.literal_rate_coupling,
+        sol = speculative_ponzi_solve(
+            _by_field_name(SpeculativePonziParams, p), cfg.schedule, p.horizon, p.step
         )
-        sol = speculative_ponzi_solve(params, cfg.schedule, p.horizon, p.step)
         steady = steady_state_rate(sol, p.steady_window)
         results = {
             "collapse_time": collapse_time(sol),
@@ -193,13 +196,7 @@ def _cmd_ponzi(args) -> int:
             "steady_spread": steady.spread,
         }
     else:
-        params = PonziParams(
-            nominal_rate=p.nominal_rate,
-            promised_rate=p.promised_rate,
-            withdrawal_rate=p.withdrawal_rate,
-            maturity=p.maturity,
-            initial_capital=p.initial_capital,
-        )
+        params = _by_field_name(PonziParams, p)
         sol = classical_ponzi_solve(params, cfg.schedule, p.horizon, p.step)
         results = {"collapse_time": collapse_time(sol)}
     out = _out_dir(args, cfg)
@@ -212,7 +209,6 @@ def _cmd_ponzi(args) -> int:
 def _cmd_fit(args) -> int:
     cfg = _load(args)
     out = _out_dir(args, cfg)
-    counters: dict[str, int] = {}
     if cfg.fit.source_csv:
         table = read_csv_columns(cfg.fit.source_csv)
         column = "S_ext_mean" if "S_ext_mean" in table else "S_ext"
@@ -221,18 +217,13 @@ def _cmd_fit(args) -> int:
                 f"{cfg.fit.source_csv} carries neither 'S_ext_mean' nor 'S_ext'"
             )
         times, values = table["t"], table[column]
+        _write_run_record(out, cfg, {})
     else:
-        cycle_cfg = _cycle_config(cfg, args.paths)
-        ens = run_ensemble(cycle_cfg, n_workers=args.threads)
-        emit_series(ens, out)
-        counters = _ensemble_counters(ens)
+        ens = _run_cycle(args, cfg)
+        _write_ensembles(out, cfg, {"": ens})
         times, values = ens.times, ens.series["S_ext"].mean
     tau, observed = investment_phase_series(times, values, cfg.cycle.pre_phase)
-    target_rate = (
-        cfg.cycle.target_rate
-        if cfg.cycle.target_rate is not None
-        else cfg.market.annualized_target_rate()
-    )
+    target_rate = cfg.cycle.resolved_target_rate(cfg.market)
     result = fit_market_impact(
         tau,
         observed,
@@ -254,7 +245,6 @@ def _cmd_fit(args) -> int:
         float(tau[1] - tau[0]),
     )
     emit_series(fitted, out, basename="fitted_ode")
-    _write_run_record(out, cfg, counters)
     _write_json(
         out / "fit.json",
         {

@@ -4,7 +4,9 @@ A configuration is a single JSON document with one block per subsystem.
 Every key is optional and falls back to the reference defaults (the
 standard 500-agent market, daily trading, the reference factor
 distribution and hazard scales); unknown keys are rejected by name.
-The ``kind`` key selects the experiment.
+The ``kind`` key selects the experiment.  The ``market``, ``hazard``,
+``schedule`` and ``cycle`` blocks are the library's parameter classes,
+checked at load whatever the kind; only the CLI's own blocks live here.
 """
 from __future__ import annotations
 
@@ -18,8 +20,8 @@ from pathlib import Path
 from typing import Any, Optional, Union, get_args, get_origin, get_type_hints
 
 from .errors import ConfigurationError
-from .market import ConstantSignal, SignalSchedule, WindowSignal
-from .cycle import MarketParams
+from .market import ConstantSignal, MarketParams, Signal, WindowSignal
+from .cycle import CycleConfig
 from .risk import HazardParams
 from .schedules import ScheduleSpec
 
@@ -51,16 +53,6 @@ class RegimesBlock:
     outflow_rate: Optional[float] = None
     horizon: float = 2.0
     n_paths: int = 100
-
-
-@dataclass(frozen=True)
-class CycleBlock:
-    pre_phase: float = 3.0
-    maturity: float = 3.0
-    target_rate: Optional[float] = None
-    horizon: float = 20.0
-    n_paths: int = 1000
-    checkpoints: Optional[tuple[float, ...]] = None
 
 
 @dataclass(frozen=True)
@@ -102,7 +94,7 @@ class ExperimentConfig:
     schedule: ScheduleSpec = field(default_factory=ScheduleSpec)
     aspp: FlowBlock = field(default_factory=FlowBlock)
     regimes: RegimesBlock = field(default_factory=RegimesBlock)
-    cycle: CycleBlock = field(default_factory=CycleBlock)
+    cycle: CycleConfig = field(default_factory=CycleConfig)
     ponzi: PonziBlock = field(default_factory=PonziBlock)
     fit: FitBlock = field(default_factory=FitBlock)
     stats: StatsBlock = field(default_factory=StatsBlock)
@@ -171,12 +163,12 @@ def _value(hint, raw: Any, default: Any, key: str) -> Any:
     """JSON value ``raw`` cast to the type ``hint``; null keeps ``default``."""
     if raw is None:
         return default
-    if get_origin(hint) in (Union, types.UnionType):  # Optional[T]
-        hint = next(arg for arg in get_args(hint) if arg is not type(None))
-    if is_dataclass(hint):
+    if get_origin(hint) in (Union, types.UnionType) and type(None) in get_args(hint):
+        hint = next(arg for arg in get_args(hint) if arg is not type(None))  # Optional[T]
+    if hint == Signal or is_dataclass(hint):
         if not isinstance(raw, dict):
             raise ConfigurationError(f"'{key}' must be a JSON object, got {raw!r}")
-        return (_parse_signal if hint is SignalSchedule else _parse)(default, raw, key)
+        return _parse_signal(raw, key) if hint == Signal else _parse(default, raw, key)
     try:
         return _CASTS[hint](raw)
     except (TypeError, ValueError) as exc:
@@ -193,7 +185,8 @@ def _parse(default, data: dict, context: str):
     })
 
 
-def _parse_signal(default: SignalSchedule, data: dict, context: str) -> SignalSchedule:
+def _parse_signal(data: dict, context: str) -> Signal:
+    """A new signal of the block's kind; unset fields take its defaults."""
     signal_keys = {f.name for cls in _SIGNAL_KINDS.values() for f in fields(cls)}
     _check_keys(data, {"kind", *signal_keys}, context)
     kind = _value(str, data.get("kind"), "constant", _key(context, "kind"))
@@ -203,8 +196,7 @@ def _parse_signal(default: SignalSchedule, data: dict, context: str) -> SignalSc
         )
     cls = _SIGNAL_KINDS[kind]
     own_keys = {f.name for f in fields(cls)}
-    signal = _parse(cls(), {k: v for k, v in data.items() if k in own_keys}, context)
-    return replace(default, signal=signal)
+    return _parse(cls(), {k: v for k, v in data.items() if k in own_keys}, context)
 
 
 def load_config_data(data: dict, default_kind: Optional[str] = None) -> ExperimentConfig:
@@ -238,8 +230,7 @@ def parse_config(path: str | Path, default_kind: Optional[str] = None) -> Experi
     return load_config_data(data, default_kind)
 
 
-def _signal_to_dict(schedule: SignalSchedule) -> dict:
-    signal = schedule.signal
+def _signal_to_dict(signal: Signal) -> dict:
     kind = next((k for k, cls in _SIGNAL_KINDS.items() if type(signal) is cls), None)
     if kind is None:
         raise ConfigurationError(f"signal {signal!r} has no configuration form")
@@ -252,7 +243,7 @@ def config_to_dict(cfg) -> dict:
     body = {}
     for f in fields(cfg):
         value = getattr(cfg, f.name)
-        if isinstance(value, SignalSchedule):
+        if isinstance(value, tuple(_SIGNAL_KINDS.values())):
             value = _signal_to_dict(value)
         elif is_dataclass(value):
             value = config_to_dict(value)

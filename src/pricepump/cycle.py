@@ -7,7 +7,9 @@ phase in which the market pumps its price on its own, an investment
 phase feeding a dollar schedule into the market, and, once the first
 money matures, a withdrawal phase in which investors take out their
 tracked withdrawable value at a target rate.  Paths are independent
-units of parallel work; all aggregation is order-independent.
+units of parallel work; all aggregation is order-independent.  The
+runners take the configuration's blocks (``MarketParams``,
+``HazardParams``, ``ScheduleSpec``, ``CycleConfig``) as they are.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ import numpy as np
 
 from .engine import trading_session
 from .errors import BracketError, ConfigurationError, DivergenceError, EnsembleFailedError
-from .market import GreedFearSpec, MarketState, SignalSchedule, default_greed_fear, init_population
+from .market import MarketParams, init_population
 from .ponzi import SpeculativePonziParams, speculative_ponzi_solve
 from .risk import (
     HazardParams,
@@ -33,7 +35,6 @@ from .risk import (
     crash_hazard,
     investor_hazard,
     stats_from_log_returns,
-    theoretical_return,
 )
 from .schedules import ScheduleSpec, schedule_eval
 
@@ -47,66 +48,15 @@ def _require_finite(**values: float) -> None:
 
 
 @dataclass(frozen=True)
-class MarketParams:
-    """Population and engine parameters shared by all experiments."""
-
-    n_agents: int = 500
-    n_active: int = 125
-    initial_cash: float = 10.0
-    initial_ratio: float = 1.0
-    stock_noise_range: float = 0.1
-    days_per_year: int = 360
-    greed_fear: GreedFearSpec = field(default_factory=default_greed_fear)
-    signal: SignalSchedule = field(default_factory=SignalSchedule)
-
-    def __post_init__(self):
-        if self.n_agents < 1:
-            raise ConfigurationError(f"n_agents must be >= 1, got {self.n_agents}")
-        if not 1 <= self.n_active <= self.n_agents:
-            raise ConfigurationError(
-                f"n_active must be in [1, {self.n_agents}], got {self.n_active}"
-            )
-        if self.initial_cash <= 0.0:
-            raise ConfigurationError(f"initial_cash must be positive, got {self.initial_cash}")
-        if self.initial_ratio <= 0.0:
-            raise ConfigurationError(f"initial_ratio must be positive, got {self.initial_ratio}")
-        if self.stock_noise_range < 0.0:
-            raise ConfigurationError(
-                f"stock_noise_range must be >= 0, got {self.stock_noise_range}"
-            )
-        if self.days_per_year < 1:
-            raise ConfigurationError(f"days_per_year must be >= 1, got {self.days_per_year}")
-
-    def total_initial_cash(self) -> float:
-        return self.n_agents * self.initial_cash
-
-    def mean_factors(self) -> tuple[float, float]:
-        """Factors at the mean log-levels of the population distribution."""
-        gf = self.greed_fear
-        return math.exp(gf.mean_log_greed), math.exp(gf.mean_log_fear)
-
-    def theoretical(self, volatility_coeff: float = 1.0) -> TheoreticalReturn:
-        greed, fear = self.mean_factors()
-        return theoretical_return(greed, fear, self.n_agents, self.n_active, volatility_coeff)
-
-    def annualized_target_rate(self) -> float:
-        """Continuous yearly rate matching the predicted daily factor."""
-        return self.days_per_year * math.log(self.theoretical().daily_factor)
-
-
-@dataclass(frozen=True)
 class CycleConfig:
-    """Three-phase investment-cycle experiment."""
+    """Phases and path count of the three-phase investment cycle (the
+    configuration's ``cycle`` block)."""
 
-    market: MarketParams = field(default_factory=MarketParams)
-    hazard: HazardParams = field(default_factory=HazardParams)
-    schedule: ScheduleSpec = field(default_factory=ScheduleSpec)
     pre_phase: float = 3.0
     maturity: float = 3.0
     target_rate: Optional[float] = None  # None: annualized predicted market rate
     horizon: float = 20.0
     n_paths: int = 1000
-    base_seed: int = 12345
     checkpoints: Optional[tuple[float, ...]] = None  # None: phase boundaries
 
     def __post_init__(self):
@@ -125,13 +75,11 @@ class CycleConfig:
             )
         if self.n_paths < 1:
             raise ConfigurationError(f"n_paths must be >= 1, got {self.n_paths}")
-        if self.base_seed < 0:
-            raise ConfigurationError(f"base_seed must be >= 0, got {self.base_seed}")
 
-    def resolved_target_rate(self) -> float:
+    def resolved_target_rate(self, market: MarketParams) -> float:
         if self.target_rate is not None:
             return self.target_rate
-        return self.market.annualized_target_rate()
+        return market.annualized_target_rate()
 
     def resolved_checkpoints(self) -> tuple[float, ...]:
         if self.checkpoints is not None:
@@ -166,7 +114,7 @@ class PathRecord:
     clamp_events: int = 0
 
     def columns(self) -> dict[str, np.ndarray]:
-        """Series keyed by their serialization names."""
+        """Series keyed by their serialization names, in CSV column order."""
         return {
             "price": self.price,
             "log_price": self.log_price,
@@ -222,10 +170,10 @@ class InvestorLedger:
 
 
 def _run_days(
-    state: MarketState,
     market: MarketParams,
     hazard: HazardParams,
     n_days: int,
+    seed: tuple[int, int],
     *,
     schedule: Optional[ScheduleSpec] = None,
     pre_phase: float = 0.0,
@@ -234,7 +182,7 @@ def _run_days(
     constant_flow: float = 0.0,
     checkpoint_days: Sequence[int] = (),
 ) -> PathRecord:
-    """Shared day loop.
+    """Shared day loop over a population drawn from ``seed``.
 
     With a schedule, runs the phased investment cycle with an investor
     ledger; otherwise applies a constant external flow and the ledger
@@ -245,8 +193,10 @@ def _run_days(
     the concentration is the kernel's mean (the same sum and division
     as ``cash_concentration``, hence the same bits).  The investor hazard
     depends on the price path only, so it is computed once, after the
-    loop, from withdrawals' first day on.
+    loop, from withdrawals' first day on.  A price, investor flow or
+    ledger value that overflows ends the path with ``DivergenceError``.
     """
+    state = init_population(market, seed)
     dpy = market.days_per_year
     period = 1.0 / dpy
     cycle_mode = schedule is not None
@@ -289,17 +239,21 @@ def _run_days(
             gross_inflow = inflows[day]
             withdrawing = day >= withdraw_day
             requested = gross_inflow - (target_rate * ledger.value * period if withdrawing else 0.0)
+            if not math.isfinite(requested):
+                raise DivergenceError(day_times[day], f"investor flow overflowed on day {day}")
         else:
             gross_inflow = 0.0
             withdrawing = False
             requested = constant_flow * period
 
-        state, outcome = trading_session(state, n_active, requested, signal, day_times[day])
+        state, outcome = trading_session(state, n_active, requested, signal(day_times[day]))
         clamp_events += outcome.clamped
         active = outcome.active_indices
         kernel[active] = cash_kernel(state.cash[active], cash_scale)
         new_price = state.price
         i = day + 1
+        if not math.isfinite(new_price):
+            raise DivergenceError(day_times[i], f"price overflowed on day {i}")
         price[i] = new_price
         flow[i] = outcome.cash_flow_in
         total_cash[i] = state.cash.sum()
@@ -308,9 +262,10 @@ def _run_days(
         if cycle_mode:
             # state.prev_price equals price[day] as a Python float, which
             # keeps the ledger's scalar arithmetic off numpy scalars
-            withdrawable[i] = ledger.record_day(
-                new_price, state.prev_price, gross_inflow, withdrawing
-            )
+            value = ledger.record_day(new_price, state.prev_price, gross_inflow, withdrawing)
+            if not math.isfinite(value):
+                raise DivergenceError(day_times[i], f"investor ledger overflowed on day {i}")
+            withdrawable[i] = value
         if i in checkpoint_set:
             snapshots.append(CashSnapshot(day_times[i], state.cash.copy()))
 
@@ -342,35 +297,33 @@ def _checkpoint_days(checkpoints: Sequence[float], dpy: int, n_days: int) -> lis
     return sorted({min(max(int(round(c * dpy)), 0), n_days) for c in checkpoints})
 
 
-def run_path(cfg: CycleConfig, path_index: int) -> PathRecord:
-    """Simulate one investment-cycle path; fully determined by
-    (cfg, path_index)."""
-    market = cfg.market
-    n_days = int(round(cfg.horizon * market.days_per_year))
-    state = init_population(
-        market.n_agents,
-        market.greed_fear,
-        market.initial_cash,
-        market.initial_ratio,
-        market.stock_noise_range,
-        seed=(cfg.base_seed, path_index),
-    )
+def run_path(
+    market: MarketParams,
+    hazard: HazardParams,
+    schedule: ScheduleSpec,
+    cycle: CycleConfig,
+    base_seed: int,
+    path_index: int,
+) -> PathRecord:
+    """Simulate one investment-cycle path; fully determined by the
+    parameters and (base_seed, path_index)."""
+    n_days = _n_days(market, cycle.horizon)
     return _run_days(
-        state,
         market,
-        cfg.hazard,
+        hazard,
         n_days,
-        schedule=cfg.schedule,
-        pre_phase=cfg.pre_phase,
-        maturity=cfg.maturity,
-        target_rate=cfg.resolved_target_rate(),
+        (base_seed, path_index),
+        schedule=schedule,
+        pre_phase=cycle.pre_phase,
+        maturity=cycle.maturity,
+        target_rate=cycle.resolved_target_rate(market),
         checkpoint_days=_checkpoint_days(
-            cfg.resolved_checkpoints(), market.days_per_year, n_days
+            cycle.resolved_checkpoints(), market.days_per_year, n_days
         ),
     )
 
 
-def _flow_days(market: MarketParams, horizon: float) -> int:
+def _n_days(market: MarketParams, horizon: float) -> int:
     _require_finite(horizon=horizon)
     n_days = int(round(horizon * market.days_per_year))
     if n_days < 1:
@@ -388,20 +341,12 @@ def run_flow_path(
     checkpoints: Sequence[float] = (),
 ) -> PathRecord:
     """Simulate one path under a constant external flow (dollars per year)."""
-    n_days = _flow_days(market, horizon)
-    state = init_population(
-        market.n_agents,
-        market.greed_fear,
-        market.initial_cash,
-        market.initial_ratio,
-        market.stock_noise_range,
-        seed=(base_seed, path_index),
-    )
+    n_days = _n_days(market, horizon)
     return _run_days(
-        state,
         market,
         hazard,
         n_days,
+        (base_seed, path_index),
         constant_flow=flow_rate,
         checkpoint_days=_checkpoint_days(checkpoints, market.days_per_year, n_days),
     )
@@ -435,8 +380,9 @@ def cash_histogram(time: float, cash: np.ndarray) -> CashHistogram:
 
 @dataclass(frozen=True)
 class EnsembleStats:
-    """Cross-path aggregates: per-day summary of every tracked series,
-    pooled return statistics, merged cash histograms, and counters."""
+    """Cross-path aggregates: per-day summary of every tracked series (in
+    ``PathRecord.columns`` order), pooled return statistics, merged cash
+    histograms, counters, and one ``'path i: error'`` line per failed path."""
 
     times: np.ndarray
     series: dict[str, SeriesSummary]
@@ -507,14 +453,26 @@ def _collect(worker, indices, n_workers):
     return records, failures
 
 
-def run_ensemble(cfg: CycleConfig, n_workers: int = 1) -> EnsembleStats:
-    """Run ``cfg.n_paths`` independent cycle paths and aggregate them.
+def run_ensemble(
+    market: MarketParams,
+    hazard: HazardParams,
+    schedule: ScheduleSpec,
+    cycle: CycleConfig,
+    base_seed: int,
+    n_workers: int = 1,
+) -> EnsembleStats:
+    """Run ``cycle.n_paths`` independent cycle paths and aggregate them.
 
     Aggregates are indexed by path number, so the result is identical for
     any worker count and execution order.
     """
-    records, failures = _collect(partial(run_path, cfg), range(cfg.n_paths), n_workers)
-    return _aggregate(records, cfg.market, failures)
+    _n_days(market, cycle.horizon)  # checked before any path runs, like flows
+    records, failures = _collect(
+        partial(run_path, market, hazard, schedule, cycle, base_seed),
+        range(cycle.n_paths),
+        n_workers,
+    )
+    return _aggregate(records, market, failures)
 
 
 def run_flow_ensemble(
@@ -530,7 +488,7 @@ def run_flow_ensemble(
     """Constant-flow ensemble (zero, investment, or withdrawal regimes)."""
     # checked here, before any path runs, so that they are not path failures
     _require_finite(flow_rate=flow_rate)
-    _flow_days(market, horizon)
+    _n_days(market, horizon)
     if n_paths < 1:
         raise ConfigurationError(f"n_paths must be >= 1, got {n_paths}")
     records, failures = _collect(
@@ -567,9 +525,9 @@ class RegimeComparison:
 def regime_comparison(
     market: MarketParams,
     hazard: HazardParams,
-    horizon: float = 2.0,
-    n_paths: int = 100,
-    base_seed: int = 12345,
+    horizon: float,
+    n_paths: int,
+    base_seed: int,
     inflow_rate: Optional[float] = None,
     outflow_rate: Optional[float] = None,
     n_workers: int = 1,

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, LiquidityExhaustedError, NoSupplyError
-from .market import MarketState, SignalSchedule
+from .market import MarketState
 
 # Sessions never clear below this fraction of the prior price; withdrawals
 # that would do so are clamped and flagged instead of annihilating the price.
@@ -48,20 +48,20 @@ def trading_session(
     state: MarketState,
     n_active: int,
     external_flow: float = 0.0,
-    signal: SignalSchedule | None = None,
-    t: float = 0.0,
+    level: float = 1.0,
 ) -> tuple[MarketState, SessionOutcome]:
     """Run one session in place and return the (mutated) state and outcome.
 
     Draws ``n_active`` distinct agents uniformly, clears the price,
     rebalances the active agents, revalues everyone's stock, updates the
-    active agents' targets (using signal-scaled factors when ``signal``
-    is given), and books the external flow into the outside-investor
+    active agents' targets with factors scaled by the day's signal
+    ``level``, and books the external flow into the outside-investor
     share pool.  A flow so negative that the price would hit zero is
     clamped to keep the price ratio at ``PRICE_RATIO_FLOOR`` and the
     outcome is flagged; once repeated clamps have shrunk the price until
-    it underflows to zero, the session raises ``LiquidityExhaustedError``
-    before changing any holding or price.
+    it underflows to zero, or until the outside pool's share count
+    overflows, the session raises ``LiquidityExhaustedError`` before
+    changing any holding or price.
 
     With per-agent weights w = 1/(1+k) over the active agents, the price
     ratio is (external_flow + sum k*cash*w) / (sum stock*w); each active
@@ -70,7 +70,7 @@ def trading_session(
     when its pre-trade stock at the new price exceeds k*cash (it sold, or
     it holds no cash), k/fear when it falls short (it bought), and stays k
     within a relative ``RATIO_TIE_RTOL``; the factors are scaled as
-    1 + (factor - 1) * signal(t).
+    1 + (factor - 1) * level.
     """
     n = state.n_agents
     if not 1 <= n_active <= n:
@@ -104,11 +104,17 @@ def trading_session(
             f"price underflowed to {new_price} on day {state.day + 1}: external flow "
             f"{external_flow} exhausts market liquidity",
         )
+    share_delta = external_flow / new_price
+    external_shares = state.external_shares + share_delta
+    if not math.isfinite(external_shares):  # at a positive but subnormal price
+        raise LiquidityExhaustedError(
+            external_flow, f"external share count overflowed on day {state.day + 1}: external "
+            f"flow {external_flow} at price {new_price} exhausts market liquidity",
+        )
 
     revalued = ratio * stock
     trades = (target_cash - revalued) * weight
 
-    level = 1.0 if signal is None else float(signal.signal(t))
     if level == 1.0:
         # 1 + (g - 1) * 1.0 == g for every factor 1 <= g <= 2**53: g and 1
         # are multiples of ulp(g), so g - 1 is exact and adding 1 restores g
@@ -132,8 +138,7 @@ def trading_session(
 
     state.prev_price = state.price
     state.price = new_price
-    share_delta = external_flow / new_price
-    state.external_shares += share_delta
+    state.external_shares = external_shares
     state.day += 1
 
     outcome = SessionOutcome(

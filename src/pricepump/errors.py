@@ -21,6 +21,9 @@ class LiquidityExhaustedError(PricePumpError):
         self.flow = flow
         super().__init__(message or f"external flow {flow} exhausts market liquidity")
 
+    def __reduce__(self):  # a worker's path error reaches the parent unchanged
+        return type(self), (self.flow, str(self))
+
 
 class DivergenceError(PricePumpError):
     """An integration produced a non-finite state."""
@@ -28,6 +31,9 @@ class DivergenceError(PricePumpError):
     def __init__(self, last_time: float, message: str | None = None):
         self.last_time = last_time
         super().__init__(message or f"solution became non-finite after t={last_time:.6g}")
+
+    def __reduce__(self):
+        return type(self), (self.last_time, str(self))
 
 
 class BracketError(PricePumpError):

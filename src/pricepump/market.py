@@ -1,4 +1,4 @@
-"""Market state, correlated greed/fear sampling, and the signal schedule.
+"""Market parameters, state, correlated greed/fear sampling, and signals.
 
 The market is a population of portfolio-rebalancing traders, held as
 parallel arrays with one entry per agent in ``MarketState``.  Each agent
@@ -9,16 +9,19 @@ ratio, and a pair of multiplicative target-update factors: ``greed``
 no per-agent object: a session reads and writes the arrays at its
 active indices.  Factor pairs are drawn once per population from a
 correlated log-normal distribution restricted to factors >= 1.
+``MarketParams`` (the configuration's ``market`` block) describes the
+population, and its ``signal`` scales the greed/fear intensity over time.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Union
 
 import numpy as np
 
 from .errors import ConfigurationError
+from .risk import TheoreticalReturn, theoretical_return
 from .rng import SeedLike, as_rng
 
 _MAX_REDRAW_ROUNDS = 1000
@@ -98,16 +101,58 @@ class WindowSignal:
         return self.level if self.start <= t < self.end else 0.0
 
 
+# A signal maps time (years) into [0, 1]; a session scales each factor to
+# 1 + (factor - 1) * signal(t), so at zero signal the effective factors are
+# exactly 1 and target ratios never move.
+Signal = Union[ConstantSignal, WindowSignal]
+
+
 @dataclass(frozen=True)
-class SignalSchedule:
-    """Time modulation of the population's greed/fear intensity.
+class MarketParams:
+    """Population and engine parameters shared by all experiments."""
 
-    The signal maps time (years) into [0, 1]; a session scales each
-    factor to 1 + (factor - 1) * signal(t), so at zero signal the
-    effective factors are exactly 1 and target ratios never move.
-    """
+    n_agents: int = 500
+    n_active: int = 125
+    initial_cash: float = 10.0
+    initial_ratio: float = 1.0
+    stock_noise_range: float = 0.1
+    days_per_year: int = 360
+    greed_fear: GreedFearSpec = field(default_factory=default_greed_fear)
+    signal: Signal = ConstantSignal()
 
-    signal: Callable[[float], float] = ConstantSignal(1.0)
+    def __post_init__(self):
+        if self.n_agents < 1:
+            raise ConfigurationError(f"n_agents must be >= 1, got {self.n_agents}")
+        if not 1 <= self.n_active <= self.n_agents:
+            raise ConfigurationError(
+                f"n_active must be in [1, {self.n_agents}], got {self.n_active}"
+            )
+        if self.initial_cash <= 0.0:
+            raise ConfigurationError(f"initial_cash must be positive, got {self.initial_cash}")
+        if self.initial_ratio <= 0.0:
+            raise ConfigurationError(f"initial_ratio must be positive, got {self.initial_ratio}")
+        if self.stock_noise_range < 0.0:
+            raise ConfigurationError(
+                f"stock_noise_range must be >= 0, got {self.stock_noise_range}"
+            )
+        if self.days_per_year < 1:
+            raise ConfigurationError(f"days_per_year must be >= 1, got {self.days_per_year}")
+
+    def total_initial_cash(self) -> float:
+        return self.n_agents * self.initial_cash
+
+    def mean_factors(self) -> tuple[float, float]:
+        """Factors at the mean log-levels of the population distribution."""
+        gf = self.greed_fear
+        return math.exp(gf.mean_log_greed), math.exp(gf.mean_log_fear)
+
+    def theoretical(self, volatility_coeff: float = 1.0) -> TheoreticalReturn:
+        greed, fear = self.mean_factors()
+        return theoretical_return(greed, fear, self.n_agents, self.n_active, volatility_coeff)
+
+    def annualized_target_rate(self) -> float:
+        """Continuous yearly rate matching the predicted daily factor."""
+        return self.days_per_year * math.log(self.theoretical().daily_factor)
 
 
 def sample_greed_fear(spec: GreedFearSpec, n: int, rng: SeedLike) -> np.ndarray:
@@ -175,15 +220,8 @@ class MarketState:
         return float(self.stock_value.sum() / self.price + self.external_shares)
 
 
-def init_population(
-    n_agents: int,
-    greed_fear: GreedFearSpec,
-    initial_cash: float = 10.0,
-    initial_ratio: float = 1.0,
-    stock_noise_range: float = 0.1,
-    seed: SeedLike = 0,
-) -> MarketState:
-    """Build the starting population.
+def init_population(market: MarketParams, seed: SeedLike = 0) -> MarketState:
+    """Build the starting population of ``market``.
 
     Every agent holds ``initial_cash`` in cash and
     ``initial_cash * initial_ratio`` plus a uniform perturbation from
@@ -192,21 +230,14 @@ def init_population(
     The same seed reproduces the population exactly (factor pairs are
     drawn first, stock perturbations second).
     """
-    if n_agents < 1:
-        raise ConfigurationError(f"population size must be >= 1, got {n_agents}")
-    if initial_cash <= 0.0:
-        raise ConfigurationError(f"initial_cash must be positive, got {initial_cash}")
-    if initial_ratio <= 0.0:
-        raise ConfigurationError(f"initial_ratio must be positive, got {initial_ratio}")
-    if stock_noise_range < 0.0:
-        raise ConfigurationError(f"stock_noise_range must be >= 0, got {stock_noise_range}")
+    n_agents = market.n_agents
     rng = as_rng(seed)
-    pairs = sample_greed_fear(greed_fear, n_agents, rng)
-    noise = rng.uniform(0.0, stock_noise_range, n_agents)
+    pairs = sample_greed_fear(market.greed_fear, n_agents, rng)
+    noise = rng.uniform(0.0, market.stock_noise_range, n_agents)
     return MarketState(
-        stock_value=initial_cash * initial_ratio + noise,
-        cash=np.full(n_agents, float(initial_cash)),
-        target_ratio=np.full(n_agents, float(initial_ratio)),
+        stock_value=market.initial_cash * market.initial_ratio + noise,
+        cash=np.full(n_agents, float(market.initial_cash)),
+        target_ratio=np.full(n_agents, float(market.initial_ratio)),
         greed=pairs[:, 0].copy(),
         fear=pairs[:, 1].copy(),
         rng=rng,

@@ -21,7 +21,6 @@ from .ponzi import OdeSolution
 
 # Banded columns get mean/p10/p50/p90; everything else mean only.
 _BANDED = ("log_price", "Ha", "Hp")
-_PATH_COLUMNS = ("price", "log_price", "Ha", "Hp", "H", "xin", "R", "S_ext", "total_cash")
 
 
 def format_float(value: float) -> str:
@@ -42,8 +41,8 @@ def _write_csv(path: Path, header: Sequence[str], columns: Sequence[np.ndarray])
 
 def write_path_record(record: PathRecord, out_dir: Path, basename: str = "path") -> list[Path]:
     series = record.columns()
-    header = ["t", *_PATH_COLUMNS]
-    columns = [record.times, *(series[name] for name in _PATH_COLUMNS)]
+    header = ["t", *series]
+    columns = [record.times, *series.values()]
     files = [_write_csv(out_dir / f"{basename}.csv", header, columns)]
     if record.snapshots:
         histograms = (cash_histogram(snap.time, snap.cash) for snap in record.snapshots)
@@ -63,8 +62,7 @@ def _write_histograms(histograms: Iterable[CashHistogram], path: Path) -> Path:
 def write_ensemble(stats: EnsembleStats, out_dir: Path, basename: str = "ensemble") -> list[Path]:
     header = ["t"]
     columns = [stats.times]
-    for name in _PATH_COLUMNS:
-        summary = stats.series[name]
+    for name, summary in stats.series.items():
         header.append(f"{name}_mean")
         columns.append(summary.mean)
         if name in _BANDED:

@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DivergenceError
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,9 @@ def investor_hazard(
     has no realized rate, so a start at day 0 reuses day 1's integrand
     as its left endpoint.  Each integrand is a scalar ``math.exp`` and the
     sum runs day by day: ``np.exp`` differs from ``math.exp`` in the last
-    bit on some inputs, and a pairwise sum rounds differently.
+    bit on some inputs, and a pairwise sum rounds differently.  Raises
+    ``DivergenceError`` at the first day whose integrand or running sum
+    is not finite.
     """
     price = np.asarray(price, dtype=float)
     hazard = np.zeros(price.size)
@@ -104,11 +106,21 @@ def investor_hazard(
     first = max(start_day, 1)
     # elementwise + - * / round exactly as Python floats do
     exponent = target_rate - (price[first:] / price[first - 1 : -1] - 1.0) / period
-    integrand = np.array([math.exp(x) for x in exponent.tolist()])
+    integrand = []
+    for day, x in enumerate(exponent.tolist(), start=first):
+        try:
+            integrand.append(math.exp(x))
+        except OverflowError:
+            message = f"investor hazard overflows on day {day}"
+            raise DivergenceError(day * period, message) from None
+    integrand = np.array(integrand)
     if start_day == 0:
         integrand = np.concatenate([integrand[:1], integrand])
     steps = scale * 0.5 * (integrand[:-1] + integrand[1:]) * period
     hazard[start_day + 1 :] = list(accumulate(steps.tolist()))
+    if not math.isfinite(hazard[-1]):  # the sum is non-decreasing
+        day = int(np.argmax(~np.isfinite(hazard)))
+        raise DivergenceError(day * period, f"investor hazard overflows on day {day}")
     return hazard
 
 
@@ -165,11 +177,12 @@ class ReturnStats:
 def stats_from_log_returns(log_returns: Sequence[float] | np.ndarray) -> ReturnStats:
     """Moments of a pooled log-return sample (population conventions).
 
-    Degenerate samples (zero variance) report zero shape statistics.
+    Degenerate samples (one return, or zero variance) report zero shape
+    statistics.
     """
     returns = np.asarray(log_returns, dtype=float)
-    if returns.size < 2:
-        raise ValueError(f"need at least 2 returns, got {returns.size}")
+    if returns.size < 1:
+        raise ValueError("need at least 1 return, got none")
     mean = float(returns.mean())
     centered = returns - mean
     variance = float(np.mean(centered * centered))

@@ -5,7 +5,15 @@ import time
 
 import pytest
 
-from pricepump import CycleConfig, GreedFearSpec, HazardParams, MarketParams, run_flow_ensemble, run_ensemble
+from pricepump import (
+    CycleConfig,
+    ExperimentConfig,
+    GreedFearSpec,
+    HazardParams,
+    MarketParams,
+    run_ensemble,
+    run_flow_ensemble,
+)
 
 WORKERS = 4
 
@@ -37,7 +45,9 @@ def homogeneous_ensemble():
 @pytest.fixture(scope="session")
 def cycle_ensemble():
     """Full investment cycle at the reference configuration: 100 paths x 20 years."""
-    cfg = CycleConfig(n_paths=100, base_seed=42)
+    cfg = ExperimentConfig(kind="cycle", seed=42, cycle=CycleConfig(n_paths=100))
     start = time.perf_counter()
-    stats = run_ensemble(cfg, n_workers=WORKERS)
+    stats = run_ensemble(
+        cfg.market, cfg.hazard, cfg.schedule, cfg.cycle, cfg.seed, n_workers=WORKERS
+    )
     return cfg, stats, time.perf_counter() - start

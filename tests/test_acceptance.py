@@ -16,7 +16,6 @@ from pricepump import (
     SpeculativePonziParams,
     classical_ponzi_solve,
     critical_exponent,
-    default_greed_fear,
     fit_market_impact,
     init_population,
     investment_phase_series,
@@ -40,7 +39,7 @@ def check(criterion: str, description: str, passed: bool) -> None:
 
 
 def test_criterion_01_conservation():
-    state = init_population(500, default_greed_fear(), seed=11)
+    state = init_population(MarketParams(), seed=11)
     cash0 = state.total_cash()
     shares0 = state.total_shares()
     start = time.perf_counter()
@@ -224,7 +223,8 @@ def test_criterion_09_full_investment_cycle(cycle_ensemble):
     log_price = stats.series["log_price"].mean
     daily_log_rate = math.log(stats.theoretical.daily_factor)
     reference = daily_log_rate * cfg.market.days_per_year * times
-    investment_end = int(round((cfg.pre_phase + cfg.maturity) * cfg.market.days_per_year))
+    cycle = cfg.cycle
+    investment_end = int(round((cycle.pre_phase + cycle.maturity) * cfg.market.days_per_year))
     exceeds = log_price[investment_end] > reference[investment_end]
     post = log_price[investment_end + 1 :]
     drops = float(post.min()) < float(log_price[investment_end])
@@ -241,7 +241,8 @@ def test_criterion_09_full_investment_cycle(cycle_ensemble):
 
 def test_criterion_10_calibration(cycle_ensemble):
     cfg, stats, _ = cycle_ensemble
-    target = cfg.resolved_target_rate()
+    cycle = cfg.cycle
+    target = cycle.resolved_target_rate(cfg.market)
 
     # recovering a known generating coefficient
     schedule = ScheduleSpec("exponential", 1000.0, 0.1)
@@ -255,19 +256,19 @@ def test_criterion_10_calibration(cycle_ensemble):
 
     # calibrating against the simulated ensemble
     tau, observed = investment_phase_series(
-        stats.times, stats.series["S_ext"].mean, cfg.pre_phase
+        stats.times, stats.series["S_ext"].mean, cycle.pre_phase
     )
     fit = fit_market_impact(
-        tau, observed, cfg.schedule, target, cfg.maturity, (1e-5, 1e-2)
+        tau, observed, cfg.schedule, target, cycle.maturity, (1e-5, 1e-2)
     )
     fitted = speculative_ponzi_solve(
-        SpeculativePonziParams(fit.market_impact, target, cfg.maturity, max(float(observed[0]), 0.0)),
+        SpeculativePonziParams(fit.market_impact, target, cycle.maturity, max(float(observed[0]), 0.0)),
         cfg.schedule,
         float(tau[-1]),
         DT,
     )
     # bubble peak: the maximum inside the maturity-plus-five-years window
-    window = tau <= cfg.maturity + 5.0
+    window = tau <= cycle.maturity + 5.0
     agent_peak = float(tau[window][np.argmax(observed[window])])
     agent_height = float(observed[window].max())
     ode_peak = float(fitted.grid[window][np.argmax(fitted.capital[window])])

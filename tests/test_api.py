@@ -1,6 +1,10 @@
-"""The package's public names, and the module attributes the benchmark's
-tracer (``bench/run.py --trace 1``) wraps: an API cleanup that drops one
-of them must fail here, not silently in a traced benchmark run."""
+"""The package's public names, and what the benchmark (``bench/run.py``)
+uses of the package: the module attributes its tracer wraps, the
+configuration documents it writes and the attributes it reads from them,
+and the constructors it calls with positional arguments.  An API cleanup
+that breaks one of them must fail here, not in a benchmark run."""
+import pytest
+
 import pricepump
 from pricepump import cli, config, cycle, ponzi
 
@@ -48,3 +52,53 @@ def test_traced_attributes_exist():
     assert missing == []
     assert isinstance(ponzi.DEFAULT_STEP, float)
     assert issubclass(pricepump.DivergenceError, Exception)
+
+
+# The configuration documents the benchmark's workloads write, and the
+# attributes of each block the benchmark reads back.
+BENCH_DOCUMENTS = [
+    {"kind": "cycle", "seed": 1, "cycle": {"n_paths": 16}},
+    {"kind": "regimes", "seed": 1, "regimes": {"n_paths": 48, "horizon": 2.0}},
+    {
+        "kind": "fit-c0",
+        "seed": 1,
+        "schedule": {"kind": "exponential", "first_year_total": 1000.0, "growth": 0.1},
+        "cycle": {"maturity": 3.0},
+        "fit": {"bracket_low": 1e-4, "bracket_high": 1e-2, "tol": 1e-3},
+        "ponzi": {"nominal_rate": 0.0, "promised_rate": 0.41, "withdrawal_rate": 0.41,
+                  "maturity": 3.0, "initial_capital": 0.0, "market_impact": 1e-3,
+                  "horizon": 40.0},
+    },
+]
+BENCH_ATTRIBUTES = {
+    "cycle": ("n_paths", "horizon", "maturity"),
+    "regimes": ("n_paths", "horizon"),
+    "market": ("days_per_year",),
+    "schedule": ("first_year_total", "growth"),
+    "ponzi": ("nominal_rate", "promised_rate", "withdrawal_rate", "maturity",
+              "initial_capital", "market_impact", "horizon", "step"),
+    "fit": ("bracket_low", "bracket_high", "tol"),
+}
+
+
+@pytest.mark.parametrize("document", BENCH_DOCUMENTS, ids=lambda d: d["kind"])
+def test_benchmark_configuration_reads(document):
+    cfg = config.load_config_data(document)
+    missing = [f"{block}.{name}" for block, names in BENCH_ATTRIBUTES.items()
+               for name in names if not hasattr(getattr(cfg, block), name)]
+    assert missing == []
+    assert isinstance(cfg.market.annualized_target_rate(), float)
+
+
+def test_benchmark_positional_constructors():
+    speculative, classical = pricepump.SpeculativePonziParams, pricepump.PonziParams
+    assert speculative(1e-3, 0.4, 2.0, 0.5) == speculative(
+        market_impact=1e-3, withdrawal_rate=0.4, maturity=2.0, initial_capital=0.5
+    )
+    assert classical(0.01, 0.42, 0.3, 2.0, 1.5) == classical(
+        nominal_rate=0.01, promised_rate=0.42, withdrawal_rate=0.3, maturity=2.0,
+        initial_capital=1.5,
+    )
+    assert pricepump.ScheduleSpec("linear", 111.0, 0.2) == pricepump.ScheduleSpec(
+        kind="linear", first_year_total=111.0, growth=0.2
+    )

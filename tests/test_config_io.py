@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from pricepump import (
     ConfigurationError,
+    CycleConfig,
     HazardParams,
     MarketParams,
     ScheduleSpec,
@@ -261,8 +262,14 @@ class TestConfigDefaults:
     def test_infinite_float_stays_valid(self):
         text = '{"kind": "aspp", "market": {"signal": {"kind": "window", "end": Infinity}}}'
         cfg = load_config_data(json.loads(text))
-        assert cfg.market.signal.signal.end == math.inf
+        assert cfg.market.signal.end == math.inf
         assert load_config_data(json.loads(serialize_config(cfg))) == cfg
+
+    @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+    def test_rejected_cycle_block_fails_every_kind(self, kind):
+        # the cycle block is CycleConfig, checked at load whichever kind runs
+        with pytest.raises(ConfigurationError, match="horizon 5.0 must exceed"):
+            load_config_data({"kind": kind, "cycle": {"horizon": 5.0}})
 
     def test_config_dict_is_json_complete(self):
         cfg = load_config_data({"kind": "regimes"})
@@ -284,9 +291,29 @@ def block(**fields):
     )
 
 
+@st.composite
+def cycle_blocks(draw):
+    """Cycle blocks that ``CycleConfig`` accepts: the horizon always lies
+    beyond the two phases, whether they are drawn or default."""
+    data = draw(block(
+        pre_phase=st.floats(0.0, 1e3),
+        maturity=st.floats(0.0, 1e3),
+        target_rate=finite,
+        n_paths=st.integers(1, 2**31),
+        checkpoints=st.lists(finite, max_size=4),
+    ))
+    phases = [
+        getattr(CycleConfig(), name) if data.get(name) is None else data[name]
+        for name in ("pre_phase", "maturity")
+    ]
+    data["horizon"] = phases[0] + phases[1] + draw(st.floats(1e-3, 1e3))
+    return data
+
+
 # Valid documents only: each constraint of the configuration dataclasses
 # holds whichever subset of keys is drawn (n_active <= 500 = default
-# n_agents, log means >= three standard deviations at any drawn variance).
+# n_agents, log means >= three standard deviations at any drawn variance,
+# a cycle horizon beyond its phases).
 valid_documents = st.fixed_dictionaries(
     {"kind": st.sampled_from(EXPERIMENT_KINDS)},
     optional={
@@ -322,14 +349,7 @@ valid_documents = st.fixed_dictionaries(
         "regimes": st.none() | block(
             inflow_rate=finite, outflow_rate=finite, horizon=finite, n_paths=st.integers()
         ),
-        "cycle": st.none() | block(
-            pre_phase=finite,
-            maturity=finite,
-            target_rate=finite,
-            horizon=finite,
-            n_paths=st.integers(),
-            checkpoints=st.lists(finite, max_size=4),
-        ),
+        "cycle": st.none() | cycle_blocks(),
         "ponzi": st.none() | block(
             nominal_rate=finite,
             promised_rate=finite,
@@ -449,6 +469,7 @@ class TestCli:
         )
         out = tmp_path / "sim"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        assert "path_failures" not in json.loads((out / "manifest.json").read_text())
         stats_cfg = self.write_config(
             tmp_path,
             {
@@ -544,6 +565,80 @@ class TestCli:
         assert [line.split(":")[0] for line in failures] == ["path 0", "path 1"]
         assert all("LiquidityExhaustedError" in line for line in failures)
         assert (out / "config.json").exists()
+
+    @pytest.mark.parametrize(
+        "verb,payload,code,failures",
+        [
+            # an outflow of the whole initial cash per year exhausts the market
+            (
+                "simulate",
+                {"aspp": {"flow_rate": -5000.0, "horizon": 2.0, "n_paths": 2}},
+                3,
+                ["path 0: LiquidityExhaustedError", "path 1: LiquidityExhaustedError"],
+            ),
+            # at 100,000 days a year a 0.7% daily price drop overflows the
+            # investor hazard's integrand
+            (
+                "cycle",
+                {
+                    "market": {"days_per_year": 100000},
+                    "cycle": {"pre_phase": 0.001, "maturity": 0.001, "horizon": 0.005,
+                              "n_paths": 1},
+                },
+                3,
+                ["path 0: DivergenceError"],
+            ),
+            (
+                "simulate",
+                {
+                    "seed": 1,
+                    "market": {"n_agents": 60, "n_active": 15},
+                    "aspp": {"flow_rate": -900.0, "horizon": 1.0, "n_paths": 3},
+                },
+                0,
+                ["path 2: LiquidityExhaustedError"],
+            ),
+            (
+                "cycle",
+                {
+                    "seed": 1,
+                    "market": {"n_agents": 60, "n_active": 15, "days_per_year": 7000},
+                    "cycle": {"pre_phase": 0.01, "maturity": 0.01, "horizon": 0.05, "n_paths": 2},
+                },
+                0,
+                ["path 0: DivergenceError"],
+            ),
+        ],
+    )
+    def test_ensemble_verbs_record_path_failures(
+        self, tmp_path, capsys, verb, payload, code, failures
+    ):
+        cfg = self.write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main([verb, "--config", cfg, "--out", str(out)]) == code
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [line.split("(")[0] for line in manifest["path_failures"]] == failures
+        assert manifest["counters"]["path_failures"] == len(failures)
+        assert manifest["config_sha256"] == config_hash(parse_config(out / "config.json"))
+        if code == 3:
+            record = json.loads(capsys.readouterr().err.strip())
+            assert record["error"] == "EnsembleFailedError"
+            cause = failures[0].split(": ")[1]
+            assert record["message"].startswith(f"all paths failed: {cause}")
+            assert not (out / "ensemble.csv").exists()
+        else:
+            assert (out / "ensemble.csv").exists()
+
+    def test_rejected_cycle_block_exit_code(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, {"kind": "aspp", "cycle": {"horizon": 5.0}})
+        out = tmp_path / "x"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {
+            "error": "ConfigurationError",
+            "message": "horizon 5.0 must exceed pre_phase + maturity (6.0)",
+        }
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "verb,payload,message",

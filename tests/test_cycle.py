@@ -16,10 +16,10 @@ from pricepump import (
     HazardParams,
     InvestorLedger,
     LiquidityExhaustedError,
+    GreedFearSpec,
     MarketParams,
     PricePumpError,
     ScheduleSpec,
-    SignalSchedule,
     SpeculativePonziParams,
     WindowSignal,
     cash_concentration,
@@ -36,21 +36,28 @@ from pricepump import (
 
 SMALL_MARKET = MarketParams(n_agents=60, n_active=15)
 HAZARD = HazardParams()
+SMALL_SCHEDULE = ScheduleSpec("exponential", 600.0, 0.1)
+SMALL_SEED = 99
 
 
 def small_cycle(**overrides):
-    defaults = dict(
-        market=SMALL_MARKET,
-        hazard=HAZARD,
-        schedule=ScheduleSpec("exponential", 600.0, 0.1),
-        pre_phase=0.5,
-        maturity=0.5,
-        horizon=2.0,
-        n_paths=3,
-        base_seed=99,
-    )
+    defaults = dict(pre_phase=0.5, maturity=0.5, horizon=2.0, n_paths=3)
     defaults.update(overrides)
     return CycleConfig(**defaults)
+
+
+def small_path(cycle, path_index, hazard=HAZARD, schedule=SMALL_SCHEDULE, base_seed=SMALL_SEED):
+    return run_path(SMALL_MARKET, hazard, schedule, cycle, base_seed, path_index)
+
+
+def small_ensemble(cycle, n_workers=1):
+    return run_ensemble(SMALL_MARKET, HAZARD, SMALL_SCHEDULE, cycle, SMALL_SEED, n_workers)
+
+
+def reference_path(path_index, market=MarketParams(), hazard=HazardParams(),
+                   schedule=ScheduleSpec(), **cycle):
+    """A path of the reference configuration at the default seed 12345."""
+    return run_path(market, hazard, schedule, CycleConfig(**cycle), 12345, path_index)
 
 
 class TestConfigs:
@@ -66,10 +73,10 @@ class TestConfigs:
 
     def test_default_target_rate_matches_prediction(self):
         market = MarketParams()
-        cfg = CycleConfig(market=market)
+        cfg = CycleConfig()
         expected = 360.0 * math.log((1.12 / 1.11) ** 0.125)
-        assert cfg.resolved_target_rate() == pytest.approx(expected, rel=1e-9)
-        assert cfg.resolved_target_rate() == pytest.approx(0.40359, abs=1e-5)
+        assert cfg.resolved_target_rate(market) == pytest.approx(expected, rel=1e-9)
+        assert cfg.resolved_target_rate(market) == pytest.approx(0.40359, abs=1e-5)
 
     @pytest.mark.parametrize("field", ["pre_phase", "maturity", "horizon", "target_rate"])
     def test_cycle_rejects_non_finite(self, field):
@@ -88,6 +95,11 @@ class TestConfigs:
             regime_comparison(SMALL_MARKET, HAZARD, 1.0, 2, 1, outflow_rate=-math.inf)
         with pytest.raises(ConfigurationError, match="below one trading day"):
             regime_comparison(SMALL_MARKET, HAZARD, 0.001, 2, 1)
+
+    def test_cycle_ensemble_rejects_sub_day_horizon(self):
+        # raised before any path runs; a 0-day cycle has no returns to pool
+        with pytest.raises(ConfigurationError, match="horizon 0.001 is below one trading day"):
+            small_ensemble(small_cycle(pre_phase=0.0, maturity=0.0, horizon=0.001))
 
     def test_checkpoints_default_to_phase_ends(self):
         cfg = small_cycle()
@@ -134,19 +146,18 @@ class TestInvestorLedger:
 class TestRunPath:
     def test_deterministic(self):
         cfg = small_cycle()
-        a = run_path(cfg, 1)
-        b = run_path(cfg, 1)
+        a = small_path(cfg, 1)
+        b = small_path(cfg, 1)
         assert np.array_equal(a.price, b.price)
         assert np.array_equal(a.withdrawable, b.withdrawable)
         assert np.array_equal(a.hazard_investor, b.hazard_investor)
 
     def test_paths_differ_by_index(self):
         cfg = small_cycle()
-        assert not np.array_equal(run_path(cfg, 0).price, run_path(cfg, 1).price)
+        assert not np.array_equal(small_path(cfg, 0).price, small_path(cfg, 1).price)
 
     def test_zero_mass_schedule_reduces_to_zero_flow_path(self):
-        cfg = small_cycle(schedule=ScheduleSpec("constant", 0.0))
-        record = run_path(cfg, 2)
+        record = small_path(small_cycle(), 2, schedule=ScheduleSpec("constant", 0.0))
         assert np.all(record.flow == 0.0)
         assert np.all(record.withdrawable == 0.0)
         assert np.all(record.hazard_investor == 0.0)
@@ -156,7 +167,7 @@ class TestRunPath:
 
     def test_investor_hazard_activation(self):
         cfg = small_cycle()
-        record = run_path(cfg, 0)
+        record = small_path(cfg, 0)
         start = int(round((cfg.pre_phase + cfg.maturity) * 360))
         assert np.all(record.hazard_investor[: start + 1] == 0.0)
         assert record.hazard_investor[-1] > 0.0
@@ -164,19 +175,19 @@ class TestRunPath:
 
     def test_withdrawable_tracks_matured_money_only(self):
         cfg = small_cycle()
-        record = run_path(cfg, 0)
+        record = small_path(cfg, 0)
         matured_from = int(round((cfg.pre_phase + cfg.maturity) * 360))
         assert np.all(record.withdrawable[: matured_from + 1] == 0.0)
         assert record.withdrawable[matured_from + 1] > 0.0
 
     def test_snapshots_at_phase_ends(self):
         cfg = small_cycle()
-        record = run_path(cfg, 0)
+        record = small_path(cfg, 0)
         assert [snap.time for snap in record.snapshots] == [0.5, 1.0, 2.0]
         assert all(snap.cash.shape == (60,) for snap in record.snapshots)
 
     def test_series_lengths_consistent(self):
-        record = run_path(small_cycle(), 0)
+        record = small_path(small_cycle(), 0)
         n = record.times.size
         assert all(series.size == n for series in record.columns().values())
 
@@ -194,10 +205,6 @@ def record_digest(record):
     return digest.hexdigest()
 
 
-def signal_market(signal):
-    return MarketParams(signal=SignalSchedule(signal=signal))
-
-
 # Digests recorded from the day loop that recomputed every agent's cash
 # kernel and evaluated the schedule each day; the two zero-pre-phase
 # cycles from the loop that integrated the investor hazard day by day
@@ -205,49 +212,43 @@ def signal_market(signal):
 # of the day loop changes them.
 PINNED_PATHS = {
     "default-cycle": (
-        lambda: run_path(CycleConfig(horizon=6.5), 0),
+        lambda: reference_path(0, horizon=6.5),
         "c92940a1edea2550623b965cf7ef2229eecfd788e3b68d9f0958a0ce418392c2",
     ),
     "window-signal-linear-cycle": (
-        lambda: run_path(
-            CycleConfig(
-                market=signal_market(WindowSignal(1.0, 4.0, 0.6)),
-                schedule=ScheduleSpec("linear"),
-                horizon=6.5,
-            ),
+        lambda: reference_path(
             1,
+            market=MarketParams(signal=WindowSignal(1.0, 4.0, 0.6)),
+            schedule=ScheduleSpec("linear"),
+            horizon=6.5,
         ),
         "3af95cc49121d8ef82696c070c817efa267184ff189c93728224dc1a7072062f",
     ),
     "constant-signal-cycle-checkpoints": (
-        lambda: run_path(
-            CycleConfig(
-                market=signal_market(ConstantSignal(0.3)),
-                pre_phase=1.0,
-                maturity=0.0,
-                horizon=2.0,
-                checkpoints=(0.0, 0.5, 1.0, 2.0),
-            ),
+        lambda: reference_path(
             2,
+            market=MarketParams(signal=ConstantSignal(0.3)),
+            pre_phase=1.0,
+            maturity=0.0,
+            horizon=2.0,
+            checkpoints=(0.0, 0.5, 1.0, 2.0),
         ),
         "71f82cdffceceaba65db2d8e58251ea99c1da55ec7d50b74fcd28f59278ad3c6",
     ),
     # withdrawals from day 0: the investor hazard's left endpoint has no
     # prior price, so it reuses day 1's integrand
     "zero-phase-cycle": (
-        lambda: run_path(CycleConfig(pre_phase=0.0, maturity=0.0, horizon=2.0), 3),
+        lambda: reference_path(3, pre_phase=0.0, maturity=0.0, horizon=2.0),
         "7670eaceca7ea50a103aa3759c42efbf27503385e4b08d1c501122cd1f581a33",
     ),
     "one-day-maturity-cycle": (
-        lambda: run_path(
-            CycleConfig(
-                hazard=HazardParams(shortfall_scale=2.5),
-                pre_phase=0.0,
-                maturity=1.0 / 360.0,
-                target_rate=0.3,
-                horizon=2.0,
-            ),
+        lambda: reference_path(
             5,
+            hazard=HazardParams(shortfall_scale=2.5),
+            pre_phase=0.0,
+            maturity=1.0 / 360.0,
+            target_rate=0.3,
+            horizon=2.0,
         ),
         "a818e6af5fe1829cc6ceabcbf10e392400b1e00fcba4e62405f26a13a1cb384a",
     ),
@@ -289,9 +290,7 @@ class TestDayLoopBitIdentity:
         hazard = HazardParams(cash_scale=cash_scale)
         checkpoints = (0.0, 0.1, 0.25, 0.5, 1.0)
         if cycle:
-            record = run_path(
-                small_cycle(hazard=hazard, base_seed=seed, checkpoints=checkpoints), 0
-            )
+            record = small_path(small_cycle(checkpoints=checkpoints), 0, hazard, base_seed=seed)
         else:
             record = run_flow_path(SMALL_MARKET, hazard, flow, 1.0, seed, 0, checkpoints)
         assert len(record.snapshots) == len(checkpoints)
@@ -300,8 +299,20 @@ class TestDayLoopBitIdentity:
             expected = crash_hazard(cash_concentration(snap.cash, cash_scale), hazard)
             assert record.hazard_crash[day] == expected
 
+    def test_investor_hazard_overflow_fails_typed(self):
+        # at 100,000 days a year the exponent (1 - ratio) * days_per_year
+        # passes 709 on a 0.7% daily price drop
+        market = MarketParams(days_per_year=100000)
+        cycle = CycleConfig(pre_phase=0.001, maturity=0.001, horizon=0.005, n_paths=1)
+        with pytest.raises(DivergenceError, match="overflows on day 201"):
+            run_path(market, HAZARD, ScheduleSpec(), cycle, 12345, 0)
+        with pytest.raises(EnsembleFailedError, match="all paths failed: DivergenceError"):
+            run_ensemble(market, HAZARD, ScheduleSpec(), cycle, 12345)
+
     def test_exhausting_withdrawal_fails_typed(self):
-        with pytest.raises(LiquidityExhaustedError, match="price underflowed to 0.0"):
+        # the clamped price reaches subnormal values, where the outside
+        # pool's share count overflows before the price underflows to 0
+        with pytest.raises(LiquidityExhaustedError, match="external share count overflowed"):
             run_flow_path(SMALL_MARKET, HAZARD, -3000.0, 1.0, 1, 0)
         with pytest.raises(PricePumpError, match="all paths failed: LiquidityExhaustedError"):
             run_flow_ensemble(SMALL_MARKET, HAZARD, -3000.0, 1.0, 2, 1)
@@ -310,23 +321,23 @@ class TestDayLoopBitIdentity:
 class TestEnsembles:
     def test_single_path_mean_equals_path(self):
         cfg = small_cycle(n_paths=1)
-        stats = run_ensemble(cfg)
-        record = run_path(cfg, 0)
+        stats = small_ensemble(cfg)
+        record = small_path(cfg, 0)
         assert np.array_equal(stats.series["log_price"].mean, record.log_price)
         assert np.array_equal(stats.series["Ha"].p50, record.hazard_crash)
 
     def test_same_seed_bitwise_identical(self):
         cfg = small_cycle()
-        a = run_ensemble(cfg)
-        b = run_ensemble(cfg)
+        a = small_ensemble(cfg)
+        b = small_ensemble(cfg)
         for name in a.series:
             assert np.array_equal(a.series[name].mean, b.series[name].mean)
         assert a.pooled_returns == b.pooled_returns
 
     def test_parallel_degree_invariance(self):
         cfg = small_cycle(n_paths=6)
-        serial = run_ensemble(cfg, n_workers=1)
-        parallel = run_ensemble(cfg, n_workers=4)
+        serial = small_ensemble(cfg, n_workers=1)
+        parallel = small_ensemble(cfg, n_workers=4)
         for name in serial.series:
             assert np.array_equal(serial.series[name].mean, parallel.series[name].mean)
             assert np.array_equal(serial.series[name].p90, parallel.series[name].p90)
@@ -336,9 +347,24 @@ class TestEnsembles:
 
     def test_histograms_pool_all_paths(self):
         cfg = small_cycle(n_paths=3)
-        stats = run_ensemble(cfg)
+        stats = small_ensemble(cfg)
         assert [h.time for h in stats.histograms] == [0.5, 1.0, 2.0]
         assert all(h.counts.sum() == 3 * 60 for h in stats.histograms)
+
+    def test_path_errors_are_identical_for_any_worker_count(self):
+        # both errors carry a field besides the message, and a worker sends
+        # them to the parent pickled
+        overflow = (MarketParams(days_per_year=100000), HAZARD, ScheduleSpec(),
+                    CycleConfig(pre_phase=0.001, maturity=0.001, horizon=0.005, n_paths=2), 1)
+        for run in (
+            lambda workers: run_ensemble(*overflow, n_workers=workers),
+            lambda workers: run_flow_ensemble(SMALL_MARKET, HAZARD, -3000.0, 1.0, 2, 1, workers),
+        ):
+            with pytest.raises(EnsembleFailedError) as serial:
+                run(1)
+            with pytest.raises(EnsembleFailedError) as parallel:
+                run(2)
+            assert parallel.value.failure_messages == serial.value.failure_messages
 
     def test_cash_rich_market_does_not_fail_every_path(self):
         # a narrow cash kernel drives every path's concentration to exactly 0
@@ -355,6 +381,11 @@ class TestEnsembles:
         assert isinstance(error, EnsembleFailedError)
         assert [line.split(":")[0] for line in error.failure_messages] == ["path 0", "path 1"]
         assert comparison.zero.n_paths == 2 and comparison.zero.n_failures == 0
+
+    def test_one_path_of_one_day_pools_its_return(self):
+        stats = run_flow_ensemble(SMALL_MARKET, HAZARD, 0.0, 1.0 / 360.0, 1, 7)
+        assert stats.pooled_returns.n_returns == 1
+        assert stats.pooled_returns.std_log_return == 0.0
 
     def test_flow_ensemble_records_both_predictions(self):
         stats = run_flow_ensemble(SMALL_MARKET, HAZARD, 0.0, 0.5, 4, 7)
@@ -438,3 +469,93 @@ class TestReferenceEnsembleProperties:
         quarter = mean_hazard.size // 8
         blocks = [mean_hazard[i * quarter : (i + 1) * quarter].mean() for i in range(8)]
         assert all(b > a for a, b in zip(blocks, blocks[1:]))
+
+
+@st.composite
+def small_experiments(draw):
+    """A small valid market with hazard scales, a schedule, a short cycle
+    of two paths, and a short constant flow."""
+    n_agents = draw(st.integers(2, 60))
+    log_variance = draw(st.floats(0.0, 1e-3))
+    means = st.floats(0.1, 1.0)  # >= 3 sd at any drawn variance
+    level = st.floats(0.0, 1.0)
+    market = MarketParams(
+        n_agents=n_agents,
+        n_active=draw(st.integers(1, n_agents)),
+        initial_cash=draw(st.floats(0.01, 1e3)),
+        initial_ratio=draw(st.floats(0.01, 100.0)),
+        stock_noise_range=draw(st.floats(0.0, 10.0)),
+        days_per_year=draw(st.integers(1, 1000)),
+        greed_fear=GreedFearSpec(
+            draw(means), draw(means), log_variance, draw(st.floats(-1.0, 1.0))
+        ),
+        signal=draw(
+            st.builds(ConstantSignal, level)
+            | st.builds(WindowSignal, st.floats(0.0, 1.0), st.floats(0.0, 2.0), level)
+        ),
+    )
+    scale = st.floats(0.01, 1e3)
+    hazard = HazardParams(draw(scale), draw(scale), draw(scale), draw(st.floats(1.0, 1e9)))
+    schedule = ScheduleSpec(
+        draw(st.sampled_from(["constant", "linear", "exponential"])),
+        draw(st.floats(0.0, 1e4)),
+        draw(st.floats(-10.0, 10.0)),
+    )
+    pre_phase, maturity = draw(st.floats(0.0, 0.5)), draw(st.floats(0.0, 0.5))
+    cycle = CycleConfig(
+        pre_phase=pre_phase,
+        maturity=maturity,
+        target_rate=draw(st.none() | st.floats(-5.0, 5.0)),
+        horizon=pre_phase + maturity + draw(st.floats(1e-3, 0.5)),
+        n_paths=2,
+    )
+    flow = (draw(st.floats(-1e4, 1e4)), draw(st.floats(0.0, 1.5)))
+    return market, hazard, schedule, cycle, flow
+
+
+def ensemble_bits(run):
+    """Every output of an ensemble as bytes, or the typed error of one that
+    did not run or failed as a whole."""
+    try:
+        ens = run()
+    except PricePumpError as exc:
+        return repr(exc), getattr(exc, "failure_messages", ())
+    series = [
+        getattr(summary, stat).tobytes()
+        for summary in ens.series.values()
+        for stat in ("mean", "std", "p10", "p50", "p90")
+    ]
+    histograms = [(h.time, h.bin_edges.tobytes(), h.counts.tobytes()) for h in ens.histograms]
+    return (ens.times.tobytes(), series, repr(ens.pooled_returns), histograms, ens.n_paths,
+            ens.clamp_events, ens.failure_messages)
+
+
+class TestGeneratedConfigs:
+    """Properties over generated valid configurations, not only the defaults."""
+
+    @settings(deadline=None, max_examples=25)
+    @given(experiment=small_experiments(), seed=st.integers(0, 2**32 - 1))
+    def test_paths_finish_finite_or_fail_typed(self, experiment, seed):
+        market, hazard, schedule, cycle, (flow_rate, flow_horizon) = experiment
+        runs = [
+            lambda i: run_path(market, hazard, schedule, cycle, seed, i),
+            lambda i: run_flow_path(market, hazard, flow_rate, flow_horizon, seed, i),
+        ]
+        for run in runs:
+            for path_index in range(2):
+                try:
+                    record = run(path_index)
+                except PricePumpError:
+                    continue
+                assert np.all(np.isfinite(record.hazard_crash))
+                assert np.all(np.isfinite(record.hazard_investor))
+
+    @settings(deadline=None, max_examples=5)
+    @given(experiment=small_experiments(), seed=st.integers(0, 2**32 - 1))
+    def test_ensembles_identical_for_one_and_two_workers(self, experiment, seed):
+        market, hazard, schedule, cycle, _ = experiment
+        serial, parallel = (
+            ensemble_bits(lambda: run_ensemble(market, hazard, schedule, cycle, seed, workers))
+            for workers in (1, 2)
+        )
+        assert serial == parallel

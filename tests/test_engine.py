@@ -10,13 +10,12 @@ from pricepump import (
     ConstantSignal,
     GreedFearSpec,
     LiquidityExhaustedError,
+    MarketParams,
     MarketState,
     NoSupplyError,
     PRICE_RATIO_FLOOR,
-    SignalSchedule,
     WindowSignal,
     as_rng,
-    default_greed_fear,
     init_population,
     trading_session,
 )
@@ -42,9 +41,14 @@ def market(stock, cash, target, greed=1.0, fear=1.0, price=1.0, seed=0):
     )
 
 
-def session_all(state, flow=0.0, signal=None, t=0.0):
+def population(n_agents, seed, **market):
+    """``init_population`` of an ``n_agents`` market, other fields at their defaults."""
+    return init_population(MarketParams(n_agents=n_agents, n_active=n_agents, **market), seed)
+
+
+def session_all(state, flow=0.0, level=1.0):
     """One session with every agent active; trades come back in agent order."""
-    state, outcome = trading_session(state, state.n_agents, flow, signal, t)
+    state, outcome = trading_session(state, state.n_agents, flow, level)
     trades = np.empty(state.n_agents)
     trades[outcome.active_indices] = outcome.trade_amounts
     return state, outcome, trades
@@ -192,7 +196,7 @@ class TestTradingSession:
 
     def test_unit_factors_balanced_price_constant(self):
         gf = GreedFearSpec(0.0, 0.0, 0.0, 0.0)
-        state = init_population(100, gf, stock_noise_range=0.0, seed=3)
+        state = population(100, 3, greed_fear=gf, stock_noise_range=0.0)
         for _ in range(300):
             state, _ = trading_session(state, 25)
         assert state.price == 1.0
@@ -211,7 +215,7 @@ class TestTradingSession:
 
     def test_conservation_and_clearance_random_sessions(self):
         rng = np.random.default_rng(11)
-        state = init_population(80, default_greed_fear(), seed=21)
+        state = population(80, 21)
         shares0 = state.total_shares()
         for _ in range(400):
             flow = float(rng.uniform(-1.0, 3.0))
@@ -245,9 +249,22 @@ class TestTradingSession:
         assert np.array_equal(state.cash, cash)
         assert np.array_equal(state.stock_value, stock)
 
+    def test_share_pool_overflow_raises_typed_error(self):
+        # a subnormal price is still positive, but the clamped flow's share
+        # count, -4.95 / 1e-312, is not a finite float
+        state = one_agent_state()
+        state.price = 1e-310
+        cash, stock = state.cash.copy(), state.stock_value.copy()
+        with pytest.raises(LiquidityExhaustedError, match="external share count overflowed"):
+            trading_session(state, 1, -50.0)
+        assert state.price == 1e-310
+        assert state.external_shares == 0.0 and state.day == 0
+        assert np.array_equal(state.cash, cash)
+        assert np.array_equal(state.stock_value, stock)
+
     def test_session_determinism(self):
-        a = init_population(50, default_greed_fear(), seed=9)
-        b = init_population(50, default_greed_fear(), seed=9)
+        a = population(50, 9)
+        b = population(50, 9)
         for _ in range(50):
             a, oa = trading_session(a, 10, 0.5)
             b, ob = trading_session(b, 10, 0.5)
@@ -256,15 +273,15 @@ class TestTradingSession:
         assert np.array_equal(a.target_ratio, b.target_ratio)
 
     def test_prev_price_tracks_session_base(self):
-        state = init_population(50, default_greed_fear(), seed=1)
+        state = population(50, 1)
         p0 = state.price
         state, _ = trading_session(state, 10)
         assert state.prev_price == p0
 
     def test_stationary_state_unstable(self):
         gf = GreedFearSpec(math.log(1.05), math.log(1.05), 0.0, 1.0)
-        baseline = init_population(500, gf, stock_noise_range=0.0, seed=7)
-        perturbed = init_population(500, gf, stock_noise_range=0.0, seed=7)
+        baseline = population(500, 7, greed_fear=gf, stock_noise_range=0.0)
+        perturbed = population(500, 7, greed_fear=gf, stock_noise_range=0.0)
         perturbed.target_ratio[0] += 1e-6
         diverged = False
         for _ in range(720):
@@ -312,15 +329,14 @@ class TestSessionProperties:
         n_agents=st.integers(2, 60),
         active_share=st.floats(0.0, 1.0),
         flow=st.floats(-20.0, 20.0),
-        level=st.none() | st.sampled_from([0.0, 0.3, 1.0]),
+        level=st.sampled_from([0.0, 0.3, 1.0]),
     )
     def test_session_changes_only_active_agents(self, seed, n_agents, active_share, flow, level):
         n_active = max(1, round(active_share * n_agents))
-        signal = None if level is None else SignalSchedule(signal=ConstantSignal(level))
-        state = init_population(n_agents, default_greed_fear(), seed=seed)
+        state = population(n_agents, seed)
         for _ in range(5):
             cash, target = state.cash.copy(), state.target_ratio.copy()
-            state, outcome = trading_session(state, n_active, flow, signal)
+            state, outcome = trading_session(state, n_active, flow, level)
             untouched = np.ones(n_agents, dtype=bool)
             untouched[outcome.active_indices] = False
             assert state.cash[untouched].tobytes() == cash[untouched].tobytes()

@@ -7,7 +7,7 @@ from pricepump import (
     ConfigurationError,
     ConstantSignal,
     GreedFearSpec,
-    SignalSchedule,
+    MarketParams,
     WindowSignal,
     default_greed_fear,
     init_population,
@@ -15,7 +15,7 @@ from pricepump import (
     sample_greed_fear,
     trading_session,
 )
-from tests.test_engine import market, session_all
+from tests.test_engine import market, population, session_all
 
 
 class TestGreedFearSpec:
@@ -89,7 +89,7 @@ class TestEffectiveFactors:
 
     def targets(self, signal, t=0.0):
         state = market([10.0, 10.0], 10.0, [2.0, 1.0], greed=1.12, fear=1.11)
-        state, _, _ = session_all(state, signal=SignalSchedule(signal=signal), t=t)
+        state, _, _ = session_all(state, level=signal(t))
         return state.target_ratio.tolist()
 
     def test_signal_off(self):
@@ -117,7 +117,7 @@ class TestEffectiveFactors:
 
 class TestInitPopulation:
     def test_reference_population(self):
-        state = init_population(500, default_greed_fear(), 10.0, 1.0, 0.1, seed=42)
+        state = init_population(MarketParams(), seed=42)
         assert state.n_agents == 500
         assert np.all(state.cash == 10.0)
         assert np.all(state.stock_value >= 10.0) and np.all(state.stock_value <= 10.1)
@@ -125,22 +125,23 @@ class TestInitPopulation:
         assert state.external_shares == 0.0 and state.day == 0
 
     def test_zero_noise_single_agent(self):
-        state = init_population(1, default_greed_fear(), 10.0, 2.0, 0.0, seed=1)
+        state = population(1, 1, initial_ratio=2.0, stock_noise_range=0.0)
         assert state.stock_value[0] == 20.0
 
     def test_seed_determinism(self):
-        a = init_population(100, default_greed_fear(), seed=42)
-        b = init_population(100, default_greed_fear(), seed=42)
-        c = init_population(100, default_greed_fear(), seed=43)
+        a = population(100, 42)
+        b = population(100, 42)
+        c = population(100, 43)
         assert np.array_equal(a.stock_value, b.stock_value)
         assert np.array_equal(a.greed, b.greed)
         assert not np.array_equal(a.stock_value, c.stock_value)
 
     def test_invalid_inputs(self):
+        # the population's parameters are checked once, by MarketParams
         with pytest.raises(ConfigurationError):
-            init_population(0, default_greed_fear())
+            MarketParams(n_agents=0)
         with pytest.raises(ConfigurationError):
-            init_population(10, default_greed_fear(), initial_cash=0.0)
+            MarketParams(n_agents=10, n_active=10, initial_cash=0.0)
 
 
 class TestMarketState:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pricepump import (
+    DivergenceError,
     HazardParams,
     cash_concentration,
     crash_hazard,
@@ -166,6 +167,19 @@ class TestUnderperformanceHazard:
         price = price_path([0.1, 0.2])
         assert investor_hazard(price, 2, 0.25, DAY).tolist() == [0.0, 0.0, 0.0]
         assert investor_hazard(price[:1], 0, 0.25, DAY).tolist() == [0.0]
+
+    def test_integrand_overflow_is_typed(self):
+        # at 100,000 days a year, a 1% fall on day 3 puts exp(1000) in the integrand
+        price = np.array([1.0, 1.0, 1.0, 0.99, 0.99])
+        with pytest.raises(DivergenceError, match="overflows on day 3") as err:
+            investor_hazard(price, 1, 0.0, 1e-5)
+        assert err.value.last_time == pytest.approx(3e-5)
+
+    def test_running_sum_overflow_is_typed(self):
+        # each integrand exp(709) is finite; the third day's sum is not
+        with pytest.raises(DivergenceError, match="overflows on day 3") as err:
+            investor_hazard(np.ones(6), 0, 709.0, 1.0)
+        assert err.value.last_time == 3.0
 
 
 class TestTotalRisk:
