@@ -7,15 +7,17 @@ phase in which the market pumps its price on its own, an investment
 phase feeding a dollar schedule into the market, and, once the first
 money matures, a withdrawal phase in which investors take out their
 tracked withdrawable value at a target rate.  Paths are independent
-units of parallel work; all aggregation is order-independent.  The
-runners take the configuration's blocks (``MarketParams``,
-``HazardParams``, ``ScheduleSpec``, ``CycleConfig``) as they are.
+units of parallel work, folded into the aggregates in path-index order
+whatever order they finish in.  The runners take the configuration's
+blocks (``MarketParams``, ``HazardParams``, ``ScheduleSpec``,
+``CycleConfig``) as they are.
 """
 from __future__ import annotations
 
 import math
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple, Optional, Sequence
@@ -96,22 +98,35 @@ class CashSnapshot(NamedTuple):
 class PathRecord:
     """Daily series for one simulated path, plus cash snapshots.
 
-    All arrays share the grid ``times`` (day 0 holds the initial state).
-    ``flow`` is the external flow actually executed each day.
+    Day 0 holds the initial state; day ``i`` is at time
+    ``i / days_per_year`` (``times``).  ``flow`` is the external flow
+    actually executed each day.  ``times``, ``log_price`` and
+    ``hazard_total`` are derived on access, so a worker sends seven
+    arrays per path.
     """
 
-    times: np.ndarray
+    days_per_year: int
     price: np.ndarray
-    log_price: np.ndarray
     hazard_crash: np.ndarray
     hazard_investor: np.ndarray
-    hazard_total: np.ndarray
     flow: np.ndarray
     withdrawable: np.ndarray
     external_value: np.ndarray
     total_cash: np.ndarray
     snapshots: tuple[CashSnapshot, ...] = ()
     clamp_events: int = 0
+
+    @property
+    def times(self) -> np.ndarray:
+        return _day_grid(self.price.size, self.days_per_year)
+
+    @property
+    def log_price(self) -> np.ndarray:
+        return np.log(self.price)
+
+    @property
+    def hazard_total(self) -> np.ndarray:
+        return self.hazard_crash + self.hazard_investor
 
     def columns(self) -> dict[str, np.ndarray]:
         """Series keyed by their serialization names, in CSV column order."""
@@ -126,6 +141,11 @@ class PathRecord:
             "S_ext": self.external_value,
             "total_cash": self.total_cash,
         }
+
+
+def _day_grid(n_points: int, days_per_year: int) -> np.ndarray:
+    """Times in years of days ``0 .. n_points - 1``."""
+    return np.arange(n_points) / days_per_year
 
 
 class InvestorLedger:
@@ -203,7 +223,6 @@ def _run_days(
     invest_day = int(round(pre_phase * dpy))
     withdraw_day = int(round((pre_phase + maturity) * dpy))
 
-    times = np.arange(n_days + 1) / dpy
     price = np.empty(n_days + 1)
     hazard_crash = np.empty(n_days + 1)
     flow = np.zeros(n_days + 1)
@@ -231,7 +250,7 @@ def _run_days(
         ).tolist()
     signal = market.signal
     n_active = market.n_active
-    day_times = times.tolist()
+    day_times = _day_grid(n_days + 1, dpy).tolist()
     clamp_events = 0
 
     for day in range(n_days):
@@ -278,12 +297,10 @@ def _run_days(
     else:
         hazard_investor = np.zeros(n_days + 1)
     return PathRecord(
-        times=times,
+        days_per_year=dpy,
         price=price,
-        log_price=np.log(price),
         hazard_crash=hazard_crash,
         hazard_investor=hazard_investor,
-        hazard_total=hazard_crash + hazard_investor,
         flow=flow,
         withdrawable=withdrawable,
         external_value=external_value,
@@ -352,15 +369,21 @@ def run_flow_path(
     )
 
 
+# Series that keep every path's row for the cross-path spread; the
+# others keep a running sum only.
+BANDED = ("log_price", "Ha", "Hp")
+
+
 @dataclass(frozen=True)
 class SeriesSummary:
-    """Cross-path aggregates of one daily series."""
+    """Cross-path aggregates of one daily series.  ``std`` and the
+    percentiles are ``None`` for the series not in ``BANDED``."""
 
     mean: np.ndarray
-    std: np.ndarray
-    p10: np.ndarray
-    p50: np.ndarray
-    p90: np.ndarray
+    std: Optional[np.ndarray] = None
+    p10: Optional[np.ndarray] = None
+    p50: Optional[np.ndarray] = None
+    p90: Optional[np.ndarray] = None
 
 
 class CashHistogram(NamedTuple):
@@ -395,62 +418,100 @@ class EnsembleStats:
     failure_messages: tuple[str, ...] = ()
 
 
-def _aggregate(records: dict[int, PathRecord], market: MarketParams,
-               failures: dict[int, str]) -> EnsembleStats:
-    failure_messages = tuple(f"path {i}: {failures[i]}" for i in sorted(failures))
-    if not records:
+class _EnsembleFold:
+    """Ensemble aggregates folded one path at a time, in path-index order.
+
+    Every series keeps a running sum: adding the rows one at a time in
+    index order and dividing by the count gives the same bits as
+    ``np.stack(rows).mean(axis=0)`` for rows of two or more entries, and
+    a path has at least two days.  Only the ``BANDED`` series keep each
+    path's row, in a preallocated (paths x days) array.
+    """
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.count = 0
+        self.sums: dict[str, np.ndarray] = {}
+        self.rows: dict[str, np.ndarray] = {}
+        self.snapshots: dict[float, list[np.ndarray]] = {}
+        self.clamp_events = 0
+        self.failures: list[tuple[int, str]] = []  # (path index, repr of the error)
+
+    def add(self, record: PathRecord) -> None:
+        columns = record.columns()
+        if self.count == 0:
+            self.sums = {name: column.copy() for name, column in columns.items()}
+            self.rows = {name: np.empty((self.capacity, columns[name].size)) for name in BANDED}
+        else:
+            for name, column in columns.items():
+                self.sums[name] += column
+        for name in BANDED:
+            self.rows[name][self.count] = columns[name]
+        for snap in record.snapshots:
+            self.snapshots.setdefault(snap.time, []).append(snap.cash)
+        self.clamp_events += record.clamp_events
+        self.count += 1
+
+
+def _aggregate(fold: _EnsembleFold, market: MarketParams) -> EnsembleStats:
+    """Finish a fold: means, the banded series' spread, pooled returns
+    and merged cash histograms.  The fold's rows are released as they are
+    summarized, so the fold cannot be finished twice."""
+    failure_messages = tuple(f"path {i}: {error}" for i, error in fold.failures)
+    count = fold.count
+    if not count:
         raise EnsembleFailedError(
-            failure_messages, "all paths failed: " + "; ".join(list(failures.values())[:3])
+            failure_messages,
+            "all paths failed: " + "; ".join(error for _, error in fold.failures[:3]),
         )
-    order = sorted(records)
-    first = records[order[0]]
+    log_price = fold.rows["log_price"][:count]
     series: dict[str, SeriesSummary] = {}
-    for name in first.columns():
-        stack = np.stack([records[i].columns()[name] for i in order])
-        p10, p50, p90 = np.percentile(stack, [10.0, 50.0, 90.0], axis=0)
-        series[name] = SeriesSummary(
-            mean=stack.mean(axis=0), std=stack.std(axis=0), p10=p10, p50=p50, p90=p90
-        )
-    pooled = stats_from_log_returns(
-        np.concatenate([np.diff(records[i].log_price) for i in order])
-    )
-    by_time: dict[float, list[np.ndarray]] = {}
-    for i in order:
-        for snap in records[i].snapshots:
-            by_time.setdefault(snap.time, []).append(snap.cash)
+    for name, total in fold.sums.items():
+        mean = total / count
+        if name not in BANDED:
+            series[name] = SeriesSummary(mean)
+            continue
+        rows = fold.rows.pop(name)[:count]
+        p10, p50, p90 = np.percentile(rows, [10.0, 50.0, 90.0], axis=0)
+        series[name] = SeriesSummary(mean, rows.std(axis=0), p10, p50, p90)
+    del rows  # only log_price's rows stay for the pooled returns' temporaries
     return EnsembleStats(
-        times=first.times,
+        times=_day_grid(log_price.shape[1], market.days_per_year),
         series=series,
-        pooled_returns=pooled,
+        pooled_returns=stats_from_log_returns(np.diff(log_price, axis=1).ravel()),
         histograms=tuple(
-            cash_histogram(time, np.concatenate(by_time[time])) for time in sorted(by_time)
+            cash_histogram(time, np.concatenate(fold.snapshots[time]))
+            for time in sorted(fold.snapshots)
         ),
         theoretical=market.theoretical(),
-        n_paths=len(order),
-        n_failures=len(failures),
-        clamp_events=sum(records[i].clamp_events for i in order),
+        n_paths=count,
+        n_failures=len(fold.failures),
+        clamp_events=fold.clamp_events,
         failure_messages=failure_messages,
     )
 
 
-def _collect(worker, indices, n_workers):
-    records: dict[int, PathRecord] = {}
-    failures: dict[int, str] = {}
-    if n_workers <= 1:
-        for i in indices:
+def _collect(worker, n_paths: int, n_workers: int) -> _EnsembleFold:
+    """Run ``worker`` on path indices ``0 .. n_paths - 1`` and fold the
+    results in index order.  With several workers every path is submitted
+    at once; each finished path is folded and dropped once the paths
+    before it are, so the parent holds few records at any time."""
+    fold = _EnsembleFold(n_paths)
+    with ExitStack() as stack:
+        if n_workers <= 1:
+            pending = deque(partial(worker, i) for i in range(n_paths))
+        else:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=n_workers))
+            pending = deque(pool.submit(worker, i).result for i in range(n_paths))
+        for i in range(n_paths):
+            result = pending.popleft()
             try:
-                records[i] = worker(i)
+                record = result()
             except Exception as exc:  # path errors are reported, not fatal
-                failures[i] = repr(exc)
-        return records, failures
-    with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        futures = {i: pool.submit(worker, i) for i in indices}
-        for i, future in futures.items():
-            try:
-                records[i] = future.result()
-            except Exception as exc:
-                failures[i] = repr(exc)
-    return records, failures
+                fold.failures.append((i, repr(exc)))
+            else:
+                fold.add(record)
+    return fold
 
 
 def run_ensemble(
@@ -467,12 +528,12 @@ def run_ensemble(
     any worker count and execution order.
     """
     _n_days(market, cycle.horizon)  # checked before any path runs, like flows
-    records, failures = _collect(
+    fold = _collect(
         partial(run_path, market, hazard, schedule, cycle, base_seed),
-        range(cycle.n_paths),
+        cycle.n_paths,
         n_workers,
     )
-    return _aggregate(records, market, failures)
+    return _aggregate(fold, market)
 
 
 def run_flow_ensemble(
@@ -491,13 +552,13 @@ def run_flow_ensemble(
     _n_days(market, horizon)
     if n_paths < 1:
         raise ConfigurationError(f"n_paths must be >= 1, got {n_paths}")
-    records, failures = _collect(
+    fold = _collect(
         partial(run_flow_path, market, hazard, flow_rate, horizon, base_seed,
                 checkpoints=tuple(checkpoints)),
-        range(n_paths),
+        n_paths,
         n_workers,
     )
-    return _aggregate(records, market, failures)
+    return _aggregate(fold, market)
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,6 @@ from . import __version__
 from .cycle import CashHistogram, EnsembleStats, PathRecord, cash_histogram
 from .ponzi import OdeSolution
 
-# Banded columns get mean/p10/p50/p90; everything else mean only.
-_BANDED = ("log_price", "Ha", "Hp")
-
 
 def format_float(value: float) -> str:
     return f"{value:.17g}"
@@ -65,7 +62,7 @@ def write_ensemble(stats: EnsembleStats, out_dir: Path, basename: str = "ensembl
     for name, summary in stats.series.items():
         header.append(f"{name}_mean")
         columns.append(summary.mean)
-        if name in _BANDED:
+        if summary.p10 is not None:  # a banded series
             for stat in ("p10", "p50", "p90"):
                 header.append(f"{name}_{stat}")
                 columns.append(getattr(summary, stat))

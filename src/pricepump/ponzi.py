@@ -144,7 +144,8 @@ def classical_ponzi_solve(
     minus withdrawals); the withdrawable value compounds at the promised
     rate net of withdrawals and is fed by inflows made one maturity ago,
     grown by the promised rate over the maturity period.  The system is
-    linear, so no blow-up occurs at practical horizons.
+    linear, so no blow-up occurs at practical horizons; a state that does
+    overflow stays non-finite and raises ``DivergenceError``.
     """
     n = _grid_steps(horizon, step)
     _delay_steps(params.maturity, step)
@@ -156,7 +157,10 @@ def classical_ponzi_solve(
 
     rn, rw = params.nominal_rate, params.withdrawal_rate
     drift = params.promised_rate - rw
-    matured_gain = math.exp(params.promised_rate * params.maturity)
+    try:
+        matured_gain = math.exp(params.promised_rate * params.maturity)
+    except OverflowError:
+        matured_gain = math.inf  # the withdrawable value diverges at the first step
 
     capital = np.empty(n + 1)
     withdrawable = np.empty(n + 1)
@@ -185,6 +189,12 @@ def classical_ponzi_solve(
         r += sixth * (f1r + 2.0 * (f2r + f3r) + f4r)
         capital[i + 1] = s
         withdrawable[i + 1] = r
+    # checked once, after the loop: the system is linear, so a state that
+    # overflowed stays inf or NaN up to the horizon
+    finite = np.isfinite(capital) & np.isfinite(withdrawable)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        raise DivergenceError(float(nodes[max(first, 1) - 1]))
     return OdeSolution(grid=nodes, capital=capital, withdrawable=withdrawable)
 
 
@@ -314,7 +324,8 @@ def critical_exponent(
     Valid for the flat-market regime (zero nominal rate, withdrawal rate
     equal to the promised rate), where viability flips at a single growth
     rate: the schedule exp(a*t) is run through the classical solver and
-    the rate is bisected to within ``tol``.
+    the rate is bisected to within ``tol``.  A rate whose solve overflows
+    raises ``DivergenceError``; narrow the bracket or the horizon.
     """
     if tol <= 0.0:
         raise ConfigurationError(f"tol must be positive, got {tol}")

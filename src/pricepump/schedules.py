@@ -20,9 +20,10 @@ SCHEDULE_KINDS = ("constant", "linear", "exponential")
 class ScheduleSpec:
     """Shape and mass of an investment schedule.
 
-    ``growth`` is the exponential rate per year; it is ignored for the
-    constant and linear kinds (the linear slope is pinned to 2x the
-    first-year total by the normalization, with zero intercept).
+    ``growth`` is the exponential rate per year, at most about 709.78
+    (where ``expm1(growth)`` in the normalization overflows); it is
+    ignored for the constant and linear kinds (the linear slope is pinned
+    to 2x the first-year total by the normalization, with zero intercept).
     """
 
     kind: str = "exponential"
@@ -38,6 +39,18 @@ class ScheduleSpec:
             raise ConfigurationError(
                 f"first_year_total must be >= 0, got {self.first_year_total}"
             )
+        if self.kind == "exponential":
+            # the normalization divides by expm1(growth), which overflows
+            # above log(float max), about 709.78
+            try:
+                normalizer = math.expm1(self.growth)
+            except OverflowError:
+                normalizer = math.inf
+            if not (math.isfinite(normalizer) and math.isfinite(self.growth)):
+                raise ConfigurationError(
+                    f"exponential growth must be finite and at most about 709.78, "
+                    f"got {self.growth}"
+                )
 
 
 def schedule_amplitude(spec: ScheduleSpec) -> float:

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -343,7 +344,10 @@ valid_documents = st.fixed_dictionaries(
             cash_scale=positive, crash_scale=positive, shortfall_scale=positive, cap=positive
         ),
         "schedule": st.none() | block(
-            kind=st.sampled_from(SCHEDULE_KINDS), first_year_total=non_negative, growth=finite
+            kind=st.sampled_from(SCHEDULE_KINDS),
+            first_year_total=non_negative,
+            # an exponential growth above log(float max) overflows the normalization
+            growth=st.floats(max_value=math.log(sys.float_info.max), allow_infinity=False),
         ),
         "aspp": st.none() | block(flow_rate=finite, horizon=finite, n_paths=st.integers()),
         "regimes": st.none() | block(
@@ -672,6 +676,28 @@ class TestCli:
         record = json.loads(capsys.readouterr().err.strip())
         assert record == {"error": "ConfigurationError", "message": message}
         assert not out.exists()
+
+    def test_overflowing_growth_exit_code(self, tmp_path, capsys):
+        payload = {"schedule": {"growth": 800.0}, "cycle": {"n_paths": 2, "horizon": 7.0}}
+        message = "exponential growth must be finite and at most about 709.78, got 800.0"
+        with pytest.raises(ConfigurationError, match=message):
+            load_config_data(payload, default_kind="cycle")
+        cfg = self.write_config(tmp_path, payload)
+        out = tmp_path / "x"
+        assert main(["cycle", "--config", cfg, "--out", str(out)]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {"error": "ConfigurationError", "message": message}
+        assert not out.exists()
+
+    def test_diverged_classical_solve_exit_code(self, tmp_path, capsys):
+        cfg = self.write_config(
+            tmp_path, {"kind": "ponzi-classical", "schedule": {"growth": 700.0}}
+        )
+        out = tmp_path / "x"
+        assert main(["ponzi", "--config", cfg, "--out", str(out)]) == 3
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "DivergenceError"
+        assert not (out / "ode.csv").exists()
 
     def test_stats_writes_config_json(self, tmp_path):
         table = tmp_path / "prices.csv"

@@ -1,5 +1,8 @@
 import hashlib
 import math
+import sys
+import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,18 +11,22 @@ from hypothesis import strategies as st
 
 from pricepump import (
     BracketError,
+    CashSnapshot,
     ConfigurationError,
     ConstantSignal,
     CycleConfig,
     DivergenceError,
     EnsembleFailedError,
+    EnsembleStats,
     HazardParams,
     InvestorLedger,
     LiquidityExhaustedError,
     GreedFearSpec,
     MarketParams,
+    PathRecord,
     PricePumpError,
     ScheduleSpec,
+    SeriesSummary,
     SpeculativePonziParams,
     WindowSignal,
     cash_concentration,
@@ -32,12 +39,16 @@ from pricepump import (
     run_flow_path,
     run_path,
     speculative_ponzi_solve,
+    stats_from_log_returns,
 )
+from pricepump import cycle as cycle_module
+from pricepump.cycle import BANDED, cash_histogram
 
 SMALL_MARKET = MarketParams(n_agents=60, n_active=15)
 HAZARD = HazardParams()
 SMALL_SCHEDULE = ScheduleSpec("exponential", 600.0, 0.1)
 SMALL_SEED = 99
+MAX_GROWTH = math.log(sys.float_info.max)  # largest exponential growth ScheduleSpec accepts
 
 
 def small_cycle(**overrides):
@@ -340,6 +351,7 @@ class TestEnsembles:
         parallel = small_ensemble(cfg, n_workers=4)
         for name in serial.series:
             assert np.array_equal(serial.series[name].mean, parallel.series[name].mean)
+        for name in BANDED:
             assert np.array_equal(serial.series[name].p90, parallel.series[name].p90)
         for ha, hb in zip(serial.histograms, parallel.histograms):
             assert ha.time == hb.time
@@ -391,6 +403,121 @@ class TestEnsembles:
         stats = run_flow_ensemble(SMALL_MARKET, HAZARD, 0.0, 0.5, 4, 7)
         assert stats.theoretical.daily_factor == pytest.approx(1.0011217, abs=1e-7)
         assert stats.pooled_returns.n_returns == 4 * 180
+
+
+def stacked_aggregate(records, market, failures):
+    """Reference aggregation: every path's series stacked into a (paths x
+    days) array, with std and percentiles for all of them.  The ensemble
+    runners instead fold each path as it arrives and keep the rows of
+    the banded series only."""
+    failure_messages = tuple(f"path {i}: {failures[i]}" for i in sorted(failures))
+    if not records:
+        raise EnsembleFailedError(
+            failure_messages, "all paths failed: " + "; ".join(list(failures.values())[:3])
+        )
+    order = sorted(records)
+    first = records[order[0]]
+    series = {}
+    for name in first.columns():
+        stack = np.stack([records[i].columns()[name] for i in order])
+        p10, p50, p90 = np.percentile(stack, [10.0, 50.0, 90.0], axis=0)
+        series[name] = SeriesSummary(
+            mean=stack.mean(axis=0), std=stack.std(axis=0), p10=p10, p50=p50, p90=p90
+        )
+    pooled = stats_from_log_returns(
+        np.concatenate([np.diff(records[i].log_price) for i in order])
+    )
+    by_time = {}
+    for i in order:
+        for snap in records[i].snapshots:
+            by_time.setdefault(snap.time, []).append(snap.cash)
+    return EnsembleStats(
+        times=first.times,
+        series=series,
+        pooled_returns=pooled,
+        histograms=tuple(
+            cash_histogram(time, np.concatenate(by_time[time])) for time in sorted(by_time)
+        ),
+        theoretical=market.theoretical(),
+        n_paths=len(order),
+        n_failures=len(failures),
+        clamp_events=sum(records[i].clamp_events for i in order),
+        failure_messages=failure_messages,
+    )
+
+
+def synthetic_path(n_days, failing, path_index):
+    """A path record of random series drawn from ``path_index``, or a typed
+    failure for the indices in ``failing``."""
+    if path_index in failing:
+        raise DivergenceError(float(path_index), f"synthetic failure of path {path_index}")
+    rng = np.random.default_rng(path_index)
+    days = n_days + 1
+    return PathRecord(
+        days_per_year=SMALL_MARKET.days_per_year,
+        price=np.exp(np.cumsum(rng.normal(0.0, 0.1, days))),
+        hazard_crash=rng.random(days),
+        hazard_investor=rng.random(days) * (path_index % 2),
+        flow=rng.normal(0.0, 1.0, days),
+        withdrawable=rng.random(days) * 1e3,
+        external_value=rng.random(days) * 1e-3,
+        total_cash=rng.random(days) + 5.0,
+        snapshots=(CashSnapshot(0.0, rng.random(5)), CashSnapshot(n_days / 360, rng.random(7))),
+        clamp_events=path_index,
+    )
+
+
+class TestEnsembleFold:
+    """The in-order fold of ``_collect`` and ``_aggregate`` against the
+    stacked reference aggregation, bit for bit."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(n_paths=st.integers(1, 6), n_days=st.integers(1, 12), data=st.data())
+    def test_fold_matches_stacked_reference(self, n_paths, n_days, data):
+        failing = frozenset(data.draw(st.sets(st.integers(0, n_paths - 1)), label="failing"))
+        workers = data.draw(st.sampled_from([1, 2]), label="workers")
+        worker = partial(synthetic_path, n_days, failing)
+        records, failures = {}, {}
+        for i in range(n_paths):
+            try:
+                records[i] = worker(i)
+            except PricePumpError as exc:
+                failures[i] = repr(exc)
+        expected = ensemble_bits(lambda: stacked_aggregate(records, SMALL_MARKET, failures))
+        folded = ensemble_bits(lambda: cycle_module._aggregate(
+            cycle_module._collect(worker, n_paths, workers), SMALL_MARKET
+        ))
+        assert folded == expected
+
+    def test_only_banded_series_carry_spread(self):
+        stats = small_ensemble(small_cycle())
+        for name, summary in stats.series.items():
+            spread = (summary.std, summary.p10, summary.p50, summary.p90)
+            if name in BANDED:
+                assert all(isinstance(stat, np.ndarray) for stat in spread)
+            else:
+                assert spread == (None, None, None, None)
+
+    def test_parent_memory_grows_by_few_rows_per_path(self):
+        # Peak traced allocation of a serial ensemble, per extra path, in
+        # rows of (n_days + 1) floats: about 4 with the fold (the three
+        # banded rows and a share of the final temporaries), about 14
+        # when every path's record was held until aggregation.
+        horizon, counts = 1.0, (8, 40)
+        row = (int(horizon * SMALL_MARKET.days_per_year) + 1) * 8
+        # an untraced run first, so that one-time allocations of the first
+        # ensemble in the process stay out of the measured peaks
+        run_flow_ensemble(SMALL_MARKET, HAZARD, 0.0, horizon, 2, 3)
+        peaks = []
+        for n_paths in counts:
+            tracemalloc.start()
+            try:
+                run_flow_ensemble(SMALL_MARKET, HAZARD, 0.0, horizon, n_paths, 3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        rows_per_path = (peaks[1] - peaks[0]) / (counts[1] - counts[0]) / row
+        assert rows_per_path < 8.0
 
 
 class TestCalibration:
@@ -496,10 +623,11 @@ def small_experiments(draw):
     )
     scale = st.floats(0.01, 1e3)
     hazard = HazardParams(draw(scale), draw(scale), draw(scale), draw(st.floats(1.0, 1e9)))
+    # mostly moderate growth; sometimes anywhere the validator accepts
     schedule = ScheduleSpec(
         draw(st.sampled_from(["constant", "linear", "exponential"])),
         draw(st.floats(0.0, 1e4)),
-        draw(st.floats(-10.0, 10.0)),
+        draw(st.floats(-10.0, 10.0) | st.floats(max_value=MAX_GROWTH, allow_infinity=False)),
     )
     pre_phase, maturity = draw(st.floats(0.0, 0.5)), draw(st.floats(0.0, 0.5))
     cycle = CycleConfig(
@@ -522,12 +650,12 @@ def ensemble_bits(run):
         return repr(exc), getattr(exc, "failure_messages", ())
     series = [
         getattr(summary, stat).tobytes()
-        for summary in ens.series.values()
-        for stat in ("mean", "std", "p10", "p50", "p90")
+        for name, summary in ens.series.items()
+        for stat in (("mean", "std", "p10", "p50", "p90") if name in BANDED else ("mean",))
     ]
     histograms = [(h.time, h.bin_edges.tobytes(), h.counts.tobytes()) for h in ens.histograms]
     return (ens.times.tobytes(), series, repr(ens.pooled_returns), histograms, ens.n_paths,
-            ens.clamp_events, ens.failure_messages)
+            ens.n_failures, ens.clamp_events, ens.failure_messages)
 
 
 class TestGeneratedConfigs:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -92,8 +93,32 @@ class TestSchedules:
         with pytest.raises(ConfigurationError):
             ScheduleSpec("quadratic", 1.0)
 
+    def test_growth_up_to_the_normalization_limit(self):
+        # expm1(growth) in the normalization overflows above log(float max)
+        limit = math.log(sys.float_info.max)
+        assert schedule_amplitude(ScheduleSpec("exponential", 1.0, limit)) > 0.0
+        for growth in (math.nextafter(limit, math.inf), 800.0, math.inf, -math.inf, math.nan):
+            with pytest.raises(ConfigurationError, match="exponential growth"):
+                ScheduleSpec("exponential", 1.0, growth)
+        # the other kinds ignore the growth
+        assert schedule_eval(ScheduleSpec("linear", 1.0, 800.0), 1.0) == 2.0
+
 
 class TestClassicalSolver:
+    def test_overflowing_schedule_raises_divergence(self):
+        # exp(700 t) overflows beyond t = 709.78 / 700, in the step after
+        # node 365 (its midpoint is the first sample past the limit)
+        spec = ScheduleSpec("exponential", 1.0, 700.0)
+        with pytest.raises(DivergenceError) as diverged:
+            classical_ponzi_solve(PonziParams(), spec, 20.0, DT)
+        assert diverged.value.last_time == DT * 365
+
+    def test_overflowing_matured_gain_raises_divergence(self):
+        params = PonziParams(0.0, 1000.0, 1000.0, 3.0, 0.0)
+        with pytest.raises(DivergenceError) as diverged:
+            classical_ponzi_solve(params, ScheduleSpec("constant", 1.0), 5.0, DT)
+        assert diverged.value.last_time == 0.0
+
     def test_no_inflow_pure_exponential(self):
         params = PonziParams(0.05, 0.41, 0.41, 3.0, 2.0)
         sol = classical_ponzi_solve(params, ScheduleSpec("constant", 0.0), 10.0, DT)
