@@ -13,6 +13,7 @@ half-steps.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -96,10 +97,10 @@ class OdeSolution:
 
 
 def _grid_steps(horizon: float, step: float) -> int:
-    if step <= 0.0:
-        raise ConfigurationError(f"step must be positive, got {step}")
-    if horizon <= 0.0:
-        raise ConfigurationError(f"horizon must be positive, got {horizon}")
+    if not (step > 0.0 and math.isfinite(step)):
+        raise ConfigurationError(f"step must be positive and finite, got {step}")
+    if not (horizon > 0.0 and math.isfinite(horizon)):
+        raise ConfigurationError(f"horizon must be positive and finite, got {horizon}")
     n = int(round(horizon / step))
     if n < 1 or abs(n * step - horizon) > 1e-9 * max(1.0, horizon):
         raise ConfigurationError(
@@ -109,6 +110,8 @@ def _grid_steps(horizon: float, step: float) -> int:
 
 
 def _delay_steps(maturity: float, step: float) -> int:
+    if not math.isfinite(maturity):
+        raise ConfigurationError(f"maturity must be finite, got {maturity}")
     lag = int(round(maturity / step))
     if abs(lag * step - maturity) > 1e-9 * max(1.0, maturity):
         raise ConfigurationError(
@@ -208,8 +211,14 @@ def speculative_ponzi_solve(
 
     J is the running integral of the nominal rate; money invested one
     maturity ago matures grown by exp(J(t) - J(t - maturity)), with the
-    past J read from the stored grid (linear interpolation at
-    half-steps; J = 0 for t <= 0).
+    past J read at the grid nodes one maturity back (linear interpolation
+    at half-steps; J = 0 for t <= 0).  Those nodes come from a buffer of
+    the last maturity's J values as Python floats, one entry per node
+    from t - maturity to t, seeded with the zeros of the nodes at or
+    before 0.  The four RK4 stages are written out in the loop, each as
+    flow = inflow - rw*R, rate = c0*flow + ext (c0*(inflow - R) + ext
+    under the literal coupling), dS = flow*(c0*S + 1) and
+    dR = (rate - rw)*R + matured inflow * growth, with dJ = rate.
     """
     n = _grid_steps(horizon, step)
     lag = _delay_steps(params.maturity, step)
@@ -223,6 +232,9 @@ def speculative_ponzi_solve(
     rw = params.withdrawal_rate
     ext = params.external_rate
     literal = params.literal_rate_coupling
+    # with no delay, money matures as it arrives: its growth factor is 1
+    growth = math.exp if lag else (lambda _: 1.0)
+    isfinite = math.isfinite
 
     capital = np.empty(n + 1)
     withdrawable = np.empty(n + 1)
@@ -232,50 +244,61 @@ def speculative_ponzi_solve(
     j = 0.0
     capital[0] = s
     withdrawable[0] = r
-
-    def past(idx: int) -> float:
-        return log_growth[idx] if idx > 0 else 0.0
+    # J at nodes i - lag .. i: past[0] and past[1] are J one maturity
+    # before the step's two ends (when lag is 0, two zeros never used)
+    size = max(lag, 1) + 1
+    past = deque([0.0] * size, maxlen=size)
 
     half = 0.5 * step
     sixth = step / 6.0
     for i in range(n):
-        if lag == 0:
-            j1 = jm = j4 = None  # delay vanishes; growth factor is 1
-        else:
-            j1 = past(i - lag)
-            jm = 0.5 * (past(i - lag) + past(i - lag + 1))
-            j4 = past(i + 1 - lag)
-
-        def rhs(flow_rate, matured_rate, j_past, s_, r_, j_):
-            flow = flow_rate - rw * r_
-            rate = c0 * ((flow_rate - r_) if literal else flow) + ext
-            growth = 1.0 if j_past is None else math.exp(j_ - j_past)
-            ds = flow * (c0 * s_ + 1.0)
-            dr = (rate - rw) * r_ + matured_rate * growth
-            return ds, dr, rate
-
+        j_start = past[0]
+        j_end = past[1]
+        j_mid = 0.5 * (j_start + j_end)
         try:
-            f1s, f1r, f1j = rhs(direct_r[i], delayed_r[i], j1, s, r, j)
-            f2s, f2r, f2j = rhs(
-                direct_m[i], delayed_m[i], jm, s + half * f1s, r + half * f1r, j + half * f1j
-            )
-            f3s, f3r, f3j = rhs(
-                direct_m[i], delayed_m[i], jm, s + half * f2s, r + half * f2r, j + half * f2j
-            )
-            f4s, f4r, f4j = rhs(
-                direct_r[i + 1], delayed_l[i + 1], j4,
-                s + step * f3s, r + step * f3r, j + step * f3j,
-            )
+            inflow = direct_r[i]
+            flow = inflow - rw * r
+            f1j = c0 * ((inflow - r) if literal else flow) + ext
+            f1s = flow * (c0 * s + 1.0)
+            f1r = (f1j - rw) * r + delayed_r[i] * growth(j - j_start)
+
+            inflow = direct_m[i]
+            matured = delayed_m[i]
+            s2 = s + half * f1s
+            r2 = r + half * f1r
+            j2 = j + half * f1j
+            flow = inflow - rw * r2
+            f2j = c0 * ((inflow - r2) if literal else flow) + ext
+            f2s = flow * (c0 * s2 + 1.0)
+            f2r = (f2j - rw) * r2 + matured * growth(j2 - j_mid)
+
+            s3 = s + half * f2s
+            r3 = r + half * f2r
+            j3 = j + half * f2j
+            flow = inflow - rw * r3
+            f3j = c0 * ((inflow - r3) if literal else flow) + ext
+            f3s = flow * (c0 * s3 + 1.0)
+            f3r = (f3j - rw) * r3 + matured * growth(j3 - j_mid)
+
+            inflow = direct_r[i + 1]
+            s4 = s + step * f3s
+            r4 = r + step * f3r
+            j4 = j + step * f3j
+            flow = inflow - rw * r4
+            f4j = c0 * ((inflow - r4) if literal else flow) + ext
+            f4s = flow * (c0 * s4 + 1.0)
+            f4r = (f4j - rw) * r4 + delayed_l[i + 1] * growth(j4 - j_end)
         except OverflowError:
             raise DivergenceError(float(nodes[i])) from None
         s += sixth * (f1s + 2.0 * (f2s + f3s) + f4s)
         r += sixth * (f1r + 2.0 * (f2r + f3r) + f4r)
         j += sixth * (f1j + 2.0 * (f2j + f3j) + f4j)
-        if not (math.isfinite(s) and math.isfinite(r) and math.isfinite(j)):
+        if not (isfinite(s) and isfinite(r) and isfinite(j)):
             raise DivergenceError(float(nodes[i]))
         capital[i + 1] = s
         withdrawable[i + 1] = r
         log_growth[i + 1] = j
+        past.append(j)
 
     inflow_nodes = np.asarray(direct_r)
     if literal:

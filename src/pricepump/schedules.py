@@ -69,7 +69,10 @@ def schedule_eval(spec: ScheduleSpec, t):
     """Flow rate at time ``t`` (scalar or array), in dollars per year."""
     arr = np.asarray(t, dtype=float)
     amplitude = schedule_amplitude(spec)
-    if spec.kind == "constant":
+    if amplitude == 0.0:
+        # no mass: exp(growth * t) may overflow, and 0 * inf would be NaN
+        values = np.zeros(arr.shape)
+    elif spec.kind == "constant":
         values = np.full(arr.shape, amplitude)
     elif spec.kind == "linear":
         values = amplitude * arr

@@ -699,6 +699,18 @@ class TestCli:
         assert record["error"] == "DivergenceError"
         assert not (out / "ode.csv").exists()
 
+    @pytest.mark.parametrize("kind,ponzi,message", [
+        ("ponzi-speculative", {"horizon": math.inf}, "horizon must be positive and finite, got inf"),
+        ("ponzi-classical", {"maturity": math.inf}, "maturity must be finite, got inf"),
+    ])
+    def test_non_finite_ponzi_timing_exit_code(self, tmp_path, capsys, kind, ponzi, message):
+        cfg = self.write_config(tmp_path, {"kind": kind, "ponzi": ponzi})
+        out = tmp_path / "x"
+        assert main(["ponzi", "--config", cfg, "--out", str(out)]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {"error": "ConfigurationError", "message": message}
+        assert not (out / "ode.csv").exists()
+
     def test_stats_writes_config_json(self, tmp_path):
         table = tmp_path / "prices.csv"
         table.write_text("t,price\n0,1.0\n1,1.1\n2,1.05\n3,1.2\n")

@@ -320,6 +320,16 @@ class TestDayLoopBitIdentity:
         with pytest.raises(EnsembleFailedError, match="all paths failed: DivergenceError"):
             run_ensemble(market, HAZARD, ScheduleSpec(), cycle, 12345)
 
+    def test_zero_mass_overflowing_schedule_brings_no_investors(self):
+        # exp(700 t) overflows in the second year; 0 * inf was a NaN flow
+        cycle = CycleConfig(pre_phase=0.0, maturity=1.0, horizon=2.0)
+        schedule = ScheduleSpec("exponential", 0.0, 700.0)
+        market = MarketParams(n_agents=20, n_active=5)
+        record = run_path(market, HazardParams(), schedule, cycle, 1, 0)
+        assert np.all(record.flow == 0.0)
+        assert np.all(record.withdrawable == 0.0)
+        assert np.all(np.isfinite(record.hazard_investor))
+
     def test_exhausting_withdrawal_fails_typed(self):
         # the clamped price reaches subnormal values, where the outside
         # pool's share count overflows before the price underflows to 0

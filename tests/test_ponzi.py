@@ -1,8 +1,11 @@
+import hashlib
 import math
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pricepump import (
     BracketError,
@@ -20,6 +23,7 @@ from pricepump import (
     speculative_ponzi_solve,
     steady_state_rate,
 )
+from pricepump.ponzi import _delay_steps, _grid_steps, _schedule_stage_values
 
 DT = 1.0 / 360.0
 
@@ -89,6 +93,14 @@ class TestSchedules:
         values = schedule_eval(spec, np.array([-1.0, 0.0, 1.0]))
         assert np.allclose(values, [0.0, 0.0, 20.0])
 
+    @pytest.mark.parametrize("growth", [700.0, -700.0, 0.1])
+    def test_zero_mass_exponential_is_exactly_zero(self, growth):
+        # exp(700 t) overflows past t = 1.014; no mass means no flow there too
+        spec = ScheduleSpec("exponential", 0.0, growth)
+        values = schedule_eval(spec, np.array([-1.0, 0.0, 1.0, 2.0, 40.0]))
+        assert values.tobytes() == np.zeros(5).tobytes()
+        assert schedule_eval(spec, 6.0) == 0.0
+
     def test_unknown_kind(self):
         with pytest.raises(ConfigurationError):
             ScheduleSpec("quadratic", 1.0)
@@ -102,6 +114,31 @@ class TestSchedules:
                 ScheduleSpec("exponential", 1.0, growth)
         # the other kinds ignore the growth
         assert schedule_eval(ScheduleSpec("linear", 1.0, 800.0), 1.0) == 2.0
+
+
+class TestSolverInputs:
+    @pytest.mark.parametrize("solve,params", [
+        (classical_ponzi_solve, PonziParams()),
+        (speculative_ponzi_solve, SpeculativePonziParams(1.0, WITHDRAWAL, MATURITY)),
+    ])
+    def test_zero_mass_overflowing_schedule_is_no_flow(self, solve, params):
+        sol = solve(params, ScheduleSpec("exponential", 0.0, 700.0), 6.0, DT)
+        assert np.all(sol.capital == 0.0)
+        assert np.all(sol.withdrawable == 0.0)
+
+    @pytest.mark.parametrize("solve,params", [
+        (classical_ponzi_solve, PonziParams),
+        (speculative_ponzi_solve, lambda **kw: SpeculativePonziParams(1.0, **kw)),
+    ])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_horizon_or_maturity_rejected(self, solve, params, value):
+        spec = ScheduleSpec("constant", 1.0)
+        with pytest.raises(ConfigurationError, match="horizon must be positive and finite"):
+            solve(params(), spec, value, DT)
+        with pytest.raises(ConfigurationError, match="maturity must be finite"):
+            solve(params(maturity=value), spec, 5.0, DT)
+        with pytest.raises(ConfigurationError, match="step must be positive and finite"):
+            solve(params(), spec, 5.0, value)
 
 
 class TestClassicalSolver:
@@ -357,6 +394,204 @@ class TestSpeculativeSolver:
         for name in ("capital", "withdrawable"):
             a, b = getattr(coarse, name)[-1], getattr(fine, name)[-1]
             assert abs(a - b) / abs(b) < 1e-4
+
+
+def closure_speculative_solve(params, schedule, horizon, step=DT):
+    """Reference speculative solver: the loop that built a stage closure
+    every step and read the delayed J from the stored numpy array.
+    ``speculative_ponzi_solve`` must equal it bit for bit."""
+    n = _grid_steps(horizon, step)
+    lag = _delay_steps(params.maturity, step)
+    nodes = step * np.arange(n + 1)
+    direct_r, _, direct_m = _schedule_stage_values(schedule, nodes, step, 0.0)
+    delayed_r, delayed_l, delayed_m = _schedule_stage_values(
+        schedule, nodes, step, params.maturity
+    )
+    c0 = params.market_impact
+    rw = params.withdrawal_rate
+    ext = params.external_rate
+    literal = params.literal_rate_coupling
+    capital = np.empty(n + 1)
+    withdrawable = np.empty(n + 1)
+    log_growth = np.zeros(n + 1)
+    s = params.initial_capital
+    r = 0.0
+    j = 0.0
+    capital[0] = s
+    withdrawable[0] = r
+
+    def past(idx):
+        return log_growth[idx] if idx > 0 else 0.0
+
+    half = 0.5 * step
+    sixth = step / 6.0
+    for i in range(n):
+        if lag == 0:
+            j1 = jm = j4 = None
+        else:
+            j1 = past(i - lag)
+            jm = 0.5 * (past(i - lag) + past(i - lag + 1))
+            j4 = past(i + 1 - lag)
+
+        def rhs(flow_rate, matured_rate, j_past, s_, r_, j_):
+            flow = flow_rate - rw * r_
+            rate = c0 * ((flow_rate - r_) if literal else flow) + ext
+            growth = 1.0 if j_past is None else math.exp(j_ - j_past)
+            ds = flow * (c0 * s_ + 1.0)
+            dr = (rate - rw) * r_ + matured_rate * growth
+            return ds, dr, rate
+
+        try:
+            f1s, f1r, f1j = rhs(direct_r[i], delayed_r[i], j1, s, r, j)
+            f2s, f2r, f2j = rhs(
+                direct_m[i], delayed_m[i], jm, s + half * f1s, r + half * f1r, j + half * f1j
+            )
+            f3s, f3r, f3j = rhs(
+                direct_m[i], delayed_m[i], jm, s + half * f2s, r + half * f2r, j + half * f2j
+            )
+            f4s, f4r, f4j = rhs(
+                direct_r[i + 1], delayed_l[i + 1], j4,
+                s + step * f3s, r + step * f3r, j + step * f3j,
+            )
+        except OverflowError:
+            raise DivergenceError(float(nodes[i])) from None
+        s += sixth * (f1s + 2.0 * (f2s + f3s) + f4s)
+        r += sixth * (f1r + 2.0 * (f2r + f3r) + f4r)
+        j += sixth * (f1j + 2.0 * (f2j + f3j) + f4j)
+        if not (math.isfinite(s) and math.isfinite(r) and math.isfinite(j)):
+            raise DivergenceError(float(nodes[i]))
+        capital[i + 1] = s
+        withdrawable[i + 1] = r
+        log_growth[i + 1] = j
+
+    inflow_nodes = np.asarray(direct_r)
+    if literal:
+        rate_series = c0 * (inflow_nodes - withdrawable) + ext
+    else:
+        rate_series = c0 * (inflow_nodes - rw * withdrawable) + ext
+    return OdeSolution(nodes, capital, withdrawable, rate_series, log_growth)
+
+
+SOLUTION_FIELDS = ("grid", "capital", "withdrawable", "nominal_rate", "log_growth")
+
+
+def solution_digest(sol):
+    """sha256 over the grid and every solution series, by name."""
+    digest = hashlib.sha256()
+    for name in SOLUTION_FIELDS:
+        digest.update(name.encode())
+        digest.update(getattr(sol, name).tobytes())
+    return digest.hexdigest()
+
+
+def speculative_case(kind="exponential", mass=1.0, growth=0.1, horizon=8.0, **params):
+    params = {"market_impact": 1.0, "withdrawal_rate": WITHDRAWAL, "maturity": MATURITY,
+              **params}
+    return SpeculativePonziParams(**params), ScheduleSpec(kind, mass, growth), horizon
+
+
+# Digests recorded from the speculative solver that built a stage closure
+# every step (``closure_speculative_solve``).  Any change to a single bit
+# of the grid or of a solution series changes them.  The exponential
+# schedule is sampled with ``np.exp``, which follows numpy's CPU dispatch,
+# so those digests hold for the machine type that recorded them (x86-64
+# with AVX-512); the property test below holds on any machine.
+PINNED_SPECULATIVE = {
+    "exponential": (
+        speculative_case(),
+        "56f31084b2c3cf1e6870f8b326b298352e28713e876a78852bb900a083cc2739",
+    ),
+    "constant": (
+        speculative_case("constant"),
+        "5251cb54a367be4fbeda1c2f2a8e92cf289d6049732b67e012cd583bc1996983",
+    ),
+    "linear": (
+        speculative_case("linear"),
+        "cc8778641e56f820f742567372eb21a3039d908c7ac108b23780a57cf37ff178",
+    ),
+    "literal-coupling": (
+        speculative_case(literal_rate_coupling=True),
+        "00d092a6f9f960cc1370b8e63d59fda22fd5c29af68f9ebe920171cb0d9e0a88",
+    ),
+    "no-delay": (
+        speculative_case(maturity=0.0),
+        "0bb69c8928e8cf46ae2a8abef08cdd52c3b881f21c8097412c319d4a17d94eed",
+    ),
+    "one-step-delay": (
+        speculative_case(maturity=DT),
+        "f7b07311c8f3427866f855e2e75e35d7b87f14e7581a083656674867c880cfa4",
+    ),
+    "external-rate-initial-capital": (
+        speculative_case(market_impact=0.7, external_rate=0.05, initial_capital=2.0),
+        "5c91d1bab23ec8daa4fbb5ae1e4237ccf0202828ea0c2fc652f8ba27dd8d8ef6",
+    ),
+}
+
+# last_time of the node before the failing step: an overflowing growth
+# factor (math.exp raises) and a state that turns non-finite
+PINNED_SPECULATIVE_DIVERGENCE = {
+    "overflowing-growth-factor": (
+        speculative_case(mass=5000.0, horizon=17.0, market_impact=0.001), 3.0,
+    ),
+    "non-finite-state": (
+        speculative_case(growth=3.0, horizon=10.0, withdrawal_rate=5.0), 3.0,
+    ),
+}
+
+
+def solve_outcome(solve, params, spec, horizon, step=DT):
+    """The solution's bytes, or the divergence type and time."""
+    try:
+        sol = solve(params, spec, horizon, step)
+    except DivergenceError as diverged:
+        return type(diverged), diverged.last_time
+    return tuple(getattr(sol, name).tobytes() for name in SOLUTION_FIELDS)
+
+
+class TestSpeculativeBitIdentity:
+    @pytest.mark.parametrize("name", sorted(PINNED_SPECULATIVE))
+    def test_solution_bits_are_pinned(self, name):
+        (params, spec, horizon), expected = PINNED_SPECULATIVE[name]
+        assert solution_digest(speculative_ponzi_solve(params, spec, horizon, DT)) == expected
+
+    @pytest.mark.parametrize("name", sorted(PINNED_SPECULATIVE_DIVERGENCE))
+    def test_divergence_is_pinned(self, name):
+        (params, spec, horizon), last_time = PINNED_SPECULATIVE_DIVERGENCE[name]
+        with pytest.raises(DivergenceError) as diverged:
+            speculative_ponzi_solve(params, spec, horizon, DT)
+        assert type(diverged.value) is DivergenceError
+        assert diverged.value.last_time == last_time
+
+    def test_oracle_matches_pins(self):
+        (params, spec, horizon), expected = PINNED_SPECULATIVE["exponential"]
+        assert solution_digest(closure_speculative_solve(params, spec, horizon)) == expected
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        kind=st.sampled_from(["constant", "linear", "exponential"]),
+        mass=st.floats(0.0, 1e4),
+        growth=st.floats(-2.0, 60.0),
+        market_impact=st.floats(1e-4, 5.0),
+        withdrawal_rate=st.floats(0.0, 3.0),
+        lag=st.sampled_from([0, 1, 2, 5, 30]),
+        initial_capital=st.floats(0.0, 10.0),
+        external_rate=st.floats(-0.5, 0.5),
+        literal=st.booleans(),
+        step=st.sampled_from([DT, 1.0 / 12.0, 0.25]),
+        n_steps=st.integers(1, 240),
+    )
+    def test_solver_equals_closure_oracle(
+        self, kind, mass, growth, market_impact, withdrawal_rate, lag, initial_capital,
+        external_rate, literal, step, n_steps,
+    ):
+        params = SpeculativePonziParams(
+            market_impact, withdrawal_rate, lag * step, initial_capital, external_rate, literal
+        )
+        spec = ScheduleSpec(kind, mass, growth)
+        horizon = n_steps * step
+        assert solve_outcome(speculative_ponzi_solve, params, spec, horizon, step) == (
+            solve_outcome(closure_speculative_solve, params, spec, horizon, step)
+        )
 
 
 class TestSteadyStateRate:
