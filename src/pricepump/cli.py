@@ -39,7 +39,6 @@ from .cycle import (
 from .errors import ConfigurationError, EnsembleFailedError, PricePumpError
 from .output import emit_series, read_csv_columns, write_manifest
 from .ponzi import (
-    PonziParams,
     SpeculativePonziParams,
     classical_ponzi_solve,
     collapse_time,
@@ -196,8 +195,8 @@ def _cmd_ponzi(args) -> int:
             "steady_spread": steady.spread,
         }
     else:
-        params = _by_field_name(PonziParams, p)
-        sol = classical_ponzi_solve(params, cfg.schedule, p.horizon, p.step)
+        # the block is PonziParams plus the solver's fields
+        sol = classical_ponzi_solve(p, cfg.schedule, p.horizon, p.step)
         results = {"collapse_time": collapse_time(sol)}
     out = _out_dir(args, cfg)
     emit_series(sol, out)
@@ -206,8 +205,22 @@ def _cmd_ponzi(args) -> int:
     return 0
 
 
+def _require_whole_days(cfg: ExperimentConfig) -> None:
+    """Reject, before any path runs, a ``pre_phase`` or ``maturity`` off
+    the daily grid: the day loop rounds both to days, while the fit slices
+    the series at ``pre_phase`` and lags the scheme by ``maturity``."""
+    dpy = cfg.market.days_per_year
+    for name in ("pre_phase", "maturity"):
+        value = getattr(cfg.cycle, name)
+        if abs(round(value * dpy) / dpy - value) > 1e-9 * max(1.0, value):
+            raise ConfigurationError(
+                f"cycle.{name} {value} must be a whole number of trading days (1/{dpy} year)"
+            )
+
+
 def _cmd_fit(args) -> int:
     cfg = _load(args)
+    _require_whole_days(cfg)
     out = _out_dir(args, cfg)
     if cfg.fit.source_csv:
         table = read_csv_columns(cfg.fit.source_csv)
@@ -318,7 +331,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             default=1,
-            help="parallel workers; results are identical for any value",
+            help="parallel workers (at most one per path and per CPU); results are "
+            "identical for any value",
         )
     return parser
 

@@ -4,9 +4,12 @@ A configuration is a single JSON document with one block per subsystem.
 Every key is optional and falls back to the reference defaults (the
 standard 500-agent market, daily trading, the reference factor
 distribution and hazard scales); unknown keys are rejected by name.
-The ``kind`` key selects the experiment.  The ``market``, ``hazard``,
-``schedule`` and ``cycle`` blocks are the library's parameter classes,
-checked at load whatever the kind; only the CLI's own blocks live here.
+The ``kind`` key selects the experiment.  Every block is one class,
+parsed and serialized by walking its fields, and checked at load
+whatever the kind: ``market`` (with its ``greed_fear`` and ``signal``
+sub-blocks), ``hazard``, ``schedule`` and ``cycle`` are the library's
+parameter classes, and ``ponzi`` is ``PonziParams`` plus the solver's
+own fields.  Only the CLI's own blocks are declared here.
 """
 from __future__ import annotations
 
@@ -20,8 +23,9 @@ from pathlib import Path
 from typing import Any, Optional, Union, get_args, get_origin, get_type_hints
 
 from .errors import ConfigurationError
-from .market import ConstantSignal, MarketParams, Signal, WindowSignal
+from .market import MarketParams
 from .cycle import CycleConfig
+from .ponzi import DEFAULT_STEP, PonziParams
 from .risk import HazardParams
 from .schedules import ScheduleSpec
 
@@ -33,12 +37,6 @@ EXPERIMENT_KINDS = (
 # rate response O(1).  Market experiments keep ScheduleSpec's default, a
 # first-year mass matching the population's initial cash reserve.
 _PONZI_SCHEDULE = ScheduleSpec(first_year_total=1.0)
-
-# ``market.signal`` is one flat object: the signal's ``kind`` and the
-# fields of that kind's class (a constant signal ignores ``start`` and
-# ``end``).
-_SIGNAL_KINDS = {"constant": ConstantSignal, "window": WindowSignal}
-
 
 @dataclass(frozen=True)
 class FlowBlock:
@@ -56,17 +54,15 @@ class RegimesBlock:
 
 
 @dataclass(frozen=True)
-class PonziBlock:
-    nominal_rate: float = 0.0
-    promised_rate: float = 0.41
-    withdrawal_rate: float = 0.41
-    maturity: float = 3.0
-    initial_capital: float = 0.0
+class PonziBlock(PonziParams):
+    """The classical scheme's ``PonziParams``, the speculative scheme's
+    own fields, and the solvers' horizon, step and steady-state window."""
+
     market_impact: float = 1.0
     external_rate: float = 0.0
     literal_rate_coupling: bool = False
     horizon: float = 20.0
-    step: float = 1.0 / 360.0
+    step: float = DEFAULT_STEP
     steady_window: float = 5.0
 
 
@@ -165,10 +161,10 @@ def _value(hint, raw: Any, default: Any, key: str) -> Any:
         return default
     if get_origin(hint) in (Union, types.UnionType) and type(None) in get_args(hint):
         hint = next(arg for arg in get_args(hint) if arg is not type(None))  # Optional[T]
-    if hint == Signal or is_dataclass(hint):
+    if is_dataclass(hint):
         if not isinstance(raw, dict):
             raise ConfigurationError(f"'{key}' must be a JSON object, got {raw!r}")
-        return _parse_signal(raw, key) if hint == Signal else _parse(default, raw, key)
+        return _parse(default, raw, key)
     try:
         return _CASTS[hint](raw)
     except (TypeError, ValueError) as exc:
@@ -183,20 +179,6 @@ def _parse(default, data: dict, context: str):
         name: _value(hints[name], raw, getattr(default, name), _key(context, name))
         for name, raw in data.items()
     })
-
-
-def _parse_signal(data: dict, context: str) -> Signal:
-    """A new signal of the block's kind; unset fields take its defaults."""
-    signal_keys = {f.name for cls in _SIGNAL_KINDS.values() for f in fields(cls)}
-    _check_keys(data, {"kind", *signal_keys}, context)
-    kind = _value(str, data.get("kind"), "constant", _key(context, "kind"))
-    if kind not in _SIGNAL_KINDS:
-        raise ConfigurationError(
-            f"'{context}.kind' must be 'constant' or 'window', got {kind!r}"
-        )
-    cls = _SIGNAL_KINDS[kind]
-    own_keys = {f.name for f in fields(cls)}
-    return _parse(cls(), {k: v for k, v in data.items() if k in own_keys}, context)
 
 
 def load_config_data(data: dict, default_kind: Optional[str] = None) -> ExperimentConfig:
@@ -230,22 +212,13 @@ def parse_config(path: str | Path, default_kind: Optional[str] = None) -> Experi
     return load_config_data(data, default_kind)
 
 
-def _signal_to_dict(signal: Signal) -> dict:
-    kind = next((k for k, cls in _SIGNAL_KINDS.items() if type(signal) is cls), None)
-    if kind is None:
-        raise ConfigurationError(f"signal {signal!r} has no configuration form")
-    return {"kind": kind, **config_to_dict(signal)}
-
-
 def config_to_dict(cfg) -> dict:
     """Complete, explicit dictionary form (every default spelled out) of an
     ``ExperimentConfig`` or of one of its blocks."""
     body = {}
     for f in fields(cfg):
         value = getattr(cfg, f.name)
-        if isinstance(value, tuple(_SIGNAL_KINDS.values())):
-            value = _signal_to_dict(value)
-        elif is_dataclass(value):
+        if is_dataclass(value):
             value = config_to_dict(value)
         elif isinstance(value, tuple):
             value = list(value)

@@ -15,6 +15,7 @@ blocks (``MarketParams``, ``HazardParams``, ``ScheduleSpec``,
 from __future__ import annotations
 
 import math
+import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
@@ -493,10 +494,12 @@ def _aggregate(fold: _EnsembleFold, market: MarketParams) -> EnsembleStats:
 
 def _collect(worker, n_paths: int, n_workers: int) -> _EnsembleFold:
     """Run ``worker`` on path indices ``0 .. n_paths - 1`` and fold the
-    results in index order.  With several workers every path is submitted
-    at once; each finished path is folded and dropped once the paths
-    before it are, so the parent holds few records at any time."""
+    results in index order.  The pool has at most one worker per path and
+    per CPU.  With several workers every path is submitted at once; each
+    finished path is folded and dropped once the paths before it are, so
+    the parent holds few records at any time."""
     fold = _EnsembleFold(n_paths)
+    n_workers = min(n_workers, n_paths, os.cpu_count() or 1)
     with ExitStack() as stack:
         if n_workers <= 1:
             pending = deque(partial(worker, i) for i in range(n_paths))

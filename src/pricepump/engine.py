@@ -56,12 +56,13 @@ def trading_session(
     rebalances the active agents, revalues everyone's stock, updates the
     active agents' targets with factors scaled by the day's signal
     ``level``, and books the external flow into the outside-investor
-    share pool.  A flow so negative that the price would hit zero is
-    clamped to keep the price ratio at ``PRICE_RATIO_FLOOR`` and the
-    outcome is flagged; once repeated clamps have shrunk the price until
-    it underflows to zero, or until the outside pool's share count
-    overflows, the session raises ``LiquidityExhaustedError`` before
-    changing any holding or price.
+    share pool.  A flow that would clear below ``PRICE_RATIO_FLOOR``
+    times the prior price (a large withdrawal, or too little inflow into
+    active agents without cash) is replaced by the flow that clears at
+    exactly that ratio, and the outcome is flagged; once repeated clamps
+    have shrunk the price until it underflows to zero, or until the
+    outside pool's share count overflows, the session raises
+    ``LiquidityExhaustedError`` before changing any holding or price.
 
     With per-agent weights w = 1/(1+k) over the active agents, the price
     ratio is (external_flow + sum k*cash*w) / (sum stock*w); each active
@@ -91,7 +92,7 @@ def trading_session(
         raise NoSupplyError("all active stock values are zero")
     ratio = (external_flow + demand) / supply
     clamped = False
-    if ratio <= 0.0:
+    if ratio < PRICE_RATIO_FLOOR:
         external_flow = PRICE_RATIO_FLOOR * supply - demand
         ratio = PRICE_RATIO_FLOOR
         clamped = True

@@ -10,13 +10,13 @@ no per-agent object: a session reads and writes the arrays at its
 active indices.  Factor pairs are drawn once per population from a
 correlated log-normal distribution restricted to factors >= 1.
 ``MarketParams`` (the configuration's ``market`` block) describes the
-population, and its ``signal`` scales the greed/fear intensity over time.
+population, and its ``signal`` (a ``WindowSignal``, the one signal
+class) scales the greed/fear intensity over time.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
 
@@ -72,22 +72,13 @@ def default_greed_fear() -> GreedFearSpec:
 
 
 @dataclass(frozen=True)
-class ConstantSignal:
-    """Signal fixed at ``level`` for all times."""
-
-    level: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.level <= 1.0:
-            raise ConfigurationError(f"signal level must lie in [0, 1], got {self.level}")
-
-    def __call__(self, t: float) -> float:
-        return self.level
-
-
-@dataclass(frozen=True)
 class WindowSignal:
-    """Signal at ``level`` for start <= t < end, zero elsewhere."""
+    """Greed/fear intensity in [0, 1] over time (years): ``level`` for
+    start <= t < end, zero elsewhere.  A session scales each factor to
+    1 + (factor - 1) * level, so at zero signal the effective factors are
+    exactly 1 and target ratios never move.  The default window spans
+    every day at full intensity; ``WindowSignal(level=L)`` holds every
+    day at ``L``."""
 
     start: float = 0.0
     end: float = math.inf
@@ -101,12 +92,6 @@ class WindowSignal:
         return self.level if self.start <= t < self.end else 0.0
 
 
-# A signal maps time (years) into [0, 1]; a session scales each factor to
-# 1 + (factor - 1) * signal(t), so at zero signal the effective factors are
-# exactly 1 and target ratios never move.
-Signal = Union[ConstantSignal, WindowSignal]
-
-
 @dataclass(frozen=True)
 class MarketParams:
     """Population and engine parameters shared by all experiments."""
@@ -118,7 +103,7 @@ class MarketParams:
     stock_noise_range: float = 0.1
     days_per_year: int = 360
     greed_fear: GreedFearSpec = field(default_factory=default_greed_fear)
-    signal: Signal = ConstantSignal()
+    signal: WindowSignal = WindowSignal()
 
     def __post_init__(self):
         if self.n_agents < 1:

@@ -52,7 +52,9 @@ def cash_kernel(cash: np.ndarray, cash_scale: float) -> np.ndarray:
     return np.exp(-(cash * cash) / cash_scale)
 
 
-def cash_concentration(cash_values: Sequence[float] | np.ndarray, cash_scale: float = 70.0) -> float:
+def cash_concentration(
+    cash_values: Sequence[float] | np.ndarray, cash_scale: float = HazardParams.cash_scale
+) -> float:
     """Concentration of agents at low cash: mean of ``cash_kernel``.
 
     Lies in [0, 1]; equals 1 exactly when every agent holds zero cash and
@@ -83,7 +85,8 @@ def crash_hazard(concentration: float, params: HazardParams) -> float:
 
 
 def investor_hazard(
-    price: np.ndarray, start_day: int, target_rate: float, period: float, scale: float = 1.0
+    price: np.ndarray, start_day: int, target_rate: float, period: float,
+    scale: float = HazardParams.shortfall_scale,
 ) -> np.ndarray:
     """Investor-side hazard on a daily price path, accumulated from
     ``start_day`` (the first day of withdrawals) on.

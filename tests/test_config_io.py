@@ -13,6 +13,7 @@ from pricepump import (
     HazardParams,
     MarketParams,
     ScheduleSpec,
+    WindowSignal,
     config_hash,
     config_to_dict,
     emit_series,
@@ -34,24 +35,27 @@ ROUND_TRIP_FIXTURE = {
     "market": {
         "n_agents": 64,
         "n_active": 16,
-        "signal": {"kind": "window", "start": 1.0, "end": 2.0},
+        "signal": {"start": 1.0, "end": 2.0},
     },
     "schedule": {"kind": "linear", "first_year_total": 111.0},
     "cycle": {"horizon": 9.0, "checkpoints": [1.0, 9.0]},
 }
 
 # Hashes and text of released configurations: a change to any of them
-# changes the identity of every stored run.
+# changes the identity of every stored run.  Each equals the hash of the
+# configuration before the signal union was removed, with its
+# ``market.signal`` rewritten to the window form (a constant signal at
+# level L as {"start": 0.0, "end": Infinity, "level": L}).
 PINNED_DEFAULT_HASHES = {
-    "aspp": "ff5d4d9a76fec9a26d6c778813d8dee9eb32a3f5a846ae35e45c47cc225afd9f",
-    "regimes": "d7db3eedcbd97e8338a5620d580e3ed4f015e7f56a9d3bdfa1858641d5caae01",
-    "cycle": "881dfe8968e83db9652d2f26cb76eecbe2e1e51987b78ebe43d9a1266be4f629",
-    "ponzi-classical": "9a9ecbc2677aa5e1bc8b75630d4c4282270d5082150e94e9ab25399a1813ceb7",
-    "ponzi-speculative": "dc4841201494fd7495c237f10dcf48003f105047160ff39537de6389ce432d67",
-    "fit-c0": "706d89c088397c24572b136fa9dd5872b02111e816e44ece6c934ea710f0ba41",
-    "stats": "cbb756c626412da2727f9d863b1f6bb2d0888c6edbce105ba80d18b95822dba5",
+    "aspp": "882748f3de06f31e7861b69ce6b61fa22d2479ca06631ef2b14f7c8bb6c5de61",
+    "regimes": "88b1d6d24793771ff3f621f12fb89589a0c8e4a5a7dfdcd0ba2e54770082337a",
+    "cycle": "e8fa5d8901ce95971078d442625d0fd21e18bd077209ffebbec8d3b5630d77c6",
+    "ponzi-classical": "537be0551551ba48c40086dee527b54a72ca9e1acd85bc9c94b0c0be3807c5aa",
+    "ponzi-speculative": "27706bd01ab046a4f561d2fd523398bcfd04c93b554f4fbf38d686c31a4f3f0f",
+    "fit-c0": "96b60f5de41e91ef87ea2a1554200b99aeeb39e27b9bc738a36c704b26937c14",
+    "stats": "73f648821805b98898c73033ef7df964b6bf48149cbc1eb2c1f3f98746c94717",
 }
-PINNED_FIXTURE_HASH = "6e75b8ac31371b5bdbb91816431c71d46944c396a688f2ea4d543d2afd1a767d"
+PINNED_FIXTURE_HASH = "15b644cd2ade07d8b144b2c797a052561620b48cccdf241e84b8e1b77f3fbc2c"
 PINNED_FIXTURE_TEXT = """{
   "aspp": {
     "flow_rate": 0.0,
@@ -96,7 +100,6 @@ PINNED_FIXTURE_TEXT = """{
     "n_agents": 64,
     "signal": {
       "end": 2.0,
-      "kind": "window",
       "level": 1.0,
       "start": 1.0
     },
@@ -180,6 +183,8 @@ class TestConfigDefaults:
                 {"kind": "aspp", "market": {"signal": {"fear_amplitude": 0.0}}},
                 "market.signal.fear_amplitude",
             ),
+            # the signal is one class, with no kind tag
+            ({"kind": "aspp", "market": {"signal": {"kind": "constant"}}}, "market.signal.kind"),
         ],
     )
     def test_unknown_keys_rejected_by_name(self, data, needle):
@@ -261,10 +266,27 @@ class TestConfigDefaults:
         assert str(err.value) == message
 
     def test_infinite_float_stays_valid(self):
-        text = '{"kind": "aspp", "market": {"signal": {"kind": "window", "end": Infinity}}}'
+        text = '{"kind": "aspp", "market": {"signal": {"end": Infinity}}}'
         cfg = load_config_data(json.loads(text))
         assert cfg.market.signal.end == math.inf
         assert load_config_data(json.loads(serialize_config(cfg))) == cfg
+
+    def test_signal_block_is_a_window(self):
+        # without a kind tag this document used to load as a constant
+        # signal at 0.6 and drop start and end
+        cfg = load_config_data(
+            {"kind": "cycle", "market": {"signal": {"start": 1.0, "end": 4.0, "level": 0.6}}}
+        )
+        assert cfg.market.signal == WindowSignal(1.0, 4.0, 0.6)
+        assert config_to_dict(cfg)["market"]["signal"] == {"start": 1.0, "end": 4.0, "level": 0.6}
+        assert load_config_data({"kind": "aspp"}).market.signal == WindowSignal(0.0, math.inf, 1.0)
+
+    @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+    @pytest.mark.parametrize("name", ["maturity", "initial_capital"])
+    def test_rejected_ponzi_block_fails_every_kind(self, kind, name):
+        # the ponzi block is PonziParams, checked at load whichever kind runs
+        with pytest.raises(ConfigurationError, match=f"{name} must be >= 0, got -1.0"):
+            load_config_data({"kind": kind, "ponzi": {name: -1.0}})
 
     @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
     def test_rejected_cycle_block_fails_every_kind(self, kind):
@@ -314,7 +336,8 @@ def cycle_blocks(draw):
 # Valid documents only: each constraint of the configuration dataclasses
 # holds whichever subset of keys is drawn (n_active <= 500 = default
 # n_agents, log means >= three standard deviations at any drawn variance,
-# a cycle horizon beyond its phases).
+# a cycle horizon beyond its phases, a non-negative ponzi maturity and
+# initial capital).
 valid_documents = st.fixed_dictionaries(
     {"kind": st.sampled_from(EXPERIMENT_KINDS)},
     optional={
@@ -334,7 +357,6 @@ valid_documents = st.fixed_dictionaries(
                 "correlation": st.floats(-1.0, 1.0),
             }),
             signal=block(
-                kind=st.sampled_from(["constant", "window"]),
                 level=st.floats(0.0, 1.0),
                 start=finite,
                 end=finite | st.just(math.inf),
@@ -358,8 +380,8 @@ valid_documents = st.fixed_dictionaries(
             nominal_rate=finite,
             promised_rate=finite,
             withdrawal_rate=finite,
-            maturity=finite,
-            initial_capital=finite,
+            maturity=non_negative,
+            initial_capital=non_negative,
             market_impact=finite,
             external_rate=finite,
             literal_rate_coupling=st.booleans(),
@@ -378,7 +400,7 @@ valid_documents = st.fixed_dictionaries(
 @settings(deadline=None)
 @given(valid_documents)
 @example({"kind": "cycle", "cycle": {"checkpoints": []}})
-@example({"kind": "aspp", "market": {"signal": {"kind": "constant", "start": 2.0}}})
+@example({"kind": "aspp", "market": {"signal": {"start": 2.0}}})
 def test_serialized_config_reloads_identically(document):
     cfg = load_config_data(document)
     text = serialize_config(cfg)
@@ -710,6 +732,48 @@ class TestCli:
         record = json.loads(capsys.readouterr().err.strip())
         assert record == {"error": "ConfigurationError", "message": message}
         assert not (out / "ode.csv").exists()
+
+    @pytest.mark.parametrize("payload,key", [
+        ({"kind": "aspp", "market": {"signal": {"kind": "window"}}}, "market.signal.kind"),
+        ({"kind": "cycle", "ponzi": {"maturity": -1.0}}, "maturity must be >= 0"),
+    ])
+    def test_rejected_block_exit_code(self, tmp_path, capsys, payload, key):
+        cfg = self.write_config(tmp_path, payload)
+        out = tmp_path / "x"
+        verb = "simulate" if payload["kind"] == "aspp" else payload["kind"]
+        assert main([verb, "--config", cfg, "--out", str(out)]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigurationError"
+        assert key in record["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cycle,message", [
+        ({"pre_phase": 0.5, "maturity": 1.001}, "cycle.maturity 1.001 must be a whole number"),
+        ({"pre_phase": 0.501, "maturity": 1.0}, "cycle.pre_phase 0.501 must be a whole number"),
+    ])
+    @pytest.mark.parametrize("source", [False, True])
+    def test_fit_rejects_off_grid_phases_before_running(
+        self, tmp_path, capsys, cycle, message, source
+    ):
+        # an off-grid maturity used to fail after the whole ensemble, and an
+        # off-grid pre_phase to slice the series one day after the loop's start
+        payload = {
+            "kind": "fit-c0",
+            "market": {"n_agents": 50, "n_active": 10},
+            "cycle": {**cycle, "horizon": 3.0, "n_paths": 2},
+        }
+        if source:
+            table = tmp_path / "ensemble_in.csv"
+            table.write_text("t,S_ext\n0,0.0\n1,1.0\n2,2.0\n")
+            payload["fit"] = {"source_csv": str(table)}
+        cfg = self.write_config(tmp_path, payload)
+        out = tmp_path / "fit"
+        assert main(["fit-c0", "--config", cfg, "--out", str(out)]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigurationError"
+        assert record["message"].startswith(message)
+        assert not (out / "ensemble.csv").exists()
+        assert not out.exists()
 
     def test_stats_writes_config_json(self, tmp_path):
         table = tmp_path / "prices.csv"

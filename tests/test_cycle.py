@@ -2,6 +2,7 @@ import hashlib
 import math
 import sys
 import tracemalloc
+from concurrent.futures import Future
 from functools import partial
 
 import numpy as np
@@ -13,7 +14,6 @@ from pricepump import (
     BracketError,
     CashSnapshot,
     ConfigurationError,
-    ConstantSignal,
     CycleConfig,
     DivergenceError,
     EnsembleFailedError,
@@ -238,7 +238,7 @@ PINNED_PATHS = {
     "constant-signal-cycle-checkpoints": (
         lambda: reference_path(
             2,
-            market=MarketParams(signal=ConstantSignal(0.3)),
+            market=MarketParams(signal=WindowSignal(level=0.3)),
             pre_phase=1.0,
             maturity=0.0,
             horizon=2.0,
@@ -499,6 +499,43 @@ class TestEnsembleFold:
         ))
         assert folded == expected
 
+    @pytest.mark.parametrize("cpus,n_workers,n_paths,pool", [
+        (4, 3000, 2, 2),  # never more workers than paths
+        (4, 3000, 8, 4),  # nor than CPUs
+        (4, 3, 8, 3),
+        (None, 3000, 8, None),  # an unknown CPU count runs serially
+        (4, 3000, 1, None),
+    ])
+    def test_pool_is_capped_at_paths_and_cpus(
+        self, monkeypatch, cpus, n_workers, n_paths, pool
+    ):
+        # a recording stand-in: the real pool forks max_workers processes
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(cycle_module, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cycle_module.os, "cpu_count", lambda: cpus)
+        worker = partial(synthetic_path, 3, frozenset())
+        pooled = cycle_module._collect(worker, n_paths, n_workers)
+        assert sizes == ([] if pool is None else [pool])
+        serial = cycle_module._collect(worker, n_paths, 1)
+        assert ensemble_bits(lambda: cycle_module._aggregate(pooled, SMALL_MARKET)) == \
+            ensemble_bits(lambda: cycle_module._aggregate(serial, SMALL_MARKET))
+
     def test_only_banded_series_carry_spread(self):
         stats = small_ensemble(small_cycle())
         for name, summary in stats.series.items():
@@ -627,7 +664,7 @@ def small_experiments(draw):
             draw(means), draw(means), log_variance, draw(st.floats(-1.0, 1.0))
         ),
         signal=draw(
-            st.builds(ConstantSignal, level)
+            st.builds(WindowSignal, level=level)
             | st.builds(WindowSignal, st.floats(0.0, 1.0), st.floats(0.0, 2.0), level)
         ),
     )

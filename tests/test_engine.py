@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from pricepump import (
     ConfigurationError,
-    ConstantSignal,
     GreedFearSpec,
     LiquidityExhaustedError,
     MarketParams,
@@ -177,7 +176,7 @@ class TestUpdateRatio:
         # signal levels are confined to [0, 1], so the effective factors
         # 1 + (factor - 1) * level never drop below 1
         with pytest.raises(ConfigurationError):
-            ConstantSignal(1.5)
+            WindowSignal(level=1.5)
         with pytest.raises(ConfigurationError):
             WindowSignal(0.0, 1.0, -0.1)
 
@@ -237,6 +236,21 @@ class TestTradingSession:
         assert outcome.cash_flow_in > -50.0
         # executed flow is exactly the one producing the floor ratio
         assert outcome.cash_flow_in == pytest.approx(PRICE_RATIO_FLOOR * 5.0 - 5.0)
+
+    @pytest.mark.parametrize("flow", [0.0, 1e-6, 2.2250738585e-313])
+    def test_small_inflow_without_demand_clamps_at_floor(self, flow):
+        # the one active agent (agent 6) holds no cash, so the inflow alone
+        # sets the price: 2.2e-313 cleared at 1.7e-313 and moved 3.2e-10
+        # shares before the clamp tested the floor ratio instead of zero
+        state = market([1.0] * 8, [0.0] * 7 + [1.0], [1.0] * 8, 1.0, 1.0, 0.375, 0)
+        shares_before = state.total_shares()
+        state, outcome = trading_session(state, 1, flow)
+        assert outcome.active_indices.tolist() == [6]
+        assert outcome.clamped
+        assert outcome.new_price == PRICE_RATIO_FLOOR * 0.375
+        assert outcome.cash_flow_in == pytest.approx(PRICE_RATIO_FLOOR * 0.5)
+        share_scale = state.stock_value.sum() / state.price + abs(state.external_shares)
+        assert abs(state.total_shares() - shares_before) <= 1e-13 * share_scale
 
     def test_price_underflow_raises_typed_error(self):
         state = one_agent_state()

@@ -5,7 +5,6 @@ import pytest
 
 from pricepump import (
     ConfigurationError,
-    ConstantSignal,
     GreedFearSpec,
     MarketParams,
     WindowSignal,
@@ -93,19 +92,19 @@ class TestEffectiveFactors:
         return state.target_ratio.tolist()
 
     def test_signal_off(self):
-        assert self.targets(ConstantSignal(0.0)) == [2.0, 1.0]
+        assert self.targets(WindowSignal(level=0.0)) == [2.0, 1.0]
 
     def test_signal_identity(self):
-        assert self.targets(ConstantSignal(1.0)) == [2.0 / 1.11, 1.12]
+        assert self.targets(WindowSignal(level=1.0)) == [2.0 / 1.11, 1.12]
 
     def test_signal_interpolates(self):
-        buyer, seller = self.targets(ConstantSignal(0.5))
+        buyer, seller = self.targets(WindowSignal(level=0.5))
         assert seller == pytest.approx(1.06)
         assert buyer == pytest.approx(2.0 / 1.055)
 
     def test_monotone_in_signal(self):
         levels = np.linspace(0.0, 1.0, 11)
-        buyers, sellers = zip(*(self.targets(ConstantSignal(level)) for level in levels))
+        buyers, sellers = zip(*(self.targets(WindowSignal(level=level)) for level in levels))
         assert all(b > a for a, b in zip(sellers, sellers[1:]))
         assert all(b < a for a, b in zip(buyers, buyers[1:]))
 
