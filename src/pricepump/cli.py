@@ -149,7 +149,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_regimes(args) -> int:
     cfg = _load(args)
     block = _override_paths(cfg.regimes, args.paths)
-    comparison = regime_comparison(
+    results = regime_comparison(
         cfg.market,
         cfg.hazard,
         horizon=block.horizon,
@@ -159,7 +159,7 @@ def _cmd_regimes(args) -> int:
         outflow_rate=block.outflow_rate,
         n_workers=args.threads,
     )
-    _write_ensembles(_out_dir(args, cfg), cfg, {**comparison.as_dict(), **comparison.failed})
+    _write_ensembles(_out_dir(args, cfg), cfg, results)
     return 0
 
 

@@ -19,7 +19,7 @@ import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple, Optional, Sequence
 
@@ -100,10 +100,10 @@ class PathRecord:
     """Daily series for one simulated path, plus cash snapshots.
 
     Day 0 holds the initial state; day ``i`` is at time
-    ``i / days_per_year`` (``times``).  ``flow`` is the external flow
-    actually executed each day.  ``times``, ``log_price`` and
-    ``hazard_total`` are derived on access, so a worker sends seven
-    arrays per path.
+    ``i / days_per_year``.  ``flow`` is the external flow actually
+    executed each day.  ``log_price`` and ``hazard_total`` (the total
+    risk, crash plus investor hazard) are derived on access, so a worker
+    sends seven arrays per path.
     """
 
     days_per_year: int
@@ -116,10 +116,6 @@ class PathRecord:
     total_cash: np.ndarray
     snapshots: tuple[CashSnapshot, ...] = ()
     clamp_events: int = 0
-
-    @property
-    def times(self) -> np.ndarray:
-        return _day_grid(self.price.size, self.days_per_year)
 
     @property
     def log_price(self) -> np.ndarray:
@@ -414,7 +410,6 @@ class EnsembleStats:
     histograms: tuple[CashHistogram, ...]
     theoretical: TheoreticalReturn
     n_paths: int
-    n_failures: int
     clamp_events: int
     failure_messages: tuple[str, ...] = ()
 
@@ -486,7 +481,6 @@ def _aggregate(fold: _EnsembleFold, market: MarketParams) -> EnsembleStats:
         ),
         theoretical=market.theoretical(),
         n_paths=count,
-        n_failures=len(fold.failures),
         clamp_events=fold.clamp_events,
         failure_messages=failure_messages,
     )
@@ -564,28 +558,6 @@ def run_flow_ensemble(
     return _aggregate(fold, market)
 
 
-@dataclass(frozen=True)
-class RegimeComparison:
-    """The three regimes' ensembles.  A regime whose every path failed is
-    ``None``, and its error is in ``failed`` under the regime's name."""
-
-    investment: Optional[EnsembleStats]
-    zero: Optional[EnsembleStats]
-    withdrawal: Optional[EnsembleStats]
-    inflow_rate: float
-    outflow_rate: float
-    failed: dict[str, EnsembleFailedError] = field(default_factory=dict)
-
-    def as_dict(self) -> dict[str, EnsembleStats]:
-        """The regimes that finished, by name."""
-        regimes = {
-            "investment": self.investment,
-            "zero": self.zero,
-            "withdrawal": self.withdrawal,
-        }
-        return {name: ens for name, ens in regimes.items() if ens is not None}
-
-
 def regime_comparison(
     market: MarketParams,
     hazard: HazardParams,
@@ -595,8 +567,10 @@ def regime_comparison(
     inflow_rate: Optional[float] = None,
     outflow_rate: Optional[float] = None,
     n_workers: int = 1,
-) -> RegimeComparison:
-    """Three ensembles differing only in the external-flow policy.
+) -> dict[str, EnsembleStats | EnsembleFailedError]:
+    """Three ensembles differing only in the external-flow policy, by
+    regime name: ``"investment"``, ``"zero"`` and ``"withdrawal"``, in
+    that order.
 
     Defaults: inflow equal to the population's initial cash per year,
     outflow a quarter of it per year (stronger withdrawals drain the
@@ -604,7 +578,8 @@ def regime_comparison(
     the initial cash per year exhausts the market: the liquidity clamp
     then fires every day, the price underflows to zero after about 1.4
     years, and every path fails with ``LiquidityExhaustedError``.  Such a
-    regime is reported in ``failed``; the other regimes still run.
+    regime maps to its ``EnsembleFailedError``; the other regimes still
+    run.
     Final-day cash snapshots are recorded for distribution comparisons.
     """
     total = market.total_initial_cash()
@@ -614,24 +589,16 @@ def regime_comparison(
     _require_finite(inflow_rate=inflow, outflow_rate=outflow)
     if inflow <= 0.0 or outflow >= 0.0:
         raise ConfigurationError("inflow_rate must be positive and outflow_rate negative")
-    ensembles: dict[str, EnsembleStats] = {}
-    failed: dict[str, EnsembleFailedError] = {}
+    results: dict[str, EnsembleStats | EnsembleFailedError] = {}
     for name, rate in (("investment", inflow), ("zero", 0.0), ("withdrawal", outflow)):
         try:
-            ensembles[name] = run_flow_ensemble(
+            results[name] = run_flow_ensemble(
                 market, hazard, rate, horizon, n_paths, base_seed,
                 n_workers=n_workers, checkpoints=(horizon,),
             )
         except EnsembleFailedError as exc:
-            failed[name] = exc
-    return RegimeComparison(
-        investment=ensembles.get("investment"),
-        zero=ensembles.get("zero"),
-        withdrawal=ensembles.get("withdrawal"),
-        inflow_rate=inflow,
-        outflow_rate=outflow,
-        failed=failed,
-    )
+            results[name] = exc
+    return results
 
 
 class CalibrationResult(NamedTuple):

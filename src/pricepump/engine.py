@@ -19,7 +19,8 @@ from .errors import ConfigurationError, LiquidityExhaustedError, NoSupplyError
 from .market import MarketState
 
 # Sessions never clear below this fraction of the prior price; withdrawals
-# that would do so are clamped and flagged instead of annihilating the price.
+# that would do so are clamped and flagged instead of annihilating the
+# price, and other requests that would do so leave the day without a trade.
 PRICE_RATIO_FLOOR = 0.01
 
 # Relative tolerance for the "portfolio exactly on target" (no-update) branch.
@@ -27,21 +28,14 @@ RATIO_TIE_RTOL = 1e-12
 
 
 class SessionOutcome(NamedTuple):
-    """Result of one clearing (a named tuple, the cheapest record to
-    build once per session).
+    """Result of one session (a named tuple, the cheapest record to
+    build once per session): the agents drawn, the external flow actually
+    executed, and whether the liquidity floor fired, in which case the
+    executed flow differs from the request."""
 
-    ``trade_amounts[i]`` is the dollar amount agent ``active_indices[i]``
-    moved into stock; the amounts sum to ``-cash_flow_in``.
-    ``cash_flow_in`` is the external flow actually executed, which
-    differs from the request only when the liquidity clamp fired.
-    """
-
-    new_price: float
     active_indices: np.ndarray
-    trade_amounts: np.ndarray
-    external_share_delta: float
     cash_flow_in: float
-    clamped: bool = False
+    clamped: bool
 
 
 def trading_session(
@@ -56,13 +50,26 @@ def trading_session(
     rebalances the active agents, revalues everyone's stock, updates the
     active agents' targets with factors scaled by the day's signal
     ``level``, and books the external flow into the outside-investor
-    share pool.  A flow that would clear below ``PRICE_RATIO_FLOOR``
-    times the prior price (a large withdrawal, or too little inflow into
-    active agents without cash) is replaced by the flow that clears at
-    exactly that ratio, and the outcome is flagged; once repeated clamps
-    have shrunk the price until it underflows to zero, or until the
-    outside pool's share count overflows, the session raises
-    ``LiquidityExhaustedError`` before changing any holding or price.
+    share pool.  A request that would clear below ``PRICE_RATIO_FLOOR``
+    times the prior price fires the liquidity floor, and the outcome is
+    flagged ``clamped``:
+
+    - a withdrawal (a negative request) is cut to the flow that clears at
+      exactly that ratio, provided that flow is still a withdrawal; once
+      repeated clamps have shrunk the price until it underflows to zero,
+      or until the outside pool's share count overflows, the session
+      raises ``LiquidityExhaustedError`` before changing any holding or
+      price;
+    - any other request (a non-negative one, or a withdrawal that the
+      floor would turn into an inflow: the active agents hold too little
+      cash to clear above the floor even without a flow) makes a no-trade
+      day.  The active agents are still drawn, so the random stream is
+      unchanged, but no flow is executed (``cash_flow_in`` is 0.0) and
+      price, holdings and targets stay as they are; ``prev_price`` and
+      ``day`` advance as on any day.
+
+    So the executed flow never exceeds a non-negative request and never
+    turns a withdrawal into an inflow.
 
     With per-agent weights w = 1/(1+k) over the active agents, the price
     ratio is (external_flow + sum k*cash*w) / (sum stock*w); each active
@@ -93,7 +100,12 @@ def trading_session(
     ratio = (external_flow + demand) / supply
     clamped = False
     if ratio < PRICE_RATIO_FLOOR:
-        external_flow = PRICE_RATIO_FLOOR * supply - demand
+        floor_flow = PRICE_RATIO_FLOOR * supply - demand
+        if external_flow >= 0.0 or floor_flow > 0.0:  # a no-trade day
+            state.prev_price = state.price
+            state.day += 1
+            return state, SessionOutcome(active, 0.0, True)
+        external_flow = floor_flow
         ratio = PRICE_RATIO_FLOOR
         clamped = True
     new_price = ratio * state.price
@@ -105,8 +117,7 @@ def trading_session(
             f"price underflowed to {new_price} on day {state.day + 1}: external flow "
             f"{external_flow} exhausts market liquidity",
         )
-    share_delta = external_flow / new_price
-    external_shares = state.external_shares + share_delta
+    external_shares = state.external_shares + external_flow / new_price
     if not math.isfinite(external_shares):  # at a positive but subnormal price
         raise LiquidityExhaustedError(
             external_flow, f"external share count overflowed on day {state.day + 1}: external "
@@ -142,12 +153,4 @@ def trading_session(
     state.external_shares = external_shares
     state.day += 1
 
-    outcome = SessionOutcome(
-        new_price=new_price,
-        active_indices=active,
-        trade_amounts=trades,
-        external_share_delta=share_delta,
-        cash_flow_in=float(external_flow),
-        clamped=clamped,
-    )
-    return state, outcome
+    return state, SessionOutcome(active, float(external_flow), clamped)

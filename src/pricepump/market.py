@@ -78,7 +78,9 @@ class WindowSignal:
     1 + (factor - 1) * level, so at zero signal the effective factors are
     exactly 1 and target ratios never move.  The default window spans
     every day at full intensity; ``WindowSignal(level=L)`` holds every
-    day at ``L``."""
+    day at ``L``.  A window must open on some day: ``start < end`` and
+    ``end > 0`` (times are never negative); ``level = 0`` is the way to
+    turn the signal off."""
 
     start: float = 0.0
     end: float = math.inf
@@ -87,6 +89,11 @@ class WindowSignal:
     def __post_init__(self):
         if not 0.0 <= self.level <= 1.0:
             raise ConfigurationError(f"signal level must lie in [0, 1], got {self.level}")
+        if not self.start < self.end or self.end <= 0.0:
+            raise ConfigurationError(
+                f"market.signal window [{self.start}, {self.end}) never opens: it needs "
+                "start < end and end > 0 (set level to 0 to turn the signal off)"
+            )
 
     def __call__(self, t: float) -> float:
         return self.level if self.start <= t < self.end else 0.0
@@ -131,9 +138,9 @@ class MarketParams:
         gf = self.greed_fear
         return math.exp(gf.mean_log_greed), math.exp(gf.mean_log_fear)
 
-    def theoretical(self, volatility_coeff: float = 1.0) -> TheoreticalReturn:
+    def theoretical(self) -> TheoreticalReturn:
         greed, fear = self.mean_factors()
-        return theoretical_return(greed, fear, self.n_agents, self.n_active, volatility_coeff)
+        return theoretical_return(greed, fear, self.n_agents, self.n_active)
 
     def annualized_target_rate(self) -> float:
         """Continuous yearly rate matching the predicted daily factor."""

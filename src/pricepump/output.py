@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import __version__
-from .cycle import CashHistogram, EnsembleStats, PathRecord, cash_histogram
+from .cycle import CashHistogram, EnsembleStats
 from .ponzi import OdeSolution
 
 
@@ -34,17 +34,6 @@ def _write_csv(path: Path, header: Sequence[str], columns: Sequence[np.ndarray])
         for i in range(rows):
             handle.write(",".join(format_float(float(c[i])) for c in columns) + "\n")
     return path
-
-
-def write_path_record(record: PathRecord, out_dir: Path, basename: str = "path") -> list[Path]:
-    series = record.columns()
-    header = ["t", *series]
-    columns = [record.times, *series.values()]
-    files = [_write_csv(out_dir / f"{basename}.csv", header, columns)]
-    if record.snapshots:
-        histograms = (cash_histogram(snap.time, snap.cash) for snap in record.snapshots)
-        files.append(_write_histograms(histograms, out_dir / f"{basename}_cash_hist.csv"))
-    return files
 
 
 def _write_histograms(histograms: Iterable[CashHistogram], path: Path) -> Path:
@@ -105,11 +94,10 @@ def write_ode_solution(sol: OdeSolution, out_dir: Path, basename: str = "ode") -
 
 
 def emit_series(obj, out_dir: str | Path, basename: str | None = None) -> list[Path]:
-    """Serialize a path record, ensemble, or solver solution into ``out_dir``."""
+    """Serialize an ensemble or a solver solution into ``out_dir``;
+    returns the files written."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if isinstance(obj, PathRecord):
-        return write_path_record(obj, out, basename or "path")
     if isinstance(obj, EnsembleStats):
         return write_ensemble(obj, out, basename or "ensemble")
     if isinstance(obj, OdeSolution):

@@ -91,10 +91,6 @@ class OdeSolution:
     nominal_rate: Optional[np.ndarray] = None
     log_growth: Optional[np.ndarray] = None
 
-    @property
-    def horizon(self) -> float:
-        return float(self.grid[-1])
-
 
 def _grid_steps(horizon: float, step: float) -> int:
     if not (step > 0.0 and math.isfinite(step)):

@@ -7,7 +7,8 @@ evaluates it every day from the agents' cash.  The investor hazard
 accumulates while the realized market rate runs below the rate investors
 were targeting; it does not feed back into trading, so it is computed
 once per path from the finished daily price series (``investor_hazard``).
-Total risk is their sum.
+Total risk is their sum, the ``H`` column of every run
+(``cycle.PathRecord.hazard_total``).
 """
 from __future__ import annotations
 
@@ -127,32 +128,21 @@ def investor_hazard(
     return hazard
 
 
-def total_risk(crash: float, investor: float) -> float:
-    """Combined systematic risk: the two hazards are additive."""
-    if crash < 0.0 or investor < 0.0:
-        raise ValueError(f"hazards must be non-negative, got ({crash}, {investor})")
-    return crash + investor
-
-
 class TheoreticalReturn(NamedTuple):
     daily_factor: float  # geometric-mean gross return per trading day
     volatility: float
 
 
 def theoretical_return(
-    greed: float,
-    fear: float,
-    n_agents: int,
-    n_active: int,
-    volatility_coeff: float = 1.0,
+    greed: float, fear: float, n_agents: int, n_active: int
 ) -> TheoreticalReturn:
     """Predicted per-day return of a homogeneous zero-flow market.
 
     The daily geometric-mean factor is (greed/fear)**(m/(2N)): each day a
     fraction m/N of agents updates its target, and on average half move
     with greed, half with fear.  The volatility scale is
-    ``volatility_coeff * (greed*fear - 1)`` with an undetermined positive
-    coefficient; it is reported but never drives control flow.
+    ``greed*fear - 1`` up to an undetermined positive coefficient (taken
+    as 1); it is reported but never drives control flow.
     """
     if greed < 1.0 or fear < 1.0:
         raise ValueError("factors must be >= 1")
@@ -161,7 +151,7 @@ def theoretical_return(
     exponent = n_active / (2.0 * n_agents)
     return TheoreticalReturn(
         daily_factor=(greed / fear) ** exponent,
-        volatility=volatility_coeff * (greed * fear - 1.0),
+        volatility=greed * fear - 1.0,
     )
 
 

@@ -16,11 +16,6 @@ from .errors import ConfigurationError
 SeedLike = Union[int, Iterable[int], np.random.SeedSequence, np.random.Generator]
 
 
-def make_rng(*keys: int) -> np.random.Generator:
-    """Generator for the stream identified by ``keys``."""
-    return as_rng(keys)
-
-
 def as_rng(seed: SeedLike) -> np.random.Generator:
     """Coerce ``seed`` into a generator.
 

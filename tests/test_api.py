@@ -1,8 +1,9 @@
 """The package's public names, and what the benchmark (``bench/run.py``)
 uses of the package: the module attributes its tracer wraps, the
 configuration documents it writes and the attributes it reads from them,
-and the constructors it calls with positional arguments.  An API cleanup
-that breaks one of them must fail here, not in a benchmark run."""
+the return values its span hooks read, and the constructors it calls with
+positional arguments.  An API cleanup that breaks one of them must fail
+here, not in a benchmark run."""
 import pytest
 
 import pricepump
@@ -102,3 +103,23 @@ def test_benchmark_positional_constructors():
     assert pricepump.ScheduleSpec("linear", 111.0, 0.2) == pricepump.ScheduleSpec(
         kind="linear", first_year_total=111.0, growth=0.2
     )
+
+
+def test_benchmark_return_shapes(tmp_path):
+    # the clamp counter reads the session's outcome, the byte counter
+    # stats every path emit_series returns
+    market = pricepump.MarketParams(n_agents=8, n_active=2)
+    state = pricepump.init_population(market, 1)
+    outcome = pricepump.trading_session(state, market.n_active, 0.0)[1]
+    assert type(outcome.clamped) is bool
+    assert pricepump.SessionOutcome._fields == ("active_indices", "cash_flow_in", "clamped")
+    ensemble = pricepump.run_flow_ensemble(
+        market, pricepump.HazardParams(), 0.0, 0.1, 1, 1, checkpoints=(0.1,)
+    )
+    solution = ponzi.classical_ponzi_solve(
+        pricepump.PonziParams(0.0, 0.41, 0.41, 1.0, 1.0), pricepump.ScheduleSpec(), 2.0, 0.5
+    )
+    for result in (ensemble, solution):
+        files = cli.emit_series(result, tmp_path / type(result).__name__)
+        assert isinstance(files, list) and files
+        assert all(path.is_file() for path in files)

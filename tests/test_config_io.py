@@ -20,7 +20,7 @@ from pricepump import (
     load_config_data,
     parse_config,
     read_csv_columns,
-    run_flow_path,
+    run_flow_ensemble,
     serialize_config,
     write_manifest,
 )
@@ -333,11 +333,21 @@ def cycle_blocks(draw):
     return data
 
 
+@st.composite
+def signal_blocks(draw):
+    """Signal blocks that ``WindowSignal`` accepts: the window opens on
+    some day (start < end, end > 0), whether start is drawn or default."""
+    data = draw(block(level=st.floats(0.0, 1.0), start=finite))
+    start = WindowSignal().start if data.get("start") is None else data["start"]
+    data["end"] = draw(st.none() | st.floats(min_value=max(start, 0.0), exclude_min=True))
+    return data
+
+
 # Valid documents only: each constraint of the configuration dataclasses
 # holds whichever subset of keys is drawn (n_active <= 500 = default
 # n_agents, log means >= three standard deviations at any drawn variance,
-# a cycle horizon beyond its phases, a non-negative ponzi maturity and
-# initial capital).
+# a cycle horizon beyond its phases, a signal window that opens, a
+# non-negative ponzi maturity and initial capital).
 valid_documents = st.fixed_dictionaries(
     {"kind": st.sampled_from(EXPERIMENT_KINDS)},
     optional={
@@ -356,11 +366,7 @@ valid_documents = st.fixed_dictionaries(
                 "log_variance": st.floats(0.0, 0.01),
                 "correlation": st.floats(-1.0, 1.0),
             }),
-            signal=block(
-                level=st.floats(0.0, 1.0),
-                start=finite,
-                end=finite | st.just(math.inf),
-            ),
+            signal=signal_blocks(),
         ),
         "hazard": st.none() | block(
             cash_scale=positive, crash_scale=positive, shortfall_scale=positive, cap=positive
@@ -410,36 +416,49 @@ def test_serialized_config_reloads_identically(document):
     assert config_hash(reloaded) == config_hash(cfg)
 
 
-@pytest.fixture()
-def flow_record():
+def small_flow_ensemble(flow_rate=0.0):
     market = MarketParams(n_agents=40, n_active=10)
-    return run_flow_path(market, HazardParams(), 0.0, 0.25, 5, 0, checkpoints=(0.25,))
+    return run_flow_ensemble(market, HazardParams(), flow_rate, 0.25, 2, 5, checkpoints=(0.25,))
+
+
+@pytest.fixture()
+def flow_ensemble():
+    return small_flow_ensemble()
 
 
 class TestSerialization:
-    def test_path_record_schema(self, flow_record, tmp_path):
-        files = emit_series(flow_record, tmp_path, basename="run")
+    def test_ensemble_schema(self, flow_ensemble, tmp_path):
+        files = emit_series(flow_ensemble, tmp_path, basename="run")
+        assert [f.name for f in files] == ["run.csv", "run_cash_hist.csv", "run_returns.json"]
+        assert all(f.exists() for f in files)
         with open(files[0]) as handle:
             header = handle.readline().strip()
-        assert header == "t,price,log_price,Ha,Hp,H,xin,R,S_ext,total_cash"
+        assert header == (
+            "t,price_mean,"
+            "log_price_mean,log_price_p10,log_price_p50,log_price_p90,"
+            "Ha_mean,Ha_p10,Ha_p50,Ha_p90,Hp_mean,Hp_p10,Hp_p50,Hp_p90,"
+            "H_mean,xin_mean,R_mean,S_ext_mean,total_cash_mean"
+        )
 
-    def test_seventeen_digit_round_trip(self, flow_record, tmp_path):
-        files = emit_series(flow_record, tmp_path, basename="run")
+    def test_seventeen_digit_round_trip(self, flow_ensemble, tmp_path):
+        files = emit_series(flow_ensemble, tmp_path, basename="run")
         table = read_csv_columns(files[0])
-        assert np.array_equal(table["t"], flow_record.times)
-        assert np.array_equal(table["price"], flow_record.price)
-        assert np.array_equal(table["Ha"], flow_record.hazard_crash)
-        assert np.array_equal(table["total_cash"], flow_record.total_cash)
+        series = flow_ensemble.series
+        assert np.array_equal(table["t"], flow_ensemble.times)
+        assert np.array_equal(table["price_mean"], series["price"].mean)
+        assert np.array_equal(table["Ha_mean"], series["Ha"].mean)
+        assert np.array_equal(table["log_price_p90"], series["log_price"].p90)
+        assert np.array_equal(table["total_cash_mean"], series["total_cash"].mean)
 
-    def test_histogram_schema(self, flow_record, tmp_path):
-        files = emit_series(flow_record, tmp_path, basename="run")
+    def test_histogram_schema(self, flow_ensemble, tmp_path):
+        files = emit_series(flow_ensemble, tmp_path, basename="run")
         hist = [f for f in files if "cash_hist" in f.name]
         assert hist
         with open(hist[0]) as handle:
             assert handle.readline().strip() == "checkpoint_t,bin_lo,bin_hi,count"
             rows = handle.readlines()
         counts = sum(float(row.split(",")[3]) for row in rows)
-        assert counts == 40  # every agent lands in a bin
+        assert counts == 2 * 40  # every agent of both paths lands in a bin
 
     def test_ode_serialization_round_trip(self, tmp_path):
         params = PonziParams(0.0, 0.41, 0.41, 3.0, 1.0)
@@ -458,13 +477,10 @@ class TestSerialization:
         assert payload["version"]
 
     def test_byte_identical_reruns(self, tmp_path):
-        market = MarketParams(n_agents=40, n_active=10)
         for name in ("a", "b"):
-            record = run_flow_path(market, HazardParams(), 1.0, 0.25, 5, 0)
-            emit_series(record, tmp_path / name, basename="run")
-        first = (tmp_path / "a" / "run.csv").read_bytes()
-        second = (tmp_path / "b" / "run.csv").read_bytes()
-        assert first == second
+            emit_series(small_flow_ensemble(1.0), tmp_path / name, basename="run")
+        for file in ("run.csv", "run_cash_hist.csv", "run_returns.json"):
+            assert (tmp_path / "a" / file).read_bytes() == (tmp_path / "b" / file).read_bytes()
 
 
 class TestCli:
@@ -736,6 +752,9 @@ class TestCli:
     @pytest.mark.parametrize("payload,key", [
         ({"kind": "aspp", "market": {"signal": {"kind": "window"}}}, "market.signal.kind"),
         ({"kind": "cycle", "ponzi": {"maturity": -1.0}}, "maturity must be >= 0"),
+        # signal windows that never open used to turn greed and fear off silently
+        ({"kind": "cycle", "market": {"signal": {"start": 5.0, "end": 1.0}}}, "market.signal"),
+        ({"kind": "aspp", "market": {"signal": {"start": -1e308, "end": -1.0}}}, "market.signal"),
     ])
     def test_rejected_block_exit_code(self, tmp_path, capsys, payload, key):
         cfg = self.write_config(tmp_path, payload)

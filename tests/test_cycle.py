@@ -199,7 +199,7 @@ class TestRunPath:
 
     def test_series_lengths_consistent(self):
         record = small_path(small_cycle(), 0)
-        n = record.times.size
+        n = record.price.size
         assert all(series.size == n for series in record.columns().values())
 
 
@@ -289,6 +289,18 @@ class TestDayLoopBitIdentity:
     def test_pinned_withdrawal_path_clamps(self):
         record = run_flow_path(MarketParams(), HazardParams(), -2500.0, 2.0, 12345, 4)
         assert record.clamp_events == 29
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0])
+    def test_floor_never_executes_an_inflow_without_one(self, rate):
+        # strong greed in a tiny market pumps the price until a drawn pair
+        # holds too little cash to clear above the floor without a flow:
+        # the floor used to execute inflows of up to 260 (zero flow) and 39
+        # (a withdrawal) here; those days are now no-trade days
+        gf = GreedFearSpec(1.5, 0.05, 0.0, 0.0)
+        record = run_flow_path(MarketParams(n_agents=8, n_active=2, greed_fear=gf), HAZARD,
+                               rate, 1.0, 0, 0)
+        assert record.clamp_events > 0
+        assert np.all(record.flow <= 0.0) and np.all(record.flow >= rate / 360.0)
 
     @settings(deadline=None, max_examples=20)
     @given(
@@ -391,18 +403,18 @@ class TestEnsembles:
     def test_cash_rich_market_does_not_fail_every_path(self):
         # a narrow cash kernel drives every path's concentration to exactly 0
         ens = run_flow_ensemble(MarketParams(), HazardParams(cash_scale=1.0), 5e4, 2.0, 4, 1)
-        assert ens.n_failures == 0
+        assert ens.failure_messages == ()
         assert np.any(ens.series["Ha"].mean == 0.0)  # the underflow did happen
 
     def test_regime_comparison_keeps_finished_regimes(self):
-        comparison = regime_comparison(SMALL_MARKET, HAZARD, 1.0, 2, 1, outflow_rate=-3000.0)
-        assert comparison.withdrawal is None
-        assert list(comparison.as_dict()) == ["investment", "zero"]
-        assert list(comparison.failed) == ["withdrawal"]
-        error = comparison.failed["withdrawal"]
-        assert isinstance(error, EnsembleFailedError)
+        results = regime_comparison(SMALL_MARKET, HAZARD, 1.0, 2, 1, outflow_rate=-3000.0)
+        assert list(results) == ["investment", "zero", "withdrawal"]
+        assert [type(result) for result in results.values()] == [
+            EnsembleStats, EnsembleStats, EnsembleFailedError
+        ]
+        error = results["withdrawal"]
         assert [line.split(":")[0] for line in error.failure_messages] == ["path 0", "path 1"]
-        assert comparison.zero.n_paths == 2 and comparison.zero.n_failures == 0
+        assert results["zero"].n_paths == 2 and results["zero"].failure_messages == ()
 
     def test_one_path_of_one_day_pools_its_return(self):
         stats = run_flow_ensemble(SMALL_MARKET, HAZARD, 0.0, 1.0 / 360.0, 1, 7)
@@ -442,7 +454,7 @@ def stacked_aggregate(records, market, failures):
         for snap in records[i].snapshots:
             by_time.setdefault(snap.time, []).append(snap.cash)
     return EnsembleStats(
-        times=first.times,
+        times=np.arange(first.price.size) / first.days_per_year,
         series=series,
         pooled_returns=pooled,
         histograms=tuple(
@@ -450,7 +462,6 @@ def stacked_aggregate(records, market, failures):
         ),
         theoretical=market.theoretical(),
         n_paths=len(order),
-        n_failures=len(failures),
         clamp_events=sum(records[i].clamp_events for i in order),
         failure_messages=failure_messages,
     )
@@ -665,7 +676,11 @@ def small_experiments(draw):
         ),
         signal=draw(
             st.builds(WindowSignal, level=level)
-            | st.builds(WindowSignal, st.floats(0.0, 1.0), st.floats(0.0, 2.0), level)
+            | st.floats(0.0, 1.0).flatmap(  # a window that opens: start < end
+                lambda start: st.builds(
+                    WindowSignal, st.just(start), st.floats(start, 2.0, exclude_min=True), level
+                )
+            )
         ),
     )
     scale = st.floats(0.01, 1e3)
@@ -702,7 +717,7 @@ def ensemble_bits(run):
     ]
     histograms = [(h.time, h.bin_edges.tobytes(), h.counts.tobytes()) for h in ens.histograms]
     return (ens.times.tobytes(), series, repr(ens.pooled_returns), histograms, ens.n_paths,
-            ens.n_failures, ens.clamp_events, ens.failure_messages)
+            ens.clamp_events, ens.failure_messages)
 
 
 class TestGeneratedConfigs:
@@ -724,6 +739,9 @@ class TestGeneratedConfigs:
                     continue
                 assert np.all(np.isfinite(record.hazard_crash))
                 assert np.all(np.isfinite(record.hazard_investor))
+                if run is runs[1]:  # no inflow beyond the request, none for a withdrawal
+                    request = flow_rate * (1.0 / market.days_per_year)
+                    assert np.all(record.flow <= max(request, 0.0))
 
     @settings(deadline=None, max_examples=5)
     @given(experiment=small_experiments(), seed=st.integers(0, 2**32 - 1))

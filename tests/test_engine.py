@@ -46,11 +46,11 @@ def population(n_agents, seed, **market):
 
 
 def session_all(state, flow=0.0, level=1.0):
-    """One session with every agent active; trades come back in agent order."""
+    """One session with every agent active; the dollars each agent moved
+    into stock (the cash it spent) come back in agent order."""
+    cash_before = state.cash.copy()
     state, outcome = trading_session(state, state.n_agents, flow, level)
-    trades = np.empty(state.n_agents)
-    trades[outcome.active_indices] = outcome.trade_amounts
-    return state, outcome, trades
+    return state, outcome, cash_before - state.cash
 
 
 # Reference oracle: the clearing ratio and the per-agent rule in plain
@@ -83,11 +83,11 @@ def oracle_agent(stock, cash, k, greed, fear, ratio):
 class TestClearPrice:
     def test_balanced_single_agent(self):
         state, outcome, _ = session_all(market([10.0], 10.0, 1.0))
-        assert outcome.new_price == pytest.approx(1.0)
+        assert state.price == pytest.approx(1.0)
 
     def test_two_agent_example(self):
         state, outcome, trades = session_all(market([10.0, 10.0], 10.0, [2.0, 1.0]))
-        assert outcome.new_price == pytest.approx(1.4)
+        assert state.price == pytest.approx(1.4)
         # the trades clear exactly
         assert trades[0] == pytest.approx(2.0)
         assert trades[1] == pytest.approx(-2.0)
@@ -95,7 +95,7 @@ class TestClearPrice:
 
     def test_external_buyer(self):
         state, outcome, trades = session_all(market([10.0], 10.0, 1.0), flow=5.0)
-        assert outcome.new_price == pytest.approx(2.0)
+        assert state.price == pytest.approx(2.0)
         assert trades[0] == pytest.approx(-5.0)
         assert state.stock_value[0] / state.cash[0] == pytest.approx(1.0)
 
@@ -135,7 +135,7 @@ class TestRebalance:
         # rebalance: it is clamped to the floor ratio
         state, outcome, trades = session_all(market([10.0], 10.0, 1.0), flow=-5.0)
         assert outcome.clamped
-        assert outcome.new_price == PRICE_RATIO_FLOOR
+        assert state.price == PRICE_RATIO_FLOOR
         assert state.cash[0] > 0.0 and state.stock_value[0] > 0.0
 
 
@@ -159,7 +159,7 @@ class TestUpdateRatio:
         # the empty agent sits exactly on target (0 == 0) yet counts as a seller
         state = market([0.0, 10.0], [0.0, 10.0], 1.0, greed=1.12, fear=1.11)
         state, outcome, _ = session_all(state)
-        assert outcome.new_price == 1.0
+        assert state.price == 1.0
         assert state.target_ratio[0] == pytest.approx(1.12)
         assert state.target_ratio[1] == 1.0
 
@@ -167,7 +167,7 @@ class TestUpdateRatio:
         # one agent at (10, 10, 1) clears at ratio 1 + flow / 5; a relative
         # perturbation below 1e-12 is treated as on-target
         state, outcome, _ = session_all(market([10.0], 10.0, 1.0, 1.5, 1.5), flow=5e-14)
-        assert outcome.new_price == pytest.approx(1.0 + 1e-14, rel=1e-15)
+        assert state.price == pytest.approx(1.0 + 1e-14, rel=1e-15)
         assert state.target_ratio[0] == 1.0
         state, outcome, _ = session_all(market([10.0], 10.0, 1.0, 1.5, 1.5), flow=5e-9)
         assert state.target_ratio[0] == pytest.approx(1.5)
@@ -190,7 +190,7 @@ class TestTradingSession:
         state = one_agent_state()
         state, outcome = trading_session(state, 1, 0.0)
         assert state.price == 1.0
-        assert outcome.trade_amounts[0] == 0.0
+        assert state.cash[0] == 10.0 and state.stock_value[0] == 10.0
         assert state.day == 1
 
     def test_unit_factors_balanced_price_constant(self):
@@ -203,12 +203,12 @@ class TestTradingSession:
 
     def test_two_agent_worked_example(self):
         state = market([10.0, 10.0], 10.0, [2.0, 1.0], greed=1.12, fear=1.11, seed=5)
-        cash_before = state.total_cash()
+        cash_before = state.cash.copy()
         state, outcome = trading_session(state, 2, 0.0)
         assert state.price == pytest.approx(1.4)
-        assert outcome.external_share_delta == 0.0
-        assert state.total_cash() == pytest.approx(cash_before)
-        traded = dict(zip(outcome.active_indices.tolist(), outcome.trade_amounts.tolist()))
+        assert state.external_shares == 0.0
+        assert state.total_cash() == pytest.approx(cash_before.sum())
+        traded = cash_before - state.cash
         assert traded[0] == pytest.approx(2.0)
         assert traded[1] == pytest.approx(-2.0)
 
@@ -218,12 +218,15 @@ class TestTradingSession:
         shares0 = state.total_shares()
         for _ in range(400):
             flow = float(rng.uniform(-1.0, 3.0))
-            cash_before = state.total_cash()
+            cash_before = state.cash.copy()
             state, outcome = trading_session(state, int(rng.integers(1, 81)), flow)
             executed = outcome.cash_flow_in
-            scale = max(1.0, abs(executed), float(np.abs(outcome.trade_amounts).sum()))
-            assert abs(outcome.trade_amounts.sum() + executed) <= 1e-9 * scale
-            assert state.total_cash() - cash_before == pytest.approx(executed, rel=1e-9, abs=1e-9)
+            trades = cash_before - state.cash  # zero for the inactive agents
+            scale = max(1.0, abs(executed), float(np.abs(trades).sum()))
+            assert abs(trades.sum() + executed) <= 1e-9 * scale
+            assert state.total_cash() - cash_before.sum() == pytest.approx(
+                executed, rel=1e-9, abs=1e-9
+            )
             assert np.all(state.cash >= 0.0)
             assert np.all(state.stock_value >= 0.0)
         assert state.total_shares() == pytest.approx(shares0, rel=1e-9)
@@ -237,20 +240,27 @@ class TestTradingSession:
         # executed flow is exactly the one producing the floor ratio
         assert outcome.cash_flow_in == pytest.approx(PRICE_RATIO_FLOOR * 5.0 - 5.0)
 
-    @pytest.mark.parametrize("flow", [0.0, 1e-6, 2.2250738585e-313])
+    @pytest.mark.parametrize("flow", [0.0, 1e-6, 2.2250738585e-313, -1e-6])
     def test_small_inflow_without_demand_clamps_at_floor(self, flow):
-        # the one active agent (agent 6) holds no cash, so the inflow alone
-        # sets the price: 2.2e-313 cleared at 1.7e-313 and moved 3.2e-10
-        # shares before the clamp tested the floor ratio instead of zero
+        # the one active agent (agent 6) holds no cash, so the flow alone
+        # would set the price, below the floor; the flow that clears at the
+        # floor is an inflow of 0.005 that no investor sent (nor the -1e-6
+        # withdrawal), so the floor makes the day a no-trade day
         state = market([1.0] * 8, [0.0] * 7 + [1.0], [1.0] * 8, 1.0, 1.0, 0.375, 0)
+        before = (state.stock_value.copy(), state.cash.copy(), state.target_ratio.copy())
         shares_before = state.total_shares()
+        reference = as_rng(0)
+        reference.choice(8, size=1, replace=False)
         state, outcome = trading_session(state, 1, flow)
         assert outcome.active_indices.tolist() == [6]
-        assert outcome.clamped
-        assert outcome.new_price == PRICE_RATIO_FLOOR * 0.375
-        assert outcome.cash_flow_in == pytest.approx(PRICE_RATIO_FLOOR * 0.5)
-        share_scale = state.stock_value.sum() / state.price + abs(state.external_shares)
-        assert abs(state.total_shares() - shares_before) <= 1e-13 * share_scale
+        assert outcome.clamped and outcome.cash_flow_in == 0.0
+        assert (state.price, state.prev_price, state.day) == (0.375, 0.375, 1)
+        for now, then in zip((state.stock_value, state.cash, state.target_ratio), before):
+            assert now.tobytes() == then.tobytes()
+        assert state.external_shares == 0.0
+        assert state.total_shares() == shares_before
+        # the subset was drawn as on a trading day: the stream goes on unchanged
+        assert state.rng.random() == reference.random()
 
     def test_price_underflow_raises_typed_error(self):
         state = one_agent_state()
@@ -282,7 +292,7 @@ class TestTradingSession:
         for _ in range(50):
             a, oa = trading_session(a, 10, 0.5)
             b, ob = trading_session(b, 10, 0.5)
-            assert oa.new_price == ob.new_price
+            assert a.price == b.price
             assert np.array_equal(oa.active_indices, ob.active_indices)
         assert np.array_equal(a.target_ratio, b.target_ratio)
 
@@ -323,7 +333,7 @@ class TestTradingSession:
             expected = oracle_ratio(stock, cash, target, flow)
             state = market(stock, cash, target, 1.05, 1.03, seed=int(rng.integers(0, 2**31)))
             state, outcome, trades = session_all(state, flow)
-            assert outcome.new_price == pytest.approx(expected, rel=1e-12)
+            assert state.price == pytest.approx(expected, rel=1e-12)
             for i in range(n):
                 x, new_cash, new_stock, new_k = oracle_agent(
                     stock[i], cash[i], target[i], 1.05, 1.03, expected
@@ -369,8 +379,10 @@ class TestSessionProperties:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_session_invariants_are_exact(self, data, n_agents, price, flow_share, seed):
-        """Cash changes by the executed flow, shares are conserved, and
-        every active agent ends exactly on its pre-session target."""
+        """Cash changes by the executed flow, shares are conserved, no
+        inflow is executed beyond the request, and every active agent ends
+        exactly on its pre-session target, unless the day is a no-trade
+        day, on which no holding moves."""
         values = st.floats(0.01, 100.0)
         stock = data.draw(st.lists(values, min_size=n_agents, max_size=n_agents))
         cash = data.draw(st.lists(st.just(0.0) | values, min_size=n_agents, max_size=n_agents))
@@ -380,12 +392,18 @@ class TestSessionProperties:
         n_active = data.draw(st.integers(1, n_agents))
         # flows up to twice the total cash, either sign (withdrawals may clamp)
         flow = flow_share * sum(cash)
-        old_target = state.target_ratio.copy()
+        old_target, old_stock = state.target_ratio.copy(), state.stock_value.copy()
         cash_before, shares_before = state.total_cash(), state.total_shares()
 
         state, outcome = trading_session(state, n_active, flow)
         active = outcome.active_indices
-        assert np.all(state.stock_value[active] == old_target[active] * state.cash[active])
+        # no inflow beyond the request, and no withdrawal turned into one
+        assert outcome.cash_flow_in <= max(flow, 0.0)
+        if outcome.clamped and state.price == state.prev_price:  # a no-trade day
+            assert outcome.cash_flow_in == 0.0
+            assert state.stock_value.tobytes() == old_stock.tobytes()
+        else:
+            assert np.all(state.stock_value[active] == old_target[active] * state.cash[active])
         # rounding bounds scale with the magnitudes summed: a clamped
         # withdrawal moves far more shares than the total it conserves
         cash_scale = cash_before + abs(outcome.cash_flow_in)

@@ -8,9 +8,9 @@ from pricepump import (
     GreedFearSpec,
     MarketParams,
     WindowSignal,
+    as_rng,
     default_greed_fear,
     init_population,
-    make_rng,
     sample_greed_fear,
     trading_session,
 )
@@ -43,19 +43,19 @@ class TestGreedFearSpec:
 class TestSampleGreedFear:
     def test_degenerate_variance(self):
         spec = GreedFearSpec(math.log(1.12), math.log(1.11), 0.0, 0.0)
-        pairs = sample_greed_fear(spec, 50, make_rng(1))
+        pairs = sample_greed_fear(spec, 50, as_rng(1))
         assert np.allclose(pairs[:, 0], 1.12) and np.allclose(pairs[:, 1], 1.11)
 
     def test_perfect_correlation_is_exact(self):
         # the same normal draw drives both coordinates; recovering the logs
         # from the returned factors costs one exp/log round trip
         spec = GreedFearSpec(0.2, 0.15, 1e-3, 1.0)
-        pairs = sample_greed_fear(spec, 2000, make_rng(2))
+        pairs = sample_greed_fear(spec, 2000, as_rng(2))
         logs = np.log(pairs)
         assert np.allclose(logs[:, 0] - 0.2, logs[:, 1] - 0.15, rtol=0.0, atol=1e-12)
 
     def test_moments_converge(self):
-        pairs = sample_greed_fear(default_greed_fear(), 100_000, make_rng(123))
+        pairs = sample_greed_fear(default_greed_fear(), 100_000, as_rng(123))
         logs = np.log(pairs)
         corr = np.corrcoef(logs[:, 0], logs[:, 1])[0, 1]
         assert abs(corr - 0.95) < 0.01
@@ -63,7 +63,7 @@ class TestSampleGreedFear:
             assert logs[:, column].var() == pytest.approx(12e-4, rel=0.10)
 
     def test_factors_at_least_one(self):
-        pairs = sample_greed_fear(default_greed_fear(), 100_000, make_rng(5))
+        pairs = sample_greed_fear(default_greed_fear(), 100_000, as_rng(5))
         assert (pairs >= 1.0).all()
 
     def test_rejection_rate_is_small(self):
@@ -78,8 +78,8 @@ class TestSampleGreedFear:
         assert ((lg < 0) | (lf < 0)).mean() < 0.005
 
     def test_deterministic_given_seed(self):
-        a = sample_greed_fear(default_greed_fear(), 1000, make_rng(77))
-        b = sample_greed_fear(default_greed_fear(), 1000, make_rng(77))
+        a = sample_greed_fear(default_greed_fear(), 1000, as_rng(77))
+        b = sample_greed_fear(default_greed_fear(), 1000, as_rng(77))
         assert np.array_equal(a, b)
 
 

@@ -6,13 +6,13 @@ import pytest
 from pricepump import (
     DivergenceError,
     HazardParams,
+    PathRecord,
     cash_concentration,
     crash_hazard,
     investor_hazard,
     return_stats,
     stats_from_log_returns,
     theoretical_return,
-    total_risk,
 )
 
 
@@ -182,19 +182,25 @@ class TestUnderperformanceHazard:
         assert err.value.last_time == 3.0
 
 
+def h_column(crash: float, investor: float) -> float:
+    """The ``H`` column of a one-day path record with these hazards."""
+    zero = np.zeros(1)
+    record = PathRecord(360, np.ones(1), np.array([crash]), np.array([investor]),
+                        zero, zero, zero, zero)
+    return float(record.columns()["H"][0])
+
+
 class TestTotalRisk:
+    """Total risk is the ``H`` column: crash plus investor hazard."""
+
     def test_zero(self):
-        assert total_risk(0.0, 0.0) == 0.0
+        assert h_column(0.0, 0.0) == 0.0
 
     def test_additive_identity(self):
-        assert total_risk(4.795, 0.0) == 4.795
+        assert h_column(4.795, 0.0) == 4.795
 
     def test_sum(self):
-        assert total_risk(4.795, 5.43656) == pytest.approx(10.23156)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            total_risk(-0.1, 0.0)
+        assert h_column(4.795, 5.43656) == pytest.approx(10.23156)
 
 
 class TestTheoreticalReturn:
@@ -213,8 +219,8 @@ class TestTheoreticalReturn:
         assert scaled == pytest.approx(base, rel=1e-12)
 
     def test_volatility_scale(self):
-        result = theoretical_return(1.12, 1.11, 500, 125, volatility_coeff=2.0)
-        assert result.volatility == pytest.approx(2.0 * (1.12 * 1.11 - 1.0))
+        result = theoretical_return(1.12, 1.11, 500, 125)
+        assert result.volatility == pytest.approx(1.12 * 1.11 - 1.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
