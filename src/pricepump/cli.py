@@ -131,16 +131,9 @@ def _write_ensembles(
 
 def _cmd_simulate(args) -> int:
     cfg = _load(args)
-    block = _override_paths(cfg.aspp, args.paths)
+    flow = _override_paths(cfg.aspp, args.paths)
     result = _attempt(lambda: run_flow_ensemble(
-        cfg.market,
-        cfg.hazard,
-        block.flow_rate,
-        block.horizon,
-        block.n_paths,
-        cfg.seed,
-        n_workers=args.threads,
-        checkpoints=(block.horizon,),
+        cfg.market, cfg.hazard, flow, cfg.seed, n_workers=args.threads
     ))
     _write_ensembles(_out_dir(args, cfg), cfg, {"": result})
     return 0
@@ -148,16 +141,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_regimes(args) -> int:
     cfg = _load(args)
-    block = _override_paths(cfg.regimes, args.paths)
+    regimes = _override_paths(cfg.regimes, args.paths)
     results = regime_comparison(
-        cfg.market,
-        cfg.hazard,
-        horizon=block.horizon,
-        n_paths=block.n_paths,
-        base_seed=cfg.seed,
-        inflow_rate=block.inflow_rate,
-        outflow_rate=block.outflow_rate,
-        n_workers=args.threads,
+        cfg.market, cfg.hazard, regimes, cfg.seed, n_workers=args.threads
     )
     _write_ensembles(_out_dir(args, cfg), cfg, results)
     return 0

@@ -7,7 +7,8 @@ distribution and hazard scales); unknown keys are rejected by name.
 The ``kind`` key selects the experiment.  Every block is one class,
 parsed and serialized by walking its fields, and checked at load
 whatever the kind: ``market`` (with its ``greed_fear`` and ``signal``
-sub-blocks), ``hazard``, ``schedule`` and ``cycle`` are the library's
+sub-blocks), ``hazard``, ``schedule``, ``cycle``, ``aspp``
+(``FlowBlock``) and ``regimes`` (``RegimesBlock``) are the library's
 parameter classes, and ``ponzi`` is ``PonziParams`` plus the solver's
 own fields.  Only the CLI's own blocks are declared here.
 """
@@ -24,7 +25,7 @@ from typing import Any, Optional, Union, get_args, get_origin, get_type_hints
 
 from .errors import ConfigurationError
 from .market import MarketParams
-from .cycle import CycleConfig
+from .cycle import CycleConfig, FlowBlock, RegimesBlock
 from .ponzi import DEFAULT_STEP, PonziParams
 from .risk import HazardParams
 from .schedules import ScheduleSpec
@@ -37,21 +38,6 @@ EXPERIMENT_KINDS = (
 # rate response O(1).  Market experiments keep ScheduleSpec's default, a
 # first-year mass matching the population's initial cash reserve.
 _PONZI_SCHEDULE = ScheduleSpec(first_year_total=1.0)
-
-@dataclass(frozen=True)
-class FlowBlock:
-    flow_rate: float = 0.0
-    horizon: float = 3.0
-    n_paths: int = 1000
-
-
-@dataclass(frozen=True)
-class RegimesBlock:
-    inflow_rate: Optional[float] = None
-    outflow_rate: Optional[float] = None
-    horizon: float = 2.0
-    n_paths: int = 100
-
 
 @dataclass(frozen=True)
 class PonziBlock(PonziParams):

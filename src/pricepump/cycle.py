@@ -10,7 +10,8 @@ tracked withdrawable value at a target rate.  Paths are independent
 units of parallel work, folded into the aggregates in path-index order
 whatever order they finish in.  The runners take the configuration's
 blocks (``MarketParams``, ``HazardParams``, ``ScheduleSpec``,
-``CycleConfig``) as they are.
+``CycleConfig``, ``FlowBlock``, ``RegimesBlock``) as they are, and every
+path of every experiment runs through one day loop.
 """
 from __future__ import annotations
 
@@ -21,11 +22,11 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import partial
-from typing import NamedTuple, Optional, Sequence
+from typing import Collection, NamedTuple, Optional
 
 import numpy as np
 
-from .engine import trading_session
+from .engine import SessionOutcome, trading_session
 from .errors import BracketError, ConfigurationError, DivergenceError, EnsembleFailedError
 from .market import MarketParams, init_population
 from .ponzi import SpeculativePonziParams, speculative_ponzi_solve
@@ -44,10 +45,14 @@ from .schedules import ScheduleSpec, schedule_eval
 HISTOGRAM_BINS = 50
 
 
-def _require_finite(**values: float) -> None:
+def _check_block(n_paths: int, **values: Optional[float]) -> None:
+    """The checks of every ensemble block: finite values (``None``, a
+    default resolved later, passes) and at least one path."""
     for name, value in values.items():
-        if not math.isfinite(value):
+        if value is not None and not math.isfinite(value):
             raise ConfigurationError(f"{name} must be finite, got {value}")
+    if n_paths < 1:
+        raise ConfigurationError(f"n_paths must be >= 1, got {n_paths}")
 
 
 @dataclass(frozen=True)
@@ -63,12 +68,8 @@ class CycleConfig:
     checkpoints: Optional[tuple[float, ...]] = None  # None: phase boundaries
 
     def __post_init__(self):
-        _require_finite(
-            pre_phase=self.pre_phase,
-            maturity=self.maturity,
-            horizon=self.horizon,
-            target_rate=0.0 if self.target_rate is None else self.target_rate,
-        )
+        _check_block(self.n_paths, pre_phase=self.pre_phase, maturity=self.maturity,
+                     horizon=self.horizon, target_rate=self.target_rate)
         if self.pre_phase < 0.0 or self.maturity < 0.0:
             raise ConfigurationError("pre_phase and maturity must be >= 0")
         if self.horizon <= self.pre_phase + self.maturity:
@@ -76,8 +77,6 @@ class CycleConfig:
                 f"horizon {self.horizon} must exceed pre_phase + maturity "
                 f"({self.pre_phase + self.maturity})"
             )
-        if self.n_paths < 1:
-            raise ConfigurationError(f"n_paths must be >= 1, got {self.n_paths}")
 
     def resolved_target_rate(self, market: MarketParams) -> float:
         if self.target_rate is not None:
@@ -88,6 +87,49 @@ class CycleConfig:
         if self.checkpoints is not None:
             return self.checkpoints
         return (self.pre_phase, self.pre_phase + self.maturity, self.horizon)
+
+
+@dataclass(frozen=True)
+class FlowBlock:
+    """A constant external flow in dollars per year, with the horizon and
+    path count of its ensemble (the configuration's ``aspp`` block)."""
+
+    flow_rate: float = 0.0
+    horizon: float = 3.0
+    n_paths: int = 1000
+
+    def __post_init__(self):
+        _check_block(self.n_paths, flow_rate=self.flow_rate, horizon=self.horizon)
+
+
+@dataclass(frozen=True)
+class RegimesBlock:
+    """Rates, horizon and path count of the flow-regime comparison (the
+    configuration's ``regimes`` block).  A ``None`` rate resolves against
+    the market: the inflow to the population's initial cash per year, the
+    outflow to a quarter of it per year (stronger withdrawals drain the
+    market's cash entirely within the horizon)."""
+
+    inflow_rate: Optional[float] = None
+    outflow_rate: Optional[float] = None
+    horizon: float = 2.0
+    n_paths: int = 100
+
+    def __post_init__(self):
+        inflow, outflow = self.inflow_rate, self.outflow_rate
+        _check_block(self.n_paths, inflow_rate=inflow, outflow_rate=outflow, horizon=self.horizon)
+        if (inflow is not None and inflow <= 0.0) or (outflow is not None and outflow >= 0.0):
+            raise ConfigurationError("inflow_rate must be positive and outflow_rate negative")
+
+    def flows(self, market: MarketParams) -> dict[str, FlowBlock]:
+        """The ``"investment"``, ``"zero"`` and ``"withdrawal"`` flows, in that order."""
+        total = market.total_initial_cash()
+        inflow = total if self.inflow_rate is None else self.inflow_rate
+        outflow = -0.25 * total if self.outflow_rate is None else self.outflow_rate
+        return {
+            name: FlowBlock(rate, self.horizon, self.n_paths)
+            for name, rate in (("investment", inflow), ("zero", 0.0), ("withdrawal", outflow))
+        }
 
 
 class CashSnapshot(NamedTuple):
@@ -140,26 +182,26 @@ class PathRecord:
         }
 
 
-def _day_grid(n_points: int, days_per_year: int) -> np.ndarray:
-    """Times in years of days ``0 .. n_points - 1``."""
-    return np.arange(n_points) / days_per_year
-
-
 class InvestorLedger:
-    """Withdrawable value as investors track it, on the market's clock.
+    """Withdrawable value as investors track it, on the market's clock,
+    and the external flow they ask for.
 
-    Per day, the tracked value compounds at the realized market rate
-    (annualized simple return), is reduced at the target rate once
-    withdrawals are on, and receives the inflow made one maturity ago
-    marked to the current price.  Ring buffers hold exactly one maturity
-    of price and inflow history.
+    Day ``d``'s request is its scheduled inflow ``inflows[d]`` less, from
+    ``withdraw_day`` on, the tracked value at the target rate.  Per day,
+    the tracked value compounds at the realized market rate (annualized
+    simple return), is reduced at the target rate once withdrawals are
+    on, and receives the inflow made one maturity ago marked to the
+    current price.  Ring buffers hold exactly one maturity of price and
+    inflow history.  The ledger books what the session executed: on a day
+    the liquidity floor fired it drains what was paid out, the day's
+    inflow less the executed flow, and on a no-trade day (nothing
+    executed) it credits no inflow and so drains nothing.
     """
 
-    def __init__(self, target_rate: float, maturity_days: int, period: float):
-        if maturity_days < 0:
-            raise ConfigurationError(f"maturity_days must be >= 0, got {maturity_days}")
-        if period <= 0.0:
-            raise ConfigurationError(f"period must be positive, got {period}")
+    def __init__(self, inflows: list[float], withdraw_day: int, target_rate: float,
+                 maturity_days: int, period: float):
+        self.inflows = inflows
+        self.withdraw_day = withdraw_day
         self.target_rate = target_rate
         self.maturity_days = maturity_days
         self.period = period
@@ -167,62 +209,67 @@ class InvestorLedger:
         self.price_history: deque[float] = deque(maxlen=max(maturity_days, 1))
         self.inflow_history: deque[float] = deque(maxlen=max(maturity_days, 1))
 
+    def request(self, day: int) -> float:
+        if day < self.withdraw_day:
+            return self.inflows[day]
+        return self.inflows[day] - self.target_rate * self.value * self.period
+
     def record_day(
-        self, new_price: float, prev_price: float, gross_inflow: float, withdrawing: bool
+        self, day: int, new_price: float, prev_price: float, outcome: SessionOutcome
     ) -> float:
-        """Advance one day; returns the updated withdrawable value."""
+        """Book day ``day``'s session; returns the updated withdrawable value."""
         realized = (new_price / prev_price - 1.0) / self.period
+        executed, clamped = outcome.cash_flow_in, outcome.clamped
+        inflow = 0.0 if clamped and executed == 0.0 else self.inflows[day]
         if self.maturity_days == 0:
-            matured = gross_inflow
+            matured = inflow
         elif len(self.inflow_history) == self.maturity_days:
             matured = self.inflow_history[0] * new_price / self.price_history[0]
         else:
             matured = 0.0
-        drain = self.target_rate if withdrawing else 0.0
-        self.value += self.period * (realized - drain) * self.value + matured
+        if clamped:
+            self.value += self.period * realized * self.value - (inflow - executed) + matured
+        else:
+            drain = self.target_rate if day >= self.withdraw_day else 0.0
+            self.value += self.period * (realized - drain) * self.value + matured
         if self.maturity_days > 0:
             self.price_history.append(new_price)
-            self.inflow_history.append(gross_inflow)
+            self.inflow_history.append(inflow)
         return self.value
 
 
 def _run_days(
     market: MarketParams,
     hazard: HazardParams,
-    n_days: int,
+    day_times: list[float],
     seed: tuple[int, int],
-    *,
-    schedule: Optional[ScheduleSpec] = None,
-    pre_phase: float = 0.0,
-    maturity: float = 0.0,
-    target_rate: float = 0.0,
-    constant_flow: float = 0.0,
-    checkpoint_days: Sequence[int] = (),
+    flow_rate: float,
+    checkpoint_days: Collection[int],
+    ledger: Optional[InvestorLedger],
 ) -> PathRecord:
-    """Shared day loop over a population drawn from ``seed``.
+    """Day loop over a population drawn from ``seed``, on the days
+    ``day_times`` (day 0 is the initial state), with cash snapshots on
+    ``checkpoint_days``.
 
-    With a schedule, runs the phased investment cycle with an investor
-    ledger; otherwise applies a constant external flow and the ledger
-    quantities stay identically zero.  The schedule is evaluated once,
-    for every day, before the loop.  The crash hazard's per-agent
+    The external flow is ``flow_rate`` dollars per year, or each day's
+    request of the investor ``ledger``.  Without a ledger the ledger
+    quantities stay identically zero; with one, the investor hazard is
+    computed once, after the loop, from the price path (it never feeds
+    back into trading).  The crash hazard's per-agent
     ``cash_kernel`` is kept across days: a session changes the cash of
     its active agents only, so only their entries are recomputed, and
-    the concentration is the kernel's mean (the same sum and division
-    as ``cash_concentration``, hence the same bits).  The investor hazard
-    depends on the price path only, so it is computed once, after the
-    loop, from withdrawals' first day on.  A price, investor flow or
-    ledger value that overflows ends the path with ``DivergenceError``.
+    the concentration is the kernel's mean (the same sum and division as
+    ``cash_concentration``, hence the same bits).  A price, investor flow
+    or ledger value that overflows ends the path with ``DivergenceError``.
     """
     state = init_population(market, seed)
-    dpy = market.days_per_year
-    period = 1.0 / dpy
-    cycle_mode = schedule is not None
-    invest_day = int(round(pre_phase * dpy))
-    withdraw_day = int(round((pre_phase + maturity) * dpy))
+    n_days = len(day_times) - 1
+    period = 1.0 / market.days_per_year
+    flow = flow_rate * period
 
     price = np.empty(n_days + 1)
     hazard_crash = np.empty(n_days + 1)
-    flow = np.zeros(n_days + 1)
+    flows = np.zeros(n_days + 1)
     withdrawable = np.zeros(n_days + 1)
     external_value = np.zeros(n_days + 1)
     total_cash = np.empty(n_days + 1)
@@ -234,35 +281,20 @@ def _run_days(
     total_cash[0] = state.cash.sum()
     external_value[0] = state.external_shares * state.price
 
-    checkpoint_set = set(int(d) for d in checkpoint_days)
     snapshots: list[CashSnapshot] = []
-    if 0 in checkpoint_set:
+    if 0 in checkpoint_days:
         snapshots.append(CashSnapshot(0.0, state.cash.copy()))
 
-    if cycle_mode:
-        ledger = InvestorLedger(target_rate, int(round(maturity * dpy)), period)
-        # schedule_eval maps the days before the investment phase (t < 0) to 0
-        inflows = (
-            schedule_eval(schedule, (np.arange(n_days) - invest_day) / dpy) * period
-        ).tolist()
     signal = market.signal
     n_active = market.n_active
-    day_times = _day_grid(n_days + 1, dpy).tolist()
     clamp_events = 0
 
     for day in range(n_days):
-        if cycle_mode:
-            gross_inflow = inflows[day]
-            withdrawing = day >= withdraw_day
-            requested = gross_inflow - (target_rate * ledger.value * period if withdrawing else 0.0)
-            if not math.isfinite(requested):
+        if ledger is not None:
+            flow = ledger.request(day)
+            if not math.isfinite(flow):
                 raise DivergenceError(day_times[day], f"investor flow overflowed on day {day}")
-        else:
-            gross_inflow = 0.0
-            withdrawing = False
-            requested = constant_flow * period
-
-        state, outcome = trading_session(state, n_active, requested, signal(day_times[day]))
+        state, outcome = trading_session(state, n_active, flow, signal(day_times[day]))
         clamp_events += outcome.clamped
         active = outcome.active_indices
         kernel[active] = cash_kernel(state.cash[active], cash_scale)
@@ -271,34 +303,32 @@ def _run_days(
         if not math.isfinite(new_price):
             raise DivergenceError(day_times[i], f"price overflowed on day {i}")
         price[i] = new_price
-        flow[i] = outcome.cash_flow_in
+        flows[i] = outcome.cash_flow_in
         total_cash[i] = state.cash.sum()
         external_value[i] = state.external_shares * new_price
         hazard_crash[i] = crash_hazard(float(kernel.sum()) / kernel.size, hazard)
-        if cycle_mode:
+        if ledger is not None:
             # state.prev_price equals price[day] as a Python float, which
             # keeps the ledger's scalar arithmetic off numpy scalars
-            value = ledger.record_day(new_price, state.prev_price, gross_inflow, withdrawing)
+            value = ledger.record_day(day, new_price, state.prev_price, outcome)
             if not math.isfinite(value):
                 raise DivergenceError(day_times[i], f"investor ledger overflowed on day {i}")
             withdrawable[i] = value
-        if i in checkpoint_set:
+        if i in checkpoint_days:
             snapshots.append(CashSnapshot(day_times[i], state.cash.copy()))
 
-    # the investor hazard never feeds back into trading; a zero-mass
-    # schedule means no investors, hence no investor-side risk
-    if cycle_mode and schedule.first_year_total > 0.0:
-        hazard_investor = investor_hazard(
-            price, withdraw_day, target_rate, period, hazard.shortfall_scale
-        )
-    else:
+    if ledger is None:
         hazard_investor = np.zeros(n_days + 1)
+    else:
+        hazard_investor = investor_hazard(
+            price, ledger.withdraw_day, ledger.target_rate, period, hazard.shortfall_scale
+        )
     return PathRecord(
-        days_per_year=dpy,
+        days_per_year=market.days_per_year,
         price=price,
         hazard_crash=hazard_crash,
         hazard_investor=hazard_investor,
-        flow=flow,
+        flow=flows,
         withdrawable=withdrawable,
         external_value=external_value,
         total_cash=total_cash,
@@ -307,8 +337,24 @@ def _run_days(
     )
 
 
-def _checkpoint_days(checkpoints: Sequence[float], dpy: int, n_days: int) -> list[int]:
-    return sorted({min(max(int(round(c * dpy)), 0), n_days) for c in checkpoints})
+def _day_times(market: MarketParams, horizon: float) -> list[float]:
+    """Times in years of a run's days ``0 .. n_days``, the horizon rounded
+    to whole days.  Raises ``ConfigurationError`` for a horizon below one
+    trading day, and for a signal window that opens on none of the days
+    the loop trades (``0 .. n_days - 1``), which would leave greed and
+    fear off for the whole run."""
+    dpy = market.days_per_year
+    n_days = int(round(horizon * dpy))
+    if n_days < 1:
+        raise ConfigurationError(f"horizon {horizon} is below one trading day")
+    times = (np.arange(n_days + 1) / dpy).tolist()
+    signal = market.signal
+    if signal.level > 0.0 and not any(map(signal, times[:-1])):
+        raise ConfigurationError(
+            f"market.signal window [{signal.start}, {signal.end}) opens on no trading day "
+            f"of the run (days 0 to {n_days - 1} at {dpy} a year; level 0 turns it off)"
+        )
+    return times
 
 
 def run_path(
@@ -320,49 +366,42 @@ def run_path(
     path_index: int,
 ) -> PathRecord:
     """Simulate one investment-cycle path; fully determined by the
-    parameters and (base_seed, path_index)."""
-    n_days = _n_days(market, cycle.horizon)
+    parameters and (base_seed, path_index).  A zero-mass schedule brings
+    no investors, so its path is the zero-flow path of the same seed."""
+    day_times = _day_times(market, cycle.horizon)
+    n_days = len(day_times) - 1
+    dpy = market.days_per_year
+    period = 1.0 / dpy
+    ledger = None
+    if schedule.first_year_total > 0.0:
+        invest_day = int(round(cycle.pre_phase * dpy))
+        # schedule_eval maps the days before the investment phase (t < 0) to 0
+        inflows = schedule_eval(schedule, (np.arange(n_days) - invest_day) / dpy) * period
+        ledger = InvestorLedger(
+            inflows.tolist(), int(round((cycle.pre_phase + cycle.maturity) * dpy)),
+            cycle.resolved_target_rate(market), int(round(cycle.maturity * dpy)), period,
+        )
+    checkpoint_days = {
+        min(max(int(round(c * dpy)), 0), n_days) for c in cycle.resolved_checkpoints()
+    }
     return _run_days(
-        market,
-        hazard,
-        n_days,
-        (base_seed, path_index),
-        schedule=schedule,
-        pre_phase=cycle.pre_phase,
-        maturity=cycle.maturity,
-        target_rate=cycle.resolved_target_rate(market),
-        checkpoint_days=_checkpoint_days(
-            cycle.resolved_checkpoints(), market.days_per_year, n_days
-        ),
+        market, hazard, day_times, (base_seed, path_index), 0.0, checkpoint_days, ledger
     )
-
-
-def _n_days(market: MarketParams, horizon: float) -> int:
-    _require_finite(horizon=horizon)
-    n_days = int(round(horizon * market.days_per_year))
-    if n_days < 1:
-        raise ConfigurationError(f"horizon {horizon} is below one trading day")
-    return n_days
 
 
 def run_flow_path(
     market: MarketParams,
     hazard: HazardParams,
-    flow_rate: float,
-    horizon: float,
+    flow: FlowBlock,
     base_seed: int,
     path_index: int,
-    checkpoints: Sequence[float] = (),
 ) -> PathRecord:
-    """Simulate one path under a constant external flow (dollars per year)."""
-    n_days = _n_days(market, horizon)
+    """Simulate one path under the constant external flow of ``flow``
+    (dollars per year), with a cash snapshot at the horizon."""
+    day_times = _day_times(market, flow.horizon)
+    horizon_day = (len(day_times) - 1,)
     return _run_days(
-        market,
-        hazard,
-        n_days,
-        (base_seed, path_index),
-        constant_flow=flow_rate,
-        checkpoint_days=_checkpoint_days(checkpoints, market.days_per_year, n_days),
+        market, hazard, day_times, (base_seed, path_index), flow.flow_rate, horizon_day, None
     )
 
 
@@ -472,7 +511,7 @@ def _aggregate(fold: _EnsembleFold, market: MarketParams) -> EnsembleStats:
         series[name] = SeriesSummary(mean, rows.std(axis=0), p10, p50, p90)
     del rows  # only log_price's rows stay for the pooled returns' temporaries
     return EnsembleStats(
-        times=_day_grid(log_price.shape[1], market.days_per_year),
+        times=np.arange(log_price.shape[1]) / market.days_per_year,
         series=series,
         pooled_returns=stats_from_log_returns(np.diff(log_price, axis=1).ravel()),
         histograms=tuple(
@@ -511,6 +550,16 @@ def _collect(worker, n_paths: int, n_workers: int) -> _EnsembleFold:
     return fold
 
 
+def _ensemble(
+    path, market: MarketParams, block: CycleConfig | FlowBlock, n_workers: int
+) -> EnsembleStats:
+    """Run ``path`` on path indices ``0 .. block.n_paths - 1`` and aggregate.
+    The day grid is checked first: a horizon or signal that cannot run is
+    a configuration error, not a failure of every path."""
+    _day_times(market, block.horizon)
+    return _aggregate(_collect(path, block.n_paths, n_workers), market)
+
+
 def run_ensemble(
     market: MarketParams,
     hazard: HazardParams,
@@ -524,78 +573,44 @@ def run_ensemble(
     Aggregates are indexed by path number, so the result is identical for
     any worker count and execution order.
     """
-    _n_days(market, cycle.horizon)  # checked before any path runs, like flows
-    fold = _collect(
-        partial(run_path, market, hazard, schedule, cycle, base_seed),
-        cycle.n_paths,
-        n_workers,
-    )
-    return _aggregate(fold, market)
+    path = partial(run_path, market, hazard, schedule, cycle, base_seed)
+    return _ensemble(path, market, cycle, n_workers)
 
 
 def run_flow_ensemble(
     market: MarketParams,
     hazard: HazardParams,
-    flow_rate: float,
-    horizon: float,
-    n_paths: int,
+    flow: FlowBlock,
     base_seed: int,
     n_workers: int = 1,
-    checkpoints: Sequence[float] = (),
 ) -> EnsembleStats:
-    """Constant-flow ensemble (zero, investment, or withdrawal regimes)."""
-    # checked here, before any path runs, so that they are not path failures
-    _require_finite(flow_rate=flow_rate)
-    _n_days(market, horizon)
-    if n_paths < 1:
-        raise ConfigurationError(f"n_paths must be >= 1, got {n_paths}")
-    fold = _collect(
-        partial(run_flow_path, market, hazard, flow_rate, horizon, base_seed,
-                checkpoints=tuple(checkpoints)),
-        n_paths,
-        n_workers,
-    )
-    return _aggregate(fold, market)
+    """Constant-flow ensemble (zero, investment, or withdrawal regime),
+    with the cash histogram at the horizon."""
+    path = partial(run_flow_path, market, hazard, flow, base_seed)
+    return _ensemble(path, market, flow, n_workers)
 
 
 def regime_comparison(
     market: MarketParams,
     hazard: HazardParams,
-    horizon: float,
-    n_paths: int,
+    regimes: RegimesBlock,
     base_seed: int,
-    inflow_rate: Optional[float] = None,
-    outflow_rate: Optional[float] = None,
     n_workers: int = 1,
 ) -> dict[str, EnsembleStats | EnsembleFailedError]:
-    """Three ensembles differing only in the external-flow policy, by
-    regime name: ``"investment"``, ``"zero"`` and ``"withdrawal"``, in
-    that order.
+    """Three ensembles differing only in the external flow, by regime name:
+    ``"investment"``, ``"zero"`` and ``"withdrawal"``, in that order (see
+    ``RegimesBlock.flows``).
 
-    Defaults: inflow equal to the population's initial cash per year,
-    outflow a quarter of it per year (stronger withdrawals drain the
-    market's cash entirely within the horizon).  An outflow as strong as
-    the initial cash per year exhausts the market: the liquidity clamp
-    then fires every day, the price underflows to zero after about 1.4
-    years, and every path fails with ``LiquidityExhaustedError``.  Such a
-    regime maps to its ``EnsembleFailedError``; the other regimes still
-    run.
-    Final-day cash snapshots are recorded for distribution comparisons.
+    An outflow as strong as the initial cash per year exhausts the market:
+    the liquidity clamp then fires every day, the price underflows to zero
+    after about 1.4 years, and every path fails with
+    ``LiquidityExhaustedError``.  Such a regime maps to its
+    ``EnsembleFailedError``; the other regimes still run.
     """
-    total = market.total_initial_cash()
-    inflow = inflow_rate if inflow_rate is not None else total
-    outflow = outflow_rate if outflow_rate is not None else -0.25 * total
-    # the first ensemble checks the horizon; the outflow is used last
-    _require_finite(inflow_rate=inflow, outflow_rate=outflow)
-    if inflow <= 0.0 or outflow >= 0.0:
-        raise ConfigurationError("inflow_rate must be positive and outflow_rate negative")
     results: dict[str, EnsembleStats | EnsembleFailedError] = {}
-    for name, rate in (("investment", inflow), ("zero", 0.0), ("withdrawal", outflow)):
+    for name, flow in regimes.flows(market).items():
         try:
-            results[name] = run_flow_ensemble(
-                market, hazard, rate, horizon, n_paths, base_seed,
-                n_workers=n_workers, checkpoints=(horizon,),
-            )
+            results[name] = run_flow_ensemble(market, hazard, flow, base_seed, n_workers)
         except EnsembleFailedError as exc:
             results[name] = exc
     return results
@@ -621,7 +636,6 @@ def fit_market_impact(
     target_rate: float,
     maturity: float,
     bracket: tuple[float, float],
-    initial_capital: Optional[float] = None,
     tol: float = 1e-3,
 ) -> CalibrationResult:
     """Calibrate the flow-response coefficient of the speculative scheme.
@@ -644,8 +658,7 @@ def fit_market_impact(
     if abs(times[0]) > 1e-9:
         raise ValueError("series must start at time zero on the investor clock")
     horizon = float(times[-1])
-    start_capital = float(external_value[0]) if initial_capital is None else initial_capital
-    start_capital = max(start_capital, 0.0)
+    start_capital = max(float(external_value[0]), 0.0)
 
     def objective(log_impact: float) -> float:
         params = SpeculativePonziParams(

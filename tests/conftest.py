@@ -8,6 +8,7 @@ import pytest
 from pricepump import (
     CycleConfig,
     ExperimentConfig,
+    FlowBlock,
     GreedFearSpec,
     HazardParams,
     MarketParams,
@@ -24,7 +25,7 @@ def reference_zero_ensemble():
     market = MarketParams()
     start = time.perf_counter()
     stats = run_flow_ensemble(
-        market, HazardParams(), 0.0, 2.0, 100, 20240, n_workers=WORKERS
+        market, HazardParams(), FlowBlock(0.0, 2.0, 100), 20240, n_workers=WORKERS
     )
     return stats, time.perf_counter() - start
 
@@ -37,7 +38,7 @@ def homogeneous_ensemble():
     )
     start = time.perf_counter()
     stats = run_flow_ensemble(
-        market, HazardParams(), 0.0, 2.0, 100, 777, n_workers=WORKERS
+        market, HazardParams(), FlowBlock(0.0, 2.0, 100), 777, n_workers=WORKERS
     )
     return stats, time.perf_counter() - start
 

@@ -10,9 +10,11 @@ import numpy as np
 
 from pricepump import (
     EnsembleFailedError,
+    FlowBlock,
     HazardParams,
     MarketParams,
     PonziParams,
+    RegimesBlock,
     ScheduleSpec,
     SpeculativePonziParams,
     as_rng,
@@ -199,7 +201,7 @@ def test_criterion_07_linear_steady_rate_bound():
 
 def test_criterion_08_flow_regime_hazard_ordering():
     comparison = regime_comparison(
-        MarketParams(), HazardParams(), horizon=2.0, n_paths=100, base_seed=808,
+        MarketParams(), HazardParams(), RegimesBlock(horizon=2.0, n_paths=100), base_seed=808,
         n_workers=WORKERS,
     )
     finals = {}
@@ -310,7 +312,7 @@ def test_criterion_11_numerical_hygiene():
 
     market = MarketParams(n_agents=100, n_active=25)
     ensembles = [
-        run_flow_ensemble(market, HazardParams(), 0.0, 0.5, 8, 42, n_workers=w)
+        run_flow_ensemble(market, HazardParams(), FlowBlock(0.0, 0.5, 8), 42, n_workers=w)
         for w in (1, 4, 8)
     ]
     first = ensembles[0]

@@ -4,6 +4,9 @@ configuration documents it writes and the attributes it reads from them,
 the return values its span hooks read, and the constructors it calls with
 positional arguments.  An API cleanup that breaks one of them must fail
 here, not in a benchmark run."""
+import json
+from collections import Counter
+
 import pytest
 
 import pricepump
@@ -114,7 +117,7 @@ def test_benchmark_return_shapes(tmp_path):
     assert type(outcome.clamped) is bool
     assert pricepump.SessionOutcome._fields == ("active_indices", "cash_flow_in", "clamped")
     ensemble = pricepump.run_flow_ensemble(
-        market, pricepump.HazardParams(), 0.0, 0.1, 1, 1, checkpoints=(0.1,)
+        market, pricepump.HazardParams(), pricepump.FlowBlock(0.0, 0.1, 1), 1
     )
     solution = ponzi.classical_ponzi_solve(
         pricepump.PonziParams(0.0, 0.41, 0.41, 1.0, 1.0), pricepump.ScheduleSpec(), 2.0, 0.5
@@ -123,3 +126,39 @@ def test_benchmark_return_shapes(tmp_path):
         files = cli.emit_series(result, tmp_path / type(result).__name__)
         assert isinstance(files, list) and files
         assert all(path.is_file() for path in files)
+
+
+@pytest.mark.parametrize("verb,n_ensembles", [("regimes", 3), ("cycle", 1)])
+def test_benchmark_counts_one_session_per_path_day(tmp_path, monkeypatch, verb, n_ensembles):
+    # the trace wraps these names where cycle looks them up, and checks one
+    # path call per path and one session per path-day
+    calls = Counter()
+
+    def counting(name):
+        original = getattr(cycle, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in ("run_flow_path", "run_path", "trading_session"):
+        monkeypatch.setattr(cycle, name, counting(name))
+    horizon, n_paths, days_per_year = 0.1, 2, 360
+    document = {
+        "kind": verb,
+        "market": {"n_agents": 20, "n_active": 5, "days_per_year": days_per_year},
+        "regimes": {"horizon": horizon, "n_paths": n_paths},
+        "cycle": {"pre_phase": 0.0, "maturity": 0.05, "horizon": horizon, "n_paths": n_paths},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(document))
+    argv = [verb, "--config", str(path), "--out", str(tmp_path / "out"), "--threads", "1"]
+    assert cli.main(argv) == 0
+    cfg = config.parse_config(path)
+    paths = getattr(cfg, verb).n_paths * n_ensembles
+    path_function = "run_flow_path" if verb == "regimes" else "run_path"
+    assert calls == {
+        path_function: paths,
+        "trading_session": paths * int(round(horizon * cfg.market.days_per_year)),
+    }

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from pricepump import (
     ConfigurationError,
     CycleConfig,
+    FlowBlock,
     HazardParams,
     MarketParams,
     ScheduleSpec,
@@ -346,8 +347,9 @@ def signal_blocks(draw):
 # Valid documents only: each constraint of the configuration dataclasses
 # holds whichever subset of keys is drawn (n_active <= 500 = default
 # n_agents, log means >= three standard deviations at any drawn variance,
-# a cycle horizon beyond its phases, a signal window that opens, a
-# non-negative ponzi maturity and initial capital).
+# a cycle horizon beyond its phases, a signal window that opens, at
+# least one path, regime rates of the right sign, a non-negative ponzi
+# maturity and initial capital).
 valid_documents = st.fixed_dictionaries(
     {"kind": st.sampled_from(EXPERIMENT_KINDS)},
     optional={
@@ -377,9 +379,12 @@ valid_documents = st.fixed_dictionaries(
             # an exponential growth above log(float max) overflows the normalization
             growth=st.floats(max_value=math.log(sys.float_info.max), allow_infinity=False),
         ),
-        "aspp": st.none() | block(flow_rate=finite, horizon=finite, n_paths=st.integers()),
+        "aspp": st.none() | block(flow_rate=finite, horizon=finite, n_paths=st.integers(1)),
         "regimes": st.none() | block(
-            inflow_rate=finite, outflow_rate=finite, horizon=finite, n_paths=st.integers()
+            inflow_rate=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+            outflow_rate=st.floats(max_value=0.0, exclude_max=True, allow_infinity=False),
+            horizon=finite,
+            n_paths=st.integers(1),
         ),
         "cycle": st.none() | cycle_blocks(),
         "ponzi": st.none() | block(
@@ -418,7 +423,7 @@ def test_serialized_config_reloads_identically(document):
 
 def small_flow_ensemble(flow_rate=0.0):
     market = MarketParams(n_agents=40, n_active=10)
-    return run_flow_ensemble(market, HazardParams(), flow_rate, 0.25, 2, 5, checkpoints=(0.25,))
+    return run_flow_ensemble(market, HazardParams(), FlowBlock(flow_rate, 0.25, 2), 5)
 
 
 @pytest.fixture()
@@ -755,6 +760,17 @@ class TestCli:
         # signal windows that never open used to turn greed and fear off silently
         ({"kind": "cycle", "market": {"signal": {"start": 5.0, "end": 1.0}}}, "market.signal"),
         ({"kind": "aspp", "market": {"signal": {"start": -1e308, "end": -1.0}}}, "market.signal"),
+        # the flow blocks are checked at load whatever the kind
+        ({"kind": "cycle", "aspp": {"n_paths": 0}}, "n_paths must be >= 1, got 0"),
+        ({"kind": "aspp", "regimes": {"outflow_rate": 1.0}}, "outflow_rate negative"),
+        ({"kind": "regimes", "regimes": {"inflow_rate": 0.0}}, "inflow_rate must be positive"),
+        # windows that open on no trading day: after the 20-year horizon, or
+        # between two days; rejected before any path runs
+        ({"kind": "cycle", "market": {"signal": {"start": 30.0}}}, "market.signal"),
+        (
+            {"kind": "aspp", "market": {"days_per_year": 1, "signal": {"start": 0.2, "end": 0.8}}},
+            "market.signal",
+        ),
     ])
     def test_rejected_block_exit_code(self, tmp_path, capsys, payload, key):
         cfg = self.write_config(tmp_path, payload)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import sys
@@ -18,6 +19,7 @@ from pricepump import (
     DivergenceError,
     EnsembleFailedError,
     EnsembleStats,
+    FlowBlock,
     HazardParams,
     InvestorLedger,
     LiquidityExhaustedError,
@@ -25,6 +27,7 @@ from pricepump import (
     MarketParams,
     PathRecord,
     PricePumpError,
+    RegimesBlock,
     ScheduleSpec,
     SeriesSummary,
     SpeculativePonziParams,
@@ -42,6 +45,7 @@ from pricepump import (
     stats_from_log_returns,
 )
 from pricepump import cycle as cycle_module
+from pricepump.engine import SessionOutcome
 from pricepump.cycle import BANDED, cash_histogram
 
 SMALL_MARKET = MarketParams(n_agents=60, n_active=15)
@@ -71,6 +75,54 @@ def reference_path(path_index, market=MarketParams(), hazard=HazardParams(),
     return run_path(market, hazard, schedule, CycleConfig(**cycle), 12345, path_index)
 
 
+@st.composite
+def small_experiments(draw):
+    """A small valid market with hazard scales, a schedule, a short cycle
+    of two paths, and a short constant flow of two paths."""
+    n_agents = draw(st.integers(2, 60))
+    log_variance = draw(st.floats(0.0, 1e-3))
+    means = st.floats(0.1, 1.0)  # >= 3 sd at any drawn variance
+    level = st.floats(0.0, 1.0)
+    market = MarketParams(
+        n_agents=n_agents,
+        n_active=draw(st.integers(1, n_agents)),
+        initial_cash=draw(st.floats(0.01, 1e3)),
+        initial_ratio=draw(st.floats(0.01, 100.0)),
+        stock_noise_range=draw(st.floats(0.0, 10.0)),
+        days_per_year=draw(st.integers(1, 1000)),
+        greed_fear=GreedFearSpec(
+            draw(means), draw(means), log_variance, draw(st.floats(-1.0, 1.0))
+        ),
+        signal=draw(
+            st.builds(WindowSignal, level=level)
+            | st.floats(0.0, 1.0).flatmap(  # a window that opens: start < end
+                lambda start: st.builds(
+                    WindowSignal, st.just(start), st.floats(start, 2.0, exclude_min=True), level
+                )
+            )
+        ),
+    )
+    scale = st.floats(0.01, 1e3)
+    hazard = HazardParams(draw(scale), draw(scale), draw(scale), draw(st.floats(1.0, 1e9)))
+    # mostly moderate growth; sometimes anywhere the validator accepts
+    schedule = ScheduleSpec(
+        draw(st.sampled_from(["constant", "linear", "exponential"])),
+        draw(st.floats(0.0, 1e4)),
+        draw(st.floats(-10.0, 10.0) | st.floats(max_value=MAX_GROWTH, allow_infinity=False)),
+    )
+    pre_phase, maturity = draw(st.floats(0.0, 0.5)), draw(st.floats(0.0, 0.5))
+    cycle = CycleConfig(
+        pre_phase=pre_phase,
+        maturity=maturity,
+        target_rate=draw(st.none() | st.floats(-5.0, 5.0)),
+        horizon=pre_phase + maturity + draw(st.floats(1e-3, 0.5)),
+        n_paths=2,
+    )
+    flow = FlowBlock(draw(st.floats(-1e4, 1e4)), draw(st.floats(0.0, 1.5)), n_paths=2)
+    return market, hazard, schedule, cycle, flow
+
+
+
 class TestConfigs:
     def test_market_validation(self):
         with pytest.raises(ConfigurationError):
@@ -95,17 +147,58 @@ class TestConfigs:
             small_cycle(**{field: math.inf})
 
     def test_flow_ensembles_reject_unrunnable_inputs(self):
-        # raised before any path runs, not once per path as path failures
+        # the blocks check themselves; the day grid is checked before any
+        # path runs, so none of these is a path failure
         with pytest.raises(ConfigurationError, match="flow_rate must be finite"):
-            run_flow_ensemble(SMALL_MARKET, HAZARD, math.inf, 1.0, 2, 1)
+            FlowBlock(math.inf, 1.0, 2)
         with pytest.raises(ConfigurationError, match="horizon must be finite"):
-            run_flow_ensemble(SMALL_MARKET, HAZARD, 0.0, math.inf, 2, 1)
+            FlowBlock(0.0, math.inf, 2)
+        with pytest.raises(ConfigurationError, match="n_paths must be >= 1, got 0"):
+            FlowBlock(0.0, 1.0, 0)
         with pytest.raises(ConfigurationError, match="below one trading day"):
-            run_flow_ensemble(SMALL_MARKET, HAZARD, 0.0, 0.001, 2, 1)
+            run_flow_ensemble(SMALL_MARKET, HAZARD, FlowBlock(0.0, 0.001, 2), 1)
         with pytest.raises(ConfigurationError, match="outflow_rate must be finite"):
-            regime_comparison(SMALL_MARKET, HAZARD, 1.0, 2, 1, outflow_rate=-math.inf)
+            RegimesBlock(outflow_rate=-math.inf)
+        with pytest.raises(ConfigurationError, match="inflow_rate must be positive"):
+            RegimesBlock(inflow_rate=0.0)
+        with pytest.raises(ConfigurationError, match="inflow_rate must be positive"):
+            RegimesBlock(outflow_rate=0.0)
+        with pytest.raises(ConfigurationError, match="n_paths must be >= 1, got -1"):
+            RegimesBlock(n_paths=-1)
         with pytest.raises(ConfigurationError, match="below one trading day"):
-            regime_comparison(SMALL_MARKET, HAZARD, 0.001, 2, 1)
+            regime_comparison(SMALL_MARKET, HAZARD, RegimesBlock(horizon=0.001, n_paths=2), 1)
+
+    def test_default_regimes_resolve_against_the_market(self):
+        flows = RegimesBlock(horizon=1.0, n_paths=3).flows(SMALL_MARKET)
+        assert flows == {
+            "investment": FlowBlock(600.0, 1.0, 3),
+            "zero": FlowBlock(0.0, 1.0, 3),
+            "withdrawal": FlowBlock(-150.0, 1.0, 3),
+        }
+        assert list(RegimesBlock(5.0, -1.0).flows(SMALL_MARKET).values()) == [
+            FlowBlock(5.0, 2.0, 100), FlowBlock(0.0, 2.0, 100), FlowBlock(-1.0, 2.0, 100)
+        ]
+
+    @pytest.mark.parametrize("market,horizon", [
+        # a window opening after the horizon, and one between two days
+        (MarketParams(n_agents=8, n_active=2, signal=WindowSignal(start=30.0)), 20.0),
+        (MarketParams(n_agents=8, n_active=2, days_per_year=1,
+                      signal=WindowSignal(0.2, 0.8)), 3.0),
+    ])
+    def test_signal_must_open_on_a_trading_day(self, market, horizon):
+        cycle = CycleConfig(pre_phase=0.0, maturity=1.0, horizon=horizon, n_paths=2)
+        for run in (
+            lambda: run_flow_path(market, HAZARD, FlowBlock(0.0, horizon), 1, 0),
+            lambda: run_flow_ensemble(market, HAZARD, FlowBlock(0.0, horizon, 2), 1),
+            lambda: run_path(market, HAZARD, SMALL_SCHEDULE, cycle, 1, 0),
+            lambda: run_ensemble(market, HAZARD, SMALL_SCHEDULE, cycle, 1),
+        ):
+            with pytest.raises(ConfigurationError, match=r"market\.signal window .* opens on no"):
+                run()
+        # level 0 is the way to turn the signal off
+        quiet = dataclasses.replace(market, signal=dataclasses.replace(market.signal, level=0.0))
+        record = run_flow_path(quiet, HAZARD, FlowBlock(0.0, horizon), 1, 0)
+        assert np.all(np.isfinite(record.price))
 
     def test_cycle_ensemble_rejects_sub_day_horizon(self):
         # raised before any path runs; a 0-day cycle has no returns to pool
@@ -117,41 +210,66 @@ class TestConfigs:
         assert cfg.resolved_checkpoints() == (0.5, 1.0, 2.0)
 
 
+def executed(flow, clamped=False):
+    """The outcome of a session that executed ``flow``."""
+    return SessionOutcome(np.arange(1), flow, clamped)
+
+
 class TestInvestorLedger:
     def test_constant_price_accumulates_matured_inflows_exactly(self):
         # flat prices: the tracked value equals the integral of the
         # schedule up to one maturity ago
         maturity_days, period = 180, 1.0 / 360.0
         inflow = 5000.0 * period
-        ledger = InvestorLedger(0.4, maturity_days, period)
         total_days = 720
+        ledger = InvestorLedger([inflow] * total_days, total_days, 0.4, maturity_days, period)
         for day in range(total_days):
-            ledger.record_day(1.0, 1.0, inflow, withdrawing=False)
+            assert ledger.request(day) == inflow
+            ledger.record_day(day, 1.0, 1.0, executed(inflow))
         matured = total_days - maturity_days
         assert ledger.value == pytest.approx(matured * inflow, rel=1e-9)
 
     def test_matured_inflow_marked_to_price(self):
-        ledger = InvestorLedger(0.4, 2, 1.0 / 360.0)
-        ledger.record_day(1.0, 1.0, 10.0, withdrawing=False)
-        ledger.record_day(1.0, 1.0, 0.0, withdrawing=False)
+        ledger = InvestorLedger([10.0, 0.0, 0.0], 3, 0.4, 2, 1.0 / 360.0)
+        ledger.record_day(0, 1.0, 1.0, executed(10.0))
+        ledger.record_day(1, 1.0, 1.0, executed(0.0))
         assert ledger.value == 0.0
         # the 10-dollar inflow invested at price 1 matures at price 2
-        ledger.record_day(2.0, 1.0, 0.0, withdrawing=False)
+        ledger.record_day(2, 2.0, 1.0, executed(0.0))
         assert ledger.value == pytest.approx(20.0, rel=1e-9)
 
     def test_withdrawals_drain_at_target_rate(self):
         period = 1.0 / 360.0
-        ledger = InvestorLedger(0.5, 1, period)
-        ledger.record_day(1.0, 1.0, 100.0, withdrawing=False)
-        ledger.record_day(1.0, 1.0, 0.0, withdrawing=False)  # matures here
+        ledger = InvestorLedger([100.0, 0.0, 0.0], 2, 0.5, 1, period)
+        ledger.record_day(0, 1.0, 1.0, executed(100.0))
+        ledger.record_day(1, 1.0, 1.0, executed(0.0))  # matures here
         assert ledger.value == pytest.approx(100.0)
-        ledger.record_day(1.0, 1.0, 0.0, withdrawing=True)
+        request = ledger.request(2)
+        assert request == -0.5 * 100.0 * period
+        ledger.record_day(2, 1.0, 1.0, executed(request))
         assert ledger.value == pytest.approx(100.0 * (1.0 - 0.5 * period))
 
     def test_zero_maturity_credits_immediately(self):
-        ledger = InvestorLedger(0.4, 0, 1.0 / 360.0)
-        ledger.record_day(1.0, 1.0, 7.0, withdrawing=False)
+        ledger = InvestorLedger([7.0], 1, 0.4, 0, 1.0 / 360.0)
+        ledger.record_day(0, 1.0, 1.0, executed(7.0))
         assert ledger.value == pytest.approx(7.0)
+
+    def test_clamped_days_book_what_was_executed(self):
+        period = 1.0 / 360.0
+        ledger = InvestorLedger([100.0, 3.0, 3.0, 4.0, 0.0], 2, 0.5, 1, period)
+        ledger.record_day(0, 1.0, 1.0, executed(100.0))
+        # a no-trade day credits no inflow, and nothing matures from it
+        ledger.record_day(1, 1.0, 1.0, executed(0.0, clamped=True))
+        assert ledger.value == 100.0
+        assert ledger.request(2) == 3.0 - 0.5 * 100.0 * period
+        ledger.record_day(2, 1.0, 1.0, executed(0.0, clamped=True))
+        assert ledger.value == 100.0  # withdrawing, but nothing was paid out
+        # a clamped withdrawal drains what was paid out: the day's inflow
+        # of 4 less the executed -2, marked at a price that halved
+        ledger.record_day(3, 0.5, 1.0, executed(-2.0, clamped=True))
+        assert ledger.value == pytest.approx(100.0 - 0.5 * 100.0 - 6.0)
+        ledger.record_day(4, 0.5, 0.5, executed(0.0))
+        assert ledger.value == pytest.approx(44.0 * (1.0 - 0.5 * period) + 4.0)
 
 
 class TestRunPath:
@@ -167,12 +285,22 @@ class TestRunPath:
         cfg = small_cycle()
         assert not np.array_equal(small_path(cfg, 0).price, small_path(cfg, 1).price)
 
-    def test_zero_mass_schedule_reduces_to_zero_flow_path(self):
-        record = small_path(small_cycle(), 2, schedule=ScheduleSpec("constant", 0.0))
+    @settings(deadline=None, max_examples=15)
+    @given(experiment=small_experiments(), seed=st.integers(0, 2**32 - 1))
+    def test_zero_mass_schedule_reduces_to_zero_flow_path(self, experiment, seed):
+        market, hazard, schedule, cycle, _ = experiment
+        schedule = dataclasses.replace(schedule, first_year_total=0.0)
+        zero_flow = FlowBlock(0.0, cycle.horizon)
+        try:
+            record = run_path(market, hazard, schedule, cycle, seed, 1)
+        except PricePumpError as exc:
+            with pytest.raises(type(exc)):
+                run_flow_path(market, hazard, zero_flow, seed, 1)
+            return
         assert np.all(record.flow == 0.0)
         assert np.all(record.withdrawable == 0.0)
         assert np.all(record.hazard_investor == 0.0)
-        flow_record = run_flow_path(SMALL_MARKET, HAZARD, 0.0, 2.0, 99, 2)
+        flow_record = run_flow_path(market, hazard, zero_flow, seed, 1)
         assert np.array_equal(record.price, flow_record.price)
         assert np.array_equal(record.hazard_crash, flow_record.hazard_crash)
 
@@ -266,7 +394,7 @@ PINNED_PATHS = {
     **{
         f"flow{rate:+g}": (
             lambda rate=rate: run_flow_path(
-                MarketParams(), HazardParams(), rate, 2.0, 12345, 4, checkpoints=(2.0,)
+                MarketParams(), HazardParams(), FlowBlock(rate, 2.0), 12345, 4
             ),
             digest,
         )
@@ -287,7 +415,7 @@ class TestDayLoopBitIdentity:
         assert record_digest(run()) == expected
 
     def test_pinned_withdrawal_path_clamps(self):
-        record = run_flow_path(MarketParams(), HazardParams(), -2500.0, 2.0, 12345, 4)
+        record = run_flow_path(MarketParams(), HazardParams(), FlowBlock(-2500.0, 2.0), 12345, 4)
         assert record.clamp_events == 29
 
     @pytest.mark.parametrize("rate", [0.0, -1.0])
@@ -298,9 +426,42 @@ class TestDayLoopBitIdentity:
         # (a withdrawal) here; those days are now no-trade days
         gf = GreedFearSpec(1.5, 0.05, 0.0, 0.0)
         record = run_flow_path(MarketParams(n_agents=8, n_active=2, greed_fear=gf), HAZARD,
-                               rate, 1.0, 0, 0)
+                               FlowBlock(rate, 1.0), 0, 0)
         assert record.clamp_events > 0
         assert np.all(record.flow <= 0.0) and np.all(record.flow >= rate / 360.0)
+
+    def test_ledger_books_no_inflow_on_no_trade_days(self, monkeypatch):
+        # one active agent in four: the floor leaves 25 days without a
+        # trade, 7 of them (88, 89, 168-170, 177, 178) in the investment
+        # half-year; the ledger used to credit their scheduled inflows
+        books = []
+        record_day = InvestorLedger.record_day
+
+        def spy(ledger, day, new_price, prev_price, outcome):
+            before = ledger.value
+            matured = 0.0
+            if len(ledger.inflow_history) == ledger.maturity_days:
+                matured = ledger.inflow_history[0] * new_price / ledger.price_history[0]
+            value = record_day(ledger, day, new_price, prev_price, outcome)
+            books.append((outcome, before, matured, value, ledger.inflow_history[-1]))
+            return value
+
+        monkeypatch.setattr(InvestorLedger, "record_day", spy)
+        market = MarketParams(n_agents=4, n_active=1, greed_fear=GreedFearSpec(0.3, 0.05, 0.0, 0.0))
+        cycle = CycleConfig(pre_phase=0.0, maturity=0.5, horizon=1.0, n_paths=1)
+        record = run_path(market, HazardParams(), ScheduleSpec("constant", 0.001), cycle, 0, 0)
+        assert record.clamp_events == 25
+        no_trade = [day for day, book in enumerate(books) if book[0].clamped]
+        assert len(no_trade) == 25
+        assert [day for day in no_trade if day < 180] == [88, 89, 168, 169, 170, 177, 178]
+        for day, (outcome, before, matured, value, credited) in enumerate(books):
+            if outcome.clamped:
+                # nothing executed: no inflow credited, nothing drained
+                assert outcome.cash_flow_in == 0.0 and record.flow[day + 1] == 0.0
+                assert credited == 0.0
+                assert value == before + matured
+            else:
+                assert credited == 0.001 / 360.0
 
     @settings(deadline=None, max_examples=20)
     @given(
@@ -311,12 +472,13 @@ class TestDayLoopBitIdentity:
     )
     def test_crash_hazard_at_checkpoints_is_exact(self, seed, flow, cash_scale, cycle):
         hazard = HazardParams(cash_scale=cash_scale)
-        checkpoints = (0.0, 0.1, 0.25, 0.5, 1.0)
         if cycle:
+            checkpoints = (0.0, 0.1, 0.25, 0.5, 1.0)
             record = small_path(small_cycle(checkpoints=checkpoints), 0, hazard, base_seed=seed)
-        else:
-            record = run_flow_path(SMALL_MARKET, hazard, flow, 1.0, seed, 0, checkpoints)
-        assert len(record.snapshots) == len(checkpoints)
+        else:  # a flow path snapshots its horizon only
+            checkpoints = (1.0,)
+            record = run_flow_path(SMALL_MARKET, hazard, FlowBlock(flow, 1.0), seed, 0)
+        assert [snap.time for snap in record.snapshots] == list(checkpoints)
         for snap in record.snapshots:
             day = int(round(snap.time * 360))
             expected = crash_hazard(cash_concentration(snap.cash, cash_scale), hazard)
@@ -346,9 +508,9 @@ class TestDayLoopBitIdentity:
         # the clamped price reaches subnormal values, where the outside
         # pool's share count overflows before the price underflows to 0
         with pytest.raises(LiquidityExhaustedError, match="external share count overflowed"):
-            run_flow_path(SMALL_MARKET, HAZARD, -3000.0, 1.0, 1, 0)
+            run_flow_path(SMALL_MARKET, HAZARD, FlowBlock(-3000.0, 1.0), 1, 0)
         with pytest.raises(PricePumpError, match="all paths failed: LiquidityExhaustedError"):
-            run_flow_ensemble(SMALL_MARKET, HAZARD, -3000.0, 1.0, 2, 1)
+            run_flow_ensemble(SMALL_MARKET, HAZARD, FlowBlock(-3000.0, 1.0, 2), 1)
 
 
 class TestEnsembles:
@@ -392,7 +554,9 @@ class TestEnsembles:
                     CycleConfig(pre_phase=0.001, maturity=0.001, horizon=0.005, n_paths=2), 1)
         for run in (
             lambda workers: run_ensemble(*overflow, n_workers=workers),
-            lambda workers: run_flow_ensemble(SMALL_MARKET, HAZARD, -3000.0, 1.0, 2, 1, workers),
+            lambda workers: run_flow_ensemble(
+                SMALL_MARKET, HAZARD, FlowBlock(-3000.0, 1.0, 2), 1, workers
+            ),
         ):
             with pytest.raises(EnsembleFailedError) as serial:
                 run(1)
@@ -402,12 +566,15 @@ class TestEnsembles:
 
     def test_cash_rich_market_does_not_fail_every_path(self):
         # a narrow cash kernel drives every path's concentration to exactly 0
-        ens = run_flow_ensemble(MarketParams(), HazardParams(cash_scale=1.0), 5e4, 2.0, 4, 1)
+        ens = run_flow_ensemble(
+            MarketParams(), HazardParams(cash_scale=1.0), FlowBlock(5e4, 2.0, 4), 1
+        )
         assert ens.failure_messages == ()
         assert np.any(ens.series["Ha"].mean == 0.0)  # the underflow did happen
 
     def test_regime_comparison_keeps_finished_regimes(self):
-        results = regime_comparison(SMALL_MARKET, HAZARD, 1.0, 2, 1, outflow_rate=-3000.0)
+        regimes = RegimesBlock(outflow_rate=-3000.0, horizon=1.0, n_paths=2)
+        results = regime_comparison(SMALL_MARKET, HAZARD, regimes, 1)
         assert list(results) == ["investment", "zero", "withdrawal"]
         assert [type(result) for result in results.values()] == [
             EnsembleStats, EnsembleStats, EnsembleFailedError
@@ -417,12 +584,12 @@ class TestEnsembles:
         assert results["zero"].n_paths == 2 and results["zero"].failure_messages == ()
 
     def test_one_path_of_one_day_pools_its_return(self):
-        stats = run_flow_ensemble(SMALL_MARKET, HAZARD, 0.0, 1.0 / 360.0, 1, 7)
+        stats = run_flow_ensemble(SMALL_MARKET, HAZARD, FlowBlock(0.0, 1.0 / 360.0, 1), 7)
         assert stats.pooled_returns.n_returns == 1
         assert stats.pooled_returns.std_log_return == 0.0
 
     def test_flow_ensemble_records_both_predictions(self):
-        stats = run_flow_ensemble(SMALL_MARKET, HAZARD, 0.0, 0.5, 4, 7)
+        stats = run_flow_ensemble(SMALL_MARKET, HAZARD, FlowBlock(0.0, 0.5, 4), 7)
         assert stats.theoretical.daily_factor == pytest.approx(1.0011217, abs=1e-7)
         assert stats.pooled_returns.n_returns == 4 * 180
 
@@ -565,12 +732,12 @@ class TestEnsembleFold:
         row = (int(horizon * SMALL_MARKET.days_per_year) + 1) * 8
         # an untraced run first, so that one-time allocations of the first
         # ensemble in the process stay out of the measured peaks
-        run_flow_ensemble(SMALL_MARKET, HAZARD, 0.0, horizon, 2, 3)
+        run_flow_ensemble(SMALL_MARKET, HAZARD, FlowBlock(0.0, horizon, 2), 3)
         peaks = []
         for n_paths in counts:
             tracemalloc.start()
             try:
-                run_flow_ensemble(SMALL_MARKET, HAZARD, 0.0, horizon, n_paths, 3)
+                run_flow_ensemble(SMALL_MARKET, HAZARD, FlowBlock(0.0, horizon, n_paths), 3)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -656,53 +823,6 @@ class TestReferenceEnsembleProperties:
         assert all(b > a for a, b in zip(blocks, blocks[1:]))
 
 
-@st.composite
-def small_experiments(draw):
-    """A small valid market with hazard scales, a schedule, a short cycle
-    of two paths, and a short constant flow."""
-    n_agents = draw(st.integers(2, 60))
-    log_variance = draw(st.floats(0.0, 1e-3))
-    means = st.floats(0.1, 1.0)  # >= 3 sd at any drawn variance
-    level = st.floats(0.0, 1.0)
-    market = MarketParams(
-        n_agents=n_agents,
-        n_active=draw(st.integers(1, n_agents)),
-        initial_cash=draw(st.floats(0.01, 1e3)),
-        initial_ratio=draw(st.floats(0.01, 100.0)),
-        stock_noise_range=draw(st.floats(0.0, 10.0)),
-        days_per_year=draw(st.integers(1, 1000)),
-        greed_fear=GreedFearSpec(
-            draw(means), draw(means), log_variance, draw(st.floats(-1.0, 1.0))
-        ),
-        signal=draw(
-            st.builds(WindowSignal, level=level)
-            | st.floats(0.0, 1.0).flatmap(  # a window that opens: start < end
-                lambda start: st.builds(
-                    WindowSignal, st.just(start), st.floats(start, 2.0, exclude_min=True), level
-                )
-            )
-        ),
-    )
-    scale = st.floats(0.01, 1e3)
-    hazard = HazardParams(draw(scale), draw(scale), draw(scale), draw(st.floats(1.0, 1e9)))
-    # mostly moderate growth; sometimes anywhere the validator accepts
-    schedule = ScheduleSpec(
-        draw(st.sampled_from(["constant", "linear", "exponential"])),
-        draw(st.floats(0.0, 1e4)),
-        draw(st.floats(-10.0, 10.0) | st.floats(max_value=MAX_GROWTH, allow_infinity=False)),
-    )
-    pre_phase, maturity = draw(st.floats(0.0, 0.5)), draw(st.floats(0.0, 0.5))
-    cycle = CycleConfig(
-        pre_phase=pre_phase,
-        maturity=maturity,
-        target_rate=draw(st.none() | st.floats(-5.0, 5.0)),
-        horizon=pre_phase + maturity + draw(st.floats(1e-3, 0.5)),
-        n_paths=2,
-    )
-    flow = (draw(st.floats(-1e4, 1e4)), draw(st.floats(0.0, 1.5)))
-    return market, hazard, schedule, cycle, flow
-
-
 def ensemble_bits(run):
     """Every output of an ensemble as bytes, or the typed error of one that
     did not run or failed as a whole."""
@@ -726,10 +846,10 @@ class TestGeneratedConfigs:
     @settings(deadline=None, max_examples=25)
     @given(experiment=small_experiments(), seed=st.integers(0, 2**32 - 1))
     def test_paths_finish_finite_or_fail_typed(self, experiment, seed):
-        market, hazard, schedule, cycle, (flow_rate, flow_horizon) = experiment
+        market, hazard, schedule, cycle, flow = experiment
         runs = [
             lambda i: run_path(market, hazard, schedule, cycle, seed, i),
-            lambda i: run_flow_path(market, hazard, flow_rate, flow_horizon, seed, i),
+            lambda i: run_flow_path(market, hazard, flow, seed, i),
         ]
         for run in runs:
             for path_index in range(2):
@@ -740,15 +860,16 @@ class TestGeneratedConfigs:
                 assert np.all(np.isfinite(record.hazard_crash))
                 assert np.all(np.isfinite(record.hazard_investor))
                 if run is runs[1]:  # no inflow beyond the request, none for a withdrawal
-                    request = flow_rate * (1.0 / market.days_per_year)
+                    request = flow.flow_rate * (1.0 / market.days_per_year)
                     assert np.all(record.flow <= max(request, 0.0))
 
     @settings(deadline=None, max_examples=5)
     @given(experiment=small_experiments(), seed=st.integers(0, 2**32 - 1))
     def test_ensembles_identical_for_one_and_two_workers(self, experiment, seed):
-        market, hazard, schedule, cycle, _ = experiment
-        serial, parallel = (
-            ensemble_bits(lambda: run_ensemble(market, hazard, schedule, cycle, seed, workers))
-            for workers in (1, 2)
-        )
-        assert serial == parallel
+        market, hazard, schedule, cycle, flow = experiment
+        for run in (
+            lambda workers: run_ensemble(market, hazard, schedule, cycle, seed, workers),
+            lambda workers: run_flow_ensemble(market, hazard, flow, seed, workers),
+        ):
+            serial, parallel = (ensemble_bits(lambda: run(workers)) for workers in (1, 2))
+            assert serial == parallel
