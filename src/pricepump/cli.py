@@ -37,7 +37,7 @@ from .cycle import (
     run_flow_ensemble,
 )
 from .errors import ConfigurationError, EnsembleFailedError, PricePumpError
-from .output import emit_series, read_csv_columns, write_manifest
+from .output import emit_series, read_csv_columns, write_json, write_manifest
 from .ponzi import (
     SpeculativePonziParams,
     classical_ponzi_solve,
@@ -82,11 +82,6 @@ def _out_dir(args, cfg: ExperimentConfig) -> Path:
 
 def _override_paths(block, n_paths):
     return dataclasses.replace(block, n_paths=n_paths) if n_paths is not None else block
-
-
-def _write_json(path: Path, payload: dict) -> Path:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
 
 
 def _write_run_record(
@@ -187,7 +182,7 @@ def _cmd_ponzi(args) -> int:
     out = _out_dir(args, cfg)
     emit_series(sol, out)
     _write_run_record(out, cfg, {})
-    _write_json(out / "results.json", results)
+    write_json(out / "results.json", results)
     return 0
 
 
@@ -232,19 +227,8 @@ def _cmd_fit(args) -> int:
         (cfg.fit.bracket_low, cfg.fit.bracket_high),
         tol=cfg.fit.tol,
     )
-    fitted = speculative_ponzi_solve(
-        SpeculativePonziParams(
-            market_impact=result.market_impact,
-            withdrawal_rate=target_rate,
-            maturity=cfg.cycle.maturity,
-            initial_capital=max(float(observed[0]), 0.0),
-        ),
-        cfg.schedule,
-        float(tau[-1]),
-        float(tau[1] - tau[0]),
-    )
-    emit_series(fitted, out, basename="fitted_ode")
-    _write_json(
+    emit_series(result.solution, out, basename="fitted_ode")
+    write_json(
         out / "fit.json",
         {
             "market_impact": result.market_impact,
@@ -270,17 +254,10 @@ def _cmd_stats(args) -> int:
     predicted = cfg.market.theoretical()
     out = _out_dir(args, cfg)
     _write_run_record(out, cfg, {})
-    _write_json(
+    write_json(
         out / "stats.json",
         {
-            "measured": {
-                "mean_log_return": measured.mean_log_return,
-                "std_log_return": measured.std_log_return,
-                "geometric_mean_return": measured.geometric_mean_return,
-                "skewness": measured.skewness,
-                "excess_kurtosis": measured.excess_kurtosis,
-                "n_returns": measured.n_returns,
-            },
+            "measured": dataclasses.asdict(measured),
             "predicted": {
                 "daily_factor": predicted.daily_factor,
                 "annualized_factor": predicted.daily_factor ** cfg.market.days_per_year,

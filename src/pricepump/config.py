@@ -26,7 +26,7 @@ from typing import Any, Optional, Union, get_args, get_origin, get_type_hints
 from .errors import ConfigurationError
 from .market import MarketParams
 from .cycle import CycleConfig, FlowBlock, RegimesBlock
-from .ponzi import DEFAULT_STEP, PonziParams
+from .ponzi import DEFAULT_STEP, PonziParams, SpeculativePonziParams
 from .risk import HazardParams
 from .schedules import ScheduleSpec
 
@@ -45,8 +45,7 @@ class PonziBlock(PonziParams):
     own fields, and the solvers' horizon, step and steady-state window."""
 
     market_impact: float = 1.0
-    external_rate: float = 0.0
-    literal_rate_coupling: bool = False
+    external_rate: float = SpeculativePonziParams.external_rate
     horizon: float = 20.0
     step: float = DEFAULT_STEP
     steady_window: float = 5.0
@@ -124,20 +123,13 @@ def _as_str(value) -> str:
     return value
 
 
-def _as_bool(value) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(value)
-    return value
-
-
 def _as_floats(value) -> tuple[float, ...]:
     if not isinstance(value, list):
         raise ValueError(value)
     return tuple(_as_float(v) for v in value)
 
 
-_CASTS = {int: _as_int, bool: _as_bool, float: _as_float, str: _as_str,
-          tuple[float, ...]: _as_floats}
+_CASTS = {int: _as_int, float: _as_float, str: _as_str, tuple[float, ...]: _as_floats}
 _hints = cache(get_type_hints)  # resolving the string annotations dominates a parse
 
 

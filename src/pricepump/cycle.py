@@ -29,7 +29,7 @@ import numpy as np
 from .engine import SessionOutcome, trading_session
 from .errors import BracketError, ConfigurationError, DivergenceError, EnsembleFailedError
 from .market import MarketParams, init_population
-from .ponzi import SpeculativePonziParams, speculative_ponzi_solve
+from .ponzi import OdeSolution, SpeculativePonziParams, speculative_ponzi_solve
 from .risk import (
     HazardParams,
     ReturnStats,
@@ -77,6 +77,8 @@ class CycleConfig:
                 f"horizon {self.horizon} must exceed pre_phase + maturity "
                 f"({self.pre_phase + self.maturity})"
             )
+        if self.checkpoints is not None and not all(map(math.isfinite, self.checkpoints)):
+            raise ConfigurationError(f"checkpoints must be finite, got {list(self.checkpoints)}")
 
     def resolved_target_rate(self, market: MarketParams) -> float:
         if self.target_rate is not None:
@@ -148,7 +150,6 @@ class PathRecord:
     sends seven arrays per path.
     """
 
-    days_per_year: int
     price: np.ndarray
     hazard_crash: np.ndarray
     hazard_investor: np.ndarray
@@ -324,7 +325,6 @@ def _run_days(
             price, ledger.withdraw_day, ledger.target_rate, period, hazard.shortfall_scale
         )
     return PathRecord(
-        days_per_year=market.days_per_year,
         price=price,
         hazard_crash=hazard_crash,
         hazard_investor=hazard_investor,
@@ -339,11 +339,16 @@ def _run_days(
 
 def _day_times(market: MarketParams, horizon: float) -> list[float]:
     """Times in years of a run's days ``0 .. n_days``, the horizon rounded
-    to whole days.  Raises ``ConfigurationError`` for a horizon below one
-    trading day, and for a signal window that opens on none of the days
-    the loop trades (``0 .. n_days - 1``), which would leave greed and
-    fear off for the whole run."""
+    to whole days.  Raises ``ConfigurationError`` for a horizon whose day
+    count is not finite or is below one trading day, and for a signal
+    window that opens on none of the days the loop trades
+    (``0 .. n_days - 1``), which would leave greed and fear off for the
+    whole run."""
     dpy = market.days_per_year
+    if not math.isfinite(horizon * dpy):
+        raise ConfigurationError(
+            f"horizon {horizon} at {dpy} trading days a year has no finite day count"
+        )
     n_days = int(round(horizon * dpy))
     if n_days < 1:
         raise ConfigurationError(f"horizon {horizon} is below one trading day")
@@ -381,8 +386,9 @@ def run_path(
             inflows.tolist(), int(round((cycle.pre_phase + cycle.maturity) * dpy)),
             cycle.resolved_target_rate(market), int(round(cycle.maturity * dpy)), period,
         )
+    # clamped to the run in years, so a huge checkpoint cannot overflow its day
     checkpoint_days = {
-        min(max(int(round(c * dpy)), 0), n_days) for c in cycle.resolved_checkpoints()
+        int(round(min(max(c, 0.0), cycle.horizon) * dpy)) for c in cycle.resolved_checkpoints()
     }
     return _run_days(
         market, hazard, day_times, (base_seed, path_index), 0.0, checkpoint_days, ledger
@@ -617,8 +623,12 @@ def regime_comparison(
 
 
 class CalibrationResult(NamedTuple):
+    """The fitted coefficient, the scheme's trajectory at it, and the
+    RMSE of that trajectory against the observed series."""
+
     market_impact: float
     rmse: float
+    solution: OdeSolution
 
 
 def investment_phase_series(
@@ -643,7 +653,10 @@ def fit_market_impact(
     Minimizes the RMSE between the scheme's capital trajectory and the
     observed external investment value (both on the investor clock, same
     daily grid) by golden-section search on the log of the coefficient.
-    Raises BracketError when the minimum sits at a bracket edge.
+    The result carries the search's final solve, at the fitted
+    coefficient.  Raises BracketError when the minimum sits at a bracket
+    edge, and DivergenceError when the solve at the fitted coefficient
+    diverges.
     """
     times = np.asarray(times, dtype=float)
     external_value = np.asarray(external_value, dtype=float)
@@ -660,19 +673,24 @@ def fit_market_impact(
     horizon = float(times[-1])
     start_capital = max(float(external_value[0]), 0.0)
 
-    def objective(log_impact: float) -> float:
+    def solve(log_impact: float) -> OdeSolution:
         params = SpeculativePonziParams(
             market_impact=math.exp(log_impact),
             withdrawal_rate=target_rate,
             maturity=maturity,
             initial_capital=start_capital,
         )
-        try:
-            sol = speculative_ponzi_solve(params, schedule, horizon, step)
-        except DivergenceError:
-            return math.inf  # blown-up candidates lose to any finite fit
+        return speculative_ponzi_solve(params, schedule, horizon, step)
+
+    def rmse(sol: OdeSolution) -> float:
         residual = sol.capital - external_value
         return math.sqrt(float(np.mean(residual * residual)))
+
+    def objective(log_impact: float) -> float:
+        try:
+            return rmse(solve(log_impact))
+        except DivergenceError:
+            return math.inf  # blown-up candidates lose to any finite fit
 
     a, b = math.log(low), math.log(high)
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -695,4 +713,5 @@ def fit_market_impact(
             f"fitted coefficient {math.exp(best):.6g} sits at the edge of the "
             f"bracket ({low}, {high}); widen the bracket"
         )
-    return CalibrationResult(market_impact=math.exp(best), rmse=objective(best))
+    solution = solve(best)
+    return CalibrationResult(math.exp(best), rmse(solution), solution)

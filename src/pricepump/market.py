@@ -36,13 +36,14 @@ class GreedFearSpec:
     factors stay >= 1.  The means must sit at least three standard
     deviations above zero, which keeps the redraw probability per sample
     below 0.5% and makes the truncation practically invisible in the
-    sample moments.
+    sample moments.  The defaults are the reference distribution: means
+    ln(1.12) and ln(1.11), shared variance 12e-4, correlation 0.95.
     """
 
-    mean_log_greed: float
-    mean_log_fear: float
-    log_variance: float
-    correlation: float
+    mean_log_greed: float = math.log(1.12)
+    mean_log_fear: float = math.log(1.11)
+    log_variance: float = 12e-4
+    correlation: float = 0.95
 
     def __post_init__(self):
         if self.log_variance < 0.0:
@@ -59,16 +60,6 @@ class GreedFearSpec:
                     f"{name} must be at least three standard deviations above zero "
                     f"(got {mean} with sd {margin / 3.0:.6g})"
                 )
-
-
-def default_greed_fear() -> GreedFearSpec:
-    """Reference factor distribution: means ln(1.12)/ln(1.11), shared variance 12e-4, correlation 0.95."""
-    return GreedFearSpec(
-        mean_log_greed=math.log(1.12),
-        mean_log_fear=math.log(1.11),
-        log_variance=12e-4,
-        correlation=0.95,
-    )
 
 
 @dataclass(frozen=True)
@@ -109,7 +100,7 @@ class MarketParams:
     initial_ratio: float = 1.0
     stock_noise_range: float = 0.1
     days_per_year: int = 360
-    greed_fear: GreedFearSpec = field(default_factory=default_greed_fear)
+    greed_fear: GreedFearSpec = GreedFearSpec()
     signal: WindowSignal = WindowSignal()
 
     def __post_init__(self):

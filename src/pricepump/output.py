@@ -10,6 +10,7 @@ information.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -45,6 +46,12 @@ def _write_histograms(histograms: Iterable[CashHistogram], path: Path) -> Path:
     return path
 
 
+def write_json(path: Path, payload: dict) -> Path:
+    """Every JSON file of a run: indented, keys sorted, newline-terminated."""
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return path
+
+
 def write_ensemble(stats: EnsembleStats, out_dir: Path, basename: str = "ensemble") -> list[Path]:
     header = ["t"]
     columns = [stats.times]
@@ -60,24 +67,10 @@ def write_ensemble(stats: EnsembleStats, out_dir: Path, basename: str = "ensembl
     if stats.histograms:
         files.append(_write_histograms(stats.histograms, out_dir / f"{basename}_cash_hist.csv"))
 
-    returns_path = out_dir / f"{basename}_returns.json"
-    pooled = stats.pooled_returns
-    payload = {
-        "pooled": {
-            "mean_log_return": pooled.mean_log_return,
-            "std_log_return": pooled.std_log_return,
-            "geometric_mean_return": pooled.geometric_mean_return,
-            "skewness": pooled.skewness,
-            "excess_kurtosis": pooled.excess_kurtosis,
-            "n_returns": pooled.n_returns,
-        },
-        "predicted": {
-            "daily_factor": stats.theoretical.daily_factor,
-            "volatility": stats.theoretical.volatility,
-        },
-    }
-    returns_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    files.append(returns_path)
+    files.append(write_json(out_dir / f"{basename}_returns.json", {
+        "pooled": asdict(stats.pooled_returns),
+        "predicted": stats.theoretical._asdict(),
+    }))
     return files
 
 
@@ -122,9 +115,7 @@ def write_manifest(
     }
     if extra:
         payload.update(extra)
-    path = out / "manifest.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
+    return write_json(out / "manifest.json", payload)
 
 
 def read_csv_columns(path: str | Path) -> dict[str, np.ndarray]:

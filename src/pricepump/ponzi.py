@@ -25,6 +25,14 @@ from .schedules import ScheduleSpec, schedule_eval
 DEFAULT_STEP = 1.0 / 360.0
 
 
+def _check_scheme(maturity: float, initial_capital: float) -> None:
+    """The checks both schemes' parameters share."""
+    if maturity < 0.0:
+        raise ConfigurationError(f"maturity must be >= 0, got {maturity}")
+    if initial_capital < 0.0:
+        raise ConfigurationError(f"initial_capital must be >= 0, got {initial_capital}")
+
+
 @dataclass(frozen=True)
 class PonziParams:
     """Classical scheme rates (per year) and timing.
@@ -43,41 +51,25 @@ class PonziParams:
     initial_capital: float = 0.0
 
     def __post_init__(self):
-        if self.maturity < 0.0:
-            raise ConfigurationError(f"maturity must be >= 0, got {self.maturity}")
-        if self.initial_capital < 0.0:
-            raise ConfigurationError(
-                f"initial_capital must be >= 0, got {self.initial_capital}"
-            )
+        _check_scheme(self.maturity, self.initial_capital)
 
 
 @dataclass(frozen=True)
 class SpeculativePonziParams:
     """Self-organized scheme: the nominal rate is market_impact times the
-    net dollar flow (inflow minus withdrawals), plus an optional external
-    baseline rate.
-
-    ``literal_rate_coupling`` switches the rate law to respond to the raw
-    withdrawable value instead of the withdrawal flow (an audit variant;
-    the default law matches the flow term driving capital growth).
-    """
+    net dollar flow (inflow minus withdrawals, the flow term that drives
+    capital growth), plus an optional external baseline rate."""
 
     market_impact: float
     withdrawal_rate: float = 0.41
     maturity: float = 3.0
     initial_capital: float = 0.0
     external_rate: float = 0.0
-    literal_rate_coupling: bool = False
 
     def __post_init__(self):
         if self.market_impact <= 0.0:
             raise ConfigurationError(f"market_impact must be positive, got {self.market_impact}")
-        if self.maturity < 0.0:
-            raise ConfigurationError(f"maturity must be >= 0, got {self.maturity}")
-        if self.initial_capital < 0.0:
-            raise ConfigurationError(
-                f"initial_capital must be >= 0, got {self.initial_capital}"
-            )
+        _check_scheme(self.maturity, self.initial_capital)
 
 
 @dataclass(frozen=True)
@@ -212,8 +204,7 @@ def speculative_ponzi_solve(
     the last maturity's J values as Python floats, one entry per node
     from t - maturity to t, seeded with the zeros of the nodes at or
     before 0.  The four RK4 stages are written out in the loop, each as
-    flow = inflow - rw*R, rate = c0*flow + ext (c0*(inflow - R) + ext
-    under the literal coupling), dS = flow*(c0*S + 1) and
+    flow = inflow - rw*R, rate = c0*flow + ext, dS = flow*(c0*S + 1) and
     dR = (rate - rw)*R + matured inflow * growth, with dJ = rate.
     """
     n = _grid_steps(horizon, step)
@@ -227,7 +218,6 @@ def speculative_ponzi_solve(
     c0 = params.market_impact
     rw = params.withdrawal_rate
     ext = params.external_rate
-    literal = params.literal_rate_coupling
     # with no delay, money matures as it arrives: its growth factor is 1
     growth = math.exp if lag else (lambda _: 1.0)
     isfinite = math.isfinite
@@ -252,9 +242,8 @@ def speculative_ponzi_solve(
         j_end = past[1]
         j_mid = 0.5 * (j_start + j_end)
         try:
-            inflow = direct_r[i]
-            flow = inflow - rw * r
-            f1j = c0 * ((inflow - r) if literal else flow) + ext
+            flow = direct_r[i] - rw * r
+            f1j = c0 * flow + ext
             f1s = flow * (c0 * s + 1.0)
             f1r = (f1j - rw) * r + delayed_r[i] * growth(j - j_start)
 
@@ -264,7 +253,7 @@ def speculative_ponzi_solve(
             r2 = r + half * f1r
             j2 = j + half * f1j
             flow = inflow - rw * r2
-            f2j = c0 * ((inflow - r2) if literal else flow) + ext
+            f2j = c0 * flow + ext
             f2s = flow * (c0 * s2 + 1.0)
             f2r = (f2j - rw) * r2 + matured * growth(j2 - j_mid)
 
@@ -272,16 +261,15 @@ def speculative_ponzi_solve(
             r3 = r + half * f2r
             j3 = j + half * f2j
             flow = inflow - rw * r3
-            f3j = c0 * ((inflow - r3) if literal else flow) + ext
+            f3j = c0 * flow + ext
             f3s = flow * (c0 * s3 + 1.0)
             f3r = (f3j - rw) * r3 + matured * growth(j3 - j_mid)
 
-            inflow = direct_r[i + 1]
             s4 = s + step * f3s
             r4 = r + step * f3r
             j4 = j + step * f3j
-            flow = inflow - rw * r4
-            f4j = c0 * ((inflow - r4) if literal else flow) + ext
+            flow = direct_r[i + 1] - rw * r4
+            f4j = c0 * flow + ext
             f4s = flow * (c0 * s4 + 1.0)
             f4r = (f4j - rw) * r4 + delayed_l[i + 1] * growth(j4 - j_end)
         except OverflowError:
@@ -296,16 +284,11 @@ def speculative_ponzi_solve(
         log_growth[i + 1] = j
         past.append(j)
 
-    inflow_nodes = np.asarray(direct_r)
-    if literal:
-        rate_series = c0 * (inflow_nodes - withdrawable) + ext
-    else:
-        rate_series = c0 * (inflow_nodes - rw * withdrawable) + ext
     return OdeSolution(
         grid=nodes,
         capital=capital,
         withdrawable=withdrawable,
-        nominal_rate=rate_series,
+        nominal_rate=c0 * (np.asarray(direct_r) - rw * withdrawable) + ext,
         log_growth=log_growth,
     )
 

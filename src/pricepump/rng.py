@@ -13,19 +13,17 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-SeedLike = Union[int, Iterable[int], np.random.SeedSequence, np.random.Generator]
+SeedLike = Union[int, Iterable[int], np.random.Generator]
 
 
 def as_rng(seed: SeedLike) -> np.random.Generator:
     """Coerce ``seed`` into a generator.
 
-    Accepts an existing generator (returned unchanged), a SeedSequence, a
-    single non-negative integer, or a sequence of them.
+    Accepts an existing generator (returned unchanged), a single
+    non-negative integer, or a sequence of them.
     """
     if isinstance(seed, np.random.Generator):
         return seed
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.default_rng(seed)
     if isinstance(seed, (int, np.integer)):
         keys = [int(seed)]
     else:

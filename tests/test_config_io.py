@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import sys
@@ -14,6 +15,7 @@ from pricepump import (
     HazardParams,
     MarketParams,
     ScheduleSpec,
+    SpeculativePonziParams,
     WindowSignal,
     config_hash,
     config_to_dict,
@@ -23,6 +25,7 @@ from pricepump import (
     read_csv_columns,
     run_flow_ensemble,
     serialize_config,
+    speculative_ponzi_solve,
     write_manifest,
 )
 from pricepump.cli import main
@@ -46,17 +49,18 @@ ROUND_TRIP_FIXTURE = {
 # changes the identity of every stored run.  Each equals the hash of the
 # configuration before the signal union was removed, with its
 # ``market.signal`` rewritten to the window form (a constant signal at
-# level L as {"start": 0.0, "end": Infinity, "level": L}).
+# level L as {"start": 0.0, "end": Infinity, "level": L}) and the removed
+# ``ponzi.literal_rate_coupling`` key deleted.
 PINNED_DEFAULT_HASHES = {
-    "aspp": "882748f3de06f31e7861b69ce6b61fa22d2479ca06631ef2b14f7c8bb6c5de61",
-    "regimes": "88b1d6d24793771ff3f621f12fb89589a0c8e4a5a7dfdcd0ba2e54770082337a",
-    "cycle": "e8fa5d8901ce95971078d442625d0fd21e18bd077209ffebbec8d3b5630d77c6",
-    "ponzi-classical": "537be0551551ba48c40086dee527b54a72ca9e1acd85bc9c94b0c0be3807c5aa",
-    "ponzi-speculative": "27706bd01ab046a4f561d2fd523398bcfd04c93b554f4fbf38d686c31a4f3f0f",
-    "fit-c0": "96b60f5de41e91ef87ea2a1554200b99aeeb39e27b9bc738a36c704b26937c14",
-    "stats": "73f648821805b98898c73033ef7df964b6bf48149cbc1eb2c1f3f98746c94717",
+    "aspp": "2416fb4f9a60d2e6990646aae8b2fee252d92caf123cb63c3fbcd87004212941",
+    "regimes": "ec5815024e7d4b19b0c612952946ff15481c47961756f3e0722c21c9c34f965e",
+    "cycle": "6032e41814c57a946852cf57b06c4143eae7fc2ca66d68982497c7807475ef23",
+    "ponzi-classical": "f18884a116bd0fd6af83a9f491d59e2d0d77242984a8c740d27f5249d816a2b8",
+    "ponzi-speculative": "0f28b0adbac80cce34af0dc0a1c746ed850b861dc7f6f3d412dde31709f7fb47",
+    "fit-c0": "1c68a497aff03325076f4cae206c47fc4a539b10808a36c95a755cc726d7893c",
+    "stats": "449b62f30a27062d9b652b0c952012b0e22ea3f5c71d8afe6fc72020a6c46063",
 }
-PINNED_FIXTURE_HASH = "15b644cd2ade07d8b144b2c797a052561620b48cccdf241e84b8e1b77f3fbc2c"
+PINNED_FIXTURE_HASH = "eaafc776342c64e18a78faf95b443c8e0c0e5c5ed81b7f2007b0964812e94aec"
 PINNED_FIXTURE_TEXT = """{
   "aspp": {
     "flow_rate": 0.0,
@@ -111,7 +115,6 @@ PINNED_FIXTURE_TEXT = """{
     "external_rate": 0.0,
     "horizon": 20.0,
     "initial_capital": 0.0,
-    "literal_rate_coupling": false,
     "market_impact": 1.0,
     "maturity": 3.0,
     "nominal_rate": 0.0,
@@ -395,7 +398,6 @@ valid_documents = st.fixed_dictionaries(
             initial_capital=non_negative,
             market_impact=finite,
             external_rate=finite,
-            literal_rate_coupling=st.booleans(),
             horizon=finite,
             step=finite,
             steady_window=finite,
@@ -709,6 +711,25 @@ class TestCli:
                 {"regimes": {"horizon": 0.001}},
                 "horizon 0.001 is below one trading day",
             ),
+            # day counts that overflow to infinity used to end in a bare
+            # OverflowError (exit 1), and an infinite checkpoint (JSON 1e400)
+            # to fail every path (exit 3)
+            (
+                "simulate",
+                {"aspp": {"horizon": 1e308}},
+                "horizon 1e+308 at 360 trading days a year has no finite day count",
+            ),
+            (
+                "cycle",
+                {"cycle": {"horizon": 1e308}},
+                "horizon 1e+308 at 360 trading days a year has no finite day count",
+            ),
+            (
+                "cycle",
+                {"cycle": {"pre_phase": 0.0, "maturity": 0.05, "horizon": 0.1,
+                           "checkpoints": [math.inf]}},
+                "checkpoints must be finite, got [inf]",
+            ),
         ],
     )
     def test_unrunnable_inputs_exit_code(self, tmp_path, capsys, verb, payload, message):
@@ -771,6 +792,11 @@ class TestCli:
             {"kind": "aspp", "market": {"days_per_year": 1, "signal": {"start": 0.2, "end": 0.8}}},
             "market.signal",
         ),
+        # the speculative scheme has one rate law
+        (
+            {"kind": "fit-c0", "ponzi": {"literal_rate_coupling": True}},
+            "ponzi.literal_rate_coupling",
+        ),
     ])
     def test_rejected_block_exit_code(self, tmp_path, capsys, payload, key):
         cfg = self.write_config(tmp_path, payload)
@@ -809,6 +835,39 @@ class TestCli:
         assert record["message"].startswith(message)
         assert not (out / "ensemble.csv").exists()
         assert not out.exists()
+
+    def test_fit_recovers_coefficient_from_source_csv(self, tmp_path):
+        # a speculative trajectory with a known coefficient, on the market's
+        # clock: zero through a one-year warm-up, then the solve
+        known, pre_phase, days_per_year = 1e-3, 1.0, 360
+        schedule = ScheduleSpec("constant", 1000.0)
+        target = MarketParams().annualized_target_rate()
+        solution = speculative_ponzi_solve(
+            SpeculativePonziParams(known, target, 3.0, 0.0), schedule, 6.0
+        )
+        warmup = int(pre_phase * days_per_year)
+        times = (np.arange(warmup + solution.grid.size) / days_per_year).tolist()
+        values = [0.0] * warmup + solution.capital.tolist()
+        table = tmp_path / "source.csv"
+        table.write_text("t,S_ext\n" + "".join(f"{t!r},{v!r}\n" for t, v in zip(times, values)))
+        cfg = self.write_config(tmp_path, {
+            "kind": "fit-c0",
+            "schedule": {"kind": "constant", "first_year_total": 1000.0},
+            "cycle": {"pre_phase": pre_phase},
+            "fit": {"bracket_low": 1e-4, "bracket_high": 1e-2, "source_csv": str(table)},
+        })
+        out = tmp_path / "fit"
+        assert main(["fit-c0", "--config", cfg, "--out", str(out)]) == 0
+        fit = json.loads((out / "fit.json").read_text())
+        assert fit["market_impact"] == pytest.approx(known, rel=0.05)
+        assert fit["target_rate"] == target
+        # recorded from the command's own solve at the fitted coefficient; the
+        # fit's final solve, which it now writes, has the same bytes
+        digest = hashlib.sha256((out / "fitted_ode.csv").read_bytes()).hexdigest()
+        assert digest == "552f511a3c43429f870ef073035002b116a5a29b43e443bebb912509fb69d58b"
+        assert sorted(path.name for path in out.iterdir()) == [
+            "config.json", "fit.json", "fitted_ode.csv", "manifest.json",
+        ]
 
     def test_stats_writes_config_json(self, tmp_path):
         table = tmp_path / "prices.csv"

@@ -209,6 +209,12 @@ class TestConfigs:
         cfg = small_cycle()
         assert cfg.resolved_checkpoints() == (0.5, 1.0, 2.0)
 
+    def test_huge_checkpoints_clamp_to_the_run(self):
+        # a finite checkpoint whose day count overflows snapshots the horizon
+        cycle = small_cycle(horizon=1.5, checkpoints=(-1e308, 0.5, 1e308))
+        record = small_path(cycle, 0)
+        assert [snap.time for snap in record.snapshots] == [0.0, 0.5, 1.5]
+
 
 def executed(flow, clamped=False):
     """The outcome of a session that executed ``flow``."""
@@ -621,7 +627,7 @@ def stacked_aggregate(records, market, failures):
         for snap in records[i].snapshots:
             by_time.setdefault(snap.time, []).append(snap.cash)
     return EnsembleStats(
-        times=np.arange(first.price.size) / first.days_per_year,
+        times=np.arange(first.price.size) / market.days_per_year,
         series=series,
         pooled_returns=pooled,
         histograms=tuple(
@@ -642,7 +648,6 @@ def synthetic_path(n_days, failing, path_index):
     rng = np.random.default_rng(path_index)
     days = n_days + 1
     return PathRecord(
-        days_per_year=SMALL_MARKET.days_per_year,
         price=np.exp(np.cumsum(rng.normal(0.0, 0.1, days))),
         hazard_crash=rng.random(days),
         hazard_investor=rng.random(days) * (path_index % 2),
@@ -758,6 +763,51 @@ class TestCalibration:
         )
         assert result.market_impact == pytest.approx(0.001, rel=0.05)
         assert result.rmse < 1e-6
+
+    def test_result_carries_the_final_solve(self, monkeypatch):
+        # the solution is the search's own last solve, at the fitted
+        # coefficient; the rmse is that solution's
+        schedule = ScheduleSpec("exponential", 1000.0, 0.1)
+        generated = speculative_ponzi_solve(
+            SpeculativePonziParams(0.001, self.TARGET, 3.0, 0.0), schedule, 6.0, 1.0 / 360.0
+        )
+        observed = generated.capital * 1.01
+        solves = []
+
+        def recording(params, *args):
+            solves.append(params.market_impact)
+            return speculative_ponzi_solve(params, *args)
+
+        monkeypatch.setattr(cycle_module, "speculative_ponzi_solve", recording)
+        result = fit_market_impact(
+            generated.grid, observed, schedule, self.TARGET, 3.0, (1e-4, 1e-2)
+        )
+        assert solves[-1] == result.market_impact
+        fresh = speculative_ponzi_solve(
+            SpeculativePonziParams(result.market_impact, self.TARGET, 3.0, observed[0]),
+            schedule, 6.0, 1.0 / 360.0,
+        )
+        for name in ("grid", "capital", "withdrawable", "nominal_rate", "log_growth"):
+            assert getattr(result.solution, name).tobytes() == getattr(fresh, name).tobytes()
+        residual = fresh.capital - observed
+        assert result.rmse == math.sqrt(float(np.mean(residual * residual)))
+
+    def test_diverging_final_solve_raises(self, monkeypatch):
+        schedule = ScheduleSpec("exponential", 1000.0, 0.1)
+        generated = speculative_ponzi_solve(
+            SpeculativePonziParams(0.001, self.TARGET, 3.0, 0.0), schedule, 6.0, 1.0 / 360.0
+        )
+        args = (generated.grid, generated.capital, schedule, self.TARGET, 3.0, (1e-4, 1e-2))
+        fitted = fit_market_impact(*args).market_impact
+
+        def diverging_at_fit(params, *solve_args):
+            if params.market_impact == fitted:
+                raise DivergenceError(1.0)
+            return speculative_ponzi_solve(params, *solve_args)
+
+        monkeypatch.setattr(cycle_module, "speculative_ponzi_solve", diverging_at_fit)
+        with pytest.raises(DivergenceError):
+            fit_market_impact(*args)
 
     def test_golden_section_matches_grid_scan(self):
         schedule = ScheduleSpec("exponential", 1000.0, 0.1)

@@ -9,7 +9,6 @@ from pricepump import (
     MarketParams,
     WindowSignal,
     as_rng,
-    default_greed_fear,
     init_population,
     sample_greed_fear,
     trading_session,
@@ -33,7 +32,8 @@ class TestGreedFearSpec:
             GreedFearSpec(0.1, 0.1, -1e-4, 0.5)
 
     def test_default_is_valid(self):
-        spec = default_greed_fear()
+        spec = GreedFearSpec()
+        assert MarketParams().greed_fear == spec
         assert spec.mean_log_greed == pytest.approx(math.log(1.12))
         assert spec.mean_log_fear == pytest.approx(math.log(1.11))
         assert spec.log_variance == 12e-4
@@ -55,7 +55,7 @@ class TestSampleGreedFear:
         assert np.allclose(logs[:, 0] - 0.2, logs[:, 1] - 0.15, rtol=0.0, atol=1e-12)
 
     def test_moments_converge(self):
-        pairs = sample_greed_fear(default_greed_fear(), 100_000, as_rng(123))
+        pairs = sample_greed_fear(GreedFearSpec(), 100_000, as_rng(123))
         logs = np.log(pairs)
         corr = np.corrcoef(logs[:, 0], logs[:, 1])[0, 1]
         assert abs(corr - 0.95) < 0.01
@@ -63,7 +63,7 @@ class TestSampleGreedFear:
             assert logs[:, column].var() == pytest.approx(12e-4, rel=0.10)
 
     def test_factors_at_least_one(self):
-        pairs = sample_greed_fear(default_greed_fear(), 100_000, as_rng(5))
+        pairs = sample_greed_fear(GreedFearSpec(), 100_000, as_rng(5))
         assert (pairs >= 1.0).all()
 
     def test_rejection_rate_is_small(self):
@@ -78,8 +78,8 @@ class TestSampleGreedFear:
         assert ((lg < 0) | (lf < 0)).mean() < 0.005
 
     def test_deterministic_given_seed(self):
-        a = sample_greed_fear(default_greed_fear(), 1000, as_rng(77))
-        b = sample_greed_fear(default_greed_fear(), 1000, as_rng(77))
+        a = sample_greed_fear(GreedFearSpec(), 1000, as_rng(77))
+        b = sample_greed_fear(GreedFearSpec(), 1000, as_rng(77))
         assert np.array_equal(a, b)
 
 

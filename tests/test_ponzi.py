@@ -369,11 +369,6 @@ class TestSpeculativeSolver:
             speculative_ponzi_solve(params, ScheduleSpec("exponential", 5000.0, 0.1), 17.0, DT)
         assert err.value.last_time > 0.0
 
-    def test_literal_coupling_variant_differs(self):
-        base = canonical_speculative("exponential", horizon=5.0)
-        literal = canonical_speculative("exponential", horizon=5.0, literal_rate_coupling=True)
-        assert not np.array_equal(base.capital, literal.capital)
-
     def test_external_rate_enters_nominal_rate_only(self):
         shifted = canonical_speculative("constant", horizon=5.0, external_rate=0.05)
         base = canonical_speculative("constant", horizon=5.0)
@@ -410,7 +405,6 @@ def closure_speculative_solve(params, schedule, horizon, step=DT):
     c0 = params.market_impact
     rw = params.withdrawal_rate
     ext = params.external_rate
-    literal = params.literal_rate_coupling
     capital = np.empty(n + 1)
     withdrawable = np.empty(n + 1)
     log_growth = np.zeros(n + 1)
@@ -435,7 +429,7 @@ def closure_speculative_solve(params, schedule, horizon, step=DT):
 
         def rhs(flow_rate, matured_rate, j_past, s_, r_, j_):
             flow = flow_rate - rw * r_
-            rate = c0 * ((flow_rate - r_) if literal else flow) + ext
+            rate = c0 * flow + ext
             growth = 1.0 if j_past is None else math.exp(j_ - j_past)
             ds = flow * (c0 * s_ + 1.0)
             dr = (rate - rw) * r_ + matured_rate * growth
@@ -464,11 +458,7 @@ def closure_speculative_solve(params, schedule, horizon, step=DT):
         withdrawable[i + 1] = r
         log_growth[i + 1] = j
 
-    inflow_nodes = np.asarray(direct_r)
-    if literal:
-        rate_series = c0 * (inflow_nodes - withdrawable) + ext
-    else:
-        rate_series = c0 * (inflow_nodes - rw * withdrawable) + ext
+    rate_series = c0 * (np.asarray(direct_r) - rw * withdrawable) + ext
     return OdeSolution(nodes, capital, withdrawable, rate_series, log_growth)
 
 
@@ -508,10 +498,6 @@ PINNED_SPECULATIVE = {
     "linear": (
         speculative_case("linear"),
         "cc8778641e56f820f742567372eb21a3039d908c7ac108b23780a57cf37ff178",
-    ),
-    "literal-coupling": (
-        speculative_case(literal_rate_coupling=True),
-        "00d092a6f9f960cc1370b8e63d59fda22fd5c29af68f9ebe920171cb0d9e0a88",
     ),
     "no-delay": (
         speculative_case(maturity=0.0),
@@ -576,16 +562,15 @@ class TestSpeculativeBitIdentity:
         lag=st.sampled_from([0, 1, 2, 5, 30]),
         initial_capital=st.floats(0.0, 10.0),
         external_rate=st.floats(-0.5, 0.5),
-        literal=st.booleans(),
         step=st.sampled_from([DT, 1.0 / 12.0, 0.25]),
         n_steps=st.integers(1, 240),
     )
     def test_solver_equals_closure_oracle(
         self, kind, mass, growth, market_impact, withdrawal_rate, lag, initial_capital,
-        external_rate, literal, step, n_steps,
+        external_rate, step, n_steps,
     ):
         params = SpeculativePonziParams(
-            market_impact, withdrawal_rate, lag * step, initial_capital, external_rate, literal
+            market_impact, withdrawal_rate, lag * step, initial_capital, external_rate
         )
         spec = ScheduleSpec(kind, mass, growth)
         horizon = n_steps * step

@@ -185,7 +185,7 @@ class TestUnderperformanceHazard:
 def h_column(crash: float, investor: float) -> float:
     """The ``H`` column of a one-day path record with these hazards."""
     zero = np.zeros(1)
-    record = PathRecord(360, np.ones(1), np.array([crash]), np.array([investor]),
+    record = PathRecord(np.ones(1), np.array([crash]), np.array([investor]),
                         zero, zero, zero, zero)
     return float(record.columns()["H"][0])
 
