@@ -191,12 +191,11 @@ class InvestorLedger:
     ``withdraw_day`` on, the tracked value at the target rate.  Per day,
     the tracked value compounds at the realized market rate (annualized
     simple return), is reduced at the target rate once withdrawals are
-    on, and receives the inflow made one maturity ago marked to the
-    current price.  Ring buffers hold exactly one maturity of price and
-    inflow history.  The ledger books what the session executed: on a day
-    the liquidity floor fired it drains what was paid out, the day's
-    inflow less the executed flow, and on a no-trade day (nothing
-    executed) it credits no inflow and so drains nothing.
+    on, and receives the inflow credited one maturity ago (``credited``
+    holds one per day) marked to the current price.  The ledger books
+    what the session executed: on a day the liquidity floor fired it
+    drains what was paid out, the day's inflow less the executed flow,
+    and on a no-trade day it credits no inflow and so drains nothing.
     """
 
     def __init__(self, inflows: list[float], withdraw_day: int, target_rate: float,
@@ -207,25 +206,27 @@ class InvestorLedger:
         self.maturity_days = maturity_days
         self.period = period
         self.value = 0.0
-        self.price_history: deque[float] = deque(maxlen=max(maturity_days, 1))
-        self.inflow_history: deque[float] = deque(maxlen=max(maturity_days, 1))
+        self.credited: list[float] = []
 
     def request(self, day: int) -> float:
         if day < self.withdraw_day:
             return self.inflows[day]
         return self.inflows[day] - self.target_rate * self.value * self.period
 
-    def record_day(
-        self, day: int, new_price: float, prev_price: float, outcome: SessionOutcome
-    ) -> float:
-        """Book day ``day``'s session; returns the updated withdrawable value."""
-        realized = (new_price / prev_price - 1.0) / self.period
+    def record_day(self, day: int, prices: list[float], outcome: SessionOutcome) -> float:
+        """Book day ``day``'s session, which moved the price from ``prices[day]``
+        to ``prices[day + 1]``; returns the updated withdrawable value."""
+        new_price = prices[day + 1]
+        realized = (new_price / prices[day] - 1.0) / self.period
         executed, clamped = outcome.cash_flow_in, outcome.clamped
         inflow = 0.0 if clamped and executed == 0.0 else self.inflows[day]
-        if self.maturity_days == 0:
+        self.credited.append(inflow)
+        m = self.maturity_days
+        if m == 0:
             matured = inflow
-        elif len(self.inflow_history) == self.maturity_days:
-            matured = self.inflow_history[0] * new_price / self.price_history[0]
+        elif day >= m:
+            # credited at the close of day - m, at the price that session set
+            matured = self.credited[day - m] * new_price / prices[day - m + 1]
         else:
             matured = 0.0
         if clamped:
@@ -233,9 +234,6 @@ class InvestorLedger:
         else:
             drain = self.target_rate if day >= self.withdraw_day else 0.0
             self.value += self.period * (realized - drain) * self.value + matured
-        if self.maturity_days > 0:
-            self.price_history.append(new_price)
-            self.inflow_history.append(inflow)
         return self.value
 
 
@@ -254,22 +252,23 @@ def _run_days(
 
     The external flow is ``flow_rate`` dollars per year, or each day's
     request of the investor ``ledger``.  Without a ledger the ledger
-    quantities stay identically zero; with one, the investor hazard is
-    computed once, after the loop, from the price path (it never feeds
-    back into trading).  The crash hazard's per-agent
-    ``cash_kernel`` is kept across days: a session changes the cash of
-    its active agents only, so only their entries are recomputed, and
-    the concentration is the kernel's mean (the same sum and division as
-    ``cash_concentration``, hence the same bits).  A price, investor flow
-    or ledger value that overflows ends the path with ``DivergenceError``.
+    quantities stay identically zero.  Neither hazard feeds back into
+    trading, so both are derived after the loop, from the daily cash
+    concentrations and the list of prices (Python floats, which the
+    ledger reads).  The concentration's per-agent ``cash_kernel`` is kept
+    across days: a session changes the cash of its active agents only, so
+    only their entries are recomputed, and the concentration is the
+    kernel's mean (the same sum and division as ``cash_concentration``,
+    hence the same bits).  A price, investor flow or ledger value that
+    overflows ends the path with ``DivergenceError``.
     """
     state = init_population(market, seed)
     n_days = len(day_times) - 1
     period = 1.0 / market.days_per_year
     flow = flow_rate * period
 
-    price = np.empty(n_days + 1)
-    hazard_crash = np.empty(n_days + 1)
+    prices = [state.price]
+    concentration = np.empty(n_days + 1)
     flows = np.zeros(n_days + 1)
     withdrawable = np.zeros(n_days + 1)
     external_value = np.zeros(n_days + 1)
@@ -277,8 +276,7 @@ def _run_days(
 
     cash_scale = hazard.cash_scale
     kernel = cash_kernel(state.cash, cash_scale)
-    price[0] = state.price
-    hazard_crash[0] = crash_hazard(cash_concentration(state.cash, cash_scale), hazard)
+    concentration[0] = cash_concentration(state.cash, cash_scale)
     total_cash[0] = state.cash.sum()
     external_value[0] = state.external_shares * state.price
 
@@ -303,21 +301,21 @@ def _run_days(
         i = day + 1
         if not math.isfinite(new_price):
             raise DivergenceError(day_times[i], f"price overflowed on day {i}")
-        price[i] = new_price
+        prices.append(new_price)
         flows[i] = outcome.cash_flow_in
         total_cash[i] = state.cash.sum()
         external_value[i] = state.external_shares * new_price
-        hazard_crash[i] = crash_hazard(float(kernel.sum()) / kernel.size, hazard)
+        concentration[i] = kernel.sum() / kernel.size
         if ledger is not None:
-            # state.prev_price equals price[day] as a Python float, which
-            # keeps the ledger's scalar arithmetic off numpy scalars
-            value = ledger.record_day(day, new_price, state.prev_price, outcome)
+            value = ledger.record_day(day, prices, outcome)
             if not math.isfinite(value):
                 raise DivergenceError(day_times[i], f"investor ledger overflowed on day {i}")
             withdrawable[i] = value
         if i in checkpoint_days:
             snapshots.append(CashSnapshot(day_times[i], state.cash.copy()))
 
+    price = np.array(prices)
+    del prices  # the array replaces the list's float objects
     if ledger is None:
         hazard_investor = np.zeros(n_days + 1)
     else:
@@ -326,7 +324,7 @@ def _run_days(
         )
     return PathRecord(
         price=price,
-        hazard_crash=hazard_crash,
+        hazard_crash=crash_hazard(concentration, hazard),
         hazard_investor=hazard_investor,
         flow=flows,
         withdrawable=withdrawable,
@@ -340,10 +338,10 @@ def _run_days(
 def _day_times(market: MarketParams, horizon: float) -> list[float]:
     """Times in years of a run's days ``0 .. n_days``, the horizon rounded
     to whole days.  Raises ``ConfigurationError`` for a horizon whose day
-    count is not finite or is below one trading day, and for a signal
-    window that opens on none of the days the loop trades
-    (``0 .. n_days - 1``), which would leave greed and fear off for the
-    whole run."""
+    count is not finite, is below one trading day, or needs more than
+    physical memory for one float64 a day, and for a signal window that
+    opens on none of the days the loop trades (``0 .. n_days - 1``),
+    which would leave greed and fear off for the whole run."""
     dpy = market.days_per_year
     if not math.isfinite(horizon * dpy):
         raise ConfigurationError(
@@ -352,6 +350,9 @@ def _day_times(market: MarketParams, horizon: float) -> list[float]:
     n_days = int(round(horizon * dpy))
     if n_days < 1:
         raise ConfigurationError(f"horizon {horizon} is below one trading day")
+    if 8 * (n_days + 1) > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        raise ConfigurationError(f"horizon {horizon} at {dpy} trading days a year is "
+                                 f"{n_days} days, more than physical memory holds")
     times = (np.arange(n_days + 1) / dpy).tolist()
     signal = market.signal
     if signal.level > 0.0 and not any(map(signal, times[:-1])):
@@ -380,11 +381,13 @@ def run_path(
     ledger = None
     if schedule.first_year_total > 0.0:
         invest_day = int(round(cycle.pre_phase * dpy))
+        maturity_days = int(round(cycle.maturity * dpy))
         # schedule_eval maps the days before the investment phase (t < 0) to 0
         inflows = schedule_eval(schedule, (np.arange(n_days) - invest_day) / dpy) * period
+        # withdrawals start on the day the first inflow matures
         ledger = InvestorLedger(
-            inflows.tolist(), int(round((cycle.pre_phase + cycle.maturity) * dpy)),
-            cycle.resolved_target_rate(market), int(round(cycle.maturity * dpy)), period,
+            inflows.tolist(), invest_day + maturity_days,
+            cycle.resolved_target_rate(market), maturity_days, period,
         )
     # clamped to the run in years, so a huge checkpoint cannot overflow its day
     checkpoint_days = {

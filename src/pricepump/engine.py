@@ -65,8 +65,8 @@ def trading_session(
       cash to clear above the floor even without a flow) makes a no-trade
       day.  The active agents are still drawn, so the random stream is
       unchanged, but no flow is executed (``cash_flow_in`` is 0.0) and
-      price, holdings and targets stay as they are; ``prev_price`` and
-      ``day`` advance as on any day.
+      price, holdings and targets stay as they are; ``day`` advances as
+      on any day.
 
     So the executed flow never exceeds a non-negative request and never
     turns a withdrawal into an inflow.
@@ -102,7 +102,6 @@ def trading_session(
     if ratio < PRICE_RATIO_FLOOR:
         floor_flow = PRICE_RATIO_FLOOR * supply - demand
         if external_flow >= 0.0 or floor_flow > 0.0:  # a no-trade day
-            state.prev_price = state.price
             state.day += 1
             return state, SessionOutcome(active, 0.0, True)
         external_flow = floor_flow
@@ -148,7 +147,6 @@ def trading_session(
     state.stock_value[active] = target * new_cash
     state.target_ratio[active] = new_target
 
-    state.prev_price = state.price
     state.price = new_price
     state.external_shares = external_shares
     state.day += 1

@@ -171,13 +171,12 @@ def sample_greed_fear(spec: GreedFearSpec, n: int, rng: SeedLike) -> np.ndarray:
 
 @dataclass
 class MarketState:
-    """Full market: per-agent arrays, prices, and the path's random stream.
+    """Full market: per-agent arrays, the price, and the path's random stream.
 
     Stock is stored as dollar value at the current price; share counts
     are ``stock_value / price``.  ``external_shares`` tracks the stock
     held by the outside-investor pool, so total shares are conserved
-    across sessions.  ``prev_price`` is the price the most recent session
-    started from.
+    across sessions.
     """
 
     stock_value: np.ndarray
@@ -186,7 +185,6 @@ class MarketState:
     greed: np.ndarray
     fear: np.ndarray
     price: float = 1.0
-    prev_price: float = 1.0
     day: int = 0
     external_shares: float = 0.0
     rng: np.random.Generator = field(default_factory=np.random.default_rng, repr=False)

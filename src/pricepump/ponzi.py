@@ -112,8 +112,10 @@ def _schedule_stage_values(spec: ScheduleSpec, nodes: np.ndarray, step: float, s
     """Schedule samples at nodes (both one-sided limits) and midpoints.
 
     ``shift`` displaces the argument, so the same helper serves the direct
-    term r(t) and the delayed term r(t - maturity).  The left-limit array
-    is zero at the exact switch-on point; midpoints never hit it.
+    term r(t) and the delayed term r(t - maturity), shifted by ``lag *
+    step`` (which is ``nodes[lag]``, even for a step a few ulps off the
+    maturity).  The left-limit array is zero at the exact switch-on
+    point; midpoints never hit it.
     Returned as plain lists: the integration loops run on Python floats.
     """
     args = nodes - shift
@@ -139,12 +141,10 @@ def classical_ponzi_solve(
     overflow stays non-finite and raises ``DivergenceError``.
     """
     n = _grid_steps(horizon, step)
-    _delay_steps(params.maturity, step)
+    lag = _delay_steps(params.maturity, step)
     nodes = step * np.arange(n + 1)
     direct_r, _, direct_m = _schedule_stage_values(schedule, nodes, step, 0.0)
-    delayed_r, delayed_l, delayed_m = _schedule_stage_values(
-        schedule, nodes, step, params.maturity
-    )
+    delayed_r, delayed_l, delayed_m = _schedule_stage_values(schedule, nodes, step, lag * step)
 
     rn, rw = params.nominal_rate, params.withdrawal_rate
     drift = params.promised_rate - rw
@@ -211,9 +211,7 @@ def speculative_ponzi_solve(
     lag = _delay_steps(params.maturity, step)
     nodes = step * np.arange(n + 1)
     direct_r, _, direct_m = _schedule_stage_values(schedule, nodes, step, 0.0)
-    delayed_r, delayed_l, delayed_m = _schedule_stage_values(
-        schedule, nodes, step, params.maturity
-    )
+    delayed_r, delayed_l, delayed_m = _schedule_stage_values(schedule, nodes, step, lag * step)
 
     c0 = params.market_impact
     rw = params.withdrawal_rate

@@ -2,11 +2,11 @@
 
 Two independent hazards are tracked.  The crash hazard is endogenous:
 it grows as cash concentrates in a low-cash group of agents, measured by
-a Gaussian-kernel concentration of the cash distribution, and a day loop
-evaluates it every day from the agents' cash.  The investor hazard
-accumulates while the realized market rate runs below the rate investors
-were targeting; it does not feed back into trading, so it is computed
-once per path from the finished daily price series (``investor_hazard``).
+a Gaussian-kernel concentration of the cash distribution.  The investor
+hazard accumulates while the realized market rate runs below the rate
+investors were targeting.  Neither feeds back into trading, so a day loop
+derives both once per path from its daily series: ``crash_hazard``
+elementwise over the concentrations, ``investor_hazard`` from the prices.
 Total risk is their sum, the ``H`` column of every run
 (``cycle.PathRecord.hazard_total``).
 """
@@ -70,19 +70,20 @@ def cash_concentration(
     return float(np.mean(cash_kernel(values, cash_scale)))
 
 
-def crash_hazard(concentration: float, params: HazardParams) -> float:
+def crash_hazard(concentration: float | np.ndarray, params: HazardParams) -> float | np.ndarray:
     """Crash hazard from cash concentration: scale * sqrt(h) / (1 - sqrt(h)).
 
-    Strictly increasing in the concentration, zero at zero concentration
-    (no agent short of cash), and capped at ``params.cap`` where the
-    expression diverges.
+    Elementwise, rounding as the scalar formula does.  Strictly increasing
+    in the concentration, zero at zero concentration (no agent short of
+    cash), and capped at ``params.cap`` where the expression diverges.
     """
-    if not 0.0 <= concentration <= 1.0:
-        raise ValueError(f"concentration must lie in [0, 1], got {concentration}")
-    root = math.sqrt(concentration)
-    if root >= 1.0:
-        return params.cap
-    return min(params.crash_scale * root / (1.0 - root), params.cap)
+    h = np.asarray(concentration, dtype=float)
+    outside = ~((h >= 0.0) & (h <= 1.0))
+    if outside.any():
+        raise ValueError(f"concentration must lie in [0, 1], got {h[outside][0]}")
+    root = np.sqrt(h)
+    with np.errstate(divide="ignore"):
+        return np.minimum(params.crash_scale * root / (1.0 - root), params.cap)
 
 
 def investor_hazard(

@@ -229,52 +229,56 @@ class TestInvestorLedger:
         inflow = 5000.0 * period
         total_days = 720
         ledger = InvestorLedger([inflow] * total_days, total_days, 0.4, maturity_days, period)
+        prices = [1.0] * (total_days + 1)
         for day in range(total_days):
             assert ledger.request(day) == inflow
-            ledger.record_day(day, 1.0, 1.0, executed(inflow))
+            ledger.record_day(day, prices, executed(inflow))
         matured = total_days - maturity_days
         assert ledger.value == pytest.approx(matured * inflow, rel=1e-9)
 
     def test_matured_inflow_marked_to_price(self):
         ledger = InvestorLedger([10.0, 0.0, 0.0], 3, 0.4, 2, 1.0 / 360.0)
-        ledger.record_day(0, 1.0, 1.0, executed(10.0))
-        ledger.record_day(1, 1.0, 1.0, executed(0.0))
+        prices = [1.0, 1.0, 1.0, 2.0]
+        ledger.record_day(0, prices, executed(10.0))
+        ledger.record_day(1, prices, executed(0.0))
         assert ledger.value == 0.0
         # the 10-dollar inflow invested at price 1 matures at price 2
-        ledger.record_day(2, 2.0, 1.0, executed(0.0))
+        ledger.record_day(2, prices, executed(0.0))
         assert ledger.value == pytest.approx(20.0, rel=1e-9)
 
     def test_withdrawals_drain_at_target_rate(self):
         period = 1.0 / 360.0
         ledger = InvestorLedger([100.0, 0.0, 0.0], 2, 0.5, 1, period)
-        ledger.record_day(0, 1.0, 1.0, executed(100.0))
-        ledger.record_day(1, 1.0, 1.0, executed(0.0))  # matures here
+        prices = [1.0] * 4
+        ledger.record_day(0, prices, executed(100.0))
+        ledger.record_day(1, prices, executed(0.0))  # matures here
         assert ledger.value == pytest.approx(100.0)
         request = ledger.request(2)
         assert request == -0.5 * 100.0 * period
-        ledger.record_day(2, 1.0, 1.0, executed(request))
+        ledger.record_day(2, prices, executed(request))
         assert ledger.value == pytest.approx(100.0 * (1.0 - 0.5 * period))
 
     def test_zero_maturity_credits_immediately(self):
         ledger = InvestorLedger([7.0], 1, 0.4, 0, 1.0 / 360.0)
-        ledger.record_day(0, 1.0, 1.0, executed(7.0))
+        ledger.record_day(0, [1.0, 1.0], executed(7.0))
         assert ledger.value == pytest.approx(7.0)
 
     def test_clamped_days_book_what_was_executed(self):
         period = 1.0 / 360.0
         ledger = InvestorLedger([100.0, 3.0, 3.0, 4.0, 0.0], 2, 0.5, 1, period)
-        ledger.record_day(0, 1.0, 1.0, executed(100.0))
+        prices = [1.0, 1.0, 1.0, 1.0, 0.5, 0.5]
+        ledger.record_day(0, prices, executed(100.0))
         # a no-trade day credits no inflow, and nothing matures from it
-        ledger.record_day(1, 1.0, 1.0, executed(0.0, clamped=True))
+        ledger.record_day(1, prices, executed(0.0, clamped=True))
         assert ledger.value == 100.0
         assert ledger.request(2) == 3.0 - 0.5 * 100.0 * period
-        ledger.record_day(2, 1.0, 1.0, executed(0.0, clamped=True))
+        ledger.record_day(2, prices, executed(0.0, clamped=True))
         assert ledger.value == 100.0  # withdrawing, but nothing was paid out
         # a clamped withdrawal drains what was paid out: the day's inflow
         # of 4 less the executed -2, marked at a price that halved
-        ledger.record_day(3, 0.5, 1.0, executed(-2.0, clamped=True))
+        ledger.record_day(3, prices, executed(-2.0, clamped=True))
         assert ledger.value == pytest.approx(100.0 - 0.5 * 100.0 - 6.0)
-        ledger.record_day(4, 0.5, 0.5, executed(0.0))
+        ledger.record_day(4, prices, executed(0.0))
         assert ledger.value == pytest.approx(44.0 * (1.0 - 0.5 * period) + 4.0)
 
 
@@ -290,6 +294,15 @@ class TestRunPath:
     def test_paths_differ_by_index(self):
         cfg = small_cycle()
         assert not np.array_equal(small_path(cfg, 0).price, small_path(cfg, 1).price)
+
+    def test_withdrawals_start_when_the_first_inflow_matures(self):
+        # 1.44 days of warm-up and of maturity round to one day each, so the
+        # first inflow (day 1) matures on day 2; rounding the sum of the two
+        # phases instead (2.88 days) used to start withdrawals on day 3
+        cfg = small_cycle(pre_phase=0.004, maturity=0.004, horizon=0.02)
+        record = small_path(cfg, 0)
+        assert np.flatnonzero(record.flow)[0] == 2  # the session of day 1
+        assert np.flatnonzero(record.hazard_investor)[0] == 3
 
     @settings(deadline=None, max_examples=15)
     @given(experiment=small_experiments(), seed=st.integers(0, 2**32 - 1))
@@ -443,13 +456,14 @@ class TestDayLoopBitIdentity:
         books = []
         record_day = InvestorLedger.record_day
 
-        def spy(ledger, day, new_price, prev_price, outcome):
+        def spy(ledger, day, prices, outcome):
             before = ledger.value
+            m = ledger.maturity_days
             matured = 0.0
-            if len(ledger.inflow_history) == ledger.maturity_days:
-                matured = ledger.inflow_history[0] * new_price / ledger.price_history[0]
-            value = record_day(ledger, day, new_price, prev_price, outcome)
-            books.append((outcome, before, matured, value, ledger.inflow_history[-1]))
+            if day >= m:
+                matured = ledger.credited[day - m] * prices[day + 1] / prices[day - m + 1]
+            value = record_day(ledger, day, prices, outcome)
+            books.append((outcome, before, matured, value, ledger.credited[day]))
             return value
 
         monkeypatch.setattr(InvestorLedger, "record_day", spy)
@@ -907,8 +921,10 @@ class TestGeneratedConfigs:
                     record = run(path_index)
                 except PricePumpError:
                     continue
-                assert np.all(np.isfinite(record.hazard_crash))
-                assert np.all(np.isfinite(record.hazard_investor))
+                for name, series in record.columns().items():
+                    assert np.all(np.isfinite(series)), name
+                for snap in record.snapshots:
+                    assert np.all(np.isfinite(snap.cash)), snap.time
                 if run is runs[1]:  # no inflow beyond the request, none for a withdrawal
                     request = flow.flow_rate * (1.0 / market.days_per_year)
                     assert np.all(record.flow <= max(request, 0.0))

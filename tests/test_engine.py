@@ -35,7 +35,6 @@ def market(stock, cash, target, greed=1.0, fear=1.0, price=1.0, seed=0):
         greed=column(greed),
         fear=column(fear),
         price=price,
-        prev_price=price,
         rng=as_rng(seed),
     )
 
@@ -249,12 +248,13 @@ class TestTradingSession:
         state = market([1.0] * 8, [0.0] * 7 + [1.0], [1.0] * 8, 1.0, 1.0, 0.375, 0)
         before = (state.stock_value.copy(), state.cash.copy(), state.target_ratio.copy())
         shares_before = state.total_shares()
+        price_before = state.price
         reference = as_rng(0)
         reference.choice(8, size=1, replace=False)
         state, outcome = trading_session(state, 1, flow)
         assert outcome.active_indices.tolist() == [6]
         assert outcome.clamped and outcome.cash_flow_in == 0.0
-        assert (state.price, state.prev_price, state.day) == (0.375, 0.375, 1)
+        assert (price_before, state.price, state.day) == (0.375, 0.375, 1)
         for now, then in zip((state.stock_value, state.cash, state.target_ratio), before):
             assert now.tobytes() == then.tobytes()
         assert state.external_shares == 0.0
@@ -295,12 +295,6 @@ class TestTradingSession:
             assert a.price == b.price
             assert np.array_equal(oa.active_indices, ob.active_indices)
         assert np.array_equal(a.target_ratio, b.target_ratio)
-
-    def test_prev_price_tracks_session_base(self):
-        state = population(50, 1)
-        p0 = state.price
-        state, _ = trading_session(state, 10)
-        assert state.prev_price == p0
 
     def test_stationary_state_unstable(self):
         gf = GreedFearSpec(math.log(1.05), math.log(1.05), 0.0, 1.0)
@@ -394,12 +388,13 @@ class TestSessionProperties:
         flow = flow_share * sum(cash)
         old_target, old_stock = state.target_ratio.copy(), state.stock_value.copy()
         cash_before, shares_before = state.total_cash(), state.total_shares()
+        price_before = state.price
 
         state, outcome = trading_session(state, n_active, flow)
         active = outcome.active_indices
         # no inflow beyond the request, and no withdrawal turned into one
         assert outcome.cash_flow_in <= max(flow, 0.0)
-        if outcome.clamped and state.price == state.prev_price:  # a no-trade day
+        if outcome.clamped and state.price == price_before:  # a no-trade day
             assert outcome.cash_flow_in == 0.0
             assert state.stock_value.tobytes() == old_stock.tobytes()
         else:

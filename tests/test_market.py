@@ -120,7 +120,7 @@ class TestInitPopulation:
         assert state.n_agents == 500
         assert np.all(state.cash == 10.0)
         assert np.all(state.stock_value >= 10.0) and np.all(state.stock_value <= 10.1)
-        assert state.price == 1.0 and state.prev_price == 1.0
+        assert state.price == 1.0
         assert state.external_shares == 0.0 and state.day == 0
 
     def test_zero_noise_single_agent(self):

@@ -399,9 +399,7 @@ def closure_speculative_solve(params, schedule, horizon, step=DT):
     lag = _delay_steps(params.maturity, step)
     nodes = step * np.arange(n + 1)
     direct_r, _, direct_m = _schedule_stage_values(schedule, nodes, step, 0.0)
-    delayed_r, delayed_l, delayed_m = _schedule_stage_values(
-        schedule, nodes, step, params.maturity
-    )
+    delayed_r, delayed_l, delayed_m = _schedule_stage_values(schedule, nodes, step, lag * step)
     c0 = params.market_impact
     rw = params.withdrawal_rate
     ext = params.external_rate

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pricepump import (
     DivergenceError,
@@ -84,6 +86,24 @@ class TestCrashHazard:
     def test_cap_applies_near_one(self):
         params = HazardParams(cap=10.0)
         assert crash_hazard(0.9999999, params) == 10.0
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        concentrations=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=50),
+        crash_scale=st.floats(1e-3, 1e3),
+        cap=st.floats(1e-3, 1e12),
+    )
+    def test_array_equals_scalar_bits(self, concentrations, crash_scale, cap):
+        # the day loop applies crash_hazard once, to every day's
+        # concentration; each entry must be the scalar formula's bits
+        params = HazardParams(crash_scale=crash_scale, cap=cap)
+        concentrations = [0.0, 1.0, *concentrations]
+        values = crash_hazard(np.array(concentrations), params)
+        for h, value in zip(concentrations, values.tolist()):
+            root = math.sqrt(h)
+            expected = cap if root >= 1.0 else min(crash_scale * root / (1.0 - root), cap)
+            assert value == expected
+            assert crash_hazard(h, params) == expected
 
 
 DAY = 1.0 / 360.0
