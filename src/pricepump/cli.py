@@ -9,8 +9,8 @@ a JSON configuration (optional; defaults are complete), write CSV/JSON
 plus ``manifest.json`` and ``config.json`` into the output directory,
 and exit 0 on success.  Failures print a machine-readable JSON error
 record to stderr and exit non-zero (2 for a configuration error, 3 for a
-failed run); ensemble verbs first write a run record listing every failed
-path.
+failed run, 1 otherwise, as when a worker process dies); ensemble verbs
+first write a run record listing every failed path.
 """
 from __future__ import annotations
 
@@ -28,14 +28,7 @@ from .config import (
     parse_config,
     serialize_config,
 )
-from .cycle import (
-    EnsembleStats,
-    fit_market_impact,
-    investment_phase_series,
-    regime_comparison,
-    run_ensemble,
-    run_flow_ensemble,
-)
+from .cycle import EnsembleStats, fit_market_impact, investment_phase_series, run_ensembles
 from .errors import ConfigurationError, EnsembleFailedError, PricePumpError
 from .output import emit_series, read_csv_columns, write_json, write_manifest
 from .ponzi import (
@@ -56,6 +49,9 @@ _VERB_KINDS = {
     "stats": "stats",
 }
 
+# The block an ensemble verb runs, whose n_paths ``--paths`` sets
+_ENSEMBLE_BLOCKS = {"simulate": "aspp", "regimes": "regimes", "cycle": "cycle", "fit-c0": "cycle"}
+
 
 def _load(args) -> ExperimentConfig:
     default_kind = _VERB_KINDS[args.verb]
@@ -73,15 +69,15 @@ def _load(args) -> ExperimentConfig:
         cfg = load_config_data({"kind": default_kind})
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
+    name = _ENSEMBLE_BLOCKS.get(args.verb)
+    if args.paths is not None and name is not None:
+        block = dataclasses.replace(getattr(cfg, name), n_paths=args.paths)
+        cfg = dataclasses.replace(cfg, **{name: block})
     return cfg
 
 
 def _out_dir(args, cfg: ExperimentConfig) -> Path:
     return Path(args.out or cfg.out or "out")
-
-
-def _override_paths(block, n_paths):
-    return dataclasses.replace(block, n_paths=n_paths) if n_paths is not None else block
 
 
 def _write_run_record(
@@ -90,13 +86,6 @@ def _write_run_record(
     """Every verb's ``manifest.json`` and ``config.json``."""
     write_manifest(out, config_hash(cfg), cfg.seed, counters, extra)
     (out / "config.json").write_text(serialize_config(cfg) + "\n")
-
-
-def _attempt(run) -> EnsembleStats | EnsembleFailedError:
-    try:
-        return run()
-    except EnsembleFailedError as exc:
-        return exc
 
 
 def _write_ensembles(
@@ -124,36 +113,20 @@ def _write_ensembles(
         raise PricePumpError("; ".join(f"regime '{name}': {exc}" for name, exc in failed.items()))
 
 
-def _cmd_simulate(args) -> int:
-    cfg = _load(args)
-    flow = _override_paths(cfg.aspp, args.paths)
-    result = _attempt(lambda: run_flow_ensemble(
-        cfg.market, cfg.hazard, flow, cfg.seed, n_workers=args.threads
-    ))
-    _write_ensembles(_out_dir(args, cfg), cfg, {"": result})
-    return 0
-
-
-def _cmd_regimes(args) -> int:
-    cfg = _load(args)
-    regimes = _override_paths(cfg.regimes, args.paths)
-    results = regime_comparison(
-        cfg.market, cfg.hazard, regimes, cfg.seed, n_workers=args.threads
+def _run_ensembles(args, cfg: ExperimentConfig) -> dict[str, EnsembleStats]:
+    """Run the verb's ensembles (the three flows of ``regimes``, else its
+    one block) in one call and write them with the run record."""
+    block = getattr(cfg, _ENSEMBLE_BLOCKS[args.verb])
+    blocks = block.flows(cfg.market) if args.verb == "regimes" else {"": block}
+    results = run_ensembles(
+        cfg.market, cfg.hazard, cfg.schedule, blocks, cfg.seed, n_workers=args.threads
     )
     _write_ensembles(_out_dir(args, cfg), cfg, results)
-    return 0
+    return results
 
 
-def _run_cycle(args, cfg: ExperimentConfig) -> EnsembleStats | EnsembleFailedError:
-    cycle = _override_paths(cfg.cycle, args.paths)
-    return _attempt(lambda: run_ensemble(
-        cfg.market, cfg.hazard, cfg.schedule, cycle, cfg.seed, n_workers=args.threads
-    ))
-
-
-def _cmd_cycle(args) -> int:
-    cfg = _load(args)
-    _write_ensembles(_out_dir(args, cfg), cfg, {"": _run_cycle(args, cfg)})
+def _cmd_ensemble(args) -> int:
+    _run_ensembles(args, _load(args))
     return 0
 
 
@@ -213,8 +186,7 @@ def _cmd_fit(args) -> int:
         times, values = table["t"], table[column]
         _write_run_record(out, cfg, {})
     else:
-        ens = _run_cycle(args, cfg)
-        _write_ensembles(out, cfg, {"": ens})
+        ens = _run_ensembles(args, cfg)[""]
         times, values = ens.times, ens.series["S_ext"].mean
     tau, observed = investment_phase_series(times, values, cfg.cycle.pre_phase)
     target_rate = cfg.cycle.resolved_target_rate(cfg.market)
@@ -269,9 +241,9 @@ def _cmd_stats(args) -> int:
 
 
 _COMMANDS = {
-    "simulate": _cmd_simulate,
-    "regimes": _cmd_regimes,
-    "cycle": _cmd_cycle,
+    "simulate": _cmd_ensemble,
+    "regimes": _cmd_ensemble,
+    "cycle": _cmd_ensemble,
     "ponzi": _cmd_ponzi,
     "fit-c0": _cmd_fit,
     "stats": _cmd_stats,
@@ -289,7 +261,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON configuration file")
         p.add_argument("--out", help="output directory (default: config 'out' or ./out)")
         p.add_argument("--seed", type=int, help="override the configured seed")
-        p.add_argument("--paths", type=int, help="override the configured path count")
+        p.add_argument("--paths", type=int,
+                       help="override the configured path count (config.json records it)")
         p.add_argument(
             "--threads",
             type=int,

@@ -7,22 +7,24 @@ phase in which the market pumps its price on its own, an investment
 phase feeding a dollar schedule into the market, and, once the first
 money matures, a withdrawal phase in which investors take out their
 tracked withdrawable value at a target rate.  Paths are independent
-units of parallel work, folded into the aggregates in path-index order
-whatever order they finish in.  The runners take the configuration's
-blocks (``MarketParams``, ``HazardParams``, ``ScheduleSpec``,
-``CycleConfig``, ``FlowBlock``, ``RegimesBlock``) as they are, and every
-path of every experiment runs through one day loop.
+units of parallel work.  One runner, ``run_ensembles``, takes every
+ensemble of an experiment (one cycle, one flow, or the three flows of a
+regime comparison) and runs all their paths in one worker pool; each
+ensemble is folded in path-index order, whatever order its paths finish
+in.  The runner takes the configuration's blocks (``MarketParams``,
+``HazardParams``, ``ScheduleSpec``, ``CycleConfig``, ``FlowBlock``) as
+they are, and every path of every experiment runs through one day loop.
 """
 from __future__ import annotations
 
 import math
 import os
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import partial
-from typing import Collection, NamedTuple, Optional
+from typing import Callable, Collection, NamedTuple, Optional
 
 import numpy as np
 
@@ -534,95 +536,85 @@ def _aggregate(fold: _EnsembleFold, market: MarketParams) -> EnsembleStats:
     )
 
 
-def _collect(worker, n_paths: int, n_workers: int) -> _EnsembleFold:
-    """Run ``worker`` on path indices ``0 .. n_paths - 1`` and fold the
-    results in index order.  The pool has at most one worker per path and
-    per CPU.  With several workers every path is submitted at once; each
-    finished path is folded and dropped once the paths before it are, so
-    the parent holds few records at any time."""
-    fold = _EnsembleFold(n_paths)
-    n_workers = min(n_workers, n_paths, os.cpu_count() or 1)
+def _collect(
+    units: list[tuple[Callable[[int], PathRecord], int]], n_workers: int, market: MarketParams
+) -> list[EnsembleStats | EnsembleFailedError]:
+    """Run each unit's path function on path indices ``0 .. n_paths - 1``,
+    fold every unit's results in index order and aggregate it once its
+    last path is folded; a unit whose every path failed gives its
+    ``EnsembleFailedError``.
+
+    All paths share one pool of at most one worker per path and per CPU
+    this process may run on (its affinity set, where the platform has one).
+    With several workers every path is submitted at once; each finished
+    path is folded and dropped once the paths before it are, so the parent
+    holds few records and one unit's rows at any time.  A worker process
+    that dies breaks the pool, which ends the run instead of failing the
+    paths left."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    n_workers = min(n_workers, sum(n for _, n in units), cpus)
+    results: list[EnsembleStats | EnsembleFailedError] = []
     with ExitStack() as stack:
         if n_workers <= 1:
-            pending = deque(partial(worker, i) for i in range(n_paths))
+            pending = deque(partial(path, i) for path, n in units for i in range(n))
         else:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=n_workers))
-            pending = deque(pool.submit(worker, i).result for i in range(n_paths))
-        for i in range(n_paths):
-            result = pending.popleft()
+            pending = deque(pool.submit(path, i).result for path, n in units for i in range(n))
+        for _, n_paths in units:
+            fold = _EnsembleFold(n_paths)
+            for i in range(n_paths):
+                result = pending.popleft()
+                try:
+                    record = result()
+                except BrokenExecutor:
+                    raise
+                except Exception as exc:  # path errors are reported, not fatal
+                    fold.failures.append((i, repr(exc)))
+                else:
+                    fold.add(record)
             try:
-                record = result()
-            except Exception as exc:  # path errors are reported, not fatal
-                fold.failures.append((i, repr(exc)))
-            else:
-                fold.add(record)
-    return fold
+                results.append(_aggregate(fold, market))
+            except EnsembleFailedError as exc:
+                results.append(exc)
+    return results
 
 
-def _ensemble(
-    path, market: MarketParams, block: CycleConfig | FlowBlock, n_workers: int
-) -> EnsembleStats:
-    """Run ``path`` on path indices ``0 .. block.n_paths - 1`` and aggregate.
-    The day grid is checked first: a horizon or signal that cannot run is
-    a configuration error, not a failure of every path."""
-    _day_times(market, block.horizon)
-    return _aggregate(_collect(path, block.n_paths, n_workers), market)
-
-
-def run_ensemble(
+def run_ensembles(
     market: MarketParams,
     hazard: HazardParams,
     schedule: ScheduleSpec,
-    cycle: CycleConfig,
+    blocks: dict[str, CycleConfig | FlowBlock],
     base_seed: int,
     n_workers: int = 1,
-) -> EnsembleStats:
-    """Run ``cycle.n_paths`` independent cycle paths and aggregate them.
+) -> dict[str, EnsembleStats | EnsembleFailedError]:
+    """Run ``block.n_paths`` independent paths of each block and aggregate
+    each block's paths, by name in the order of ``blocks``.
+
+    A ``CycleConfig`` block runs investment-cycle paths under ``schedule``
+    (``run_path``); a ``FlowBlock`` runs constant-flow paths with the cash
+    histogram at the horizon (``run_flow_path``), as each regime of
+    ``RegimesBlock.flows`` does.  Every block's day grid is checked before
+    any path runs: a horizon or signal that cannot run is a configuration
+    error, not a failure of every path.  A block whose every path failed
+    maps to its ``EnsembleFailedError`` and the other blocks still run;
+    an outflow as strong as the initial cash per year, for one, exhausts
+    the market and fails every path with ``LiquidityExhaustedError``.
 
     Aggregates are indexed by path number, so the result is identical for
     any worker count and execution order.
     """
-    path = partial(run_path, market, hazard, schedule, cycle, base_seed)
-    return _ensemble(path, market, cycle, n_workers)
-
-
-def run_flow_ensemble(
-    market: MarketParams,
-    hazard: HazardParams,
-    flow: FlowBlock,
-    base_seed: int,
-    n_workers: int = 1,
-) -> EnsembleStats:
-    """Constant-flow ensemble (zero, investment, or withdrawal regime),
-    with the cash histogram at the horizon."""
-    path = partial(run_flow_path, market, hazard, flow, base_seed)
-    return _ensemble(path, market, flow, n_workers)
-
-
-def regime_comparison(
-    market: MarketParams,
-    hazard: HazardParams,
-    regimes: RegimesBlock,
-    base_seed: int,
-    n_workers: int = 1,
-) -> dict[str, EnsembleStats | EnsembleFailedError]:
-    """Three ensembles differing only in the external flow, by regime name:
-    ``"investment"``, ``"zero"`` and ``"withdrawal"``, in that order (see
-    ``RegimesBlock.flows``).
-
-    An outflow as strong as the initial cash per year exhausts the market:
-    the liquidity clamp then fires every day, the price underflows to zero
-    after about 1.4 years, and every path fails with
-    ``LiquidityExhaustedError``.  Such a regime maps to its
-    ``EnsembleFailedError``; the other regimes still run.
-    """
-    results: dict[str, EnsembleStats | EnsembleFailedError] = {}
-    for name, flow in regimes.flows(market).items():
-        try:
-            results[name] = run_flow_ensemble(market, hazard, flow, base_seed, n_workers)
-        except EnsembleFailedError as exc:
-            results[name] = exc
-    return results
+    units = []
+    for block in blocks.values():
+        _day_times(market, block.horizon)
+        if isinstance(block, CycleConfig):
+            path = partial(run_path, market, hazard, schedule, block, base_seed)
+        else:
+            path = partial(run_flow_path, market, hazard, block, base_seed)
+        units.append((path, block.n_paths))
+    return dict(zip(blocks, _collect(units, n_workers, market)))
 
 
 class CalibrationResult(NamedTuple):

@@ -12,8 +12,8 @@ from pricepump import (
     GreedFearSpec,
     HazardParams,
     MarketParams,
-    run_ensemble,
-    run_flow_ensemble,
+    ScheduleSpec,
+    run_ensembles,
 )
 
 WORKERS = 4
@@ -24,9 +24,10 @@ def reference_zero_ensemble():
     """Zero-flow ensemble at the reference configuration: 100 paths x 2 years."""
     market = MarketParams()
     start = time.perf_counter()
-    stats = run_flow_ensemble(
-        market, HazardParams(), FlowBlock(0.0, 2.0, 100), 20240, n_workers=WORKERS
-    )
+    stats = run_ensembles(
+        market, HazardParams(), ScheduleSpec(), {"": FlowBlock(0.0, 2.0, 100)}, 20240,
+        n_workers=WORKERS,
+    )[""]
     return stats, time.perf_counter() - start
 
 
@@ -37,9 +38,10 @@ def homogeneous_ensemble():
         greed_fear=GreedFearSpec(math.log(1.02), math.log(1.01), 0.0, 1.0)
     )
     start = time.perf_counter()
-    stats = run_flow_ensemble(
-        market, HazardParams(), FlowBlock(0.0, 2.0, 100), 777, n_workers=WORKERS
-    )
+    stats = run_ensembles(
+        market, HazardParams(), ScheduleSpec(), {"": FlowBlock(0.0, 2.0, 100)}, 777,
+        n_workers=WORKERS,
+    )[""]
     return stats, time.perf_counter() - start
 
 
@@ -48,7 +50,7 @@ def cycle_ensemble():
     """Full investment cycle at the reference configuration: 100 paths x 20 years."""
     cfg = ExperimentConfig(kind="cycle", seed=42, cycle=CycleConfig(n_paths=100))
     start = time.perf_counter()
-    stats = run_ensemble(
-        cfg.market, cfg.hazard, cfg.schedule, cfg.cycle, cfg.seed, n_workers=WORKERS
-    )
+    stats = run_ensembles(
+        cfg.market, cfg.hazard, cfg.schedule, {"": cfg.cycle}, cfg.seed, n_workers=WORKERS
+    )[""]
     return cfg, stats, time.perf_counter() - start

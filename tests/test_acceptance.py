@@ -23,8 +23,7 @@ from pricepump import (
     fit_market_impact,
     init_population,
     investment_phase_series,
-    regime_comparison,
-    run_flow_ensemble,
+    run_ensembles,
     speculative_ponzi_solve,
     steady_state_rate,
     trading_session,
@@ -200,9 +199,10 @@ def test_criterion_07_linear_steady_rate_bound():
 
 
 def test_criterion_08_flow_regime_hazard_ordering():
-    comparison = regime_comparison(
-        MarketParams(), HazardParams(), RegimesBlock(horizon=2.0, n_paths=100), base_seed=808,
-        n_workers=WORKERS,
+    market = MarketParams()
+    comparison = run_ensembles(
+        market, HazardParams(), ScheduleSpec(),
+        RegimesBlock(horizon=2.0, n_paths=100).flows(market), base_seed=808, n_workers=WORKERS,
     )
     finals = {}
     for name, stats in comparison.items():
@@ -312,7 +312,9 @@ def test_criterion_11_numerical_hygiene():
 
     market = MarketParams(n_agents=100, n_active=25)
     ensembles = [
-        run_flow_ensemble(market, HazardParams(), FlowBlock(0.0, 0.5, 8), 42, n_workers=w)
+        run_ensembles(
+            market, HazardParams(), ScheduleSpec(), {"": FlowBlock(0.0, 0.5, 8)}, 42, n_workers=w
+        )[""]
         for w in (1, 4, 8)
     ]
     first = ensembles[0]

@@ -116,9 +116,10 @@ def test_benchmark_return_shapes(tmp_path):
     outcome = pricepump.trading_session(state, market.n_active, 0.0)[1]
     assert type(outcome.clamped) is bool
     assert pricepump.SessionOutcome._fields == ("active_indices", "cash_flow_in", "clamped")
-    ensemble = pricepump.run_flow_ensemble(
-        market, pricepump.HazardParams(), pricepump.FlowBlock(0.0, 0.1, 1), 1
-    )
+    ensemble = pricepump.run_ensembles(
+        market, pricepump.HazardParams(), pricepump.ScheduleSpec(),
+        {"": pricepump.FlowBlock(0.0, 0.1, 1)}, 1,
+    )[""]
     solution = ponzi.classical_ponzi_solve(
         pricepump.PonziParams(0.0, 0.41, 0.41, 1.0, 1.0), pricepump.ScheduleSpec(), 2.0, 0.5
     )
@@ -128,7 +129,7 @@ def test_benchmark_return_shapes(tmp_path):
         assert all(path.is_file() for path in files)
 
 
-@pytest.mark.parametrize("verb,n_ensembles", [("regimes", 3), ("cycle", 1)])
+@pytest.mark.parametrize("verb,n_ensembles", [("simulate", 1), ("regimes", 3), ("cycle", 1)])
 def test_benchmark_counts_one_session_per_path_day(tmp_path, monkeypatch, verb, n_ensembles):
     # the trace wraps these names where cycle looks them up, and checks one
     # path call per path and one session per path-day
@@ -145,9 +146,11 @@ def test_benchmark_counts_one_session_per_path_day(tmp_path, monkeypatch, verb, 
     for name in ("run_flow_path", "run_path", "trading_session"):
         monkeypatch.setattr(cycle, name, counting(name))
     horizon, n_paths, days_per_year = 0.1, 2, 360
+    block = "aspp" if verb == "simulate" else verb
     document = {
-        "kind": verb,
+        "kind": block,
         "market": {"n_agents": 20, "n_active": 5, "days_per_year": days_per_year},
+        "aspp": {"horizon": horizon, "n_paths": n_paths},
         "regimes": {"horizon": horizon, "n_paths": n_paths},
         "cycle": {"pre_phase": 0.0, "maturity": 0.05, "horizon": horizon, "n_paths": n_paths},
     }
@@ -156,8 +159,8 @@ def test_benchmark_counts_one_session_per_path_day(tmp_path, monkeypatch, verb, 
     argv = [verb, "--config", str(path), "--out", str(tmp_path / "out"), "--threads", "1"]
     assert cli.main(argv) == 0
     cfg = config.parse_config(path)
-    paths = getattr(cfg, verb).n_paths * n_ensembles
-    path_function = "run_flow_path" if verb == "regimes" else "run_path"
+    paths = getattr(cfg, block).n_paths * n_ensembles
+    path_function = "run_path" if verb == "cycle" else "run_flow_path"
     assert calls == {
         path_function: paths,
         "trading_session": paths * int(round(horizon * cfg.market.days_per_year)),

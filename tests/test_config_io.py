@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 
@@ -24,15 +25,18 @@ from pricepump import (
     load_config_data,
     parse_config,
     read_csv_columns,
-    run_flow_ensemble,
+    run_ensembles,
+    run_flow_path,
     serialize_config,
     speculative_ponzi_solve,
     write_manifest,
 )
+from pricepump import cycle as cycle_module
 from pricepump.cli import main
 from pricepump.config import EXPERIMENT_KINDS
 from pricepump.ponzi import PonziParams, classical_ponzi_solve
 from pricepump.schedules import SCHEDULE_KINDS
+from tests.test_cycle import recording_pool, set_cpus
 
 ROUND_TRIP_FIXTURE = {
     "kind": "cycle",
@@ -426,7 +430,8 @@ def test_serialized_config_reloads_identically(document):
 
 def small_flow_ensemble(flow_rate=0.0):
     market = MarketParams(n_agents=40, n_active=10)
-    return run_flow_ensemble(market, HazardParams(), FlowBlock(flow_rate, 0.25, 2), 5)
+    block = FlowBlock(flow_rate, 0.25, 2)
+    return run_ensembles(market, HazardParams(), ScheduleSpec(), {"": block}, 5)[""]
 
 
 @pytest.fixture()
@@ -491,6 +496,30 @@ class TestSerialization:
             assert (tmp_path / "a" / file).read_bytes() == (tmp_path / "b" / file).read_bytes()
 
 
+# Small blocks for every ensemble verb: 3 paths of 36 days, the cycle's
+# phases on whole days so that fit-c0 runs too
+SMALL_ENSEMBLE_BLOCKS = {
+    "market": {"n_agents": 20, "n_active": 5},
+    "aspp": {"horizon": 0.1, "n_paths": 3},
+    "regimes": {"horizon": 0.1, "n_paths": 3},
+    "cycle": {"pre_phase": 0.0, "maturity": 0.05, "horizon": 0.1, "n_paths": 3},
+    "fit": {"bracket_low": 1e-6, "bracket_high": 1.0},
+}
+
+
+def directory_bytes(out):
+    """Every file under ``out`` by relative path, with its bytes."""
+    return {str(path.relative_to(out)): path.read_bytes()
+            for path in sorted(out.rglob("*")) if path.is_file()}
+
+
+def exiting_flow_path(market, hazard, flow, base_seed, path_index):
+    """``run_flow_path`` in a worker process that dies on path 1."""
+    if path_index == 1:
+        os._exit(1)
+    return run_flow_path(market, hazard, flow, base_seed, path_index)
+
+
 class TestCli:
     def write_config(self, tmp_path, payload):
         path = tmp_path / "cfg.json"
@@ -537,22 +566,16 @@ class TestCli:
         assert payload["predicted"]["daily_factor"] == pytest.approx(1.0011217, abs=1e-7)
 
     def test_thread_invariance(self, tmp_path):
-        cfg = self.write_config(
-            tmp_path,
-            {
-                "kind": "aspp",
-                "market": {"n_agents": 50, "n_active": 12},
-                "aspp": {"horizon": 0.25, "n_paths": 4},
-            },
-        )
-        for threads, name in ((1, "t1"), (4, "t4")):
-            assert main([
-                "simulate", "--config", cfg, "--out", str(tmp_path / name),
-                "--threads", str(threads),
-            ]) == 0
-        a = (tmp_path / "t1" / "ensemble.csv").read_bytes()
-        b = (tmp_path / "t4" / "ensemble.csv").read_bytes()
-        assert a == b
+        for verb, kind in (("simulate", "aspp"), ("regimes", "regimes"), ("cycle", "cycle"),
+                           ("fit-c0", "fit-c0")):
+            cfg = self.write_config(tmp_path, {"kind": kind, **SMALL_ENSEMBLE_BLOCKS})
+            files = []
+            for threads in (1, 2, 4):
+                out = tmp_path / verb / f"t{threads}"
+                assert main([verb, "--config", cfg, "--out", str(out),
+                             "--threads", str(threads)]) == 0
+                files.append(directory_bytes(out))
+            assert files[0] == files[1] == files[2], verb
 
     def test_unknown_key_exit_code(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, {"kind": "cycle", "bogus_key": 1})
@@ -905,3 +928,46 @@ class TestCli:
         assert main(["simulate", "--config", cfg, "--out", str(out), "--paths", "2"]) == 0
         returns = json.loads((out / "ensemble_returns.json").read_text())
         assert returns["pooled"]["n_returns"] == 2 * 90
+        # the run records the path count it ran, so config.json reruns it
+        written = parse_config(out / "config.json")
+        assert written.aspp.n_paths == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config_sha256"] == config_hash(written)
+        rerun = tmp_path / "rerun"
+        assert main(["simulate", "--config", str(out / "config.json"), "--out", str(rerun)]) == 0
+        assert directory_bytes(rerun) == directory_bytes(out)
+
+    @pytest.mark.parametrize("verb,kind,block", [
+        ("simulate", "aspp", "aspp"),
+        ("regimes", "regimes", "regimes"),
+        ("cycle", "cycle", "cycle"),
+        ("fit-c0", "fit-c0", "cycle"),
+    ])
+    def test_every_ensemble_verb_records_paths(self, tmp_path, verb, kind, block):
+        cfg = self.write_config(tmp_path, {"kind": kind, **SMALL_ENSEMBLE_BLOCKS})
+        out = tmp_path / "out"
+        assert main([verb, "--config", cfg, "--out", str(out), "--paths", "2"]) == 0
+        assert getattr(parse_config(out / "config.json"), block).n_paths == 2
+
+    def test_regimes_start_one_pool(self, tmp_path, monkeypatch):
+        # the three regimes' paths share one pool of two workers
+        cfg = self.write_config(tmp_path, {"kind": "regimes", **SMALL_ENSEMBLE_BLOCKS})
+        serial = tmp_path / "t1"
+        assert main(["regimes", "--config", cfg, "--out", str(serial), "--threads", "1"]) == 0
+        sizes = []
+        monkeypatch.setattr(cycle_module, "ProcessPoolExecutor", recording_pool(sizes))
+        set_cpus(monkeypatch, 2, {0, 1})
+        pooled = tmp_path / "t2"
+        assert main(["regimes", "--config", cfg, "--out", str(pooled), "--threads", "2"]) == 0
+        assert sizes == [2]
+        assert directory_bytes(pooled) == directory_bytes(serial)
+
+    def test_dead_worker_exits_1_and_writes_no_ensemble(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cycle_module, "run_flow_path", exiting_flow_path)
+        set_cpus(monkeypatch, 2, {0, 1})
+        cfg = self.write_config(tmp_path, {"kind": "aspp", **SMALL_ENSEMBLE_BLOCKS})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--threads", "2"]) == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "BrokenProcessPool"
+        assert not out.exists()

@@ -1,9 +1,11 @@
 import dataclasses
 import hashlib
 import math
+import os
+import re
 import sys
 import tracemalloc
-from concurrent.futures import Future
+from concurrent.futures import BrokenExecutor, Future
 from functools import partial
 
 import numpy as np
@@ -36,9 +38,7 @@ from pricepump import (
     crash_hazard,
     fit_market_impact,
     investment_phase_series,
-    regime_comparison,
-    run_ensemble,
-    run_flow_ensemble,
+    run_ensembles,
     run_flow_path,
     run_path,
     speculative_ponzi_solve,
@@ -65,8 +65,19 @@ def small_path(cycle, path_index, hazard=HAZARD, schedule=SMALL_SCHEDULE, base_s
     return run_path(SMALL_MARKET, hazard, schedule, cycle, base_seed, path_index)
 
 
+def one_ensemble(market, block, base_seed, n_workers=1, hazard=HAZARD, schedule=SMALL_SCHEDULE):
+    """The one ensemble of ``block``: its stats, or its EnsembleFailedError."""
+    return run_ensembles(market, hazard, schedule, {"": block}, base_seed, n_workers)[""]
+
+
 def small_ensemble(cycle, n_workers=1):
-    return run_ensemble(SMALL_MARKET, HAZARD, SMALL_SCHEDULE, cycle, SMALL_SEED, n_workers)
+    return one_ensemble(SMALL_MARKET, cycle, SMALL_SEED, n_workers)
+
+
+def assert_failed(result, pattern):
+    """``result`` is an EnsembleFailedError whose message matches ``pattern``."""
+    assert isinstance(result, EnsembleFailedError), result
+    assert re.search(pattern, str(result)), str(result)
 
 
 def reference_path(path_index, market=MarketParams(), hazard=HazardParams(),
@@ -156,7 +167,7 @@ class TestConfigs:
         with pytest.raises(ConfigurationError, match="n_paths must be >= 1, got 0"):
             FlowBlock(0.0, 1.0, 0)
         with pytest.raises(ConfigurationError, match="below one trading day"):
-            run_flow_ensemble(SMALL_MARKET, HAZARD, FlowBlock(0.0, 0.001, 2), 1)
+            one_ensemble(SMALL_MARKET, FlowBlock(0.0, 0.001, 2), 1)
         with pytest.raises(ConfigurationError, match="outflow_rate must be finite"):
             RegimesBlock(outflow_rate=-math.inf)
         with pytest.raises(ConfigurationError, match="inflow_rate must be positive"):
@@ -166,7 +177,8 @@ class TestConfigs:
         with pytest.raises(ConfigurationError, match="n_paths must be >= 1, got -1"):
             RegimesBlock(n_paths=-1)
         with pytest.raises(ConfigurationError, match="below one trading day"):
-            regime_comparison(SMALL_MARKET, HAZARD, RegimesBlock(horizon=0.001, n_paths=2), 1)
+            run_ensembles(SMALL_MARKET, HAZARD, SMALL_SCHEDULE,
+                          RegimesBlock(horizon=0.001, n_paths=2).flows(SMALL_MARKET), 1)
 
     def test_default_regimes_resolve_against_the_market(self):
         flows = RegimesBlock(horizon=1.0, n_paths=3).flows(SMALL_MARKET)
@@ -189,9 +201,9 @@ class TestConfigs:
         cycle = CycleConfig(pre_phase=0.0, maturity=1.0, horizon=horizon, n_paths=2)
         for run in (
             lambda: run_flow_path(market, HAZARD, FlowBlock(0.0, horizon), 1, 0),
-            lambda: run_flow_ensemble(market, HAZARD, FlowBlock(0.0, horizon, 2), 1),
+            lambda: one_ensemble(market, FlowBlock(0.0, horizon, 2), 1),
             lambda: run_path(market, HAZARD, SMALL_SCHEDULE, cycle, 1, 0),
-            lambda: run_ensemble(market, HAZARD, SMALL_SCHEDULE, cycle, 1),
+            lambda: one_ensemble(market, cycle, 1),
         ):
             with pytest.raises(ConfigurationError, match=r"market\.signal window .* opens on no"):
                 run()
@@ -511,8 +523,8 @@ class TestDayLoopBitIdentity:
         cycle = CycleConfig(pre_phase=0.001, maturity=0.001, horizon=0.005, n_paths=1)
         with pytest.raises(DivergenceError, match="overflows on day 201"):
             run_path(market, HAZARD, ScheduleSpec(), cycle, 12345, 0)
-        with pytest.raises(EnsembleFailedError, match="all paths failed: DivergenceError"):
-            run_ensemble(market, HAZARD, ScheduleSpec(), cycle, 12345)
+        assert_failed(one_ensemble(market, cycle, 12345, schedule=ScheduleSpec()),
+                      "all paths failed: DivergenceError")
 
     def test_zero_mass_overflowing_schedule_brings_no_investors(self):
         # exp(700 t) overflows in the second year; 0 * inf was a NaN flow
@@ -529,8 +541,8 @@ class TestDayLoopBitIdentity:
         # pool's share count overflows before the price underflows to 0
         with pytest.raises(LiquidityExhaustedError, match="external share count overflowed"):
             run_flow_path(SMALL_MARKET, HAZARD, FlowBlock(-3000.0, 1.0), 1, 0)
-        with pytest.raises(PricePumpError, match="all paths failed: LiquidityExhaustedError"):
-            run_flow_ensemble(SMALL_MARKET, HAZARD, FlowBlock(-3000.0, 1.0, 2), 1)
+        assert_failed(one_ensemble(SMALL_MARKET, FlowBlock(-3000.0, 1.0, 2), 1),
+                      "all paths failed: LiquidityExhaustedError")
 
 
 class TestEnsembles:
@@ -570,31 +582,30 @@ class TestEnsembles:
     def test_path_errors_are_identical_for_any_worker_count(self):
         # both errors carry a field besides the message, and a worker sends
         # them to the parent pickled
-        overflow = (MarketParams(days_per_year=100000), HAZARD, ScheduleSpec(),
-                    CycleConfig(pre_phase=0.001, maturity=0.001, horizon=0.005, n_paths=2), 1)
+        overflow = CycleConfig(pre_phase=0.001, maturity=0.001, horizon=0.005, n_paths=2)
         for run in (
-            lambda workers: run_ensemble(*overflow, n_workers=workers),
-            lambda workers: run_flow_ensemble(
-                SMALL_MARKET, HAZARD, FlowBlock(-3000.0, 1.0, 2), 1, workers
-            ),
+            lambda workers: one_ensemble(MarketParams(days_per_year=100000), overflow, 1,
+                                         workers, schedule=ScheduleSpec()),
+            lambda workers: one_ensemble(SMALL_MARKET, FlowBlock(-3000.0, 1.0, 2), 1, workers),
         ):
-            with pytest.raises(EnsembleFailedError) as serial:
-                run(1)
-            with pytest.raises(EnsembleFailedError) as parallel:
-                run(2)
-            assert parallel.value.failure_messages == serial.value.failure_messages
+            serial, parallel = run(1), run(2)
+            assert isinstance(serial, EnsembleFailedError)
+            assert isinstance(parallel, EnsembleFailedError)
+            assert parallel.failure_messages == serial.failure_messages
 
     def test_cash_rich_market_does_not_fail_every_path(self):
         # a narrow cash kernel drives every path's concentration to exactly 0
-        ens = run_flow_ensemble(
-            MarketParams(), HazardParams(cash_scale=1.0), FlowBlock(5e4, 2.0, 4), 1
+        ens = one_ensemble(
+            MarketParams(), FlowBlock(5e4, 2.0, 4), 1, hazard=HazardParams(cash_scale=1.0)
         )
         assert ens.failure_messages == ()
         assert np.any(ens.series["Ha"].mean == 0.0)  # the underflow did happen
 
     def test_regime_comparison_keeps_finished_regimes(self):
         regimes = RegimesBlock(outflow_rate=-3000.0, horizon=1.0, n_paths=2)
-        results = regime_comparison(SMALL_MARKET, HAZARD, regimes, 1)
+        results = run_ensembles(
+            SMALL_MARKET, HAZARD, SMALL_SCHEDULE, regimes.flows(SMALL_MARKET), 1
+        )
         assert list(results) == ["investment", "zero", "withdrawal"]
         assert [type(result) for result in results.values()] == [
             EnsembleStats, EnsembleStats, EnsembleFailedError
@@ -604,12 +615,12 @@ class TestEnsembles:
         assert results["zero"].n_paths == 2 and results["zero"].failure_messages == ()
 
     def test_one_path_of_one_day_pools_its_return(self):
-        stats = run_flow_ensemble(SMALL_MARKET, HAZARD, FlowBlock(0.0, 1.0 / 360.0, 1), 7)
+        stats = one_ensemble(SMALL_MARKET, FlowBlock(0.0, 1.0 / 360.0, 1), 7)
         assert stats.pooled_returns.n_returns == 1
         assert stats.pooled_returns.std_log_return == 0.0
 
     def test_flow_ensemble_records_both_predictions(self):
-        stats = run_flow_ensemble(SMALL_MARKET, HAZARD, FlowBlock(0.0, 0.5, 4), 7)
+        stats = one_ensemble(SMALL_MARKET, FlowBlock(0.0, 0.5, 4), 7)
         assert stats.theoretical.daily_factor == pytest.approx(1.0011217, abs=1e-7)
         assert stats.pooled_returns.n_returns == 4 * 180
 
@@ -654,12 +665,12 @@ def stacked_aggregate(records, market, failures):
     )
 
 
-def synthetic_path(n_days, failing, path_index):
-    """A path record of random series drawn from ``path_index``, or a typed
-    failure for the indices in ``failing``."""
+def synthetic_path(block, n_days, failing, path_index):
+    """A path record of random series drawn from ``(block, path_index)``,
+    or a typed failure for the indices in ``failing``."""
     if path_index in failing:
         raise DivergenceError(float(path_index), f"synthetic failure of path {path_index}")
-    rng = np.random.default_rng(path_index)
+    rng = np.random.default_rng((block, path_index))
     days = n_days + 1
     return PathRecord(
         price=np.exp(np.cumsum(rng.normal(0.0, 0.1, days))),
@@ -674,64 +685,108 @@ def synthetic_path(n_days, failing, path_index):
     )
 
 
+def exiting_path(exit_index, path_index):
+    """A synthetic path whose worker process dies on path ``exit_index``."""
+    if path_index == exit_index:
+        os._exit(1)
+    return synthetic_path(0, 3, frozenset(), path_index)
+
+
+def recording_pool(sizes):
+    """A stand-in for ProcessPoolExecutor that appends each pool's size to
+    ``sizes`` and runs every call in this process (the real pool forks
+    max_workers processes)."""
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    return RecordingPool
+
+
+def set_cpus(monkeypatch, cpus, affinity):
+    """This process sees ``cpus`` CPUs, of which it may run on the set
+    ``affinity`` (``None``: a platform without affinity sets)."""
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(affinity), raising=False)
+
+
 class TestEnsembleFold:
     """The in-order fold of ``_collect`` and ``_aggregate`` against the
     stacked reference aggregation, bit for bit."""
 
     @settings(deadline=None, max_examples=40)
-    @given(n_paths=st.integers(1, 6), n_days=st.integers(1, 12), data=st.data())
-    def test_fold_matches_stacked_reference(self, n_paths, n_days, data):
-        failing = frozenset(data.draw(st.sets(st.integers(0, n_paths - 1)), label="failing"))
+    @given(n_blocks=st.integers(2, 3), data=st.data())
+    def test_fold_matches_stacked_reference(self, n_blocks, data):
+        # several blocks through one _collect, each with its own path
+        # count, day count and failing paths, against its own reference
+        units, expected = [], []
+        for block in range(n_blocks):
+            n_paths = data.draw(st.integers(1, 6), label=f"n_paths {block}")
+            n_days = data.draw(st.integers(1, 12), label=f"n_days {block}")
+            failing = frozenset(
+                data.draw(st.sets(st.integers(0, n_paths - 1)), label=f"failing {block}")
+            )
+            worker = partial(synthetic_path, block, n_days, failing)
+            records, failures = {}, {}
+            for i in range(n_paths):
+                try:
+                    records[i] = worker(i)
+                except PricePumpError as exc:
+                    failures[i] = repr(exc)
+            expected.append(
+                ensemble_bits(lambda: stacked_aggregate(records, SMALL_MARKET, failures))
+            )
+            units.append((worker, n_paths))
         workers = data.draw(st.sampled_from([1, 2]), label="workers")
-        worker = partial(synthetic_path, n_days, failing)
-        records, failures = {}, {}
-        for i in range(n_paths):
-            try:
-                records[i] = worker(i)
-            except PricePumpError as exc:
-                failures[i] = repr(exc)
-        expected = ensemble_bits(lambda: stacked_aggregate(records, SMALL_MARKET, failures))
-        folded = ensemble_bits(lambda: cycle_module._aggregate(
-            cycle_module._collect(worker, n_paths, workers), SMALL_MARKET
-        ))
-        assert folded == expected
+        results = cycle_module._collect(units, workers, SMALL_MARKET)
+        assert [ensemble_bits(lambda: result) for result in results] == expected
 
-    @pytest.mark.parametrize("cpus,n_workers,n_paths,pool", [
-        (4, 3000, 2, 2),  # never more workers than paths
-        (4, 3000, 8, 4),  # nor than CPUs
-        (4, 3, 8, 3),
-        (None, 3000, 8, None),  # an unknown CPU count runs serially
-        (4, 3000, 1, None),
-    ])
+    @pytest.mark.parametrize("cpus,affinity,n_workers,n_paths,pool", [
+        (4, None, 3000, (2,), 2),  # never more workers than paths
+        (4, None, 3000, (8,), 4),  # nor than CPUs
+        (4, None, 3, (8,), 3),
+        (None, None, 3000, (8,), None),  # an unknown CPU count runs serially
+        (4, None, 3000, (1,), None),
+        (4, None, 3000, (1, 1, 1), 3),  # the paths of every block count
+        (2, {0}, 4, (8,), None),  # pinned to one of two CPUs: serial
+        (8, {0, 1}, 3000, (8, 8), 2),  # the CPUs it may run on, not the machine's
+    ], ids=["4-3000-2-2", "4-3000-8-4", "4-3-8-3", "None-3000-8-None", "4-3000-1-None",
+            "three-blocks", "affinity-1-of-2", "affinity-2-of-8"])
     def test_pool_is_capped_at_paths_and_cpus(
-        self, monkeypatch, cpus, n_workers, n_paths, pool
+        self, monkeypatch, cpus, affinity, n_workers, n_paths, pool
     ):
-        # a recording stand-in: the real pool forks max_workers processes
         sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(cycle_module, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(cycle_module.os, "cpu_count", lambda: cpus)
-        worker = partial(synthetic_path, 3, frozenset())
-        pooled = cycle_module._collect(worker, n_paths, n_workers)
+        monkeypatch.setattr(cycle_module, "ProcessPoolExecutor", recording_pool(sizes))
+        set_cpus(monkeypatch, cpus, affinity)
+        units = [(partial(synthetic_path, block, 3, frozenset()), n)
+                 for block, n in enumerate(n_paths)]
+        pooled = cycle_module._collect(units, n_workers, SMALL_MARKET)
         assert sizes == ([] if pool is None else [pool])
-        serial = cycle_module._collect(worker, n_paths, 1)
-        assert ensemble_bits(lambda: cycle_module._aggregate(pooled, SMALL_MARKET)) == \
-            ensemble_bits(lambda: cycle_module._aggregate(serial, SMALL_MARKET))
+        serial = cycle_module._collect(units, 1, SMALL_MARKET)
+        assert [ensemble_bits(lambda: result) for result in pooled] == \
+            [ensemble_bits(lambda: result) for result in serial]
+
+    def test_dead_worker_breaks_the_run(self, monkeypatch):
+        # a worker process that dies (say, killed for memory) is not a set
+        # of path failures: the paths it took down never ran
+        set_cpus(monkeypatch, 2, {0, 1})
+        with pytest.raises(BrokenExecutor):
+            cycle_module._collect([(partial(exiting_path, 3), 8)], 2, SMALL_MARKET)
 
     def test_only_banded_series_carry_spread(self):
         stats = small_ensemble(small_cycle())
@@ -751,12 +806,12 @@ class TestEnsembleFold:
         row = (int(horizon * SMALL_MARKET.days_per_year) + 1) * 8
         # an untraced run first, so that one-time allocations of the first
         # ensemble in the process stay out of the measured peaks
-        run_flow_ensemble(SMALL_MARKET, HAZARD, FlowBlock(0.0, horizon, 2), 3)
+        one_ensemble(SMALL_MARKET, FlowBlock(0.0, horizon, 2), 3)
         peaks = []
         for n_paths in counts:
             tracemalloc.start()
             try:
-                run_flow_ensemble(SMALL_MARKET, HAZARD, FlowBlock(0.0, horizon, n_paths), 3)
+                one_ensemble(SMALL_MARKET, FlowBlock(0.0, horizon, n_paths), 3)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -893,7 +948,9 @@ def ensemble_bits(run):
     try:
         ens = run()
     except PricePumpError as exc:
-        return repr(exc), getattr(exc, "failure_messages", ())
+        ens = exc
+    if isinstance(ens, PricePumpError):
+        return repr(ens), getattr(ens, "failure_messages", ())
     series = [
         getattr(summary, stat).tobytes()
         for name, summary in ens.series.items()
@@ -934,8 +991,8 @@ class TestGeneratedConfigs:
     def test_ensembles_identical_for_one_and_two_workers(self, experiment, seed):
         market, hazard, schedule, cycle, flow = experiment
         for run in (
-            lambda workers: run_ensemble(market, hazard, schedule, cycle, seed, workers),
-            lambda workers: run_flow_ensemble(market, hazard, flow, seed, workers),
+            lambda workers: one_ensemble(market, cycle, seed, workers, hazard, schedule),
+            lambda workers: one_ensemble(market, flow, seed, workers, hazard),
         ):
             serial, parallel = (ensemble_bits(lambda: run(workers)) for workers in (1, 2))
             assert serial == parallel
