@@ -9,8 +9,10 @@ a JSON configuration (optional; defaults are complete), write CSV/JSON
 plus ``manifest.json`` and ``config.json`` into the output directory,
 and exit 0 on success.  Failures print a machine-readable JSON error
 record to stderr and exit non-zero (2 for a configuration error, 3 for a
-failed run, 1 otherwise, as when a worker process dies); ensemble verbs
-first write a run record listing every failed path.
+failed run, 1 otherwise, as when a worker process dies; an input table
+that cannot be read or used is a configuration error); ensemble verbs
+first write a run record listing every failed path.  Only the ensemble
+verbs take ``--paths`` and ``--threads``.
 """
 from __future__ import annotations
 
@@ -69,11 +71,20 @@ def _load(args) -> ExperimentConfig:
         cfg = load_config_data({"kind": default_kind})
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    name = _ENSEMBLE_BLOCKS.get(args.verb)
-    if args.paths is not None and name is not None:
+    if getattr(args, "paths", None) is not None:  # only ensemble verbs take --paths
+        name = _ENSEMBLE_BLOCKS[args.verb]
         block = dataclasses.replace(getattr(cfg, name), n_paths=args.paths)
         cfg = dataclasses.replace(cfg, **{name: block})
     return cfg
+
+
+def _read_table(key: str, path: str) -> dict:
+    """The CSV file named by the configuration key ``key``; one that cannot
+    be read or parsed is a configuration error."""
+    try:
+        return read_csv_columns(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigurationError(f"{key} {path}: {exc}") from exc
 
 
 def _out_dir(args, cfg: ExperimentConfig) -> Path:
@@ -177,7 +188,7 @@ def _cmd_fit(args) -> int:
     _require_whole_days(cfg)
     out = _out_dir(args, cfg)
     if cfg.fit.source_csv:
-        table = read_csv_columns(cfg.fit.source_csv)
+        table = _read_table("fit.source_csv", cfg.fit.source_csv)
         column = "S_ext_mean" if "S_ext_mean" in table else "S_ext"
         if column not in table:
             raise ConfigurationError(
@@ -216,13 +227,16 @@ def _cmd_stats(args) -> int:
     cfg = _load(args)
     if not cfg.stats.input_csv:
         raise ConfigurationError("stats requires 'stats.input_csv'")
-    table = read_csv_columns(cfg.stats.input_csv)
+    table = _read_table("stats.input_csv", cfg.stats.input_csv)
     column = cfg.stats.price_column
     if column not in table:
         raise ConfigurationError(
             f"{cfg.stats.input_csv} has no column {column!r}; found {sorted(table)}"
         )
-    measured = return_stats(table[column])
+    try:
+        measured = return_stats(table[column])
+    except ValueError as exc:  # too few prices, or one that is not positive
+        raise ConfigurationError(f"stats.input_csv {cfg.stats.input_csv}: {exc}") from exc
     predicted = cfg.market.theoretical()
     out = _out_dir(args, cfg)
     _write_run_record(out, cfg, {})
@@ -261,6 +275,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON configuration file")
         p.add_argument("--out", help="output directory (default: config 'out' or ./out)")
         p.add_argument("--seed", type=int, help="override the configured seed")
+        if verb not in _ENSEMBLE_BLOCKS:
+            continue
         p.add_argument("--paths", type=int,
                        help="override the configured path count (config.json records it)")
         p.add_argument(

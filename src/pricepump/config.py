@@ -23,7 +23,7 @@ from functools import cache
 from pathlib import Path
 from typing import Any, Optional, Union, get_args, get_origin, get_type_hints
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_finite
 from .market import MarketParams
 from .cycle import CycleConfig, FlowBlock, RegimesBlock
 from .ponzi import DEFAULT_STEP, PonziParams, SpeculativePonziParams
@@ -50,13 +50,28 @@ class PonziBlock(PonziParams):
     step: float = DEFAULT_STEP
     steady_window: float = 5.0
 
+    def __post_init__(self):
+        super().__post_init__()
+        check_finite(market_impact=self.market_impact, external_rate=self.external_rate)
+
 
 @dataclass(frozen=True)
 class FitBlock:
+    """Bracket and tolerance (in log coefficient) of the golden-section
+    fit, and the stored ensemble to fit instead of running one."""
+
     bracket_low: float = 1e-5
     bracket_high: float = 1e-2
     tol: float = 1e-3
     source_csv: Optional[str] = None
+
+    def __post_init__(self):
+        low, high = self.bracket_low, self.bracket_high
+        check_finite(bracket_low=low, bracket_high=high, tol=self.tol)
+        if not 0.0 < low < high:
+            raise ConfigurationError(f"bracket must satisfy 0 < low < high, got ({low}, {high})")
+        if not self.tol > 0.0:
+            raise ConfigurationError(f"tol must be positive, got {self.tol}")
 
 
 @dataclass(frozen=True)

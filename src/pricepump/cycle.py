@@ -19,9 +19,7 @@ from __future__ import annotations
 
 import math
 import os
-from collections import deque
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from contextlib import ExitStack
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Collection, NamedTuple, Optional
@@ -29,7 +27,13 @@ from typing import Callable, Collection, NamedTuple, Optional
 import numpy as np
 
 from .engine import SessionOutcome, trading_session
-from .errors import BracketError, ConfigurationError, DivergenceError, EnsembleFailedError
+from .errors import (
+    BracketError,
+    ConfigurationError,
+    DivergenceError,
+    EnsembleFailedError,
+    check_finite,
+)
 from .market import MarketParams, init_population
 from .ponzi import OdeSolution, SpeculativePonziParams, speculative_ponzi_solve
 from .risk import (
@@ -50,9 +54,7 @@ HISTOGRAM_BINS = 50
 def _check_block(n_paths: int, **values: Optional[float]) -> None:
     """The checks of every ensemble block: finite values (``None``, a
     default resolved later, passes) and at least one path."""
-    for name, value in values.items():
-        if value is not None and not math.isfinite(value):
-            raise ConfigurationError(f"{name} must be finite, got {value}")
+    check_finite(**values)
     if n_paths < 1:
         raise ConfigurationError(f"n_paths must be >= 1, got {n_paths}")
 
@@ -483,8 +485,12 @@ class _EnsembleFold:
         self.clamp_events = 0
         self.failures: list[tuple[int, str]] = []  # (path index, repr of the error)
 
-    def add(self, record: PathRecord) -> None:
-        columns = record.columns()
+    def add(self, index: int, outcome: PathRecord | str) -> None:
+        """Fold path ``index``'s record, or list its error text as a failure."""
+        if isinstance(outcome, str):
+            self.failures.append((index, outcome))
+            return
+        columns = outcome.columns()
         if self.count == 0:
             self.sums = {name: column.copy() for name, column in columns.items()}
             self.rows = {name: np.empty((self.capacity, columns[name].size)) for name in BANDED}
@@ -493,20 +499,23 @@ class _EnsembleFold:
                 self.sums[name] += column
         for name in BANDED:
             self.rows[name][self.count] = columns[name]
-        for snap in record.snapshots:
+        for snap in outcome.snapshots:
             self.snapshots.setdefault(snap.time, []).append(snap.cash)
-        self.clamp_events += record.clamp_events
+        self.clamp_events += outcome.clamp_events
         self.count += 1
 
 
-def _aggregate(fold: _EnsembleFold, market: MarketParams) -> EnsembleStats:
+def _aggregate(
+    fold: _EnsembleFold, market: MarketParams
+) -> EnsembleStats | EnsembleFailedError:
     """Finish a fold: means, the banded series' spread, pooled returns
-    and merged cash histograms.  The fold's rows are released as they are
+    and merged cash histograms, or the ``EnsembleFailedError`` of a fold
+    whose every path failed.  The fold's rows are released as they are
     summarized, so the fold cannot be finished twice."""
     failure_messages = tuple(f"path {i}: {error}" for i, error in fold.failures)
     count = fold.count
     if not count:
-        raise EnsembleFailedError(
+        return EnsembleFailedError(
             failure_messages,
             "all paths failed: " + "; ".join(error for _, error in fold.failures[:3]),
         )
@@ -536,6 +545,16 @@ def _aggregate(fold: _EnsembleFold, market: MarketParams) -> EnsembleStats:
     )
 
 
+def _attempt(path: Callable[[int], PathRecord], index: int) -> PathRecord | str:
+    """Path ``index`` of ``path``: its record, or the ``repr`` of the
+    exception that ended it.  As text, an error that does not survive
+    pickling fails its path in a worker, not the pool."""
+    try:
+        return path(index)
+    except Exception as exc:  # path errors are reported, not fatal
+        return repr(exc)
+
+
 def _collect(
     units: list[tuple[Callable[[int], PathRecord], int]], n_workers: int, market: MarketParams
 ) -> list[EnsembleStats | EnsembleFailedError]:
@@ -544,42 +563,35 @@ def _collect(
     last path is folded; a unit whose every path failed gives its
     ``EnsembleFailedError``.
 
-    All paths share one pool of at most one worker per path and per CPU
-    this process may run on (its affinity set, where the platform has one).
-    With several workers every path is submitted at once; each finished
-    path is folded and dropped once the paths before it are, so the parent
-    holds few records and one unit's rows at any time.  A worker process
-    that dies breaks the pool, which ends the run instead of failing the
-    paths left."""
+    Every path runs through ``_attempt``: serially with ``map``, or with
+    ``pool.map`` in one pool of at most one worker per path and per CPU
+    this process may run on (its affinity set, where the platform has
+    one), one task per path.  Both yield in index order, so the fold and
+    its failures are the same for any worker count.  Each outcome is
+    folded and dropped in turn, so the parent holds few records and one
+    unit's rows at any time.  A worker process that dies breaks the pool,
+    which ends the run instead of failing the paths left; an error in the
+    parent cancels the paths not yet started."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    n_workers = min(n_workers, sum(n for _, n in units), cpus)
-    results: list[EnsembleStats | EnsembleFailedError] = []
-    with ExitStack() as stack:
-        if n_workers <= 1:
-            pending = deque(partial(path, i) for path, n in units for i in range(n))
-        else:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=n_workers))
-            pending = deque(pool.submit(path, i).result for path, n in units for i in range(n))
+    paths = [path for path, n in units for _ in range(n)]
+    indices = [i for _, n in units for i in range(n)]
+    n_workers = min(n_workers, len(paths), cpus)
+    pool = ProcessPoolExecutor(max_workers=n_workers) if n_workers > 1 else None
+    try:
+        outcomes = (pool.map if pool else map)(_attempt, paths, indices)
+        results = []
         for _, n_paths in units:
             fold = _EnsembleFold(n_paths)
-            for i in range(n_paths):
-                result = pending.popleft()
-                try:
-                    record = result()
-                except BrokenExecutor:
-                    raise
-                except Exception as exc:  # path errors are reported, not fatal
-                    fold.failures.append((i, repr(exc)))
-                else:
-                    fold.add(record)
-            try:
-                results.append(_aggregate(fold, market))
-            except EnsembleFailedError as exc:
-                results.append(exc)
-    return results
+            for i, outcome in zip(range(n_paths), outcomes):
+                fold.add(i, outcome)
+            results.append(_aggregate(fold, market))
+        return results
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
 def run_ensembles(
@@ -660,6 +672,8 @@ def fit_market_impact(
     low, high = bracket
     if not 0.0 < low < high:
         raise ConfigurationError(f"bracket must satisfy 0 < low < high, got ({low}, {high})")
+    if not tol > 0.0:
+        raise ConfigurationError(f"tol must be positive, got {tol}")
     step = float(times[1] - times[0])
     if not np.allclose(np.diff(times), step, rtol=0.0, atol=1e-9):
         raise ValueError("times must form a uniform grid")

@@ -1,5 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finiteness check
+every parameter block runs at construction."""
 from __future__ import annotations
+
+import math
+from typing import Optional
 
 
 class PricePumpError(Exception):
@@ -8,6 +12,15 @@ class PricePumpError(Exception):
 
 class ConfigurationError(PricePumpError, ValueError):
     """A parameter or configuration file violates a documented constraint."""
+
+
+def check_finite(**values: Optional[float]) -> None:
+    """Raise ``ConfigurationError`` for the first value that is not finite
+    (``None``, a default resolved later, passes).  JSON ``1e400`` parses
+    as infinity, so every float field without a two-sided bound runs this."""
+    for name, value in values.items():
+        if value is not None and not math.isfinite(value):
+            raise ConfigurationError(f"{name} must be finite, got {value}")
 
 
 class NoSupplyError(PricePumpError):
@@ -21,9 +34,6 @@ class LiquidityExhaustedError(PricePumpError):
         self.flow = flow
         super().__init__(message or f"external flow {flow} exhausts market liquidity")
 
-    def __reduce__(self):  # a worker's path error reaches the parent unchanged
-        return type(self), (self.flow, str(self))
-
 
 class DivergenceError(PricePumpError):
     """An integration produced a non-finite state."""
@@ -31,9 +41,6 @@ class DivergenceError(PricePumpError):
     def __init__(self, last_time: float, message: str | None = None):
         self.last_time = last_time
         super().__init__(message or f"solution became non-finite after t={last_time:.6g}")
-
-    def __reduce__(self):
-        return type(self), (self.last_time, str(self))
 
 
 class BracketError(PricePumpError):

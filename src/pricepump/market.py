@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_finite
 from .risk import TheoreticalReturn, theoretical_return
 from .rng import SeedLike, as_rng
 
@@ -46,6 +46,8 @@ class GreedFearSpec:
     correlation: float = 0.95
 
     def __post_init__(self):
+        check_finite(mean_log_greed=self.mean_log_greed, mean_log_fear=self.mean_log_fear,
+                     log_variance=self.log_variance)
         if self.log_variance < 0.0:
             raise ConfigurationError(f"log_variance must be >= 0, got {self.log_variance}")
         if not -1.0 <= self.correlation <= 1.0:
@@ -104,6 +106,8 @@ class MarketParams:
     signal: WindowSignal = WindowSignal()
 
     def __post_init__(self):
+        check_finite(initial_cash=self.initial_cash, initial_ratio=self.initial_ratio,
+                     stock_noise_range=self.stock_noise_range)
         if self.n_agents < 1:
             raise ConfigurationError(f"n_agents must be >= 1, got {self.n_agents}")
         if not 1 <= self.n_active <= self.n_agents:

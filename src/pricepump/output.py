@@ -1,8 +1,10 @@
 """Bit-stable serialization of simulation and solver output.
 
-Series go to CSV with a fixed header and floats printed with 17
-significant digits, so re-parsing recovers the in-memory values exactly
-and identical (config, seed) runs produce byte-identical files.  Each
+Every table (ensemble series, cash histograms, ODE solutions) goes to
+CSV through one writer: a header of column names, then one row per
+entry with floats printed with 17 significant digits, so re-parsing
+recovers the in-memory values exactly and identical (config, seed) runs
+produce byte-identical files.  Each
 run also writes a JSON manifest recording the configuration hash, seed,
 code version, and clamp/failure counters; manifests carry no wall-clock
 information.
@@ -12,37 +14,18 @@ from __future__ import annotations
 import json
 from dataclasses import asdict
 from pathlib import Path
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import __version__
-from .cycle import CashHistogram, EnsembleStats
+from .cycle import EnsembleStats
 from .ponzi import OdeSolution
 
 
-def format_float(value: float) -> str:
-    return f"{value:.17g}"
-
-
-def _write_csv(path: Path, header: Sequence[str], columns: Sequence[np.ndarray]) -> Path:
-    lengths = {len(c) for c in columns}
-    if len(lengths) != 1:
-        raise ValueError(f"columns have unequal lengths {sorted(lengths)}")
-    rows = lengths.pop()
-    with open(path, "w", newline="") as handle:
-        handle.write(",".join(header) + "\n")
-        for i in range(rows):
-            handle.write(",".join(format_float(float(c[i])) for c in columns) + "\n")
-    return path
-
-
-def _write_histograms(histograms: Iterable[CashHistogram], path: Path) -> Path:
-    with open(path, "w", newline="") as handle:
-        handle.write("checkpoint_t,bin_lo,bin_hi,count\n")
-        for hist in histograms:
-            for lo, hi, count in zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts):
-                handle.write(",".join(format_float(v) for v in (hist.time, lo, hi, count)) + "\n")
+def _write_csv(path: Path, table: dict[str, np.ndarray]) -> Path:
+    """Write equal-length columns under a header of their names."""
+    np.savetxt(path, np.column_stack(list(table.values())), fmt="%.17g", delimiter=",",
+               header=",".join(table), comments="")
     return path
 
 
@@ -53,19 +36,23 @@ def write_json(path: Path, payload: dict) -> Path:
 
 
 def write_ensemble(stats: EnsembleStats, out_dir: Path, basename: str = "ensemble") -> list[Path]:
-    header = ["t"]
-    columns = [stats.times]
+    table = {"t": stats.times}
     for name, summary in stats.series.items():
-        header.append(f"{name}_mean")
-        columns.append(summary.mean)
+        table[f"{name}_mean"] = summary.mean
         if summary.p10 is not None:  # a banded series
             for stat in ("p10", "p50", "p90"):
-                header.append(f"{name}_{stat}")
-                columns.append(getattr(summary, stat))
-    files = [_write_csv(out_dir / f"{basename}.csv", header, columns)]
+                table[f"{name}_{stat}"] = getattr(summary, stat)
+    files = [_write_csv(out_dir / f"{basename}.csv", table)]
 
     if stats.histograms:
-        files.append(_write_histograms(stats.histograms, out_dir / f"{basename}_cash_hist.csv"))
+        histograms = stats.histograms
+        files.append(_write_csv(out_dir / f"{basename}_cash_hist.csv", {
+            "checkpoint_t": np.repeat([h.time for h in histograms],
+                                      [h.counts.size for h in histograms]),
+            "bin_lo": np.concatenate([h.bin_edges[:-1] for h in histograms]),
+            "bin_hi": np.concatenate([h.bin_edges[1:] for h in histograms]),
+            "count": np.concatenate([h.counts for h in histograms]),
+        }))
 
     files.append(write_json(out_dir / f"{basename}_returns.json", {
         "pooled": asdict(stats.pooled_returns),
@@ -75,15 +62,12 @@ def write_ensemble(stats: EnsembleStats, out_dir: Path, basename: str = "ensembl
 
 
 def write_ode_solution(sol: OdeSolution, out_dir: Path, basename: str = "ode") -> list[Path]:
-    header = ["t", "S", "R"]
-    columns = [sol.grid, sol.capital, sol.withdrawable]
+    table = {"t": sol.grid, "S": sol.capital, "R": sol.withdrawable}
     if sol.nominal_rate is not None:
-        header.append("r_n")
-        columns.append(sol.nominal_rate)
+        table["r_n"] = sol.nominal_rate
     if sol.log_growth is not None:
-        header.append("J")
-        columns.append(sol.log_growth)
-    return [_write_csv(out_dir / f"{basename}.csv", header, columns)]
+        table["J"] = sol.log_growth
+    return [_write_csv(out_dir / f"{basename}.csv", table)]
 
 
 def emit_series(obj, out_dir: str | Path, basename: str | None = None) -> list[Path]:

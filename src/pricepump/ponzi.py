@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import BracketError, ConfigurationError, DivergenceError
+from .errors import BracketError, ConfigurationError, DivergenceError, check_finite
 from .schedules import ScheduleSpec, schedule_eval
 
 DEFAULT_STEP = 1.0 / 360.0
@@ -27,6 +27,7 @@ DEFAULT_STEP = 1.0 / 360.0
 
 def _check_scheme(maturity: float, initial_capital: float) -> None:
     """The checks both schemes' parameters share."""
+    check_finite(maturity=maturity, initial_capital=initial_capital)
     if maturity < 0.0:
         raise ConfigurationError(f"maturity must be >= 0, got {maturity}")
     if initial_capital < 0.0:
@@ -51,6 +52,8 @@ class PonziParams:
     initial_capital: float = 0.0
 
     def __post_init__(self):
+        check_finite(nominal_rate=self.nominal_rate, promised_rate=self.promised_rate,
+                     withdrawal_rate=self.withdrawal_rate)
         _check_scheme(self.maturity, self.initial_capital)
 
 
@@ -67,6 +70,8 @@ class SpeculativePonziParams:
     external_rate: float = 0.0
 
     def __post_init__(self):
+        check_finite(market_impact=self.market_impact, withdrawal_rate=self.withdrawal_rate,
+                     external_rate=self.external_rate)
         if self.market_impact <= 0.0:
             raise ConfigurationError(f"market_impact must be positive, got {self.market_impact}")
         _check_scheme(self.maturity, self.initial_capital)
@@ -98,8 +103,6 @@ def _grid_steps(horizon: float, step: float) -> int:
 
 
 def _delay_steps(maturity: float, step: float) -> int:
-    if not math.isfinite(maturity):
-        raise ConfigurationError(f"maturity must be finite, got {maturity}")
     lag = int(round(maturity / step))
     if abs(lag * step - maturity) > 1e-9 * max(1.0, maturity):
         raise ConfigurationError(
@@ -327,7 +330,7 @@ def critical_exponent(
     the rate is bisected to within ``tol``.  A rate whose solve overflows
     raises ``DivergenceError``; narrow the bracket or the horizon.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ConfigurationError(f"tol must be positive, got {tol}")
     if params.nominal_rate != 0.0 or params.promised_rate != params.withdrawal_rate:
         raise ConfigurationError(

@@ -19,7 +19,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, DivergenceError
+from .errors import ConfigurationError, DivergenceError, check_finite
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,8 @@ class HazardParams:
     cap: float = 1e6
 
     def __post_init__(self):
+        check_finite(cash_scale=self.cash_scale, crash_scale=self.crash_scale,
+                     shortfall_scale=self.shortfall_scale, cap=self.cap)
         for name in ("cash_scale", "crash_scale", "shortfall_scale", "cap"):
             if getattr(self, name) <= 0.0:
                 raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}")

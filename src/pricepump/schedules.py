@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_finite
 
 SCHEDULE_KINDS = ("constant", "linear", "exponential")
 
@@ -35,6 +35,7 @@ class ScheduleSpec:
             raise ConfigurationError(
                 f"schedule kind must be one of {SCHEDULE_KINDS}, got {self.kind!r}"
             )
+        check_finite(first_year_total=self.first_year_total)
         if self.first_year_total < 0.0:
             raise ConfigurationError(
                 f"first_year_total must be >= 0, got {self.first_year_total}"

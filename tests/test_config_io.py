@@ -33,7 +33,7 @@ from pricepump import (
 )
 from pricepump import cycle as cycle_module
 from pricepump.cli import main
-from pricepump.config import EXPERIMENT_KINDS
+from pricepump.config import EXPERIMENT_KINDS, FitBlock
 from pricepump.ponzi import PonziParams, classical_ponzi_solve
 from pricepump.schedules import SCHEDULE_KINDS
 from tests.test_cycle import recording_pool, set_cpus
@@ -352,12 +352,27 @@ def signal_blocks(draw):
     return data
 
 
+@st.composite
+def fit_blocks(draw):
+    """Fit blocks that ``FitBlock`` accepts: 0 < bracket_low < bracket_high
+    and a positive tol, whether bracket_low is drawn or default."""
+    data = draw(block(
+        bracket_low=st.floats(min_value=0.0, max_value=1e300, exclude_min=True),
+        tol=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        source_csv=names,
+    ))
+    low = FitBlock().bracket_low if data.get("bracket_low") is None else data["bracket_low"]
+    data["bracket_high"] = draw(st.floats(min_value=low, exclude_min=True, allow_infinity=False))
+    return data
+
+
 # Valid documents only: each constraint of the configuration dataclasses
 # holds whichever subset of keys is drawn (n_active <= 500 = default
 # n_agents, log means >= three standard deviations at any drawn variance,
 # a cycle horizon beyond its phases, a signal window that opens, at
 # least one path, regime rates of the right sign, a non-negative ponzi
-# maturity and initial capital).
+# maturity and initial capital, a fit bracket in order and a positive
+# fit tol).
 valid_documents = st.fixed_dictionaries(
     {"kind": st.sampled_from(EXPERIMENT_KINDS)},
     optional={
@@ -407,9 +422,7 @@ valid_documents = st.fixed_dictionaries(
             step=finite,
             steady_window=finite,
         ),
-        "fit": st.none() | block(
-            bracket_low=finite, bracket_high=finite, tol=finite, source_csv=names
-        ),
+        "fit": st.none() | fit_blocks(),
         "stats": st.none() | block(input_csv=names, price_column=names),
     },
 )
@@ -914,6 +927,87 @@ class TestCli:
         written = parse_config(out / "config.json")
         assert written == parse_config(cfg)
         assert manifest["config_sha256"] == config_hash(written)
+
+    @pytest.mark.parametrize("verb,kind,key", [
+        ("cycle", "cycle", "market.initial_cash"),
+        ("cycle", "cycle", "market.initial_ratio"),
+        ("cycle", "cycle", "market.stock_noise_range"),
+        ("cycle", "cycle", "market.greed_fear.mean_log_greed"),
+        ("cycle", "cycle", "hazard.cash_scale"),
+        ("cycle", "cycle", "hazard.crash_scale"),
+        ("cycle", "cycle", "hazard.shortfall_scale"),
+        ("cycle", "cycle", "hazard.cap"),
+        ("cycle", "cycle", "schedule.first_year_total"),
+        ("ponzi", "ponzi-classical", "ponzi.promised_rate"),
+        ("ponzi", "ponzi-speculative", "ponzi.market_impact"),
+        ("ponzi", "ponzi-classical", "ponzi.initial_capital"),
+        ("fit-c0", "fit-c0", "fit.bracket_high"),
+    ])
+    def test_non_finite_block_value_exit_code(self, tmp_path, capsys, verb, kind, key):
+        # JSON 1e400 parses as infinity; these values used to fail every
+        # path (exit 3), write a NaN hazard, or run with a meaningless one
+        payload = {"kind": kind, **SMALL_ENSEMBLE_BLOCKS}
+        *blocks, name = key.split(".")
+        node = payload
+        for block in blocks:
+            node[block] = dict(node.get(block, {}))
+            node = node[block]
+        node[name] = "INFINITE"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload).replace('"INFINITE"', "1e400"))
+        out = tmp_path / "x"
+        assert main([verb, "--config", str(cfg), "--out", str(out)]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        message = f"{name} must be finite, got inf"
+        assert record == {"error": "ConfigurationError", "message": message}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fit,message", [
+        ({"tol": 0.0}, "tol must be positive, got 0.0"),
+        ({"tol": -1.0}, "tol must be positive, got -1.0"),
+        ({"bracket_low": 0.5, "bracket_high": 0.1}, "bracket must satisfy 0 < low < high"),
+    ])
+    def test_fit_block_rejected_before_any_path(
+        self, tmp_path, capsys, monkeypatch, fit, message
+    ):
+        # a tol <= 0 used to hang the golden-section search, and an inverted
+        # bracket to be rejected only after the whole ensemble ran
+        started = []
+        monkeypatch.setattr(cycle_module, "run_path", lambda *args: started.append(args))
+        cfg = self.write_config(tmp_path, {"kind": "fit-c0", **SMALL_ENSEMBLE_BLOCKS, "fit": fit})
+        out = tmp_path / "fit"
+        assert main(["fit-c0", "--config", cfg, "--out", str(out)]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigurationError"
+        assert record["message"].startswith(message)
+        assert started == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb,key,rows", [
+        ("stats", "stats.input_csv", None),
+        ("stats", "stats.input_csv", "t,price\n0,1.0\n1,1.1\n"),
+        ("stats", "stats.input_csv", "t,price\n0,1.0\n1,0.0\n2,1.2\n"),
+        ("fit-c0", "fit.source_csv", None),
+    ], ids=["stats-missing", "stats-two-rows", "stats-zero-price", "fit-missing"])
+    def test_unusable_input_table_exit_code(self, tmp_path, capsys, verb, key, rows):
+        # these used to exit 1 with a bare FileNotFoundError or ValueError
+        table = tmp_path / "table.csv"
+        if rows is not None:
+            table.write_text(rows)
+        block, name = key.split(".")
+        cfg = self.write_config(tmp_path, {"kind": verb, block: {name: str(table)}})
+        out = tmp_path / "x"
+        assert main([verb, "--config", cfg, "--out", str(out)]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigurationError"
+        assert record["message"].startswith(f"{key} {table}: ")
+
+    @pytest.mark.parametrize("verb", ["ponzi", "stats"])
+    @pytest.mark.parametrize("flag", ["--paths", "--threads"])
+    def test_non_ensemble_verbs_reject_ensemble_flags(self, verb, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            main([verb, flag, "2"])
+        assert exit_info.value.code == 2
 
     def test_paths_override(self, tmp_path):
         cfg = self.write_config(

@@ -4,8 +4,9 @@ import math
 import os
 import re
 import sys
+import time
 import tracemalloc
-from concurrent.futures import BrokenExecutor, Future
+from concurrent.futures import BrokenExecutor
 from functools import partial
 
 import numpy as np
@@ -580,8 +581,8 @@ class TestEnsembles:
         assert all(h.counts.sum() == 3 * 60 for h in stats.histograms)
 
     def test_path_errors_are_identical_for_any_worker_count(self):
-        # both errors carry a field besides the message, and a worker sends
-        # them to the parent pickled
+        # both errors carry a field besides the message; a worker hands
+        # back the text of each
         overflow = CycleConfig(pre_phase=0.001, maturity=0.001, horizon=0.005, n_paths=2)
         for run in (
             lambda workers: one_ensemble(MarketParams(days_per_year=100000), overflow, 1,
@@ -692,6 +693,29 @@ def exiting_path(exit_index, path_index):
     return synthetic_path(0, 3, frozenset(), path_index)
 
 
+class TwoFieldError(PricePumpError):
+    """A path error whose constructor takes two arguments and which has no
+    ``__reduce__``: unpickling calls it with its message alone, and fails."""
+
+    def __init__(self, day, reason):
+        super().__init__(f"day {day}: {reason}")
+
+
+def unpicklable_failure_path(path_index):
+    """A synthetic path whose odd indices fail with ``TwoFieldError``."""
+    if path_index % 2:
+        raise TwoFieldError(path_index, "synthetic")
+    return synthetic_path(0, 3, frozenset(), path_index)
+
+
+def marked_path(marks, block, path_index):
+    """A synthetic path that leaves a file in the directory ``marks`` when
+    it starts, then takes 0.1 s."""
+    (marks / f"{block}-{path_index}").touch()
+    time.sleep(0.1)
+    return synthetic_path(block, 3, frozenset(), path_index)
+
+
 def recording_pool(sizes):
     """A stand-in for ProcessPoolExecutor that appends each pool's size to
     ``sizes`` and runs every call in this process (the real pool forks
@@ -701,16 +725,11 @@ def recording_pool(sizes):
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
-        def __enter__(self):
-            return self
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
 
     return RecordingPool
 
@@ -773,7 +792,8 @@ class TestEnsembleFold:
         sizes = []
         monkeypatch.setattr(cycle_module, "ProcessPoolExecutor", recording_pool(sizes))
         set_cpus(monkeypatch, cpus, affinity)
-        units = [(partial(synthetic_path, block, 3, frozenset()), n)
+        # path 1 of every block with two or more paths fails
+        units = [(partial(synthetic_path, block, 3, frozenset({1})), n)
                  for block, n in enumerate(n_paths)]
         pooled = cycle_module._collect(units, n_workers, SMALL_MARKET)
         assert sizes == ([] if pool is None else [pool])
@@ -787,6 +807,30 @@ class TestEnsembleFold:
         set_cpus(monkeypatch, 2, {0, 1})
         with pytest.raises(BrokenExecutor):
             cycle_module._collect([(partial(exiting_path, 3), 8)], 2, SMALL_MARKET)
+
+    def test_unpicklable_path_error_fails_its_path_for_any_worker_count(self, monkeypatch):
+        # a worker hands back the error's text, so an error that pickling
+        # cannot rebuild is one failed path, not a broken pool
+        set_cpus(monkeypatch, 2, {0, 1})
+        units = [(unpicklable_failure_path, 4)]
+        serial, = cycle_module._collect(units, 1, SMALL_MARKET)
+        pooled, = cycle_module._collect(units, 2, SMALL_MARKET)
+        assert serial.failure_messages == (
+            "path 1: TwoFieldError('day 1: synthetic')",
+            "path 3: TwoFieldError('day 3: synthetic')",
+        )
+        assert pooled.failure_messages == serial.failure_messages
+
+    def test_parent_error_cancels_the_paths_not_started(self, tmp_path, monkeypatch):
+        def failing_aggregate(fold, market):
+            raise RuntimeError("aggregation failed")
+
+        set_cpus(monkeypatch, 2, {0, 1})
+        monkeypatch.setattr(cycle_module, "_aggregate", failing_aggregate)
+        units = [(partial(marked_path, tmp_path, block), n) for block, n in enumerate((2, 16))]
+        with pytest.raises(RuntimeError, match="aggregation failed"):
+            cycle_module._collect(units, 2, SMALL_MARKET)
+        assert len(list(tmp_path.iterdir())) < 18 / 2
 
     def test_only_banded_series_carry_spread(self):
         stats = small_ensemble(small_cycle())
@@ -902,6 +946,15 @@ class TestCalibration:
         values = [objective(g) for g in grid]
         best = grid[int(np.argmin(values))]
         assert abs(best - math.log(result.market_impact)) <= cell
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_tol_must_be_positive(self, tol):
+        # the search stops once the bracket is narrower than tol: a tol of
+        # zero or below never stopped, and a NaN one never started
+        schedule = ScheduleSpec("exponential", 1000.0, 0.1)
+        times = np.arange(361) / 360.0
+        with pytest.raises(ConfigurationError, match="tol must be positive"):
+            fit_market_impact(times, times, schedule, self.TARGET, 3.0, (1e-5, 1e-2), tol=tol)
 
     def test_minimum_at_bracket_edge_raises(self):
         schedule = ScheduleSpec("exponential", 1000.0, 0.1)

@@ -278,6 +278,12 @@ class TestCriticalExponent:
             critical_exponent(params, horizon=60.0, tol=0.01, bracket=(0.6, 0.9))
         assert "0.6" in str(err.value) and "0.9" in str(err.value)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_tol_must_be_positive(self, tol):
+        # a NaN tol used to return the bracket's midpoint without a search
+        with pytest.raises(ConfigurationError, match="tol must be positive"):
+            critical_exponent(PonziParams(0.0, 0.41, 0.41, 3.0, 0.0), 60.0, tol)
+
     def test_regime_preconditions(self):
         with pytest.raises(ConfigurationError):
             critical_exponent(PonziParams(0.1, 0.4, 0.4, 3.0, 0.0), 60.0, 0.01)
