@@ -1,18 +1,22 @@
 """Command-line entry points.
 
-One verb per experiment: ``simulate`` (constant-flow market ensemble),
-``regimes`` (investment / zero / withdrawal comparison), ``cycle`` (full
-investment cycle), ``ponzi`` (either scheme's trajectory), ``fit-c0``
+One verb per experiment, each declared once in ``_VERBS`` with the
+configuration kinds it runs (the first is the default, for a
+configuration without ``kind``), its ensemble block and its command:
+``simulate`` (constant-flow market ensemble), ``regimes`` (investment /
+zero / withdrawal comparison), ``cycle`` (full investment cycle),
+``ponzi`` (either scheme's trajectory, classical by default), ``fit-c0``
 (calibrate the flow-response coefficient against ensemble output), and
 ``stats`` (return statistics of a stored price series).  All verbs read
 a JSON configuration (optional; defaults are complete), write CSV/JSON
 plus ``manifest.json`` and ``config.json`` into the output directory,
 and exit 0 on success.  Failures print a machine-readable JSON error
-record to stderr and exit non-zero (2 for a configuration error, 3 for a
-failed run, 1 otherwise, as when a worker process dies; an input table
-that cannot be read or used is a configuration error); ensemble verbs
-first write a run record listing every failed path.  Only the ensemble
-verbs take ``--paths`` and ``--threads``.
+record to stderr and exit non-zero (2 for a configuration error, such as
+a kind the verb does not run or an input table that cannot be read or
+used, 3 for a failed run, 1 otherwise, as when a worker process dies);
+ensemble verbs first write a run record listing every failed path.
+Only the ensemble verbs (``simulate``, ``regimes``, ``cycle``,
+``fit-c0``) take ``--paths`` and ``--threads``.
 """
 from __future__ import annotations
 
@@ -21,7 +25,7 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
-
+from typing import Callable, NamedTuple, Optional
 
 from .config import (
     ExperimentConfig,
@@ -30,7 +34,9 @@ from .config import (
     parse_config,
     serialize_config,
 )
-from .cycle import EnsembleStats, fit_market_impact, investment_phase_series, run_ensembles
+from .cycle import (
+    EnsembleStats, RegimesBlock, fit_market_impact, investment_phase_series, run_ensembles,
+)
 from .errors import ConfigurationError, EnsembleFailedError, PricePumpError
 from .output import emit_series, read_csv_columns, write_json, write_manifest
 from .ponzi import (
@@ -42,39 +48,27 @@ from .ponzi import (
 )
 from .risk import return_stats
 
-_VERB_KINDS = {
-    "simulate": "aspp",
-    "regimes": "regimes",
-    "cycle": "cycle",
-    "ponzi": "ponzi-classical",
-    "fit-c0": "fit-c0",
-    "stats": "stats",
-}
 
-# The block an ensemble verb runs, whose n_paths ``--paths`` sets
-_ENSEMBLE_BLOCKS = {"simulate": "aspp", "regimes": "regimes", "cycle": "cycle", "fit-c0": "cycle"}
+class _Verb(NamedTuple):
+    kinds: tuple[str, ...]  # the configuration kinds it runs; the first is the default
+    block: Optional[str]  # the ensemble block whose n_paths --paths sets; None: no ensemble
+    command: Callable[[argparse.Namespace, ExperimentConfig, Path], object]
 
 
 def _load(args) -> ExperimentConfig:
-    default_kind = _VERB_KINDS[args.verb]
+    verb = _VERBS[args.verb]
     if args.config:
-        # the ponzi verb accepts either scheme kind
-        if args.verb == "ponzi":
-            cfg = parse_config(args.config)
-            if not cfg.kind.startswith("ponzi"):
-                raise ConfigurationError(
-                    f"configuration kind {cfg.kind!r} is not a ponzi experiment"
-                )
-        else:
-            cfg = parse_config(args.config, default_kind=default_kind)
+        cfg = parse_config(args.config, verb.kinds[0])
     else:
-        cfg = load_config_data({"kind": default_kind})
+        cfg = load_config_data({}, verb.kinds[0])
+    if cfg.kind not in verb.kinds:
+        runs = " or ".join(map(repr, verb.kinds))
+        raise ConfigurationError(f"{args.verb} runs configuration kind {runs}, not {cfg.kind!r}")
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    if getattr(args, "paths", None) is not None:  # only ensemble verbs take --paths
-        name = _ENSEMBLE_BLOCKS[args.verb]
-        block = dataclasses.replace(getattr(cfg, name), n_paths=args.paths)
-        cfg = dataclasses.replace(cfg, **{name: block})
+    if verb.block is not None and args.paths is not None:
+        block = dataclasses.replace(getattr(cfg, verb.block), n_paths=args.paths)
+        cfg = dataclasses.replace(cfg, **{verb.block: block})
     return cfg
 
 
@@ -85,10 +79,6 @@ def _read_table(key: str, path: str) -> dict:
         return read_csv_columns(path)
     except (OSError, ValueError) as exc:
         raise ConfigurationError(f"{key} {path}: {exc}") from exc
-
-
-def _out_dir(args, cfg: ExperimentConfig) -> Path:
-    return Path(args.out or cfg.out or "out")
 
 
 def _write_run_record(
@@ -124,21 +114,16 @@ def _write_ensembles(
         raise PricePumpError("; ".join(f"regime '{name}': {exc}" for name, exc in failed.items()))
 
 
-def _run_ensembles(args, cfg: ExperimentConfig) -> dict[str, EnsembleStats]:
-    """Run the verb's ensembles (the three flows of ``regimes``, else its
-    one block) in one call and write them with the run record."""
-    block = getattr(cfg, _ENSEMBLE_BLOCKS[args.verb])
-    blocks = block.flows(cfg.market) if args.verb == "regimes" else {"": block}
+def _run_ensembles(args, cfg: ExperimentConfig, out: Path) -> dict[str, EnsembleStats]:
+    """Run the verb's ensembles (the three flows of a regimes block, else
+    its one block) in one call and write them with the run record."""
+    block = getattr(cfg, _VERBS[args.verb].block)
+    blocks = block.flows(cfg.market) if isinstance(block, RegimesBlock) else {"": block}
     results = run_ensembles(
         cfg.market, cfg.hazard, cfg.schedule, blocks, cfg.seed, n_workers=args.threads
     )
-    _write_ensembles(_out_dir(args, cfg), cfg, results)
+    _write_ensembles(out, cfg, results)
     return results
-
-
-def _cmd_ensemble(args) -> int:
-    _run_ensembles(args, _load(args))
-    return 0
 
 
 def _by_field_name(cls, block):
@@ -146,10 +131,12 @@ def _by_field_name(cls, block):
     return cls(**{f.name: getattr(block, f.name) for f in dataclasses.fields(cls)})
 
 
-def _cmd_ponzi(args) -> int:
-    cfg = _load(args)
+def _cmd_ponzi(args, cfg: ExperimentConfig, out: Path) -> None:
     p = cfg.ponzi
     if cfg.kind == "ponzi-speculative":
+        if not 0.0 < 2.0 * p.steady_window <= p.horizon:
+            raise ConfigurationError(f"ponzi.steady_window {p.steady_window} must be positive "
+                                     f"and at most half of ponzi.horizon {p.horizon}")
         sol = speculative_ponzi_solve(
             _by_field_name(SpeculativePonziParams, p), cfg.schedule, p.horizon, p.step
         )
@@ -163,11 +150,9 @@ def _cmd_ponzi(args) -> int:
         # the block is PonziParams plus the solver's fields
         sol = classical_ponzi_solve(p, cfg.schedule, p.horizon, p.step)
         results = {"collapse_time": collapse_time(sol)}
-    out = _out_dir(args, cfg)
     emit_series(sol, out)
     _write_run_record(out, cfg, {})
     write_json(out / "results.json", results)
-    return 0
 
 
 def _require_whole_days(cfg: ExperimentConfig) -> None:
@@ -183,23 +168,22 @@ def _require_whole_days(cfg: ExperimentConfig) -> None:
             )
 
 
-def _cmd_fit(args) -> int:
-    cfg = _load(args)
+def _cmd_fit(args, cfg: ExperimentConfig, out: Path) -> None:
     _require_whole_days(cfg)
-    out = _out_dir(args, cfg)
-    if cfg.fit.source_csv:
-        table = _read_table("fit.source_csv", cfg.fit.source_csv)
+    pre_phase, source = cfg.cycle.pre_phase, cfg.fit.source_csv
+    if source:
+        table = _read_table("fit.source_csv", source)
         column = "S_ext_mean" if "S_ext_mean" in table else "S_ext"
         if column not in table:
-            raise ConfigurationError(
-                f"{cfg.fit.source_csv} carries neither 'S_ext_mean' nor 'S_ext'"
-            )
-        times, values = table["t"], table[column]
+            raise ConfigurationError(f"{source} carries neither 'S_ext_mean' nor 'S_ext'")
+        try:
+            tau, observed = investment_phase_series(table["t"], table[column], pre_phase)
+        except ValueError as exc:  # too few rows, an uneven grid, or none at pre_phase
+            raise ConfigurationError(f"fit.source_csv {source}: {exc}") from exc
         _write_run_record(out, cfg, {})
     else:
-        ens = _run_ensembles(args, cfg)[""]
-        times, values = ens.times, ens.series["S_ext"].mean
-    tau, observed = investment_phase_series(times, values, cfg.cycle.pre_phase)
+        ens = _run_ensembles(args, cfg, out)[""]
+        tau, observed = investment_phase_series(ens.times, ens.series["S_ext"].mean, pre_phase)
     target_rate = cfg.cycle.resolved_target_rate(cfg.market)
     result = fit_market_impact(
         tau,
@@ -220,11 +204,9 @@ def _cmd_fit(args) -> int:
             "target_rate": target_rate,
         },
     )
-    return 0
 
 
-def _cmd_stats(args) -> int:
-    cfg = _load(args)
+def _cmd_stats(args, cfg: ExperimentConfig, out: Path) -> None:
     if not cfg.stats.input_csv:
         raise ConfigurationError("stats requires 'stats.input_csv'")
     table = _read_table("stats.input_csv", cfg.stats.input_csv)
@@ -238,7 +220,6 @@ def _cmd_stats(args) -> int:
     except ValueError as exc:  # too few prices, or one that is not positive
         raise ConfigurationError(f"stats.input_csv {cfg.stats.input_csv}: {exc}") from exc
     predicted = cfg.market.theoretical()
-    out = _out_dir(args, cfg)
     _write_run_record(out, cfg, {})
     write_json(
         out / "stats.json",
@@ -251,16 +232,15 @@ def _cmd_stats(args) -> int:
             },
         },
     )
-    return 0
 
 
-_COMMANDS = {
-    "simulate": _cmd_ensemble,
-    "regimes": _cmd_ensemble,
-    "cycle": _cmd_ensemble,
-    "ponzi": _cmd_ponzi,
-    "fit-c0": _cmd_fit,
-    "stats": _cmd_stats,
+_VERBS = {
+    "simulate": _Verb(("aspp",), "aspp", _run_ensembles),
+    "regimes": _Verb(("regimes",), "regimes", _run_ensembles),
+    "cycle": _Verb(("cycle",), "cycle", _run_ensembles),
+    "ponzi": _Verb(("ponzi-classical", "ponzi-speculative"), None, _cmd_ponzi),
+    "fit-c0": _Verb(("fit-c0",), "cycle", _cmd_fit),
+    "stats": _Verb(("stats",), None, _cmd_stats),
 }
 
 
@@ -270,12 +250,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Speculative-bubble market simulator and scheme-dynamics toolkit",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb in _COMMANDS:
+    for verb, spec in _VERBS.items():
         p = sub.add_parser(verb)
         p.add_argument("--config", help="JSON configuration file")
         p.add_argument("--out", help="output directory (default: config 'out' or ./out)")
         p.add_argument("--seed", type=int, help="override the configured seed")
-        if verb not in _ENSEMBLE_BLOCKS:
+        if spec.block is None:
             continue
         p.add_argument("--paths", type=int,
                        help="override the configured path count (config.json records it)")
@@ -292,7 +272,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.verb](args)
+        cfg = _load(args)
+        _VERBS[args.verb].command(args, cfg, Path(args.out or cfg.out or "out"))
+        return 0
     except ConfigurationError as exc:
         _report_error(exc)
         return 2

@@ -52,7 +52,8 @@ class PonziBlock(PonziParams):
 
     def __post_init__(self):
         super().__post_init__()
-        check_finite(market_impact=self.market_impact, external_rate=self.external_rate)
+        check_finite(market_impact=self.market_impact, external_rate=self.external_rate,
+                     steady_window=self.steady_window)
 
 
 @dataclass(frozen=True)
@@ -175,17 +176,13 @@ def _parse(default, data: dict, context: str):
 
 
 def load_config_data(data: dict, default_kind: Optional[str] = None) -> ExperimentConfig:
-    """Build a validated configuration from a parsed JSON document."""
+    """Build a validated configuration from a parsed JSON document;
+    ``default_kind`` fills a missing ``kind``."""
     if not isinstance(data, dict):
         raise ConfigurationError("configuration must be a JSON object")
     kind = data.get("kind", default_kind)
     if kind is None:
         raise ConfigurationError("missing configuration key 'kind'")
-    if default_kind is not None and data.get("kind") is not None and data["kind"] != default_kind:
-        raise ConfigurationError(
-            f"configuration kind {data['kind']!r} does not match the requested "
-            f"experiment {default_kind!r}"
-        )
     kind = str(kind)
     schedule = _PONZI_SCHEDULE if kind.startswith("ponzi") else ScheduleSpec()
     return _parse(ExperimentConfig(kind=kind, schedule=schedule), data, "")

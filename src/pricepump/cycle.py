@@ -641,9 +641,22 @@ class CalibrationResult(NamedTuple):
 def investment_phase_series(
     times: np.ndarray, values: np.ndarray, pre_phase: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Slice a daily series to the investor clock (zero at investment start)."""
-    start = int(np.searchsorted(times, pre_phase - 1e-12))
-    return times[start:] - times[start], values[start:]
+    """Slice a daily series to the investor clock (zero at investment
+    start).  Raises ValueError unless the series has a row at
+    ``pre_phase`` and at least three rows from it on a uniform grid."""
+    times, values = np.asarray(times, dtype=float), np.asarray(values, dtype=float)
+    if times.ndim != 1 or times.shape != values.shape:
+        raise ValueError("times and values must be equal-length 1-d arrays")
+    slack = 1e-9 * max(1.0, pre_phase)  # the whole-day tolerance of the phases
+    start = int(np.searchsorted(times, pre_phase - slack))
+    if start == times.size or abs(times[start] - pre_phase) > slack:
+        raise ValueError(f"no row at the end of the warm-up, t = {pre_phase}")
+    tau = times[start:] - times[start]
+    if tau.size < 3:
+        raise ValueError(f"{tau.size} rows from the end of the warm-up; at least 3 are needed")
+    if not np.allclose(np.diff(tau), tau[1], rtol=0.0, atol=1e-9):
+        raise ValueError("times must form a uniform grid")
+    return tau, values[start:]
 
 
 def fit_market_impact(
@@ -660,25 +673,18 @@ def fit_market_impact(
     Minimizes the RMSE between the scheme's capital trajectory and the
     observed external investment value (both on the investor clock, same
     daily grid) by golden-section search on the log of the coefficient.
-    The result carries the search's final solve, at the fitted
-    coefficient.  Raises BracketError when the minimum sits at a bracket
-    edge, and DivergenceError when the solve at the fitted coefficient
-    diverges.
+    The search ends once the bracket is narrower than ``tol`` or stops
+    narrowing (at float resolution); the result carries its final solve,
+    at the fitted coefficient.  Raises BracketError when the minimum sits
+    at a bracket edge, and DivergenceError when that solve diverges.
     """
-    times = np.asarray(times, dtype=float)
-    external_value = np.asarray(external_value, dtype=float)
-    if times.ndim != 1 or times.shape != external_value.shape or times.size < 3:
-        raise ValueError("times and external_value must be equal-length 1-d arrays (>= 3)")
     low, high = bracket
     if not 0.0 < low < high:
         raise ConfigurationError(f"bracket must satisfy 0 < low < high, got ({low}, {high})")
     if not tol > 0.0:
         raise ConfigurationError(f"tol must be positive, got {tol}")
+    times, external_value = investment_phase_series(times, external_value, 0.0)
     step = float(times[1] - times[0])
-    if not np.allclose(np.diff(times), step, rtol=0.0, atol=1e-9):
-        raise ValueError("times must form a uniform grid")
-    if abs(times[0]) > 1e-9:
-        raise ValueError("series must start at time zero on the investor clock")
     horizon = float(times[-1])
     start_capital = max(float(external_value[0]), 0.0)
 
@@ -706,7 +712,9 @@ def fit_market_impact(
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = objective(c), objective(d)
-    while b - a > tol:
+    width = math.inf
+    while tol < b - a < width:  # a bracket that stops narrowing is at float resolution
+        width = b - a
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)

@@ -112,15 +112,14 @@ def trading_session(
         # repeated clamps shrink the price by PRICE_RATIO_FLOOR a day until
         # it underflows; no share count can absorb a flow at price zero
         raise LiquidityExhaustedError(
-            external_flow,
             f"price underflowed to {new_price} on day {state.day + 1}: external flow "
             f"{external_flow} exhausts market liquidity",
         )
     external_shares = state.external_shares + external_flow / new_price
     if not math.isfinite(external_shares):  # at a positive but subnormal price
         raise LiquidityExhaustedError(
-            external_flow, f"external share count overflowed on day {state.day + 1}: external "
-            f"flow {external_flow} at price {new_price} exhausts market liquidity",
+            f"external share count overflowed on day {state.day + 1}: external "
+            f"flow {external_flow} at price {new_price} exhausts market liquidity"
         )
 
     revalued = ratio * stock

@@ -30,10 +30,6 @@ class NoSupplyError(PricePumpError):
 class LiquidityExhaustedError(PricePumpError):
     """The requested external flow would drive the clearing price to zero or below."""
 
-    def __init__(self, flow: float, message: str | None = None):
-        self.flow = flow
-        super().__init__(message or f"external flow {flow} exhausts market liquidity")
-
 
 class DivergenceError(PricePumpError):
     """An integration produced a non-finite state."""

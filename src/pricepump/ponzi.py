@@ -327,7 +327,8 @@ def critical_exponent(
     Valid for the flat-market regime (zero nominal rate, withdrawal rate
     equal to the promised rate), where viability flips at a single growth
     rate: the schedule exp(a*t) is run through the classical solver and
-    the rate is bisected to within ``tol``.  A rate whose solve overflows
+    the rate is bisected to within ``tol`` or to the resolution of a
+    float, whichever is coarser.  A rate whose solve overflows
     raises ``DivergenceError``; narrow the bracket or the horizon.
     """
     if not tol > 0.0:
@@ -361,13 +362,14 @@ def critical_exponent(
             f"low endpoint {'survives' if low_ok else 'collapses'}, "
             f"high endpoint {'survives' if high_ok else 'collapses'}"
         )
-    while high - low > tol:
-        mid = 0.5 * (low + high)
+    mid = 0.5 * (low + high)
+    while high - low > tol and low < mid < high:  # a midpoint at an end is float resolution
         if survives(mid):
             high = mid
         else:
             low = mid
-    return 0.5 * (low + high)
+        mid = 0.5 * (low + high)
+    return mid
 
 
 class SteadyStateRate(NamedTuple):

@@ -1,10 +1,16 @@
 """Shared fixtures: the heavyweight Monte Carlo ensembles are computed
 once per session and reused by the unit and acceptance tests."""
+import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import pricepump
 from pricepump import (
     CycleConfig,
     ExperimentConfig,
@@ -54,3 +60,19 @@ def cycle_ensemble():
         cfg.market, cfg.hazard, cfg.schedule, {"": cfg.cycle}, cfg.seed, n_workers=WORKERS
     )[""]
     return cfg, stats, time.perf_counter() - start
+
+
+@pytest.fixture
+def run_isolated():
+    """Run Python ``code`` in a fresh interpreter and return what it prints,
+    parsed as JSON.  A call that outlives ``timeout`` seconds fails the
+    test instead of hanging the suite."""
+    src = str(Path(pricepump.__file__).resolve().parents[1])
+
+    def run(code: str, timeout: float) -> object:
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=timeout, env=env, check=True)
+        return json.loads(done.stdout)
+    return run

@@ -4,6 +4,7 @@ configuration documents it writes and the attributes it reads from them,
 the return values its span hooks read, and the constructors it calls with
 positional arguments.  An API cleanup that breaks one of them must fail
 here, not in a benchmark run."""
+import argparse
 import json
 from collections import Counter
 
@@ -165,3 +166,14 @@ def test_benchmark_counts_one_session_per_path_day(tmp_path, monkeypatch, verb, 
         path_function: paths,
         "trading_session": paths * int(round(horizon * cfg.market.days_per_year)),
     }
+
+
+def test_every_verb_is_one_subcommand():
+    # the parser's subcommands, and which of them take --paths, come from
+    # the one verb table
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(cli._VERBS)
+    for name, verb in cli._VERBS.items():
+        flags = {flag for action in sub.choices[name]._actions for flag in action.option_strings}
+        assert ("--paths" in flags) == ("--threads" in flags) == (verb.block is not None)

@@ -32,6 +32,7 @@ from pricepump import (
     write_manifest,
 )
 from pricepump import cycle as cycle_module
+from pricepump import cli
 from pricepump.cli import main
 from pricepump.config import EXPERIMENT_KINDS, FitBlock
 from pricepump.ponzi import PonziParams, classical_ponzi_solve
@@ -206,9 +207,17 @@ class TestConfigDefaults:
             load_config_data({})
         assert "kind" in str(err.value)
 
-    def test_kind_verb_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            load_config_data({"kind": "cycle"}, default_kind="aspp")
+    def test_kind_verb_mismatch(self, tmp_path, capsys):
+        # the verb, not the loader, decides which kinds it runs
+        assert load_config_data({"kind": "cycle"}, default_kind="aspp").kind == "cycle"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"kind": "cycle"}))
+        out = tmp_path / "x"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        message = "simulate runs configuration kind 'aspp', not 'cycle'"
+        assert record == {"error": "ConfigurationError", "message": message}
+        assert not out.exists()
 
     def test_round_trip_is_identity(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -942,6 +951,8 @@ class TestCli:
         ("ponzi", "ponzi-speculative", "ponzi.market_impact"),
         ("ponzi", "ponzi-classical", "ponzi.initial_capital"),
         ("fit-c0", "fit-c0", "fit.bracket_high"),
+        ("ponzi", "ponzi-speculative", "ponzi.steady_window"),
+        ("ponzi", "ponzi-classical", "ponzi.steady_window"),
     ])
     def test_non_finite_block_value_exit_code(self, tmp_path, capsys, verb, kind, key):
         # JSON 1e400 parses as infinity; these values used to fail every
@@ -988,9 +999,15 @@ class TestCli:
         ("stats", "stats.input_csv", "t,price\n0,1.0\n1,1.1\n"),
         ("stats", "stats.input_csv", "t,price\n0,1.0\n1,0.0\n2,1.2\n"),
         ("fit-c0", "fit.source_csv", None),
-    ], ids=["stats-missing", "stats-two-rows", "stats-zero-price", "fit-missing"])
+        # the fit's warm-up ends at the default pre_phase, 3 years
+        ("fit-c0", "fit.source_csv", "t,S_ext\n2,0.0\n3,0.0\n4,1.0\n"),
+        ("fit-c0", "fit.source_csv", "t,S_ext\n3,0.0\n4,1.0\n6,2.0\n7,3.0\n"),
+        ("fit-c0", "fit.source_csv", "t,S_ext\n2.5,0.0\n3.5,1.0\n4.5,2.0\n5.5,3.0\n"),
+    ], ids=["stats-missing", "stats-two-rows", "stats-zero-price", "fit-missing",
+            "fit-two-rows", "fit-uneven-grid", "fit-no-warmup-end"])
     def test_unusable_input_table_exit_code(self, tmp_path, capsys, verb, key, rows):
-        # these used to exit 1 with a bare FileNotFoundError or ValueError
+        # these used to exit 1 with a bare FileNotFoundError or ValueError,
+        # or, without a row at the warm-up's end, fit from the next row on
         table = tmp_path / "table.csv"
         if rows is not None:
             table.write_text(rows)
@@ -1001,6 +1018,76 @@ class TestCli:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "ConfigurationError"
         assert record["message"].startswith(f"{key} {table}: ")
+
+    @pytest.mark.parametrize("ponzi", [
+        {"steady_window": 0.0},
+        {"steady_window": -1.0},
+        {"steady_window": 10.5},
+        {"horizon": 1.0, "steady_window": 5.0},
+    ], ids=["zero", "negative", "over-half-horizon", "short-horizon"])
+    def test_steady_window_rejected_before_the_solve(self, tmp_path, capsys, monkeypatch, ponzi):
+        # these used to exit 1 with a bare ValueError after the solve
+        solves = []
+        monkeypatch.setattr(cli, "speculative_ponzi_solve", lambda *args: solves.append(args))
+        cfg = self.write_config(tmp_path, {"kind": "ponzi-speculative", "ponzi": ponzi})
+        out = tmp_path / "x"
+        assert main(["ponzi", "--config", cfg, "--out", str(out)]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        window, horizon = ponzi["steady_window"], ponzi.get("horizon", 20.0)
+        message = (f"ponzi.steady_window {window} must be positive "
+                   f"and at most half of ponzi.horizon {horizon}")
+        assert record == {"error": "ConfigurationError", "message": message}
+        assert solves == []
+        assert not out.exists()
+
+    def test_classical_scheme_ignores_the_steady_window(self, tmp_path):
+        payload = {"kind": "ponzi-classical", "ponzi": {"horizon": 1.0, "steady_window": -1.0}}
+        out = tmp_path / "x"
+        assert main(["ponzi", "--config", self.write_config(tmp_path, payload),
+                     "--out", str(out)]) == 0
+        assert parse_config(out / "config.json").ponzi.steady_window == -1.0
+
+    @pytest.mark.parametrize("verb,kind,message", [
+        ("simulate", "regimes", "simulate runs configuration kind 'aspp', not 'regimes'"),
+        ("regimes", "aspp", "regimes runs configuration kind 'regimes', not 'aspp'"),
+        ("cycle", "fit-c0", "cycle runs configuration kind 'cycle', not 'fit-c0'"),
+        (
+            "ponzi",
+            "cycle",
+            "ponzi runs configuration kind 'ponzi-classical' or 'ponzi-speculative', not 'cycle'",
+        ),
+        ("fit-c0", "cycle", "fit-c0 runs configuration kind 'fit-c0', not 'cycle'"),
+        ("stats", "aspp", "stats runs configuration kind 'stats', not 'aspp'"),
+    ], ids=["simulate", "regimes", "cycle", "ponzi", "fit-c0", "stats"])
+    def test_verb_rejects_a_kind_it_does_not_run(self, tmp_path, capsys, verb, kind, message):
+        # ponzi and the other verbs used to word this differently
+        cfg = self.write_config(tmp_path, {"kind": kind})
+        out = tmp_path / "x"
+        assert main([verb, "--config", cfg, "--out", str(out)]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {"error": "ConfigurationError", "message": message}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb,kind", [
+        ("simulate", "aspp"),
+        ("regimes", "regimes"),
+        ("cycle", "cycle"),
+        ("ponzi", "ponzi-classical"),
+        ("fit-c0", "fit-c0"),
+        ("stats", "stats"),
+    ])
+    def test_config_without_kind_runs_the_default_kind(self, tmp_path, verb, kind):
+        # ponzi used to exit 2 with "missing configuration key 'kind'"
+        table = tmp_path / "prices.csv"
+        table.write_text("t,price\n0,1.0\n1,1.1\n2,1.05\n3,1.2\n")
+        payload = {
+            **SMALL_ENSEMBLE_BLOCKS, "ponzi": {"horizon": 1.0}, "stats": {"input_csv": str(table)},
+        }
+        out = tmp_path / "out"
+        assert main([verb, "--config", self.write_config(tmp_path, payload),
+                     "--out", str(out)]) == 0
+        assert json.loads((out / "config.json").read_text())["kind"] == kind
+        assert parse_config(out / "config.json") == load_config_data({**payload, "kind": kind})
 
     @pytest.mark.parametrize("verb", ["ponzi", "stats"])
     @pytest.mark.parametrize("flag", ["--paths", "--threads"])

@@ -956,6 +956,27 @@ class TestCalibration:
         with pytest.raises(ConfigurationError, match="tol must be positive"):
             fit_market_impact(times, times, schedule, self.TARGET, 3.0, (1e-5, 1e-2), tol=tol)
 
+    def test_tiny_tol_stops_at_float_resolution(self, run_isolated):
+        # a tol below the float resolution of the bracket used to never stop:
+        # the bracket stops narrowing at one ulp of the log coefficient
+        code = f"""
+import json, math
+from pricepump import (ScheduleSpec, SpeculativePonziParams, fit_market_impact,
+                       speculative_ponzi_solve)
+schedule = ScheduleSpec("exponential", 1000.0, 0.1)
+generated = speculative_ponzi_solve(
+    SpeculativePonziParams(0.001, {self.TARGET!r}, 3.0, 0.0), schedule, 4.0, 1.0 / 360.0)
+print(json.dumps([
+    math.log(fit_market_impact(generated.grid, generated.capital * 1.01, schedule,
+                               {self.TARGET!r}, 3.0, (1e-4, 1e-2), tol=tol).market_impact)
+    for tol in (1e-3, 1e-300)
+]))
+"""
+        coarse, fine = run_isolated(code, timeout=60.0)
+        # inside the bracket the default search ended on: at most tol wide,
+        # centred on its result
+        assert abs(fine - coarse) <= 0.5e-3
+
     def test_minimum_at_bracket_edge_raises(self):
         schedule = ScheduleSpec("exponential", 1000.0, 0.1)
         generated = speculative_ponzi_solve(
@@ -973,6 +994,16 @@ class TestCalibration:
         assert tau[0] == 0.0
         assert sliced[0] == pytest.approx(5.0)
         assert tau[-1] == pytest.approx(1.5)
+
+    @pytest.mark.parametrize("times,pre_phase,message", [
+        ([0.0, 0.25, 0.5, 0.75], 0.5, "2 rows from the end of the warm-up; at least 3"),
+        ([0.0, 0.25, 0.5, 1.0], 0.0, "times must form a uniform grid"),
+        ([0.0, 0.3, 0.6, 0.9], 0.5, "no row at the end of the warm-up, t = 0.5"),
+        ([0.0, 0.25, 0.5], 1.0, "no row at the end of the warm-up, t = 1.0"),
+    ])
+    def test_investment_phase_series_rejects_unusable_series(self, times, pre_phase, message):
+        with pytest.raises(ValueError, match=message):
+            investment_phase_series(np.array(times), np.zeros(len(times)), pre_phase)
 
 
 class TestReferenceEnsembleProperties:

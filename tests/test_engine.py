@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -106,8 +107,12 @@ class TestClearPrice:
         state = market([10.0], 10.0, 1.0, price=1e-322)
         with pytest.raises(LiquidityExhaustedError) as err:
             session_all(state, flow=-20.0)
-        # the clamp executes the flow that clears at the floor ratio
-        assert err.value.flow == pytest.approx(PRICE_RATIO_FLOOR * 5.0 - 5.0)
+        # the message is the error's one argument and field, and names the
+        # flow the clamp executes: the one that clears at the floor ratio
+        message = str(err.value)
+        assert err.value.args == (message,) and vars(err.value) == {}
+        flow = float(re.search(r"external flow (\S+) ", message).group(1))
+        assert flow == pytest.approx(PRICE_RATIO_FLOOR * 5.0 - 5.0)
 
 
 class TestRebalance:

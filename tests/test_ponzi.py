@@ -278,6 +278,20 @@ class TestCriticalExponent:
             critical_exponent(params, horizon=60.0, tol=0.01, bracket=(0.6, 0.9))
         assert "0.6" in str(err.value) and "0.9" in str(err.value)
 
+    def test_tiny_tol_stops_at_float_resolution(self, run_isolated):
+        # a tol below the float resolution of the bracket used to never stop:
+        # the midpoint of a one-ulp bracket is one of its ends
+        code = """
+import json
+from pricepump import PonziParams, critical_exponent
+params = PonziParams(0.0, 0.41, 0.41, 3.0, 0.0)
+print(json.dumps([critical_exponent(params, 20.0, tol) for tol in (0.005, 1e-300)]))
+"""
+        coarse, fine = run_isolated(code, timeout=60.0)
+        # inside the bracket the default search ended on: at most tol wide,
+        # centred on its result
+        assert abs(fine - coarse) <= 0.5 * 0.005
+
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
     def test_tol_must_be_positive(self, tol):
         # a NaN tol used to return the bracket's midpoint without a search
