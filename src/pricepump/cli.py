@@ -12,8 +12,9 @@ a JSON configuration (optional; defaults are complete), write CSV/JSON
 plus ``manifest.json`` and ``config.json`` into the output directory,
 and exit 0 on success.  Failures print a machine-readable JSON error
 record to stderr and exit non-zero (2 for a configuration error, such as
-a kind the verb does not run or an input table that cannot be read or
-used, 3 for a failed run, 1 otherwise, as when a worker process dies);
+a kind the verb does not run, ``--threads`` below 1, or an input table
+that cannot be read or used, as one without rows or with a value that is
+not finite; 3 for a failed run; 1 otherwise, as when a worker process dies);
 ensemble verbs first write a run record listing every failed path.
 Only the ensemble verbs (``simulate``, ``regimes``, ``cycle``,
 ``fit-c0``) take ``--paths`` and ``--threads``.
@@ -178,7 +179,7 @@ def _cmd_fit(args, cfg: ExperimentConfig, out: Path) -> None:
             raise ConfigurationError(f"{source} carries neither 'S_ext_mean' nor 'S_ext'")
         try:
             tau, observed = investment_phase_series(table["t"], table[column], pre_phase)
-        except ValueError as exc:  # too few rows, an uneven grid, or none at pre_phase
+        except ValueError as exc:  # not finite, too few rows, an uneven grid, none at pre_phase
             raise ConfigurationError(f"fit.source_csv {source}: {exc}") from exc
         _write_run_record(out, cfg, {})
     else:
@@ -217,7 +218,7 @@ def _cmd_stats(args, cfg: ExperimentConfig, out: Path) -> None:
         )
     try:
         measured = return_stats(table[column])
-    except ValueError as exc:  # too few prices, or one that is not positive
+    except ValueError as exc:  # too few prices, or one not finite and positive
         raise ConfigurationError(f"stats.input_csv {cfg.stats.input_csv}: {exc}") from exc
     predicted = cfg.market.theoretical()
     _write_run_record(out, cfg, {})

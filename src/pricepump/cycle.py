@@ -616,8 +616,11 @@ def run_ensembles(
     the market and fails every path with ``LiquidityExhaustedError``.
 
     Aggregates are indexed by path number, so the result is identical for
-    any worker count and execution order.
+    any worker count and execution order; a count below 1 is a
+    configuration error.
     """
+    if n_workers < 1:
+        raise ConfigurationError(f"worker count must be >= 1, got {n_workers}")
     units = []
     for block in blocks.values():
         _day_times(market, block.horizon)
@@ -642,11 +645,13 @@ def investment_phase_series(
     times: np.ndarray, values: np.ndarray, pre_phase: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Slice a daily series to the investor clock (zero at investment
-    start).  Raises ValueError unless the series has a row at
-    ``pre_phase`` and at least three rows from it on a uniform grid."""
+    start).  Raises ValueError unless the series is finite and has a row
+    at ``pre_phase`` and at least three rows from it on a uniform grid."""
     times, values = np.asarray(times, dtype=float), np.asarray(values, dtype=float)
     if times.ndim != 1 or times.shape != values.shape:
         raise ValueError("times and values must be equal-length 1-d arrays")
+    if not (np.isfinite(times).all() and np.isfinite(values).all()):
+        raise ValueError("times and values must be finite")
     slack = 1e-9 * max(1.0, pre_phase)  # the whole-day tolerance of the phases
     start = int(np.searchsorted(times, pre_phase - slack))
     if start == times.size or abs(times[start] - pre_phase) > slack:

@@ -16,13 +16,13 @@ class) scales the greed/fear intensity over time.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigurationError, check_finite
 from .risk import TheoreticalReturn, theoretical_return
-from .rng import SeedLike, as_rng
 
 _MAX_REDRAW_ROUNDS = 1000
 
@@ -142,16 +142,19 @@ class MarketParams:
         return self.days_per_year * math.log(self.theoretical().daily_factor)
 
 
-def sample_greed_fear(spec: GreedFearSpec, n: int, rng: SeedLike) -> np.ndarray:
+def sample_greed_fear(
+    spec: GreedFearSpec, n: int, rng: np.random.Generator | int | Sequence[int]
+) -> np.ndarray:
     """Draw ``n`` (greed, fear) factor pairs; returns an (n, 2) array.
 
     Log-factors are bivariate normal with equal variances; draws with a
-    negative log-coordinate are rejected and redrawn.  Identical
+    negative log-coordinate are rejected and redrawn.  ``rng`` is a
+    generator or a seed for ``np.random.default_rng``; identical
     (spec, n, seed) produce identical output.
     """
     if n < 0:
         raise ValueError(f"sample count must be >= 0, got {n}")
-    rng = as_rng(rng)
+    rng = np.random.default_rng(rng)
     logs = np.empty((n, 2))
     sd = math.sqrt(spec.log_variance)
     if sd == 0.0:
@@ -180,7 +183,8 @@ class MarketState:
     Stock is stored as dollar value at the current price; share counts
     are ``stock_value / price``.  ``external_shares`` tracks the stock
     held by the outside-investor pool, so total shares are conserved
-    across sessions.
+    across sessions.  ``rng`` has no default: every state is given its
+    generator, so no market draws from an unseeded stream.
     """
 
     stock_value: np.ndarray
@@ -191,7 +195,7 @@ class MarketState:
     price: float = 1.0
     day: int = 0
     external_shares: float = 0.0
-    rng: np.random.Generator = field(default_factory=np.random.default_rng, repr=False)
+    rng: np.random.Generator = field(kw_only=True, repr=False)
 
     @property
     def n_agents(self) -> int:
@@ -205,18 +209,25 @@ class MarketState:
         return float(self.stock_value.sum() / self.price + self.external_shares)
 
 
-def init_population(market: MarketParams, seed: SeedLike = 0) -> MarketState:
+def init_population(
+    market: MarketParams, seed: np.random.Generator | int | Sequence[int] = 0
+) -> MarketState:
     """Build the starting population of ``market``.
 
     Every agent holds ``initial_cash`` in cash and
     ``initial_cash * initial_ratio`` plus a uniform perturbation from
     [0, stock_noise_range) in stock; factor pairs come from
     ``greed_fear``.  Prices start at 1 and the external pool is empty.
-    The same seed reproduces the population exactly (factor pairs are
-    drawn first, stock perturbations second).
+
+    The state's stream is ``np.random.default_rng(seed)`` (a generator is
+    used as it is).  Path ``i`` of an ensemble with seed ``s`` draws from
+    ``np.random.default_rng((s, i))``: the factor pairs first, then the
+    stock perturbations, then one ``choice`` of the active agents per
+    day, no-trade days included.  So a path's bits depend only on
+    ``(s, i)``, never on the worker count or the order paths run in.
     """
     n_agents = market.n_agents
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     pairs = sample_greed_fear(market.greed_fear, n_agents, rng)
     noise = rng.uniform(0.0, market.stock_noise_range, n_agents)
     return MarketState(

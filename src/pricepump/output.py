@@ -103,10 +103,13 @@ def write_manifest(
 
 
 def read_csv_columns(path: str | Path) -> dict[str, np.ndarray]:
-    """Read one of this package's CSV files back into named float arrays."""
+    """Read one of this package's CSV files back into named float arrays;
+    a table without data rows is a ValueError."""
     path = Path(path)
     with open(path) as handle:
         header = handle.readline().strip().split(",")
+        if not any(line.partition("#")[0].strip() for line in handle):
+            raise ValueError("no data rows below the header")
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[1] != len(header):
         raise ValueError(f"{path}: header has {len(header)} fields, rows have {data.shape[1]}")

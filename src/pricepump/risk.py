@@ -200,10 +200,11 @@ def stats_from_log_returns(log_returns: Sequence[float] | np.ndarray) -> ReturnS
 
 
 def return_stats(price_series: Sequence[float] | np.ndarray) -> ReturnStats:
-    """Daily log-return statistics of a price series (>= 3 positive prices)."""
+    """Daily log-return statistics of a price series (>= 3 finite,
+    positive prices)."""
     prices = np.asarray(price_series, dtype=float)
     if prices.size < 3:
         raise ValueError(f"need at least 3 prices, got {prices.size}")
-    if np.any(prices <= 0.0):
-        raise ValueError("prices must be positive")
+    if not np.all(np.isfinite(prices) & (prices > 0.0)):
+        raise ValueError("prices must be finite and positive")
     return stats_from_log_returns(np.diff(np.log(prices)))

@@ -17,7 +17,6 @@ from pricepump import (
     RegimesBlock,
     ScheduleSpec,
     SpeculativePonziParams,
-    as_rng,
     classical_ponzi_solve,
     critical_exponent,
     fit_market_impact,
@@ -74,7 +73,7 @@ def test_criterion_02_clearance_and_rebalance_exactness():
             target_ratio=target.copy(),
             greed=1.0 + rng.uniform(0.0, 0.3, n),
             fear=1.0 + rng.uniform(0.0, 0.3, n),
-            rng=as_rng(int(rng.integers(0, 2**31))),
+            rng=np.random.default_rng(int(rng.integers(0, 2**31))),
         )
         demand = float(np.sum(target * cash / (1.0 + target)))
         flow = float(rng.uniform(-0.5 * demand, 3.0 * demand))

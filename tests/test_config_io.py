@@ -503,6 +503,14 @@ class TestSerialization:
         assert np.array_equal(table["S"], sol.capital)
         assert np.array_equal(table["R"], sol.withdrawable)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text", ["t,price\n", "t,price\n\n# no rows\n", ""])
+    def test_table_without_rows_is_rejected(self, tmp_path, text):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="no data rows below the header"):
+            read_csv_columns(path)
+
     def test_manifest_contents(self, tmp_path):
         path = write_manifest(tmp_path, "ab" * 32, 7, {"clamp_events": 3})
         payload = json.loads(path.read_text())
@@ -1003,11 +1011,21 @@ class TestCli:
         ("fit-c0", "fit.source_csv", "t,S_ext\n2,0.0\n3,0.0\n4,1.0\n"),
         ("fit-c0", "fit.source_csv", "t,S_ext\n3,0.0\n4,1.0\n6,2.0\n7,3.0\n"),
         ("fit-c0", "fit.source_csv", "t,S_ext\n2.5,0.0\n3.5,1.0\n4.5,2.0\n5.5,3.0\n"),
+        ("stats", "stats.input_csv", "t,price\n0,1.0\n1,nan\n2,1.2\n"),
+        ("stats", "stats.input_csv", "t,price\n0,1.0\n1,inf\n2,1.2\n"),
+        ("fit-c0", "fit.source_csv", "t,S_ext\n3,0.0\n4,nan\n5,2.0\n6,3.0\n"),
+        ("stats", "stats.input_csv", "t,price\n"),
+        ("fit-c0", "fit.source_csv", "t,S_ext\n"),
     ], ids=["stats-missing", "stats-two-rows", "stats-zero-price", "fit-missing",
-            "fit-two-rows", "fit-uneven-grid", "fit-no-warmup-end"])
+            "fit-two-rows", "fit-uneven-grid", "fit-no-warmup-end", "stats-nan-price",
+            "stats-inf-price", "fit-nan-value", "stats-header-only", "fit-header-only"])
+    @pytest.mark.filterwarnings("error")
     def test_unusable_input_table_exit_code(self, tmp_path, capsys, verb, key, rows):
         # these used to exit 1 with a bare FileNotFoundError or ValueError,
-        # or, without a row at the warm-up's end, fit from the next row on
+        # or, without a row at the warm-up's end, fit from the next row on;
+        # a non-finite price wrote NaN into stats.json (exit 0), a NaN in a
+        # fit source ended the search at a bracket edge (exit 3), and a
+        # header-only table warned on stderr ahead of the record
         table = tmp_path / "table.csv"
         if rows is not None:
             table.write_text(rows)
@@ -1088,6 +1106,20 @@ class TestCli:
                      "--out", str(out)]) == 0
         assert json.loads((out / "config.json").read_text())["kind"] == kind
         assert parse_config(out / "config.json") == load_config_data({**payload, "kind": kind})
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exit_code(self, tmp_path, capsys, monkeypatch, threads):
+        # these used to run serially and exit 0
+        started = []
+        monkeypatch.setattr(cycle_module, "run_flow_path", lambda *args: started.append(args))
+        cfg = self.write_config(tmp_path, {"kind": "aspp", **SMALL_ENSEMBLE_BLOCKS})
+        out = tmp_path / "x"
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--threads", threads]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {"error": "ConfigurationError",
+                          "message": f"worker count must be >= 1, got {threads}"}
+        assert started == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("verb", ["ponzi", "stats"])
     @pytest.mark.parametrize("flag", ["--paths", "--threads"])

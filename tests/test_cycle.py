@@ -181,6 +181,14 @@ class TestConfigs:
             run_ensembles(SMALL_MARKET, HAZARD, SMALL_SCHEDULE,
                           RegimesBlock(horizon=0.001, n_paths=2).flows(SMALL_MARKET), 1)
 
+    def test_worker_count_below_one_is_rejected_before_any_path(self, monkeypatch):
+        # a count of 0 used to run serially
+        started = []
+        monkeypatch.setattr(cycle_module, "run_flow_path", lambda *args: started.append(args))
+        with pytest.raises(ConfigurationError, match="worker count must be >= 1, got 0"):
+            one_ensemble(SMALL_MARKET, FlowBlock(0.0, 0.25, 2), 1, n_workers=0)
+        assert started == []
+
     def test_default_regimes_resolve_against_the_market(self):
         flows = RegimesBlock(horizon=1.0, n_paths=3).flows(SMALL_MARKET)
         assert flows == {
@@ -1004,6 +1012,16 @@ print(json.dumps([
     def test_investment_phase_series_rejects_unusable_series(self, times, pre_phase, message):
         with pytest.raises(ValueError, match=message):
             investment_phase_series(np.array(times), np.zeros(len(times)), pre_phase)
+
+    @pytest.mark.parametrize("column,row,bad", [
+        ("times", 3, math.nan), ("values", 1, math.nan), ("values", 2, -math.inf),
+    ])
+    def test_investment_phase_series_rejects_non_finite_entries(self, column, row, bad):
+        # a NaN in a fit source used to reach the search and end at a bracket edge
+        series = {"times": np.arange(5) * 0.25, "values": np.ones(5)}
+        series[column][row] = bad
+        with pytest.raises(ValueError, match="times and values must be finite"):
+            investment_phase_series(series["times"], series["values"], 0.0)
 
 
 class TestReferenceEnsembleProperties:

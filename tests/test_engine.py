@@ -15,7 +15,6 @@ from pricepump import (
     NoSupplyError,
     PRICE_RATIO_FLOOR,
     WindowSignal,
-    as_rng,
     init_population,
     trading_session,
 )
@@ -36,7 +35,7 @@ def market(stock, cash, target, greed=1.0, fear=1.0, price=1.0, seed=0):
         greed=column(greed),
         fear=column(fear),
         price=price,
-        rng=as_rng(seed),
+        rng=np.random.default_rng(seed),
     )
 
 
@@ -254,7 +253,7 @@ class TestTradingSession:
         before = (state.stock_value.copy(), state.cash.copy(), state.target_ratio.copy())
         shares_before = state.total_shares()
         price_before = state.price
-        reference = as_rng(0)
+        reference = np.random.default_rng(0)
         reference.choice(8, size=1, replace=False)
         state, outcome = trading_session(state, 1, flow)
         assert outcome.active_indices.tolist() == [6]

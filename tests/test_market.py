@@ -7,8 +7,8 @@ from pricepump import (
     ConfigurationError,
     GreedFearSpec,
     MarketParams,
+    MarketState,
     WindowSignal,
-    as_rng,
     init_population,
     sample_greed_fear,
     trading_session,
@@ -43,19 +43,19 @@ class TestGreedFearSpec:
 class TestSampleGreedFear:
     def test_degenerate_variance(self):
         spec = GreedFearSpec(math.log(1.12), math.log(1.11), 0.0, 0.0)
-        pairs = sample_greed_fear(spec, 50, as_rng(1))
+        pairs = sample_greed_fear(spec, 50, np.random.default_rng(1))
         assert np.allclose(pairs[:, 0], 1.12) and np.allclose(pairs[:, 1], 1.11)
 
     def test_perfect_correlation_is_exact(self):
         # the same normal draw drives both coordinates; recovering the logs
         # from the returned factors costs one exp/log round trip
         spec = GreedFearSpec(0.2, 0.15, 1e-3, 1.0)
-        pairs = sample_greed_fear(spec, 2000, as_rng(2))
+        pairs = sample_greed_fear(spec, 2000, np.random.default_rng(2))
         logs = np.log(pairs)
         assert np.allclose(logs[:, 0] - 0.2, logs[:, 1] - 0.15, rtol=0.0, atol=1e-12)
 
     def test_moments_converge(self):
-        pairs = sample_greed_fear(GreedFearSpec(), 100_000, as_rng(123))
+        pairs = sample_greed_fear(GreedFearSpec(), 100_000, np.random.default_rng(123))
         logs = np.log(pairs)
         corr = np.corrcoef(logs[:, 0], logs[:, 1])[0, 1]
         assert abs(corr - 0.95) < 0.01
@@ -63,7 +63,7 @@ class TestSampleGreedFear:
             assert logs[:, column].var() == pytest.approx(12e-4, rel=0.10)
 
     def test_factors_at_least_one(self):
-        pairs = sample_greed_fear(GreedFearSpec(), 100_000, as_rng(5))
+        pairs = sample_greed_fear(GreedFearSpec(), 100_000, np.random.default_rng(5))
         assert (pairs >= 1.0).all()
 
     def test_rejection_rate_is_small(self):
@@ -78,8 +78,8 @@ class TestSampleGreedFear:
         assert ((lg < 0) | (lf < 0)).mean() < 0.005
 
     def test_deterministic_given_seed(self):
-        a = sample_greed_fear(GreedFearSpec(), 1000, as_rng(77))
-        b = sample_greed_fear(GreedFearSpec(), 1000, as_rng(77))
+        a = sample_greed_fear(GreedFearSpec(), 1000, np.random.default_rng(77))
+        b = sample_greed_fear(GreedFearSpec(), 1000, np.random.default_rng(77))
         assert np.array_equal(a, b)
 
 
@@ -126,6 +126,33 @@ class TestInitPopulation:
     def test_zero_noise_single_agent(self):
         state = population(1, 1, initial_ratio=2.0, stock_noise_range=0.0)
         assert state.stock_value[0] == 20.0
+
+    def test_state_requires_a_generator(self):
+        # no market state falls back to an unseeded stream
+        column = np.ones(3)
+        with pytest.raises(TypeError, match="rng"):
+            MarketState(column, column, column, column, column)
+        state = MarketState(column, column, column, column, column,
+                            rng=np.random.default_rng(0))
+        assert "rng" not in repr(state)
+
+    def test_stream_is_default_rng_of_the_seed(self):
+        # path i of seed s draws from default_rng((s, i)): factor pairs,
+        # then stock perturbations, then the daily choices
+        spec = MarketParams(n_agents=30, n_active=7)
+        state = init_population(spec, (12345, 3))
+        reference = np.random.default_rng((12345, 3))
+        pairs = sample_greed_fear(spec.greed_fear, 30, reference)
+        noise = reference.uniform(0.0, spec.stock_noise_range, 30)
+        assert np.array_equal(state.greed, pairs[:, 0])
+        assert np.array_equal(state.fear, pairs[:, 1])
+        assert np.array_equal(state.stock_value, 10.0 + noise)
+        assert np.array_equal(state.rng.choice(30, size=7, replace=False),
+                              reference.choice(30, size=7, replace=False))
+
+    def test_generator_is_used_as_it_is(self):
+        rng = np.random.default_rng(5)
+        assert init_population(MarketParams(n_agents=4, n_active=2), rng).rng is rng
 
     def test_seed_determinism(self):
         a = population(100, 42)

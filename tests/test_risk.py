@@ -287,3 +287,9 @@ class TestReturnStats:
             return_stats([1.0, 2.0])
         with pytest.raises(ValueError):
             return_stats([1.0, -2.0, 3.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_prices(self, bad):
+        # a NaN passed the positivity check and came out as NaN statistics
+        with pytest.raises(ValueError, match="prices must be finite and positive"):
+            return_stats([1.0, bad, 1.2])
