@@ -73,13 +73,21 @@ def _load(args) -> ExperimentConfig:
     return cfg
 
 
+def _table_error(key: str, path: str, reason: object) -> ConfigurationError:
+    """The error of an input table that cannot be used: the configuration
+    key that names it and its path, once, then the reason."""
+    return ConfigurationError(f"{key} {path}: {reason}")
+
+
 def _read_table(key: str, path: str) -> dict:
     """The CSV file named by the configuration key ``key``; one that cannot
     be read or parsed is a configuration error."""
     try:
         return read_csv_columns(path)
-    except (OSError, ValueError) as exc:
-        raise ConfigurationError(f"{key} {path}: {exc}") from exc
+    except OSError as exc:  # its text would name the path again
+        raise _table_error(key, path, exc.strerror or exc) from exc
+    except ValueError as exc:
+        raise _table_error(key, path, exc) from exc
 
 
 def _write_run_record(
@@ -176,11 +184,12 @@ def _cmd_fit(args, cfg: ExperimentConfig, out: Path) -> None:
         table = _read_table("fit.source_csv", source)
         column = "S_ext_mean" if "S_ext_mean" in table else "S_ext"
         if column not in table:
-            raise ConfigurationError(f"{source} carries neither 'S_ext_mean' nor 'S_ext'")
+            raise _table_error("fit.source_csv", source,
+                               f"no column 'S_ext_mean' or 'S_ext'; found {sorted(table)}")
         try:
             tau, observed = investment_phase_series(table["t"], table[column], pre_phase)
         except ValueError as exc:  # not finite, too few rows, an uneven grid, none at pre_phase
-            raise ConfigurationError(f"fit.source_csv {source}: {exc}") from exc
+            raise _table_error("fit.source_csv", source, exc) from exc
         _write_run_record(out, cfg, {})
     else:
         ens = _run_ensembles(args, cfg, out)[""]
@@ -210,16 +219,15 @@ def _cmd_fit(args, cfg: ExperimentConfig, out: Path) -> None:
 def _cmd_stats(args, cfg: ExperimentConfig, out: Path) -> None:
     if not cfg.stats.input_csv:
         raise ConfigurationError("stats requires 'stats.input_csv'")
-    table = _read_table("stats.input_csv", cfg.stats.input_csv)
+    source = cfg.stats.input_csv
+    table = _read_table("stats.input_csv", source)
     column = cfg.stats.price_column
     if column not in table:
-        raise ConfigurationError(
-            f"{cfg.stats.input_csv} has no column {column!r}; found {sorted(table)}"
-        )
+        raise _table_error("stats.input_csv", source, f"no column {column!r}; found {sorted(table)}")
     try:
         measured = return_stats(table[column])
     except ValueError as exc:  # too few prices, or one not finite and positive
-        raise ConfigurationError(f"stats.input_csv {cfg.stats.input_csv}: {exc}") from exc
+        raise _table_error("stats.input_csv", source, exc) from exc
     predicted = cfg.market.theoretical()
     _write_run_record(out, cfg, {})
     write_json(

@@ -13,16 +13,20 @@ regime comparison) and runs all their paths in one worker pool; each
 ensemble is folded in path-index order, whatever order its paths finish
 in.  The runner takes the configuration's blocks (``MarketParams``,
 ``HazardParams``, ``ScheduleSpec``, ``CycleConfig``, ``FlowBlock``) as
-they are, and every path of every experiment runs through one day loop.
+they are, and every path of every experiment runs through one day loop,
+``_run_days``.  The loop draws each day's active agents and the
+sessions clear them.  It runs one or more rows in lockstep: the three
+regimes of one path index start from the same population and draw the
+same subsets, so they run as three rows of one loop, drawn once.
 """
 from __future__ import annotations
 
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Collection, NamedTuple, Optional
+from typing import Callable, Collection, Generator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -34,7 +38,7 @@ from .errors import (
     EnsembleFailedError,
     check_finite,
 )
-from .market import MarketParams, init_population
+from .market import MarketParams, MarketState, init_population
 from .ponzi import OdeSolution, SpeculativePonziParams, speculative_ponzi_solve
 from .risk import (
     HazardParams,
@@ -241,21 +245,35 @@ class InvestorLedger:
         return self.value
 
 
-def _run_days(
+class _Row(NamedTuple):
+    """One row of ``_run_days``: its external flow in dollars per year (or
+    its investor ledger's daily requests) and its cash snapshot days."""
+
+    flow_rate: float
+    checkpoint_days: Collection[int]
+    ledger: Optional[InvestorLedger] = None
+
+
+def _own_holdings(state: MarketState) -> MarketState:
+    """``state`` with its own copies of the holdings and targets; the
+    greed and fear factors and the stream are shared."""
+    return replace(state, stock_value=state.stock_value.copy(), cash=state.cash.copy(),
+                   target_ratio=state.target_ratio.copy())
+
+
+def _walk(
     market: MarketParams,
     hazard: HazardParams,
     day_times: list[float],
-    seed: tuple[int, int],
-    flow_rate: float,
-    checkpoint_days: Collection[int],
-    ledger: Optional[InvestorLedger],
-) -> PathRecord:
-    """Day loop over a population drawn from ``seed``, on the days
-    ``day_times`` (day 0 is the initial state), with cash snapshots on
-    ``checkpoint_days``.
+    state: MarketState,
+    row: _Row,
+) -> Generator[None, np.ndarray, PathRecord]:
+    """One row's days on ``state``: records day 0, then trades each day's
+    active agents as they are sent, and returns the row's record after the
+    last day.
 
-    The external flow is ``flow_rate`` dollars per year, or each day's
-    request of the investor ``ledger``.  Without a ledger the ledger
+    The external flow is ``row.flow_rate`` dollars per year, or each day's
+    request of the investor ``row.ledger``.  Without a ledger the ledger
     quantities stay identically zero.  Neither hazard feeds back into
     trading, so both are derived after the loop, from the daily cash
     concentrations and the list of prices (Python floats, which the
@@ -264,9 +282,9 @@ def _run_days(
     only their entries are recomputed, and the concentration is the
     kernel's mean (the same sum and division as ``cash_concentration``,
     hence the same bits).  A price, investor flow or ledger value that
-    overflows ends the path with ``DivergenceError``.
+    overflows ends the row with ``DivergenceError``.
     """
-    state = init_population(market, seed)
+    flow_rate, checkpoint_days, ledger = row
     n_days = len(day_times) - 1
     period = 1.0 / market.days_per_year
     flow = flow_rate * period
@@ -289,17 +307,16 @@ def _run_days(
         snapshots.append(CashSnapshot(0.0, state.cash.copy()))
 
     signal = market.signal
-    n_active = market.n_active
     clamp_events = 0
 
     for day in range(n_days):
+        active = yield
         if ledger is not None:
             flow = ledger.request(day)
             if not math.isfinite(flow):
                 raise DivergenceError(day_times[day], f"investor flow overflowed on day {day}")
-        state, outcome = trading_session(state, n_active, flow, signal(day_times[day]))
+        state, outcome = trading_session(state, active, flow, signal(day_times[day]))
         clamp_events += outcome.clamped
-        active = outcome.active_indices
         kernel[active] = cash_kernel(state.cash[active], cash_scale)
         new_price = state.price
         i = day + 1
@@ -337,6 +354,63 @@ def _run_days(
         snapshots=tuple(snapshots),
         clamp_events=clamp_events,
     )
+
+
+def _send(walks: dict[int, Generator], value, outcomes: list) -> None:
+    """Send ``value`` to every walk; a walk that returns or raises leaves
+    ``walks``, and its record or exception goes to ``outcomes``."""
+    for k, walk in list(walks.items()):
+        try:
+            walk.send(value)
+        except StopIteration as done:
+            outcomes[k] = done.value
+            del walks[k]
+        except Exception as exc:  # the row leaves; the stream and the other rows go on
+            outcomes[k] = exc
+            del walks[k]
+
+
+def _run_days(
+    market: MarketParams,
+    hazard: HazardParams,
+    day_times: list[float],
+    seed: tuple[int, int],
+    rows: Sequence[_Row],
+) -> list[PathRecord | Exception]:
+    """The day loop: ``rows`` in lockstep over one population drawn from
+    ``seed``, on the days ``day_times`` (day 0 is the initial state).
+
+    The loop draws each day's active agents once, with
+    ``rng.choice(n_agents, n_active, replace=False)`` on the population's
+    stream (no-trade days included), and sends that subset to every row
+    still running (``_walk``).  The first row trades on the drawn
+    population and every other row on its own copy of the holdings and
+    targets (``_own_holdings``), so each row's record has the bits of a
+    one-row run of the same seed.  A row that raises leaves the loop with
+    its exception in its place; the stream never depends on a row's
+    state, so the other rows go on with unchanged bits.  Returns each
+    row's record or exception, in the order of ``rows``.
+    """
+    state = init_population(market, seed)
+    rng, n_agents, n_active = state.rng, market.n_agents, market.n_active
+    states = [state] + [_own_holdings(state) for _ in rows[1:]]
+    walks = {k: _walk(market, hazard, day_times, own, row)
+             for k, (own, row) in enumerate(zip(states, rows))}
+    outcomes: list = [None] * len(rows)
+    _send(walks, None, outcomes)  # each row records its day 0
+    for _ in range(len(day_times) - 1):
+        if not walks:
+            break
+        _send(walks, rng.choice(n_agents, n_active, replace=False), outcomes)
+    return outcomes
+
+
+def _only(outcomes: list[PathRecord | Exception]) -> PathRecord:
+    """The record of a one-row run, or its row's exception raised."""
+    outcome, = outcomes
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def _day_times(market: MarketParams, horizon: float) -> list[float]:
@@ -397,25 +471,39 @@ def run_path(
     checkpoint_days = {
         int(round(min(max(c, 0.0), cycle.horizon) * dpy)) for c in cycle.resolved_checkpoints()
     }
-    return _run_days(
-        market, hazard, day_times, (base_seed, path_index), 0.0, checkpoint_days, ledger
-    )
+    return _only(_run_days(
+        market, hazard, day_times, (base_seed, path_index), [_Row(0.0, checkpoint_days, ledger)]
+    ))
 
 
 def run_flow_path(
     market: MarketParams,
     hazard: HazardParams,
-    flow: FlowBlock,
+    flow: FlowBlock | tuple[FlowBlock, ...],
     base_seed: int,
     path_index: int,
-) -> PathRecord:
+) -> PathRecord | list[PathRecord | str]:
     """Simulate one path under the constant external flow of ``flow``
-    (dollars per year), with a cash snapshot at the horizon."""
-    day_times = _day_times(market, flow.horizon)
+    (dollars per year), with a cash snapshot at the horizon.
+
+    ``flow`` may also be a tuple of flows of one horizon, as the three of
+    a regime comparison: path ``path_index`` of each then runs as one row
+    of a lockstep day loop over one population and one subset draw a day
+    (``_run_days``), and the result lists, in order, each row's record or
+    the ``repr`` of the error that ended it.  Each row has the bits of its
+    own one-flow run.
+    """
+    flows = flow if isinstance(flow, tuple) else (flow,)
+    horizon = flows[0].horizon
+    if any(f.horizon != horizon for f in flows):
+        raise ConfigurationError(f"flows in lockstep need one horizon, got {flows}")
+    day_times = _day_times(market, horizon)
     horizon_day = (len(day_times) - 1,)
-    return _run_days(
-        market, hazard, day_times, (base_seed, path_index), flow.flow_rate, horizon_day, None
-    )
+    outcomes = _run_days(market, hazard, day_times, (base_seed, path_index),
+                         [_Row(f.flow_rate, horizon_day) for f in flows])
+    if isinstance(flow, tuple):
+        return [repr(o) if isinstance(o, Exception) else o for o in outcomes]
+    return _only(outcomes)
 
 
 # Series that keep every path's row for the cross-path spread; the
@@ -473,7 +561,9 @@ class _EnsembleFold:
     index order and dividing by the count gives the same bits as
     ``np.stack(rows).mean(axis=0)`` for rows of two or more entries, and
     a path has at least two days.  Only the ``BANDED`` series keep each
-    path's row, in a preallocated (paths x days) array.
+    path's row, in a (paths x days) array of zeros allocated at the first
+    row that is not +0.0 on every day; a series without such a row (``Hp``
+    of a flow ensemble, which has no investors) keeps no array.
     """
 
     def __init__(self, capacity: int):
@@ -493,12 +583,16 @@ class _EnsembleFold:
         columns = outcome.columns()
         if self.count == 0:
             self.sums = {name: column.copy() for name, column in columns.items()}
-            self.rows = {name: np.empty((self.capacity, columns[name].size)) for name in BANDED}
         else:
             for name, column in columns.items():
                 self.sums[name] += column
         for name in BANDED:
-            self.rows[name][self.count] = columns[name]
+            column = columns[name]
+            if name not in self.rows:
+                if not (column.any() or np.signbit(column).any()):  # +0.0 every day
+                    continue
+                self.rows[name] = np.zeros((self.capacity, column.size))
+            self.rows[name][self.count] = column
         for snap in outcome.snapshots:
             self.snapshots.setdefault(snap.time, []).append(snap.cash)
         self.clamp_events += outcome.clamp_events
@@ -510,8 +604,9 @@ def _aggregate(
 ) -> EnsembleStats | EnsembleFailedError:
     """Finish a fold: means, the banded series' spread, pooled returns
     and merged cash histograms, or the ``EnsembleFailedError`` of a fold
-    whose every path failed.  The fold's rows are released as they are
-    summarized, so the fold cannot be finished twice."""
+    whose every path failed.  The fold's snapshots and rows are released
+    as they are summarized, and the log-price rows before the pooled
+    returns' temporaries, so the fold cannot be finished twice."""
     failure_messages = tuple(f"path {i}: {error}" for i, error in fold.failures)
     count = fold.count
     if not count:
@@ -519,25 +614,36 @@ def _aggregate(
             failure_messages,
             "all paths failed: " + "; ".join(error for _, error in fold.failures[:3]),
         )
-    log_price = fold.rows["log_price"][:count]
+    histograms = tuple(
+        cash_histogram(time, np.concatenate(fold.snapshots.pop(time)))
+        for time in sorted(fold.snapshots)
+    )
+
+    def banded_rows(name: str) -> np.ndarray:
+        """The rows of ``name``, released from the fold: a read-only view
+        of +0.0 for a series that kept none."""
+        rows = fold.rows.pop(name, None)
+        if rows is None:
+            return np.broadcast_to(0.0, (count, fold.sums[name].size))
+        return rows[:count]
+
+    log_price = banded_rows("log_price")
     series: dict[str, SeriesSummary] = {}
     for name, total in fold.sums.items():
         mean = total / count
         if name not in BANDED:
             series[name] = SeriesSummary(mean)
             continue
-        rows = fold.rows.pop(name)[:count]
+        rows = log_price if name == "log_price" else banded_rows(name)
         p10, p50, p90 = np.percentile(rows, [10.0, 50.0, 90.0], axis=0)
         series[name] = SeriesSummary(mean, rows.std(axis=0), p10, p50, p90)
-    del rows  # only log_price's rows stay for the pooled returns' temporaries
+    returns = np.diff(log_price, axis=1).ravel()
+    del rows, log_price
     return EnsembleStats(
-        times=np.arange(log_price.shape[1]) / market.days_per_year,
+        times=np.arange(fold.sums["price"].size) / market.days_per_year,
         series=series,
-        pooled_returns=stats_from_log_returns(np.diff(log_price, axis=1).ravel()),
-        histograms=tuple(
-            cash_histogram(time, np.concatenate(fold.snapshots[time]))
-            for time in sorted(fold.snapshots)
-        ),
+        pooled_returns=stats_from_log_returns(returns),
+        histograms=histograms,
         theoretical=market.theoretical(),
         n_paths=count,
         clamp_events=fold.clamp_events,
@@ -545,10 +651,11 @@ def _aggregate(
     )
 
 
-def _attempt(path: Callable[[int], PathRecord], index: int) -> PathRecord | str:
-    """Path ``index`` of ``path``: its record, or the ``repr`` of the
-    exception that ended it.  As text, an error that does not survive
-    pickling fails its path in a worker, not the pool."""
+def _attempt(path: Callable[[int], object], index: int) -> object:
+    """Path ``index`` of ``path``: what it returns (its record, or its
+    rows' records and error texts), or the ``repr`` of the exception that
+    ended it.  As text, an error that does not survive pickling fails its
+    path in a worker, not the pool."""
     try:
         return path(index)
     except Exception as exc:  # path errors are reported, not fatal
@@ -556,38 +663,48 @@ def _attempt(path: Callable[[int], PathRecord], index: int) -> PathRecord | str:
 
 
 def _collect(
-    units: list[tuple[Callable[[int], PathRecord], int]], n_workers: int, market: MarketParams
+    units: list[tuple[Callable[[int], object], int, int]], n_workers: int, market: MarketParams
 ) -> list[EnsembleStats | EnsembleFailedError]:
-    """Run each unit's path function on path indices ``0 .. n_paths - 1``,
-    fold every unit's results in index order and aggregate it once its
-    last path is folded; a unit whose every path failed gives its
-    ``EnsembleFailedError``.
+    """Run each unit ``(path, n_paths, n_rows)``'s path function on path
+    indices ``0 .. n_paths - 1`` and aggregate each of its rows; a row
+    whose every path failed gives its ``EnsembleFailedError``.  Returns
+    the rows' results, unit after unit.
+
+    A one-row unit's function returns the path's record; a unit of more
+    rows returns a list of one record or error text per row, as
+    ``run_flow_path`` does for a tuple of flows.  An error that ends the
+    whole call fails the path in every row of its unit.
 
     Every path runs through ``_attempt``: serially with ``map``, or with
-    ``pool.map`` in one pool of at most one worker per path and per CPU
+    ``pool.map`` in one pool of at most one worker per task and per CPU
     this process may run on (its affinity set, where the platform has
-    one), one task per path.  Both yield in index order, so the fold and
-    its failures are the same for any worker count.  Each outcome is
-    folded and dropped in turn, so the parent holds few records and one
-    unit's rows at any time.  A worker process that dies breaks the pool,
-    which ends the run instead of failing the paths left; an error in the
-    parent cancels the paths not yet started."""
+    one), one task per path index of a unit.  Both yield in index order,
+    so each row is folded in index order and its failures are the same
+    for any worker count.  Each outcome is folded into its row's fold and
+    dropped in turn, and a unit's rows are aggregated as soon as its last
+    index is folded, so the parent holds few records and one unit's rows
+    at any time.  A worker process that dies breaks the pool, which ends
+    the run instead of failing the paths left; an error in the parent
+    cancels the paths not yet started."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    paths = [path for path, n in units for _ in range(n)]
-    indices = [i for _, n in units for i in range(n)]
+    paths = [path for path, n, _ in units for _ in range(n)]
+    indices = [i for _, n, _ in units for i in range(n)]
     n_workers = min(n_workers, len(paths), cpus)
     pool = ProcessPoolExecutor(max_workers=n_workers) if n_workers > 1 else None
     try:
         outcomes = (pool.map if pool else map)(_attempt, paths, indices)
         results = []
-        for _, n_paths in units:
-            fold = _EnsembleFold(n_paths)
+        for _, n_paths, n_rows in units:
+            folds = [_EnsembleFold(n_paths) for _ in range(n_rows)]
             for i, outcome in zip(range(n_paths), outcomes):
-                fold.add(i, outcome)
-            results.append(_aggregate(fold, market))
+                if not isinstance(outcome, list):  # one row's, or the whole unit's error
+                    outcome = [outcome] * n_rows
+                for fold, row in zip(folds, outcome):
+                    fold.add(i, row)
+            results += [_aggregate(fold, market) for fold in folds]
         return results
     finally:
         if pool is not None:
@@ -608,12 +725,16 @@ def run_ensembles(
     A ``CycleConfig`` block runs investment-cycle paths under ``schedule``
     (``run_path``); a ``FlowBlock`` runs constant-flow paths with the cash
     histogram at the horizon (``run_flow_path``), as each regime of
-    ``RegimesBlock.flows`` does.  Every block's day grid is checked before
-    any path runs: a horizon or signal that cannot run is a configuration
-    error, not a failure of every path.  A block whose every path failed
-    maps to its ``EnsembleFailedError`` and the other blocks still run;
-    an outflow as strong as the initial cash per year, for one, exhausts
-    the market and fails every path with ``LiquidityExhaustedError``.
+    ``RegimesBlock.flows`` does.  Flow blocks that share their horizon and
+    path count (the three regimes) run as rows of one unit: one
+    ``run_flow_path`` call per path index over one population and one
+    stream, which is what separate runs from the same seed would draw
+    three times.  Every block's day grid is checked before any path runs:
+    a horizon or signal that cannot run is a configuration error, not a
+    failure of every path.  A block whose every path failed maps to its
+    ``EnsembleFailedError`` and the other blocks still run; an outflow as
+    strong as the initial cash per year, for one, exhausts the market and
+    fails every path with ``LiquidityExhaustedError``.
 
     Aggregates are indexed by path number, so the result is identical for
     any worker count and execution order; a count below 1 is a
@@ -621,15 +742,25 @@ def run_ensembles(
     """
     if n_workers < 1:
         raise ConfigurationError(f"worker count must be >= 1, got {n_workers}")
-    units = []
-    for block in blocks.values():
+    groups: dict[object, list[str]] = {}  # the names of each unit's rows
+    for name, block in blocks.items():
         _day_times(market, block.horizon)
+        key = (block.horizon, block.n_paths) if isinstance(block, FlowBlock) else (name,)
+        groups.setdefault(key, []).append(name)
+    units = []
+    for names in groups.values():
+        block = blocks[names[0]]
         if isinstance(block, CycleConfig):
             path = partial(run_path, market, hazard, schedule, block, base_seed)
-        else:
+        elif len(names) == 1:
             path = partial(run_flow_path, market, hazard, block, base_seed)
-        units.append((path, block.n_paths))
-    return dict(zip(blocks, _collect(units, n_workers, market)))
+        else:
+            flows = tuple(blocks[name] for name in names)
+            path = partial(run_flow_path, market, hazard, flows, base_seed)
+        units.append((path, block.n_paths, len(names)))
+    results = dict(zip((name for names in groups.values() for name in names),
+                       _collect(units, n_workers, market)))
+    return {name: results[name] for name in blocks}
 
 
 class CalibrationResult(NamedTuple):

@@ -1,12 +1,13 @@
 """One trading session: price clearing, rebalancing, and target updates.
 
-Each session draws a random subset of "active" agents who set the new
-price.  An active agent trades the dollar amount that restores its
-portfolio to its private stock-to-cash target at the new price; the
-price is the unique level at which those trades absorb the exogenous
-cash flow exactly.  After trading, each active agent compares how its
-pre-trade portfolio performed against its target and scales the target
-up by its greed factor (it sold) or down by its fear factor (it bought).
+Each session is given a random subset of "active" agents, who set the
+new price; the day loop draws that subset from the path's stream.  An
+active agent trades the dollar amount that restores its portfolio to
+its private stock-to-cash target at the new price; the price is the
+unique level at which those trades absorb the exogenous cash flow
+exactly.  After trading, each active agent compares how its pre-trade
+portfolio performed against its target and scales the target up by its
+greed factor (it sold) or down by its fear factor (it bought).
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, LiquidityExhaustedError, NoSupplyError
+from .errors import LiquidityExhaustedError, NoSupplyError
 from .market import MarketState
 
 # Sessions never clear below this fraction of the prior price; withdrawals
@@ -29,7 +30,7 @@ RATIO_TIE_RTOL = 1e-12
 
 class SessionOutcome(NamedTuple):
     """Result of one session (a named tuple, the cheapest record to
-    build once per session): the agents drawn, the external flow actually
+    build once per session): the active agents, the external flow actually
     executed, and whether the liquidity floor fired, in which case the
     executed flow differs from the request."""
 
@@ -40,17 +41,18 @@ class SessionOutcome(NamedTuple):
 
 def trading_session(
     state: MarketState,
-    n_active: int,
+    active: np.ndarray,
     external_flow: float = 0.0,
     level: float = 1.0,
 ) -> tuple[MarketState, SessionOutcome]:
     """Run one session in place and return the (mutated) state and outcome.
 
-    Draws ``n_active`` distinct agents uniformly, clears the price,
-    rebalances the active agents, revalues everyone's stock, updates the
-    active agents' targets with factors scaled by the day's signal
-    ``level``, and books the external flow into the outside-investor
-    share pool.  A request that would clear below ``PRICE_RATIO_FLOOR``
+    Clears the price over the ``active`` agents (distinct indices, as
+    ``state.rng.choice(n_agents, n_active, replace=False)`` draws them;
+    the session draws nothing), rebalances them, revalues everyone's
+    stock, updates the active agents' targets with factors scaled by the
+    day's signal ``level``, and books the external flow into the
+    outside-investor share pool.  A request that would clear below ``PRICE_RATIO_FLOOR``
     times the prior price fires the liquidity floor, and the outcome is
     flagged ``clamped``:
 
@@ -63,10 +65,9 @@ def trading_session(
     - any other request (a non-negative one, or a withdrawal that the
       floor would turn into an inflow: the active agents hold too little
       cash to clear above the floor even without a flow) makes a no-trade
-      day.  The active agents are still drawn, so the random stream is
-      unchanged, but no flow is executed (``cash_flow_in`` is 0.0) and
-      price, holdings and targets stay as they are; ``day`` advances as
-      on any day.
+      day: no flow is executed (``cash_flow_in`` is 0.0), and price,
+      holdings and targets stay as they are; ``day`` advances as on any
+      day.
 
     So the executed flow never exceeds a non-negative request and never
     turns a withdrawal into an inflow.
@@ -80,13 +81,9 @@ def trading_session(
     within a relative ``RATIO_TIE_RTOL``; the factors are scaled as
     1 + (factor - 1) * level.
     """
-    n = state.n_agents
-    if not 1 <= n_active <= n:
-        raise ConfigurationError(f"n_active must be in [1, {n}], got {n_active}")
     if not math.isfinite(external_flow):
         raise ValueError(f"external_flow must be finite, got {external_flow}")
 
-    active = state.rng.choice(n, size=n_active, replace=False)
     stock = state.stock_value[active]
     cash = state.cash[active]
     target = state.target_ratio[active]

@@ -223,8 +223,10 @@ def init_population(
     used as it is).  Path ``i`` of an ensemble with seed ``s`` draws from
     ``np.random.default_rng((s, i))``: the factor pairs first, then the
     stock perturbations, then one ``choice`` of the active agents per
-    day, no-trade days included.  So a path's bits depend only on
-    ``(s, i)``, never on the worker count or the order paths run in.
+    day, no-trade days included, which the day loop draws once for every
+    row it runs on that population (the three regimes of a path index).
+    So a path's bits depend only on ``(s, i)``, never on the worker count
+    or the order paths run in.
     """
     n_agents = market.n_agents
     rng = np.random.default_rng(seed)

@@ -112,5 +112,5 @@ def read_csv_columns(path: str | Path) -> dict[str, np.ndarray]:
             raise ValueError("no data rows below the header")
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[1] != len(header):
-        raise ValueError(f"{path}: header has {len(header)} fields, rows have {data.shape[1]}")
+        raise ValueError(f"header has {len(header)} fields, rows have {data.shape[1]}")
     return {name: data[:, i] for i, name in enumerate(header)}

@@ -45,7 +45,7 @@ def test_criterion_01_conservation():
     shares0 = state.total_shares()
     start = time.perf_counter()
     for _ in range(10_000):
-        state, _ = trading_session(state, 125, 0.0)
+        state, _ = trading_session(state, state.rng.choice(500, 125, replace=False), 0.0)
     elapsed = time.perf_counter() - start
     cash_drift = abs(state.total_cash() - cash0) / cash0
     share_drift = abs(state.total_shares() - shares0) / shares0
@@ -77,7 +77,7 @@ def test_criterion_02_clearance_and_rebalance_exactness():
         )
         demand = float(np.sum(target * cash / (1.0 + target)))
         flow = float(rng.uniform(-0.5 * demand, 3.0 * demand))
-        state, outcome = trading_session(state, n, flow)
+        state, outcome = trading_session(state, state.rng.choice(n, n, replace=False), flow)
         # every agent is active: each one's trade is the cash it spent
         trades = cash - state.cash
         scale = max(1.0, abs(outcome.cash_flow_in), float(np.abs(trades).sum()))

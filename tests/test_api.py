@@ -114,7 +114,8 @@ def test_benchmark_return_shapes(tmp_path):
     # stats every path emit_series returns
     market = pricepump.MarketParams(n_agents=8, n_active=2)
     state = pricepump.init_population(market, 1)
-    outcome = pricepump.trading_session(state, market.n_active, 0.0)[1]
+    active = state.rng.choice(market.n_agents, market.n_active, replace=False)
+    outcome = pricepump.trading_session(state, active, 0.0)[1]
     assert type(outcome.clamped) is bool
     assert pricepump.SessionOutcome._fields == ("active_indices", "cash_flow_in", "clamped")
     ensemble = pricepump.run_ensembles(
@@ -133,7 +134,8 @@ def test_benchmark_return_shapes(tmp_path):
 @pytest.mark.parametrize("verb,n_ensembles", [("simulate", 1), ("regimes", 3), ("cycle", 1)])
 def test_benchmark_counts_one_session_per_path_day(tmp_path, monkeypatch, verb, n_ensembles):
     # the trace wraps these names where cycle looks them up, and checks one
-    # path call per path and one session per path-day
+    # session per path-day; the three regimes of a path index run as rows
+    # of one path call over one population
     calls = Counter()
 
     def counting(name):
@@ -144,7 +146,7 @@ def test_benchmark_counts_one_session_per_path_day(tmp_path, monkeypatch, verb, 
             return original(*args, **kwargs)
         return wrapper
 
-    for name in ("run_flow_path", "run_path", "trading_session"):
+    for name in ("run_flow_path", "run_path", "trading_session", "init_population"):
         monkeypatch.setattr(cycle, name, counting(name))
     horizon, n_paths, days_per_year = 0.1, 2, 360
     block = "aspp" if verb == "simulate" else verb
@@ -160,10 +162,12 @@ def test_benchmark_counts_one_session_per_path_day(tmp_path, monkeypatch, verb, 
     argv = [verb, "--config", str(path), "--out", str(tmp_path / "out"), "--threads", "1"]
     assert cli.main(argv) == 0
     cfg = config.parse_config(path)
-    paths = getattr(cfg, block).n_paths * n_ensembles
+    n_paths = getattr(cfg, block).n_paths
+    paths = n_paths * n_ensembles
     path_function = "run_path" if verb == "cycle" else "run_flow_path"
     assert calls == {
-        path_function: paths,
+        path_function: n_paths,
+        "init_population": n_paths,
         "trading_session": paths * int(round(horizon * cfg.market.days_per_year)),
     }
 

@@ -1002,30 +1002,42 @@ class TestCli:
         assert started == []
         assert not out.exists()
 
-    @pytest.mark.parametrize("verb,key,rows", [
-        ("stats", "stats.input_csv", None),
-        ("stats", "stats.input_csv", "t,price\n0,1.0\n1,1.1\n"),
-        ("stats", "stats.input_csv", "t,price\n0,1.0\n1,0.0\n2,1.2\n"),
-        ("fit-c0", "fit.source_csv", None),
+    @pytest.mark.parametrize("verb,key,rows,reason", [
+        ("stats", "stats.input_csv", None, "No such file or directory"),
+        ("stats", "stats.input_csv", "t,price\n0,1.0\n1,1.1\n", None),
+        ("stats", "stats.input_csv", "t,price\n0,1.0\n1,0.0\n2,1.2\n", None),
+        ("fit-c0", "fit.source_csv", None, "No such file or directory"),
         # the fit's warm-up ends at the default pre_phase, 3 years
-        ("fit-c0", "fit.source_csv", "t,S_ext\n2,0.0\n3,0.0\n4,1.0\n"),
-        ("fit-c0", "fit.source_csv", "t,S_ext\n3,0.0\n4,1.0\n6,2.0\n7,3.0\n"),
-        ("fit-c0", "fit.source_csv", "t,S_ext\n2.5,0.0\n3.5,1.0\n4.5,2.0\n5.5,3.0\n"),
-        ("stats", "stats.input_csv", "t,price\n0,1.0\n1,nan\n2,1.2\n"),
-        ("stats", "stats.input_csv", "t,price\n0,1.0\n1,inf\n2,1.2\n"),
-        ("fit-c0", "fit.source_csv", "t,S_ext\n3,0.0\n4,nan\n5,2.0\n6,3.0\n"),
-        ("stats", "stats.input_csv", "t,price\n"),
-        ("fit-c0", "fit.source_csv", "t,S_ext\n"),
+        ("fit-c0", "fit.source_csv", "t,S_ext\n2,0.0\n3,0.0\n4,1.0\n", None),
+        ("fit-c0", "fit.source_csv", "t,S_ext\n3,0.0\n4,1.0\n6,2.0\n7,3.0\n", None),
+        ("fit-c0", "fit.source_csv", "t,S_ext\n2.5,0.0\n3.5,1.0\n4.5,2.0\n5.5,3.0\n", None),
+        ("stats", "stats.input_csv", "t,price\n0,1.0\n1,nan\n2,1.2\n", None),
+        ("stats", "stats.input_csv", "t,price\n0,1.0\n1,inf\n2,1.2\n", None),
+        ("fit-c0", "fit.source_csv", "t,S_ext\n3,0.0\n4,nan\n5,2.0\n6,3.0\n", None),
+        ("stats", "stats.input_csv", "t,price\n", "no data rows below the header"),
+        ("fit-c0", "fit.source_csv", "t,S_ext\n", "no data rows below the header"),
+        # the key and the path are named once, as in every table error
+        ("stats", "stats.input_csv", "t,price\n0,1.0,5\n1,1.1,5\n2,1.2,5\n",
+         "header has 2 fields, rows have 3"),
+        ("fit-c0", "fit.source_csv", "t,S_ext\n3,0.0,1\n4,1.0,1\n5,2.0,1\n",
+         "header has 2 fields, rows have 3"),
+        ("stats", "stats.input_csv", "t,x\n0,1.0\n1,1.1\n2,1.2\n",
+         "no column 'price'; found ['t', 'x']"),
+        ("fit-c0", "fit.source_csv", "t,x\n3,0.0\n4,1.0\n5,2.0\n",
+         "no column 'S_ext_mean' or 'S_ext'; found ['t', 'x']"),
     ], ids=["stats-missing", "stats-two-rows", "stats-zero-price", "fit-missing",
             "fit-two-rows", "fit-uneven-grid", "fit-no-warmup-end", "stats-nan-price",
-            "stats-inf-price", "fit-nan-value", "stats-header-only", "fit-header-only"])
+            "stats-inf-price", "fit-nan-value", "stats-header-only", "fit-header-only",
+            "stats-field-count", "fit-field-count", "stats-no-column", "fit-no-column"])
     @pytest.mark.filterwarnings("error")
-    def test_unusable_input_table_exit_code(self, tmp_path, capsys, verb, key, rows):
+    def test_unusable_input_table_exit_code(self, tmp_path, capsys, verb, key, rows, reason):
         # these used to exit 1 with a bare FileNotFoundError or ValueError,
         # or, without a row at the warm-up's end, fit from the next row on;
         # a non-finite price wrote NaN into stats.json (exit 0), a NaN in a
         # fit source ended the search at a bracket edge (exit 3), and a
-        # header-only table warned on stderr ahead of the record
+        # header-only table warned on stderr ahead of the record; a missing
+        # file, a field-count mismatch and a missing column named the path
+        # twice, or without the key
         table = tmp_path / "table.csv"
         if rows is not None:
             table.write_text(rows)
@@ -1036,6 +1048,8 @@ class TestCli:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "ConfigurationError"
         assert record["message"].startswith(f"{key} {table}: ")
+        if reason is not None:
+            assert record["message"] == f"{key} {table}: {reason}"
 
     @pytest.mark.parametrize("ponzi", [
         {"steady_window": 0.0},
@@ -1163,16 +1177,18 @@ class TestCli:
         assert getattr(parse_config(out / "config.json"), block).n_paths == 2
 
     def test_regimes_start_one_pool(self, tmp_path, monkeypatch):
-        # the three regimes' paths share one pool of two workers
+        # the three regimes' paths share one pool of two workers, one task
+        # per path index running the three regimes as rows
         cfg = self.write_config(tmp_path, {"kind": "regimes", **SMALL_ENSEMBLE_BLOCKS})
         serial = tmp_path / "t1"
         assert main(["regimes", "--config", cfg, "--out", str(serial), "--threads", "1"]) == 0
-        sizes = []
-        monkeypatch.setattr(cycle_module, "ProcessPoolExecutor", recording_pool(sizes))
+        sizes, tasks = [], []
+        monkeypatch.setattr(cycle_module, "ProcessPoolExecutor", recording_pool(sizes, tasks))
         set_cpus(monkeypatch, 2, {0, 1})
         pooled = tmp_path / "t2"
         assert main(["regimes", "--config", cfg, "--out", str(pooled), "--threads", "2"]) == 0
         assert sizes == [2]
+        assert [index for _, index in tasks] == list(range(parse_config(cfg).regimes.n_paths))
         assert directory_bytes(pooled) == directory_bytes(serial)
 
     def test_dead_worker_exits_1_and_writes_no_ensemble(self, tmp_path, monkeypatch, capsys):

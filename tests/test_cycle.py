@@ -45,6 +45,7 @@ from pricepump import (
     speculative_ponzi_solve,
     stats_from_log_returns,
 )
+from pricepump import cli
 from pricepump import cycle as cycle_module
 from pricepump.engine import SessionOutcome
 from pricepump.cycle import BANDED, cash_histogram
@@ -382,6 +383,17 @@ def record_digest(record):
         digest.update(repr(snap.time).encode())
         digest.update(snap.cash.tobytes())
     return digest.hexdigest()
+
+
+def one_row_bits(row):
+    """A row's ``record_digest``, or its error text; ``row`` is a record, a
+    text, or a one-row run to call, whose exception gives its ``repr``."""
+    if callable(row):
+        try:
+            row = row()
+        except Exception as exc:
+            row = repr(exc)
+    return row if isinstance(row, str) else record_digest(row)
 
 
 # Digests recorded from the day loop that recomputed every agent's cash
@@ -724,17 +736,21 @@ def marked_path(marks, block, path_index):
     return synthetic_path(block, 3, frozenset(), path_index)
 
 
-def recording_pool(sizes):
+def recording_pool(sizes, tasks=None):
     """A stand-in for ProcessPoolExecutor that appends each pool's size to
-    ``sizes`` and runs every call in this process (the real pool forks
-    max_workers processes)."""
+    ``sizes`` (and, given ``tasks``, each task's arguments to it) and runs
+    every call in this process (the real pool forks max_workers
+    processes)."""
 
     class RecordingPool:
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
         def map(self, fn, *iterables):
-            return map(fn, *iterables)
+            calls = list(zip(*iterables))
+            if tasks is not None:
+                tasks.extend(calls)
+            return (fn(*args) for args in calls)
 
         def shutdown(self, wait=True, cancel_futures=False):
             pass
@@ -778,7 +794,7 @@ class TestEnsembleFold:
             expected.append(
                 ensemble_bits(lambda: stacked_aggregate(records, SMALL_MARKET, failures))
             )
-            units.append((worker, n_paths))
+            units.append((worker, n_paths, 1))
         workers = data.draw(st.sampled_from([1, 2]), label="workers")
         results = cycle_module._collect(units, workers, SMALL_MARKET)
         assert [ensemble_bits(lambda: result) for result in results] == expected
@@ -801,7 +817,7 @@ class TestEnsembleFold:
         monkeypatch.setattr(cycle_module, "ProcessPoolExecutor", recording_pool(sizes))
         set_cpus(monkeypatch, cpus, affinity)
         # path 1 of every block with two or more paths fails
-        units = [(partial(synthetic_path, block, 3, frozenset({1})), n)
+        units = [(partial(synthetic_path, block, 3, frozenset({1})), n, 1)
                  for block, n in enumerate(n_paths)]
         pooled = cycle_module._collect(units, n_workers, SMALL_MARKET)
         assert sizes == ([] if pool is None else [pool])
@@ -814,13 +830,13 @@ class TestEnsembleFold:
         # of path failures: the paths it took down never ran
         set_cpus(monkeypatch, 2, {0, 1})
         with pytest.raises(BrokenExecutor):
-            cycle_module._collect([(partial(exiting_path, 3), 8)], 2, SMALL_MARKET)
+            cycle_module._collect([(partial(exiting_path, 3), 8, 1)], 2, SMALL_MARKET)
 
     def test_unpicklable_path_error_fails_its_path_for_any_worker_count(self, monkeypatch):
         # a worker hands back the error's text, so an error that pickling
         # cannot rebuild is one failed path, not a broken pool
         set_cpus(monkeypatch, 2, {0, 1})
-        units = [(unpicklable_failure_path, 4)]
+        units = [(unpicklable_failure_path, 4, 1)]
         serial, = cycle_module._collect(units, 1, SMALL_MARKET)
         pooled, = cycle_module._collect(units, 2, SMALL_MARKET)
         assert serial.failure_messages == (
@@ -835,10 +851,33 @@ class TestEnsembleFold:
 
         set_cpus(monkeypatch, 2, {0, 1})
         monkeypatch.setattr(cycle_module, "_aggregate", failing_aggregate)
-        units = [(partial(marked_path, tmp_path, block), n) for block, n in enumerate((2, 16))]
+        units = [(partial(marked_path, tmp_path, block), n, 1)
+                 for block, n in enumerate((2, 16))]
         with pytest.raises(RuntimeError, match="aggregation failed"):
             cycle_module._collect(units, 2, SMALL_MARKET)
         assert len(list(tmp_path.iterdir())) < 18 / 2
+
+    @pytest.mark.parametrize("hp_sign,kept", [(1.0, {"Ha"}), (-1.0, {"Ha", "Hp"})])
+    def test_banded_rows_of_positive_zeros_are_not_kept(self, hp_sign, kept):
+        # flat prices (log_price +0.0) and no investor hazard keep no rows;
+        # a row of -0.0 is kept, since its bands print as "-0"
+        records = {}
+        for i in range(3):
+            record = synthetic_path(0, 4, frozenset(), i)
+            record.price = np.ones(5)
+            record.hazard_investor = np.zeros(5) * hp_sign
+            records[i] = record
+        fold = cycle_module._EnsembleFold(3)
+        for i, record in records.items():
+            fold.add(i, record)
+        assert set(fold.rows) == kept
+        result = cycle_module._aggregate(fold, SMALL_MARKET)
+        expected = stacked_aggregate(records, SMALL_MARKET, {})
+        for name in BANDED:
+            for stat in ("std", "p10", "p50", "p90"):
+                assert getattr(result.series[name], stat).tobytes() == \
+                    getattr(expected.series[name], stat).tobytes(), (name, stat)
+        assert result.pooled_returns == expected.pooled_returns
 
     def test_only_banded_series_carry_spread(self):
         stats = small_ensemble(small_cycle())
@@ -1087,6 +1126,55 @@ class TestGeneratedConfigs:
                 if run is runs[1]:  # no inflow beyond the request, none for a withdrawal
                     request = flow.flow_rate * (1.0 / market.days_per_year)
                     assert np.all(record.flow <= max(request, 0.0))
+
+    @settings(deadline=None, max_examples=25)
+    @given(experiment=small_experiments(), data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_lockstep_rows_equal_one_row_runs(self, experiment, data, seed):
+        # three flows of one horizon run as rows over one population and one
+        # subset draw a day; each row's bits, or its error text, are those
+        # of its own one-row run, whichever rows fail beside it
+        market, hazard, _, _, flow = experiment
+        total = market.total_initial_cash()
+        # some withdrawals strong enough to exhaust the market within the run
+        rates = st.floats(-1e4, 1e4) | st.floats(-1e3, -1.0).map(lambda k: k * total)
+        flows = tuple(FlowBlock(data.draw(rates), flow.horizon, 2) for _ in range(3))
+        path_index = data.draw(st.integers(0, 1))
+        try:
+            rows = run_flow_path(market, hazard, flows, seed, path_index)
+        except ConfigurationError as exc:  # a horizon below one day: no row runs
+            rows = [repr(exc)] * len(flows)
+        assert [one_row_bits(row) for row in rows] == \
+            [one_row_bits(lambda f=f: run_flow_path(market, hazard, f, seed, path_index))
+             for f in flows]
+
+    def test_failing_row_leaves_the_others_unchanged(self):
+        # the withdrawal row exhausts the market on day 212; the other two
+        # rows run on and keep their one-row bits
+        flows = (FlowBlock(600.0, 1.0), FlowBlock(-3000.0, 1.0), FlowBlock(0.0, 1.0))
+        rows = run_flow_path(SMALL_MARKET, HAZARD, flows, 7, 1)
+        expected = [one_row_bits(lambda f=f: run_flow_path(SMALL_MARKET, HAZARD, f, 7, 1))
+                    for f in flows]
+        assert [one_row_bits(row) for row in rows] == expected
+        assert expected[1].startswith("LiquidityExhaustedError('external share count overflowed")
+        assert all(len(bits) == 64 for bits in expected[::2])
+
+    def test_exhausted_regime_run_record_is_unchanged(self, tmp_path):
+        # every withdrawal path fails; the record, the failure texts and the
+        # other two regimes' files equal those of separate runs per regime,
+        # as recorded before the regimes ran in lockstep
+        config = tmp_path / "config.json"
+        config.write_text('{"kind": "regimes", "regimes": {"outflow_rate": -5000.0}}')
+        out = tmp_path / "out"
+        assert cli.main(["regimes", "--config", str(config), "--out", str(out),
+                         "--paths", "4"]) == 3
+        files = sorted(p for p in out.rglob("*") if p.is_file())
+        digest = hashlib.sha256()
+        for path in files:
+            digest.update(str(path.relative_to(out)).encode() + b"\0" + path.read_bytes())
+        assert hashlib.sha256((out / "manifest.json").read_bytes()).hexdigest() == \
+            "132990a04a57fb64116bf1222a40c0c2c6abf8f40d21485e2092d546937c7090"
+        assert digest.hexdigest() == \
+            "1d12612e610c7ae8bf1a2b93b4b7faf88445a7a8e73c94583069d49578ce91e1"
 
     @settings(deadline=None, max_examples=5)
     @given(experiment=small_experiments(), seed=st.integers(0, 2**32 - 1))

@@ -44,11 +44,16 @@ def population(n_agents, seed, **market):
     return init_population(MarketParams(n_agents=n_agents, n_active=n_agents, **market), seed)
 
 
+def draw(state, n_active):
+    """The day loop's draw of ``n_active`` distinct agents from ``state``'s stream."""
+    return state.rng.choice(state.n_agents, n_active, replace=False)
+
+
 def session_all(state, flow=0.0, level=1.0):
     """One session with every agent active; the dollars each agent moved
     into stock (the cash it spent) come back in agent order."""
     cash_before = state.cash.copy()
-    state, outcome = trading_session(state, state.n_agents, flow, level)
+    state, outcome = trading_session(state, draw(state, state.n_agents), flow, level)
     return state, outcome, cash_before - state.cash
 
 
@@ -191,7 +196,7 @@ def one_agent_state(seed=0):
 class TestTradingSession:
     def test_single_balanced_agent_fixed_point(self):
         state = one_agent_state()
-        state, outcome = trading_session(state, 1, 0.0)
+        state, outcome = trading_session(state, draw(state, 1), 0.0)
         assert state.price == 1.0
         assert state.cash[0] == 10.0 and state.stock_value[0] == 10.0
         assert state.day == 1
@@ -200,14 +205,14 @@ class TestTradingSession:
         gf = GreedFearSpec(0.0, 0.0, 0.0, 0.0)
         state = population(100, 3, greed_fear=gf, stock_noise_range=0.0)
         for _ in range(300):
-            state, _ = trading_session(state, 25)
+            state, _ = trading_session(state, draw(state, 25))
         assert state.price == 1.0
         assert np.all(state.target_ratio == 1.0)
 
     def test_two_agent_worked_example(self):
         state = market([10.0, 10.0], 10.0, [2.0, 1.0], greed=1.12, fear=1.11, seed=5)
         cash_before = state.cash.copy()
-        state, outcome = trading_session(state, 2, 0.0)
+        state, outcome = trading_session(state, draw(state, 2), 0.0)
         assert state.price == pytest.approx(1.4)
         assert state.external_shares == 0.0
         assert state.total_cash() == pytest.approx(cash_before.sum())
@@ -222,7 +227,7 @@ class TestTradingSession:
         for _ in range(400):
             flow = float(rng.uniform(-1.0, 3.0))
             cash_before = state.cash.copy()
-            state, outcome = trading_session(state, int(rng.integers(1, 81)), flow)
+            state, outcome = trading_session(state, draw(state, int(rng.integers(1, 81))), flow)
             executed = outcome.cash_flow_in
             trades = cash_before - state.cash  # zero for the inactive agents
             scale = max(1.0, abs(executed), float(np.abs(trades).sum()))
@@ -236,7 +241,7 @@ class TestTradingSession:
 
     def test_withdrawal_clamp(self):
         state = one_agent_state()
-        state, outcome = trading_session(state, 1, -50.0)
+        state, outcome = trading_session(state, draw(state, 1), -50.0)
         assert outcome.clamped
         assert state.price == pytest.approx(PRICE_RATIO_FLOOR)
         assert outcome.cash_flow_in > -50.0
@@ -255,7 +260,7 @@ class TestTradingSession:
         price_before = state.price
         reference = np.random.default_rng(0)
         reference.choice(8, size=1, replace=False)
-        state, outcome = trading_session(state, 1, flow)
+        state, outcome = trading_session(state, draw(state, 1), flow)
         assert outcome.active_indices.tolist() == [6]
         assert outcome.clamped and outcome.cash_flow_in == 0.0
         assert (price_before, state.price, state.day) == (0.375, 0.375, 1)
@@ -263,7 +268,7 @@ class TestTradingSession:
             assert now.tobytes() == then.tobytes()
         assert state.external_shares == 0.0
         assert state.total_shares() == shares_before
-        # the subset was drawn as on a trading day: the stream goes on unchanged
+        # the session draws nothing: the stream goes on from the day's draw
         assert state.rng.random() == reference.random()
 
     def test_price_underflow_raises_typed_error(self):
@@ -271,7 +276,7 @@ class TestTradingSession:
         state.price = 1e-322  # one more clamp at the floor ratio rounds it to zero
         cash, stock = state.cash.copy(), state.stock_value.copy()
         with pytest.raises(LiquidityExhaustedError, match="price underflowed to 0.0 on day 1"):
-            trading_session(state, 1, -50.0)
+            trading_session(state, draw(state, 1), -50.0)
         assert state.price == 1e-322
         assert state.day == 0
         assert np.array_equal(state.cash, cash)
@@ -284,7 +289,7 @@ class TestTradingSession:
         state.price = 1e-310
         cash, stock = state.cash.copy(), state.stock_value.copy()
         with pytest.raises(LiquidityExhaustedError, match="external share count overflowed"):
-            trading_session(state, 1, -50.0)
+            trading_session(state, draw(state, 1), -50.0)
         assert state.price == 1e-310
         assert state.external_shares == 0.0 and state.day == 0
         assert np.array_equal(state.cash, cash)
@@ -294,8 +299,8 @@ class TestTradingSession:
         a = population(50, 9)
         b = population(50, 9)
         for _ in range(50):
-            a, oa = trading_session(a, 10, 0.5)
-            b, ob = trading_session(b, 10, 0.5)
+            a, oa = trading_session(a, draw(a, 10), 0.5)
+            b, ob = trading_session(b, draw(b, 10), 0.5)
             assert a.price == b.price
             assert np.array_equal(oa.active_indices, ob.active_indices)
         assert np.array_equal(a.target_ratio, b.target_ratio)
@@ -307,8 +312,8 @@ class TestTradingSession:
         perturbed.target_ratio[0] += 1e-6
         diverged = False
         for _ in range(720):
-            baseline, _ = trading_session(baseline, 125)
-            perturbed, _ = trading_session(perturbed, 125)
+            baseline, _ = trading_session(baseline, draw(baseline, 125))
+            perturbed, _ = trading_session(perturbed, draw(perturbed, 125))
             if abs(math.log(perturbed.price) - math.log(baseline.price)) > 0.01:
                 diverged = True
                 break
@@ -316,9 +321,10 @@ class TestTradingSession:
         assert diverged
 
     def test_invalid_active_count(self):
-        state = one_agent_state()
-        with pytest.raises(ConfigurationError):
-            trading_session(state, 2)
+        # the session takes the drawn agents; the count is checked where
+        # it is given, so no day loop draws more agents than the market has
+        with pytest.raises(ConfigurationError, match=r"n_active must be in \[1, 1\], got 2"):
+            MarketParams(n_agents=1, n_active=2)
 
     def test_scalar_and_session_clearing_agree(self):
         rng = np.random.default_rng(5)
@@ -358,7 +364,7 @@ class TestSessionProperties:
         state = population(n_agents, seed)
         for _ in range(5):
             cash, target = state.cash.copy(), state.target_ratio.copy()
-            state, outcome = trading_session(state, n_active, flow, level)
+            state, outcome = trading_session(state, draw(state, n_active), flow, level)
             untouched = np.ones(n_agents, dtype=bool)
             untouched[outcome.active_indices] = False
             assert state.cash[untouched].tobytes() == cash[untouched].tobytes()
@@ -394,7 +400,7 @@ class TestSessionProperties:
         cash_before, shares_before = state.total_cash(), state.total_shares()
         price_before = state.price
 
-        state, outcome = trading_session(state, n_active, flow)
+        state, outcome = trading_session(state, draw(state, n_active), flow)
         active = outcome.active_indices
         # no inflow beyond the request, and no withdrawal turned into one
         assert outcome.cash_flow_in <= max(flow, 0.0)

@@ -8,6 +8,7 @@ from pricepump import (
     GreedFearSpec,
     MarketParams,
     MarketState,
+    NoSupplyError,
     WindowSignal,
     init_population,
     sample_greed_fear,
@@ -178,5 +179,6 @@ class TestMarketState:
         assert state.total_shares() == pytest.approx(6.5)
 
     def test_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            trading_session(market([], [], []), 1)
+        # no agent can be active, so no stock sets a price
+        with pytest.raises(NoSupplyError):
+            trading_session(market([], [], []), np.arange(0))
