@@ -38,7 +38,7 @@ from .config import (
 from .cycle import (
     EnsembleStats, RegimesBlock, fit_market_impact, investment_phase_series, run_ensembles,
 )
-from .errors import ConfigurationError, EnsembleFailedError, PricePumpError
+from .errors import ConfigurationError, EnsembleFailedError, PricePumpError, whole_steps
 from .output import emit_series, read_csv_columns, write_json, write_manifest
 from .ponzi import (
     SpeculativePonziParams,
@@ -171,10 +171,8 @@ def _require_whole_days(cfg: ExperimentConfig) -> None:
     dpy = cfg.market.days_per_year
     for name in ("pre_phase", "maturity"):
         value = getattr(cfg.cycle, name)
-        if abs(round(value * dpy) / dpy - value) > 1e-9 * max(1.0, value):
-            raise ConfigurationError(
-                f"cycle.{name} {value} must be a whole number of trading days (1/{dpy} year)"
-            )
+        whole_steps(value, 1.0 / dpy,
+                    f"cycle.{name} {value} must be a whole number of trading days (1/{dpy} year)")
 
 
 def _cmd_fit(args, cfg: ExperimentConfig, out: Path) -> None:

@@ -20,12 +20,13 @@ import math
 import types
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import cache
+from inspect import signature
 from pathlib import Path
 from typing import Any, Optional, Union, get_args, get_origin, get_type_hints
 
 from .errors import ConfigurationError, check_finite
 from .market import MarketParams
-from .cycle import CycleConfig, FlowBlock, RegimesBlock
+from .cycle import CycleConfig, FlowBlock, RegimesBlock, fit_market_impact
 from .ponzi import DEFAULT_STEP, PonziParams, SpeculativePonziParams
 from .risk import HazardParams
 from .schedules import ScheduleSpec
@@ -63,7 +64,7 @@ class FitBlock:
 
     bracket_low: float = 1e-5
     bracket_high: float = 1e-2
-    tol: float = 1e-3
+    tol: float = signature(fit_market_impact).parameters["tol"].default
     source_csv: Optional[str] = None
 
     def __post_init__(self):

@@ -37,6 +37,7 @@ from .errors import (
     DivergenceError,
     EnsembleFailedError,
     check_finite,
+    step_slack,
 )
 from .market import MarketParams, MarketState, init_population
 from .ponzi import OdeSolution, SpeculativePonziParams, speculative_ponzi_solve
@@ -356,20 +357,6 @@ def _walk(
     )
 
 
-def _send(walks: dict[int, Generator], value, outcomes: list) -> None:
-    """Send ``value`` to every walk; a walk that returns or raises leaves
-    ``walks``, and its record or exception goes to ``outcomes``."""
-    for k, walk in list(walks.items()):
-        try:
-            walk.send(value)
-        except StopIteration as done:
-            outcomes[k] = done.value
-            del walks[k]
-        except Exception as exc:  # the row leaves; the stream and the other rows go on
-            outcomes[k] = exc
-            del walks[k]
-
-
 def _run_days(
     market: MarketParams,
     hazard: HazardParams,
@@ -380,16 +367,16 @@ def _run_days(
     """The day loop: ``rows`` in lockstep over one population drawn from
     ``seed``, on the days ``day_times`` (day 0 is the initial state).
 
-    The loop draws each day's active agents once, with
-    ``rng.choice(n_agents, n_active, replace=False)`` on the population's
-    stream (no-trade days included), and sends that subset to every row
-    still running (``_walk``).  The first row trades on the drawn
-    population and every other row on its own copy of the holdings and
-    targets (``_own_holdings``), so each row's record has the bits of a
-    one-row run of the same seed.  A row that raises leaves the loop with
-    its exception in its place; the stream never depends on a row's
-    state, so the other rows go on with unchanged bits.  Returns each
-    row's record or exception, in the order of ``rows``.
+    One loop sends every row still running (``_walk``) ``None``, which
+    records its day 0, then each day's active agents, drawn once while a
+    row runs with ``rng.choice(n_agents, n_active, replace=False)`` on the
+    population's stream (no-trade days included).  The first row trades
+    on the drawn population and every other row on its own copy of the
+    holdings and targets (``_own_holdings``), so each row's record has the
+    bits of a one-row run of the same seed.  A row that returns or raises
+    leaves the loop with its record or exception in its place; the stream
+    never depends on a row's state, so the other rows go on with unchanged
+    bits.  Returns each row's record or exception, in the order of ``rows``.
     """
     state = init_population(market, seed)
     rng, n_agents, n_active = state.rng, market.n_agents, market.n_active
@@ -397,11 +384,17 @@ def _run_days(
     walks = {k: _walk(market, hazard, day_times, own, row)
              for k, (own, row) in enumerate(zip(states, rows))}
     outcomes: list = [None] * len(rows)
-    _send(walks, None, outcomes)  # each row records its day 0
-    for _ in range(len(day_times) - 1):
+    active = None
+    for _ in day_times:
+        for k, walk in list(walks.items()):
+            try:
+                walk.send(active)
+            except Exception as exc:  # the row leaves; the stream and the other rows go on
+                outcomes[k] = exc.value if isinstance(exc, StopIteration) else exc
+                del walks[k]
         if not walks:
             break
-        _send(walks, rng.choice(n_agents, n_active, replace=False), outcomes)
+        active = rng.choice(n_agents, n_active, replace=False)
     return outcomes
 
 
@@ -486,12 +479,12 @@ def run_flow_path(
     """Simulate one path under the constant external flow of ``flow``
     (dollars per year), with a cash snapshot at the horizon.
 
-    ``flow`` may also be a tuple of flows of one horizon, as the three of
-    a regime comparison: path ``path_index`` of each then runs as one row
-    of a lockstep day loop over one population and one subset draw a day
-    (``_run_days``), and the result lists, in order, each row's record or
-    the ``repr`` of the error that ended it.  Each row has the bits of its
-    own one-flow run.
+    ``flow`` may also be a tuple of flows of one horizon, as in every flow
+    unit of ``run_ensembles``: path ``path_index`` of each then runs as one
+    row of a lockstep day loop over one population and one subset draw a
+    day (``_run_days``), and the result lists, in order, each row's record
+    or the ``repr`` of the error that ended it.  Each row has the bits of
+    its own one-flow run.
     """
     flows = flow if isinstance(flow, tuple) else (flow,)
     horizon = flows[0].horizon
@@ -557,13 +550,14 @@ class EnsembleStats:
 class _EnsembleFold:
     """Ensemble aggregates folded one path at a time, in path-index order.
 
-    Every series keeps a running sum: adding the rows one at a time in
-    index order and dividing by the count gives the same bits as
-    ``np.stack(rows).mean(axis=0)`` for rows of two or more entries, and
-    a path has at least two days.  Only the ``BANDED`` series keep each
-    path's row, in a (paths x days) array of zeros allocated at the first
-    row that is not +0.0 on every day; a series without such a row (``Hp``
-    of a flow ensemble, which has no investors) keeps no array.
+    Every series keeps a running sum from +0.0: adding the rows one at a
+    time in index order and dividing by the count gives the same bits as
+    ``np.stack(rows).mean(axis=0)`` (rows of -0.0 included) for rows of two
+    or more entries, and a path has at least two days.  Only the ``BANDED``
+    series keep each path's row, in a (paths x days) array of zeros
+    allocated at the first row that is not +0.0 on every day; a series
+    without such a row (``Hp`` of a flow ensemble, which has no investors)
+    keeps no array.
     """
 
     def __init__(self, capacity: int):
@@ -581,11 +575,8 @@ class _EnsembleFold:
             self.failures.append((index, outcome))
             return
         columns = outcome.columns()
-        if self.count == 0:
-            self.sums = {name: column.copy() for name, column in columns.items()}
-        else:
-            for name, column in columns.items():
-                self.sums[name] += column
+        for name, column in columns.items():
+            self.sums[name] = self.sums.get(name, 0.0) + column
         for name in BANDED:
             column = columns[name]
             if name not in self.rows:
@@ -652,7 +643,7 @@ def _aggregate(
 
 
 def _attempt(path: Callable[[int], object], index: int) -> object:
-    """Path ``index`` of ``path``: what it returns (its record, or its
+    """Path ``index`` of ``path``: what it returns (its record, or its flow
     rows' records and error texts), or the ``repr`` of the exception that
     ended it.  As text, an error that does not survive pickling fails its
     path in a worker, not the pool."""
@@ -670,8 +661,8 @@ def _collect(
     whose every path failed gives its ``EnsembleFailedError``.  Returns
     the rows' results, unit after unit.
 
-    A one-row unit's function returns the path's record; a unit of more
-    rows returns a list of one record or error text per row, as
+    A cycle unit's function returns the path's record; a flow unit's, of
+    one row or more, a list of one record or error text per row, as
     ``run_flow_path`` does for a tuple of flows.  An error that ends the
     whole call fails the path in every row of its unit.
 
@@ -726,12 +717,12 @@ def run_ensembles(
     (``run_path``); a ``FlowBlock`` runs constant-flow paths with the cash
     histogram at the horizon (``run_flow_path``), as each regime of
     ``RegimesBlock.flows`` does.  Flow blocks that share their horizon and
-    path count (the three regimes) run as rows of one unit: one
-    ``run_flow_path`` call per path index over one population and one
-    stream, which is what separate runs from the same seed would draw
-    three times.  Every block's day grid is checked before any path runs:
-    a horizon or signal that cannot run is a configuration error, not a
-    failure of every path.  A block whose every path failed maps to its
+    path count (the three regimes) run as rows of one unit, and a lone
+    one as a unit of one row: one ``run_flow_path`` call per path index
+    with the unit's tuple of flows, over one population and one stream.
+    Every block's day grid is checked before any path runs: a horizon or
+    signal that cannot run is a configuration error, not a failure of
+    every path.  A block whose every path failed maps to its
     ``EnsembleFailedError`` and the other blocks still run; an outflow as
     strong as the initial cash per year, for one, exhausts the market and
     fails every path with ``LiquidityExhaustedError``.
@@ -752,8 +743,6 @@ def run_ensembles(
         block = blocks[names[0]]
         if isinstance(block, CycleConfig):
             path = partial(run_path, market, hazard, schedule, block, base_seed)
-        elif len(names) == 1:
-            path = partial(run_flow_path, market, hazard, block, base_seed)
         else:
             flows = tuple(blocks[name] for name in names)
             path = partial(run_flow_path, market, hazard, flows, base_seed)
@@ -783,7 +772,7 @@ def investment_phase_series(
         raise ValueError("times and values must be equal-length 1-d arrays")
     if not (np.isfinite(times).all() and np.isfinite(values).all()):
         raise ValueError("times and values must be finite")
-    slack = 1e-9 * max(1.0, pre_phase)  # the whole-day tolerance of the phases
+    slack = step_slack(pre_phase)  # the whole-day rule of the phases
     start = int(np.searchsorted(times, pre_phase - slack))
     if start == times.size or abs(times[start] - pre_phase) > slack:
         raise ValueError(f"no row at the end of the warm-up, t = {pre_phase}")

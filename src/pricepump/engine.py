@@ -30,11 +30,11 @@ RATIO_TIE_RTOL = 1e-12
 
 class SessionOutcome(NamedTuple):
     """Result of one session (a named tuple, the cheapest record to
-    build once per session): the active agents, the external flow actually
-    executed, and whether the liquidity floor fired, in which case the
-    executed flow differs from the request."""
+    build once per session): the external flow actually executed, and
+    whether the liquidity floor fired, in which case the executed flow
+    differs from the request.  The active agents are the caller's own
+    ``active``."""
 
-    active_indices: np.ndarray
     cash_flow_in: float
     clamped: bool
 
@@ -100,7 +100,7 @@ def trading_session(
         floor_flow = PRICE_RATIO_FLOOR * supply - demand
         if external_flow >= 0.0 or floor_flow > 0.0:  # a no-trade day
             state.day += 1
-            return state, SessionOutcome(active, 0.0, True)
+            return state, SessionOutcome(0.0, True)
         external_flow = floor_flow
         ratio = PRICE_RATIO_FLOOR
         clamped = True
@@ -147,4 +147,4 @@ def trading_session(
     state.external_shares = external_shares
     state.day += 1
 
-    return state, SessionOutcome(active, float(external_flow), clamped)
+    return state, SessionOutcome(float(external_flow), clamped)

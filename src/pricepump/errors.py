@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the finiteness check
-every parameter block runs at construction."""
+"""Exception types shared across the package, and the checks parameter
+blocks run: every value finite, every duration a whole number of steps."""
 from __future__ import annotations
 
 import math
@@ -21,6 +21,20 @@ def check_finite(**values: Optional[float]) -> None:
     for name, value in values.items():
         if value is not None and not math.isfinite(value):
             raise ConfigurationError(f"{name} must be finite, got {value}")
+
+
+def step_slack(value: float) -> float:
+    """How far ``value`` may miss a whole number of grid steps."""
+    return 1e-9 * max(1.0, value)
+
+
+def whole_steps(value: float, step: float, message: str) -> int:
+    """``value / step`` rounded; raises ``ConfigurationError(message)``
+    unless that many steps come within ``step_slack`` of ``value``."""
+    n = round(value / step)
+    if abs(n * step - value) > step_slack(value):
+        raise ConfigurationError(message)
+    return n
 
 
 class NoSupplyError(PricePumpError):

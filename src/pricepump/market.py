@@ -210,7 +210,7 @@ class MarketState:
 
 
 def init_population(
-    market: MarketParams, seed: np.random.Generator | int | Sequence[int] = 0
+    market: MarketParams, seed: np.random.Generator | int | Sequence[int]
 ) -> MarketState:
     """Build the starting population of ``market``.
 

@@ -19,10 +19,11 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import BracketError, ConfigurationError, DivergenceError, check_finite
+from .errors import BracketError, ConfigurationError, DivergenceError, check_finite, whole_steps
+from .market import MarketParams
 from .schedules import ScheduleSpec, schedule_eval
 
-DEFAULT_STEP = 1.0 / 360.0
+DEFAULT_STEP = 1.0 / MarketParams.days_per_year  # one trading day
 
 
 def _check_scheme(maturity: float, initial_capital: float) -> None:
@@ -64,7 +65,7 @@ class SpeculativePonziParams:
     capital growth), plus an optional external baseline rate."""
 
     market_impact: float
-    withdrawal_rate: float = 0.41
+    withdrawal_rate: float = PonziParams.withdrawal_rate
     maturity: float = 3.0
     initial_capital: float = 0.0
     external_rate: float = 0.0
@@ -94,21 +95,17 @@ def _grid_steps(horizon: float, step: float) -> int:
         raise ConfigurationError(f"step must be positive and finite, got {step}")
     if not (horizon > 0.0 and math.isfinite(horizon)):
         raise ConfigurationError(f"horizon must be positive and finite, got {horizon}")
-    n = int(round(horizon / step))
-    if n < 1 or abs(n * step - horizon) > 1e-9 * max(1.0, horizon):
-        raise ConfigurationError(
-            f"horizon {horizon} must be an integer multiple of the step {step}"
-        )
+    message = f"horizon {horizon} must be an integer multiple of the step {step}"
+    n = whole_steps(horizon, step, message)
+    if n < 1:
+        raise ConfigurationError(message)
     return n
 
 
 def _delay_steps(maturity: float, step: float) -> int:
-    lag = int(round(maturity / step))
-    if abs(lag * step - maturity) > 1e-9 * max(1.0, maturity):
-        raise ConfigurationError(
-            f"maturity {maturity} must be an integer multiple of the step {step}"
-        )
-    return lag
+    return whole_steps(
+        maturity, step, f"maturity {maturity} must be an integer multiple of the step {step}"
+    )
 
 
 def _schedule_stage_values(spec: ScheduleSpec, nodes: np.ndarray, step: float, shift: float):

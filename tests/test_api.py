@@ -5,8 +5,10 @@ the return values its span hooks read, and the constructors it calls with
 positional arguments.  An API cleanup that breaks one of them must fail
 here, not in a benchmark run."""
 import argparse
+import ast
 import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -57,6 +59,35 @@ def test_traced_attributes_exist():
     assert missing == []
     assert isinstance(ponzi.DEFAULT_STEP, float)
     assert issubclass(pricepump.DivergenceError, Exception)
+
+
+def wrapped_targets(node, loops=None):
+    """``(owner, attribute)`` of every ``tracer.wrap(owner, "attribute", ...)``
+    under ``node``, an owner bound by an enclosing ``for`` over a tuple
+    giving one pair per element."""
+    loops = dict(loops or {})
+    if isinstance(node, ast.For) and isinstance(node.iter, ast.Tuple):
+        loops[ast.unparse(node.target)] = [ast.unparse(e) for e in node.iter.elts]
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "wrap" and ast.unparse(node.func.value) == "tracer"):
+        owner = ast.unparse(node.args[0])
+        for name in loops.get(owner, [owner]):
+            yield name, node.args[1].value
+    for child in ast.iter_child_nodes(node):
+        yield from wrapped_targets(child, loops)
+
+
+def test_every_benchmark_wrap_is_traced():
+    # reads the benchmark's own source, so that a wrap whose target is
+    # renamed or removed fails here, not in a traced benchmark run
+    source = Path(__file__).resolve().parent.parent / "bench" / "run.py"
+    wrapped = set()
+    for owner, attribute in wrapped_targets(ast.parse(source.read_text())):
+        module, _, path = owner.partition(".")
+        wrapped.add((module, f"{path}.{attribute}" if path else attribute))
+    traced = {(module.__name__.rpartition(".")[2], path) for module, path in TRACED}
+    assert ("cycle", "InvestorLedger.record_day") in wrapped
+    assert wrapped - traced == set()
 
 
 # The configuration documents the benchmark's workloads write, and the
@@ -117,7 +148,7 @@ def test_benchmark_return_shapes(tmp_path):
     active = state.rng.choice(market.n_agents, market.n_active, replace=False)
     outcome = pricepump.trading_session(state, active, 0.0)[1]
     assert type(outcome.clamped) is bool
-    assert pricepump.SessionOutcome._fields == ("active_indices", "cash_flow_in", "clamped")
+    assert pricepump.SessionOutcome._fields == ("cash_flow_in", "clamped")
     ensemble = pricepump.run_ensembles(
         market, pricepump.HazardParams(), pricepump.ScheduleSpec(),
         {"": pricepump.FlowBlock(0.0, 0.1, 1)}, 1,

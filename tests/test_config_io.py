@@ -595,6 +595,21 @@ class TestCli:
         assert "measured" in payload and "predicted" in payload
         assert payload["predicted"]["daily_factor"] == pytest.approx(1.0011217, abs=1e-7)
 
+    def test_negative_zero_flow_mean_prints_zero(self, tmp_path):
+        # a -0.0 flow executes -0.0 on every traded day of every path; the
+        # mean over the paths is +0.0, as np.stack(rows).mean(axis=0) gives
+        cfg = self.write_config(tmp_path, {
+            "kind": "aspp",
+            "market": {"n_agents": 20, "n_active": 5},
+            "aspp": {"flow_rate": -0.0, "horizon": 0.05, "n_paths": 2},
+        })
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        header, *rows = (out / "ensemble.csv").read_text().splitlines()
+        column = header.split(",").index("xin_mean")
+        assert len(rows) == 19
+        assert {row.split(",")[column] for row in rows} == {"0"}
+
     def test_thread_invariance(self, tmp_path):
         for verb, kind in (("simulate", "aspp"), ("regimes", "regimes"), ("cycle", "cycle"),
                            ("fit-c0", "fit-c0")):

@@ -240,7 +240,7 @@ class TestConfigs:
 
 def executed(flow, clamped=False):
     """The outcome of a session that executed ``flow``."""
-    return SessionOutcome(np.arange(1), flow, clamped)
+    return SessionOutcome(flow, clamped)
 
 
 class TestInvestorLedger:
@@ -860,7 +860,8 @@ class TestEnsembleFold:
     @pytest.mark.parametrize("hp_sign,kept", [(1.0, {"Ha"}), (-1.0, {"Ha", "Hp"})])
     def test_banded_rows_of_positive_zeros_are_not_kept(self, hp_sign, kept):
         # flat prices (log_price +0.0) and no investor hazard keep no rows;
-        # a row of -0.0 is kept, since its bands print as "-0"
+        # a row of -0.0 is kept, since its bands print as "-0", while its
+        # mean, a sum from +0.0 as the stacked mean's, is +0.0
         records = {}
         for i in range(3):
             record = synthetic_path(0, 4, frozenset(), i)
@@ -873,6 +874,8 @@ class TestEnsembleFold:
         assert set(fold.rows) == kept
         result = cycle_module._aggregate(fold, SMALL_MARKET)
         expected = stacked_aggregate(records, SMALL_MARKET, {})
+        for name, summary in result.series.items():
+            assert summary.mean.tobytes() == expected.series[name].mean.tobytes(), name
         for name in BANDED:
             for stat in ("std", "p10", "p50", "p90"):
                 assert getattr(result.series[name], stat).tobytes() == \

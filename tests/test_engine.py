@@ -260,8 +260,9 @@ class TestTradingSession:
         price_before = state.price
         reference = np.random.default_rng(0)
         reference.choice(8, size=1, replace=False)
-        state, outcome = trading_session(state, draw(state, 1), flow)
-        assert outcome.active_indices.tolist() == [6]
+        active = draw(state, 1)
+        state, outcome = trading_session(state, active, flow)
+        assert active.tolist() == [6]
         assert outcome.clamped and outcome.cash_flow_in == 0.0
         assert (price_before, state.price, state.day) == (0.375, 0.375, 1)
         for now, then in zip((state.stock_value, state.cash, state.target_ratio), before):
@@ -299,10 +300,11 @@ class TestTradingSession:
         a = population(50, 9)
         b = population(50, 9)
         for _ in range(50):
-            a, oa = trading_session(a, draw(a, 10), 0.5)
-            b, ob = trading_session(b, draw(b, 10), 0.5)
-            assert a.price == b.price
-            assert np.array_equal(oa.active_indices, ob.active_indices)
+            active_a, active_b = draw(a, 10), draw(b, 10)
+            a, oa = trading_session(a, active_a, 0.5)
+            b, ob = trading_session(b, active_b, 0.5)
+            assert a.price == b.price and oa == ob
+            assert np.array_equal(active_a, active_b)
         assert np.array_equal(a.target_ratio, b.target_ratio)
 
     def test_stationary_state_unstable(self):
@@ -364,9 +366,10 @@ class TestSessionProperties:
         state = population(n_agents, seed)
         for _ in range(5):
             cash, target = state.cash.copy(), state.target_ratio.copy()
-            state, outcome = trading_session(state, draw(state, n_active), flow, level)
+            active = draw(state, n_active)
+            state, outcome = trading_session(state, active, flow, level)
             untouched = np.ones(n_agents, dtype=bool)
-            untouched[outcome.active_indices] = False
+            untouched[active] = False
             assert state.cash[untouched].tobytes() == cash[untouched].tobytes()
             assert state.target_ratio[untouched].tobytes() == target[untouched].tobytes()
 
@@ -400,8 +403,8 @@ class TestSessionProperties:
         cash_before, shares_before = state.total_cash(), state.total_shares()
         price_before = state.price
 
-        state, outcome = trading_session(state, draw(state, n_active), flow)
-        active = outcome.active_indices
+        active = draw(state, n_active)
+        state, outcome = trading_session(state, active, flow)
         # no inflow beyond the request, and no withdrawal turned into one
         assert outcome.cash_flow_in <= max(flow, 0.0)
         if outcome.clamped and state.price == price_before:  # a no-trade day
