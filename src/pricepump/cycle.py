@@ -40,7 +40,7 @@ from .errors import (
     step_slack,
 )
 from .market import MarketParams, MarketState, init_population
-from .ponzi import OdeSolution, SpeculativePonziParams, speculative_ponzi_solve
+from .ponzi import OdeSolution, PonziParams, SpeculativePonziParams, speculative_ponzi_solve
 from .risk import (
     HazardParams,
     ReturnStats,
@@ -70,7 +70,7 @@ class CycleConfig:
     configuration's ``cycle`` block)."""
 
     pre_phase: float = 3.0
-    maturity: float = 3.0
+    maturity: float = PonziParams.maturity
     target_rate: Optional[float] = None  # None: annualized predicted market rate
     horizon: float = 20.0
     n_paths: int = 1000
@@ -257,7 +257,7 @@ class _Row(NamedTuple):
 
 def _own_holdings(state: MarketState) -> MarketState:
     """``state`` with its own copies of the holdings and targets; the
-    greed and fear factors and the stream are shared."""
+    greed and fear factors are shared."""
     return replace(state, stock_value=state.stock_value.copy(), cash=state.cash.copy(),
                    target_ratio=state.target_ratio.copy())
 
@@ -282,8 +282,8 @@ def _walk(
     across days: a session changes the cash of its active agents only, so
     only their entries are recomputed, and the concentration is the
     kernel's mean (the same sum and division as ``cash_concentration``,
-    hence the same bits).  A price, investor flow or ledger value that
-    overflows ends the row with ``DivergenceError``.
+    hence the same bits).  A price, investor flow, ledger value or total
+    cash that overflows ends the row with ``DivergenceError``.
     """
     flow_rate, checkpoint_days, ledger = row
     n_days = len(day_times) - 1
@@ -333,6 +333,8 @@ def _walk(
             if not math.isfinite(value):
                 raise DivergenceError(day_times[i], f"investor ledger overflowed on day {i}")
             withdrawable[i] = value
+        if not math.isfinite(total_cash[i]):
+            raise DivergenceError(day_times[i], f"cash overflowed on day {i}")
         if i in checkpoint_days:
             snapshots.append(CashSnapshot(day_times[i], state.cash.copy()))
 
@@ -364,37 +366,43 @@ def _run_days(
     seed: tuple[int, int],
     rows: Sequence[_Row],
 ) -> list[PathRecord | Exception]:
-    """The day loop: ``rows`` in lockstep over one population drawn from
-    ``seed``, on the days ``day_times`` (day 0 is the initial state).
+    """The day loop: ``rows`` in lockstep over one population, on the days
+    ``day_times`` (day 0 is the initial state).
 
-    One loop sends every row still running (``_walk``) ``None``, which
-    records its day 0, then each day's active agents, drawn once while a
-    row runs with ``rng.choice(n_agents, n_active, replace=False)`` on the
-    population's stream (no-trade days included).  The first row trades
-    on the drawn population and every other row on its own copy of the
-    holdings and targets (``_own_holdings``), so each row's record has the
-    bits of a one-row run of the same seed.  A row that returns or raises
-    leaves the loop with its record or exception in its place; the stream
-    never depends on a row's state, so the other rows go on with unchanged
-    bits.  Returns each row's record or exception, in the order of ``rows``.
+    The loop owns the path's stream, ``np.random.default_rng(seed)``; path
+    ``i`` of an ensemble with seed ``s`` has ``seed = (s, i)``.  The stream
+    draws the factor pairs, then the stock perturbations, then one
+    ``choice(n_agents, n_active, replace=False)`` of the active agents per
+    day while a row runs, no-trade days included, so a path's bits never
+    depend on the worker count or on the order paths run in.  One loop
+    sends every running row (``_walk``) ``None``, which records its day 0,
+    then each day's active agents.  Every row after the first trades on
+    its own copy of the holdings (``_own_holdings``), so it has the bits
+    of a one-row run.  A row that returns or raises leaves with its record
+    or exception in its place; no draw depends on a row's state, so the
+    other rows go on unchanged.  Overflow and invalid-value warnings are
+    off in the loop: an overflowing low-cash weight is exactly 0.0, and a
+    price, flow, ledger value or total cash that is not finite ends its row.
     """
-    state = init_population(market, seed)
-    rng, n_agents, n_active = state.rng, market.n_agents, market.n_active
+    rng = np.random.default_rng(seed)
+    state = init_population(market, rng)
+    n_agents, n_active = market.n_agents, market.n_active
     states = [state] + [_own_holdings(state) for _ in rows[1:]]
     walks = {k: _walk(market, hazard, day_times, own, row)
              for k, (own, row) in enumerate(zip(states, rows))}
     outcomes: list = [None] * len(rows)
     active = None
-    for _ in day_times:
-        for k, walk in list(walks.items()):
-            try:
-                walk.send(active)
-            except Exception as exc:  # the row leaves; the stream and the other rows go on
-                outcomes[k] = exc.value if isinstance(exc, StopIteration) else exc
-                del walks[k]
-        if not walks:
-            break
-        active = rng.choice(n_agents, n_active, replace=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in day_times:
+            for k, walk in list(walks.items()):
+                try:
+                    walk.send(active)
+                except Exception as exc:  # the row leaves; the stream and the other rows go on
+                    outcomes[k] = exc.value if isinstance(exc, StopIteration) else exc
+                    del walks[k]
+            if not walks:
+                break
+            active = rng.choice(n_agents, n_active, replace=False)
     return outcomes
 
 
@@ -620,14 +628,15 @@ def _aggregate(
 
     log_price = banded_rows("log_price")
     series: dict[str, SeriesSummary] = {}
-    for name, total in fold.sums.items():
-        mean = total / count
-        if name not in BANDED:
-            series[name] = SeriesSummary(mean)
-            continue
-        rows = log_price if name == "log_price" else banded_rows(name)
-        p10, p50, p90 = np.percentile(rows, [10.0, 50.0, 90.0], axis=0)
-        series[name] = SeriesSummary(mean, rows.std(axis=0), p10, p50, p90)
+    with np.errstate(over="ignore"):  # a spread of rows over 1e154 apart is inf
+        for name, total in fold.sums.items():
+            mean = total / count
+            if name not in BANDED:
+                series[name] = SeriesSummary(mean)
+                continue
+            rows = log_price if name == "log_price" else banded_rows(name)
+            p10, p50, p90 = np.percentile(rows, [10.0, 50.0, 90.0], axis=0)
+            series[name] = SeriesSummary(mean, rows.std(axis=0), p10, p50, p90)
     returns = np.diff(log_price, axis=1).ravel()
     del rows, log_price
     return EnsembleStats(

@@ -47,14 +47,13 @@ def trading_session(
 ) -> tuple[MarketState, SessionOutcome]:
     """Run one session in place and return the (mutated) state and outcome.
 
-    Clears the price over the ``active`` agents (distinct indices, as
-    ``state.rng.choice(n_agents, n_active, replace=False)`` draws them;
-    the session draws nothing), rebalances them, revalues everyone's
-    stock, updates the active agents' targets with factors scaled by the
-    day's signal ``level``, and books the external flow into the
-    outside-investor share pool.  A request that would clear below ``PRICE_RATIO_FLOOR``
-    times the prior price fires the liquidity floor, and the outcome is
-    flagged ``clamped``:
+    Clears the price over the ``active`` agents (distinct indices),
+    rebalances them, revalues everyone's stock, updates the active
+    agents' targets with factors scaled by the day's signal ``level``, and
+    books the external flow into the outside-investor share pool.  A
+    request that would clear below ``PRICE_RATIO_FLOOR`` times the prior
+    price fires the liquidity floor, and the outcome is flagged
+    ``clamped``:
 
     - a withdrawal (a negative request) is cut to the flow that clears at
       exactly that ratio, provided that flow is still a withdrawal; once

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -178,13 +178,12 @@ def sample_greed_fear(
 
 @dataclass
 class MarketState:
-    """Full market: per-agent arrays, the price, and the path's random stream.
+    """Full market: per-agent arrays and the price.
 
     Stock is stored as dollar value at the current price; share counts
     are ``stock_value / price``.  ``external_shares`` tracks the stock
     held by the outside-investor pool, so total shares are conserved
-    across sessions.  ``rng`` has no default: every state is given its
-    generator, so no market draws from an unseeded stream.
+    across sessions.
     """
 
     stock_value: np.ndarray
@@ -195,11 +194,6 @@ class MarketState:
     price: float = 1.0
     day: int = 0
     external_shares: float = 0.0
-    rng: np.random.Generator = field(kw_only=True, repr=False)
-
-    @property
-    def n_agents(self) -> int:
-        return int(self.stock_value.shape[0])
 
     def total_cash(self) -> float:
         return float(self.cash.sum())
@@ -219,14 +213,8 @@ def init_population(
     [0, stock_noise_range) in stock; factor pairs come from
     ``greed_fear``.  Prices start at 1 and the external pool is empty.
 
-    The state's stream is ``np.random.default_rng(seed)`` (a generator is
-    used as it is).  Path ``i`` of an ensemble with seed ``s`` draws from
-    ``np.random.default_rng((s, i))``: the factor pairs first, then the
-    stock perturbations, then one ``choice`` of the active agents per
-    day, no-trade days included, which the day loop draws once for every
-    row it runs on that population (the three regimes of a path index).
-    So a path's bits depend only on ``(s, i)``, never on the worker count
-    or the order paths run in.
+    ``seed`` is a generator, which draws the factor pairs and then the
+    stock perturbations, or a seed for ``np.random.default_rng``.
     """
     n_agents = market.n_agents
     rng = np.random.default_rng(seed)
@@ -238,5 +226,4 @@ def init_population(
         target_ratio=np.full(n_agents, float(market.initial_ratio)),
         greed=pairs[:, 0].copy(),
         fear=pairs[:, 1].copy(),
-        rng=rng,
     )

@@ -66,8 +66,8 @@ class SpeculativePonziParams:
 
     market_impact: float
     withdrawal_rate: float = PonziParams.withdrawal_rate
-    maturity: float = 3.0
-    initial_capital: float = 0.0
+    maturity: float = PonziParams.maturity
+    initial_capital: float = PonziParams.initial_capital
     external_rate: float = 0.0
 
     def __post_init__(self):

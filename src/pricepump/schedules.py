@@ -78,7 +78,10 @@ def schedule_eval(spec: ScheduleSpec, t):
     elif spec.kind == "linear":
         values = amplitude * arr
     else:
-        values = amplitude * np.exp(spec.growth * arr)
+        # an overflow is inf, and an overflowed amplitude times an underflowed
+        # exponential NaN: the solvers and the ledger fail typed on both
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = amplitude * np.exp(spec.growth * arr)
     values = np.where(arr < 0.0, 0.0, values)
     if arr.ndim == 0:
         return float(values)

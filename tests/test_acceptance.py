@@ -40,12 +40,13 @@ def check(criterion: str, description: str, passed: bool) -> None:
 
 
 def test_criterion_01_conservation():
-    state = init_population(MarketParams(), seed=11)
+    stream = np.random.default_rng(11)
+    state = init_population(MarketParams(), stream)
     cash0 = state.total_cash()
     shares0 = state.total_shares()
     start = time.perf_counter()
     for _ in range(10_000):
-        state, _ = trading_session(state, state.rng.choice(500, 125, replace=False), 0.0)
+        state, _ = trading_session(state, stream.choice(500, 125, replace=False), 0.0)
     elapsed = time.perf_counter() - start
     cash_drift = abs(state.total_cash() - cash0) / cash0
     share_drift = abs(state.total_shares() - shares0) / shares0
@@ -73,11 +74,11 @@ def test_criterion_02_clearance_and_rebalance_exactness():
             target_ratio=target.copy(),
             greed=1.0 + rng.uniform(0.0, 0.3, n),
             fear=1.0 + rng.uniform(0.0, 0.3, n),
-            rng=np.random.default_rng(int(rng.integers(0, 2**31))),
         )
+        stream = np.random.default_rng(int(rng.integers(0, 2**31)))
         demand = float(np.sum(target * cash / (1.0 + target)))
         flow = float(rng.uniform(-0.5 * demand, 3.0 * demand))
-        state, outcome = trading_session(state, state.rng.choice(n, n, replace=False), flow)
+        state, outcome = trading_session(state, stream.choice(n, n, replace=False), flow)
         # every agent is active: each one's trade is the cash it spent
         trades = cash - state.cash
         scale = max(1.0, abs(outcome.cash_flow_in), float(np.abs(trades).sum()))

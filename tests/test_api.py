@@ -10,6 +10,7 @@ import json
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pricepump
@@ -144,8 +145,9 @@ def test_benchmark_return_shapes(tmp_path):
     # the clamp counter reads the session's outcome, the byte counter
     # stats every path emit_series returns
     market = pricepump.MarketParams(n_agents=8, n_active=2)
-    state = pricepump.init_population(market, 1)
-    active = state.rng.choice(market.n_agents, market.n_active, replace=False)
+    stream = np.random.default_rng(1)
+    state = pricepump.init_population(market, stream)
+    active = stream.choice(market.n_agents, market.n_active, replace=False)
     outcome = pricepump.trading_session(state, active, 0.0)[1]
     assert type(outcome.clamped) is bool
     assert pricepump.SessionOutcome._fields == ("cash_flow_in", "clamped")

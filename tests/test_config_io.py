@@ -2,8 +2,10 @@ import hashlib
 import json
 import math
 import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from pricepump import (
     ScheduleSpec,
     SpeculativePonziParams,
     WindowSignal,
+    __version__,
     config_hash,
     config_to_dict,
     emit_series,
@@ -519,6 +522,21 @@ class TestSerialization:
         assert payload["counters"]["clamp_events"] == 3
         assert payload["version"]
 
+    def test_version_is_declared_once(self, tmp_path):
+        # the manifest records pricepump.__version__, and the package
+        # metadata reads it from there instead of restating it
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = tomllib.loads(
+            (Path(cli.__file__).resolve().parents[2] / "pyproject.toml").read_text()
+        )
+        assert "version" not in pyproject["project"]
+        assert pyproject["project"]["dynamic"] == ["version"]
+        assert pyproject["tool"]["setuptools"]["dynamic"]["version"] == {
+            "attr": "pricepump.__version__"
+        }
+        manifest = json.loads(write_manifest(tmp_path, "ab" * 32, 7, {}).read_text())
+        assert manifest["version"] == __version__
+
     def test_byte_identical_reruns(self, tmp_path):
         for name in ("a", "b"):
             emit_series(small_flow_ensemble(1.0), tmp_path / name, basename="run")
@@ -841,6 +859,38 @@ class TestCli:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "DivergenceError"
         assert not (out / "ode.csv").exists()
+
+    @pytest.mark.parametrize("verb,payload,code", [
+        ("ponzi", {"kind": "ponzi-classical", "schedule": {"kind": "exponential", "growth": 700.0},
+                   "ponzi": {"horizon": 2.0}}, 3),
+        ("simulate", {"kind": "aspp", "market": {"n_agents": 20, "n_active": 5,
+                                                 "initial_cash": 1e200},
+                      "aspp": {"horizon": 0.05, "n_paths": 2}}, 0),
+        ("cycle", {"kind": "cycle", "market": {"n_agents": 20, "n_active": 5},
+                   "schedule": {"growth": 60.0},
+                   "cycle": {"pre_phase": 0.1, "maturity": 0.1, "horizon": 12.0, "n_paths": 2}}, 3),
+    ], ids=["schedule-overflow", "cash-weight-overflow", "overflows-in-workers"])
+    def test_overflow_writes_only_the_record_to_stderr(self, tmp_path, verb, payload, code):
+        # an overflowed schedule rate is inf, which fails the solve or the
+        # path typed, and an overflowed low-cash weight is exactly 0.0; both
+        # printed a RuntimeWarning ahead of the record, in the parent and in
+        # each worker, so the run is a fresh interpreter with two workers
+        cfg = self.write_config(tmp_path, payload)
+        argv = [verb, "--config", cfg, "--out", str(tmp_path / "out")]
+        if verb != "ponzi":
+            argv += ["--threads", "2"]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        run = "import sys; from pricepump.cli import main; sys.exit(main(sys.argv[1:]))"
+        done = subprocess.run([sys.executable, "-c", run, *argv], capture_output=True, text=True,
+                              timeout=120, env=env)
+        assert done.returncode == code, done.stderr
+        if code == 0:
+            assert done.stderr == ""
+        else:
+            line, = done.stderr.splitlines()
+            record = json.loads(line)
+            assert "DivergenceError" in f"{record['error']}: {record['message']}"
 
     @pytest.mark.parametrize("kind,ponzi,message", [
         ("ponzi-speculative", {"horizon": math.inf}, "horizon must be positive and finite, got inf"),

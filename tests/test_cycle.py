@@ -547,6 +547,16 @@ class TestDayLoopBitIdentity:
         assert_failed(one_ensemble(market, cycle, 12345, schedule=ScheduleSpec()),
                       "all paths failed: DivergenceError")
 
+    @pytest.mark.parametrize("days", [1, 2])
+    def test_overflowing_cash_fails_typed(self, days):
+        # 1e308 dollars a year lift the price 1.4e5-fold on day 1, and the
+        # revalued stock of agents at target ratio 1e4 overflows, so their
+        # trades and cash are inf; a one-day path used to finish with inf
+        # total cash, and a two-day path to fail as "price underflowed to nan"
+        market = MarketParams(n_agents=2, n_active=2, initial_cash=1e300, initial_ratio=1e4)
+        with pytest.raises(DivergenceError, match="cash overflowed on day 1"):
+            run_flow_path(market, HAZARD, FlowBlock(1e308, days / 360), 0, 0)
+
     def test_zero_mass_overflowing_schedule_brings_no_investors(self):
         # exp(700 t) overflows in the second year; 0 * inf was a NaN flow
         cycle = CycleConfig(pre_phase=0.0, maturity=1.0, horizon=2.0)

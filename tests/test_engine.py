@@ -21,7 +21,7 @@ from pricepump import (
 from pricepump.engine import RATIO_TIE_RTOL
 
 
-def market(stock, cash, target, greed=1.0, fear=1.0, price=1.0, seed=0):
+def market(stock, cash, target, greed=1.0, fear=1.0, price=1.0):
     """A market built directly from per-agent values (scalars broadcast)."""
     n = len(stock)
 
@@ -35,25 +35,29 @@ def market(stock, cash, target, greed=1.0, fear=1.0, price=1.0, seed=0):
         greed=column(greed),
         fear=column(fear),
         price=price,
-        rng=np.random.default_rng(seed),
     )
 
 
 def population(n_agents, seed, **market):
-    """``init_population`` of an ``n_agents`` market, other fields at their defaults."""
-    return init_population(MarketParams(n_agents=n_agents, n_active=n_agents, **market), seed)
+    """``init_population`` of an ``n_agents`` market, other fields at their
+    defaults, and the path stream it drew from, which goes on with the
+    daily draws."""
+    rng = np.random.default_rng(seed)
+    return init_population(MarketParams(n_agents=n_agents, n_active=n_agents, **market), rng), rng
 
 
-def draw(state, n_active):
-    """The day loop's draw of ``n_active`` distinct agents from ``state``'s stream."""
-    return state.rng.choice(state.n_agents, n_active, replace=False)
+def draw(state, n_active, rng=0):
+    """The day loop's draw of ``n_active`` distinct agents of ``state`` from
+    ``rng``, a path stream or a seed for a new one."""
+    return np.random.default_rng(rng).choice(state.cash.size, n_active, replace=False)
 
 
-def session_all(state, flow=0.0, level=1.0):
-    """One session with every agent active; the dollars each agent moved
-    into stock (the cash it spent) come back in agent order."""
+def session_all(state, flow=0.0, level=1.0, seed=0):
+    """One session with every agent active, in the order a stream of
+    ``seed`` draws them; the dollars each agent moved into stock (the
+    cash it spent) come back in agent order."""
     cash_before = state.cash.copy()
-    state, outcome = trading_session(state, draw(state, state.n_agents), flow, level)
+    state, outcome = trading_session(state, draw(state, state.cash.size, seed), flow, level)
     return state, outcome, cash_before - state.cash
 
 
@@ -189,8 +193,8 @@ class TestUpdateRatio:
             WindowSignal(0.0, 1.0, -0.1)
 
 
-def one_agent_state(seed=0):
-    return market([10.0], 10.0, 1.0, greed=1.05, fear=1.02, seed=seed)
+def one_agent_state():
+    return market([10.0], 10.0, 1.0, greed=1.05, fear=1.02)
 
 
 class TestTradingSession:
@@ -203,16 +207,16 @@ class TestTradingSession:
 
     def test_unit_factors_balanced_price_constant(self):
         gf = GreedFearSpec(0.0, 0.0, 0.0, 0.0)
-        state = population(100, 3, greed_fear=gf, stock_noise_range=0.0)
+        state, stream = population(100, 3, greed_fear=gf, stock_noise_range=0.0)
         for _ in range(300):
-            state, _ = trading_session(state, draw(state, 25))
+            state, _ = trading_session(state, draw(state, 25, stream))
         assert state.price == 1.0
         assert np.all(state.target_ratio == 1.0)
 
     def test_two_agent_worked_example(self):
-        state = market([10.0, 10.0], 10.0, [2.0, 1.0], greed=1.12, fear=1.11, seed=5)
+        state = market([10.0, 10.0], 10.0, [2.0, 1.0], greed=1.12, fear=1.11)
         cash_before = state.cash.copy()
-        state, outcome = trading_session(state, draw(state, 2), 0.0)
+        state, outcome = trading_session(state, draw(state, 2, 5), 0.0)
         assert state.price == pytest.approx(1.4)
         assert state.external_shares == 0.0
         assert state.total_cash() == pytest.approx(cash_before.sum())
@@ -222,12 +226,13 @@ class TestTradingSession:
 
     def test_conservation_and_clearance_random_sessions(self):
         rng = np.random.default_rng(11)
-        state = population(80, 21)
+        state, stream = population(80, 21)
         shares0 = state.total_shares()
         for _ in range(400):
             flow = float(rng.uniform(-1.0, 3.0))
             cash_before = state.cash.copy()
-            state, outcome = trading_session(state, draw(state, int(rng.integers(1, 81))), flow)
+            state, outcome = trading_session(state, draw(state, int(rng.integers(1, 81)), stream),
+                                             flow)
             executed = outcome.cash_flow_in
             trades = cash_before - state.cash  # zero for the inactive agents
             scale = max(1.0, abs(executed), float(np.abs(trades).sum()))
@@ -254,12 +259,10 @@ class TestTradingSession:
         # would set the price, below the floor; the flow that clears at the
         # floor is an inflow of 0.005 that no investor sent (nor the -1e-6
         # withdrawal), so the floor makes the day a no-trade day
-        state = market([1.0] * 8, [0.0] * 7 + [1.0], [1.0] * 8, 1.0, 1.0, 0.375, 0)
+        state = market([1.0] * 8, [0.0] * 7 + [1.0], [1.0] * 8, 1.0, 1.0, 0.375)
         before = (state.stock_value.copy(), state.cash.copy(), state.target_ratio.copy())
         shares_before = state.total_shares()
         price_before = state.price
-        reference = np.random.default_rng(0)
-        reference.choice(8, size=1, replace=False)
         active = draw(state, 1)
         state, outcome = trading_session(state, active, flow)
         assert active.tolist() == [6]
@@ -269,8 +272,6 @@ class TestTradingSession:
             assert now.tobytes() == then.tobytes()
         assert state.external_shares == 0.0
         assert state.total_shares() == shares_before
-        # the session draws nothing: the stream goes on from the day's draw
-        assert state.rng.random() == reference.random()
 
     def test_price_underflow_raises_typed_error(self):
         state = one_agent_state()
@@ -297,10 +298,10 @@ class TestTradingSession:
         assert np.array_equal(state.stock_value, stock)
 
     def test_session_determinism(self):
-        a = population(50, 9)
-        b = population(50, 9)
+        a, stream_a = population(50, 9)
+        b, stream_b = population(50, 9)
         for _ in range(50):
-            active_a, active_b = draw(a, 10), draw(b, 10)
+            active_a, active_b = draw(a, 10, stream_a), draw(b, 10, stream_b)
             a, oa = trading_session(a, active_a, 0.5)
             b, ob = trading_session(b, active_b, 0.5)
             assert a.price == b.price and oa == ob
@@ -309,13 +310,13 @@ class TestTradingSession:
 
     def test_stationary_state_unstable(self):
         gf = GreedFearSpec(math.log(1.05), math.log(1.05), 0.0, 1.0)
-        baseline = population(500, 7, greed_fear=gf, stock_noise_range=0.0)
-        perturbed = population(500, 7, greed_fear=gf, stock_noise_range=0.0)
+        baseline, baseline_stream = population(500, 7, greed_fear=gf, stock_noise_range=0.0)
+        perturbed, perturbed_stream = population(500, 7, greed_fear=gf, stock_noise_range=0.0)
         perturbed.target_ratio[0] += 1e-6
         diverged = False
         for _ in range(720):
-            baseline, _ = trading_session(baseline, draw(baseline, 125))
-            perturbed, _ = trading_session(perturbed, draw(perturbed, 125))
+            baseline, _ = trading_session(baseline, draw(baseline, 125, baseline_stream))
+            perturbed, _ = trading_session(perturbed, draw(perturbed, 125, perturbed_stream))
             if abs(math.log(perturbed.price) - math.log(baseline.price)) > 0.01:
                 diverged = True
                 break
@@ -337,8 +338,8 @@ class TestTradingSession:
             target = rng.uniform(0.1, 8, n).tolist()
             flow = float(rng.uniform(-1, 10))
             expected = oracle_ratio(stock, cash, target, flow)
-            state = market(stock, cash, target, 1.05, 1.03, seed=int(rng.integers(0, 2**31)))
-            state, outcome, trades = session_all(state, flow)
+            state = market(stock, cash, target, 1.05, 1.03)
+            state, outcome, trades = session_all(state, flow, seed=int(rng.integers(0, 2**31)))
             assert state.price == pytest.approx(expected, rel=1e-12)
             for i in range(n):
                 x, new_cash, new_stock, new_k = oracle_agent(
@@ -363,10 +364,10 @@ class TestSessionProperties:
     )
     def test_session_changes_only_active_agents(self, seed, n_agents, active_share, flow, level):
         n_active = max(1, round(active_share * n_agents))
-        state = population(n_agents, seed)
+        state, stream = population(n_agents, seed)
         for _ in range(5):
             cash, target = state.cash.copy(), state.target_ratio.copy()
-            active = draw(state, n_active)
+            active = draw(state, n_active, stream)
             state, outcome = trading_session(state, active, flow, level)
             untouched = np.ones(n_agents, dtype=bool)
             untouched[active] = False
@@ -395,7 +396,7 @@ class TestSessionProperties:
         cash = data.draw(st.lists(st.just(0.0) | values, min_size=n_agents, max_size=n_agents))
         target = data.draw(st.lists(st.floats(0.05, 20.0), min_size=n_agents, max_size=n_agents))
         factors = st.lists(st.floats(1.0, 1.5), min_size=n_agents, max_size=n_agents)
-        state = market(stock, cash, target, data.draw(factors), data.draw(factors), price, seed)
+        state = market(stock, cash, target, data.draw(factors), data.draw(factors), price)
         n_active = data.draw(st.integers(1, n_agents))
         # flows up to twice the total cash, either sign (withdrawals may clamp)
         flow = flow_share * sum(cash)
@@ -403,7 +404,7 @@ class TestSessionProperties:
         cash_before, shares_before = state.total_cash(), state.total_shares()
         price_before = state.price
 
-        active = draw(state, n_active)
+        active = draw(state, n_active, seed)
         state, outcome = trading_session(state, active, flow)
         # no inflow beyond the request, and no withdrawal turned into one
         assert outcome.cash_flow_in <= max(flow, 0.0)

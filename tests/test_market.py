@@ -7,7 +7,6 @@ from pricepump import (
     ConfigurationError,
     GreedFearSpec,
     MarketParams,
-    MarketState,
     NoSupplyError,
     WindowSignal,
     init_population,
@@ -118,47 +117,35 @@ class TestEffectiveFactors:
 class TestInitPopulation:
     def test_reference_population(self):
         state = init_population(MarketParams(), seed=42)
-        assert state.n_agents == 500
+        assert state.cash.size == 500
         assert np.all(state.cash == 10.0)
         assert np.all(state.stock_value >= 10.0) and np.all(state.stock_value <= 10.1)
         assert state.price == 1.0
         assert state.external_shares == 0.0 and state.day == 0
 
     def test_zero_noise_single_agent(self):
-        state = population(1, 1, initial_ratio=2.0, stock_noise_range=0.0)
+        state, _ = population(1, 1, initial_ratio=2.0, stock_noise_range=0.0)
         assert state.stock_value[0] == 20.0
-
-    def test_state_requires_a_generator(self):
-        # no market state falls back to an unseeded stream
-        column = np.ones(3)
-        with pytest.raises(TypeError, match="rng"):
-            MarketState(column, column, column, column, column)
-        state = MarketState(column, column, column, column, column,
-                            rng=np.random.default_rng(0))
-        assert "rng" not in repr(state)
 
     def test_stream_is_default_rng_of_the_seed(self):
         # path i of seed s draws from default_rng((s, i)): factor pairs,
         # then stock perturbations, then the daily choices
         spec = MarketParams(n_agents=30, n_active=7)
-        state = init_population(spec, (12345, 3))
+        stream = np.random.default_rng((12345, 3))
+        state = init_population(spec, stream)
         reference = np.random.default_rng((12345, 3))
         pairs = sample_greed_fear(spec.greed_fear, 30, reference)
         noise = reference.uniform(0.0, spec.stock_noise_range, 30)
         assert np.array_equal(state.greed, pairs[:, 0])
         assert np.array_equal(state.fear, pairs[:, 1])
         assert np.array_equal(state.stock_value, 10.0 + noise)
-        assert np.array_equal(state.rng.choice(30, size=7, replace=False),
+        assert np.array_equal(stream.choice(30, size=7, replace=False),
                               reference.choice(30, size=7, replace=False))
-
-    def test_generator_is_used_as_it_is(self):
-        rng = np.random.default_rng(5)
-        assert init_population(MarketParams(n_agents=4, n_active=2), rng).rng is rng
+        # the state holds the market only
+        assert not hasattr(state, "rng")
 
     def test_seed_determinism(self):
-        a = population(100, 42)
-        b = population(100, 42)
-        c = population(100, 43)
+        (a, _), (b, _), (c, _) = population(100, 42), population(100, 42), population(100, 43)
         assert np.array_equal(a.stock_value, b.stock_value)
         assert np.array_equal(a.greed, b.greed)
         assert not np.array_equal(a.stock_value, c.stock_value)
@@ -174,7 +161,7 @@ class TestInitPopulation:
 class TestMarketState:
     def test_totals_of_array_state(self):
         state = market([10.0, 3.0], [5.0, 7.0], [2.0, 0.5], price=2.0)
-        assert state.n_agents == 2
+        assert state.cash.size == 2
         assert state.total_cash() == 12.0
         assert state.total_shares() == pytest.approx(6.5)
 
