@@ -24,7 +24,7 @@ from inspect import signature
 from pathlib import Path
 from typing import Any, Optional, Union, get_args, get_origin, get_type_hints
 
-from .errors import ConfigurationError, check_finite
+from .errors import ConfigurationError, check_finite, check_search
 from .market import MarketParams
 from .cycle import CycleConfig, FlowBlock, RegimesBlock, fit_market_impact
 from .ponzi import DEFAULT_STEP, PonziParams, SpeculativePonziParams
@@ -70,10 +70,7 @@ class FitBlock:
     def __post_init__(self):
         low, high = self.bracket_low, self.bracket_high
         check_finite(bracket_low=low, bracket_high=high, tol=self.tol)
-        if not 0.0 < low < high:
-            raise ConfigurationError(f"bracket must satisfy 0 < low < high, got ({low}, {high})")
-        if not self.tol > 0.0:
-            raise ConfigurationError(f"tol must be positive, got {self.tol}")
+        check_search(low, high, self.tol)
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,7 @@ from .errors import (
     DivergenceError,
     EnsembleFailedError,
     check_finite,
+    check_search,
     step_slack,
 )
 from .market import MarketParams, MarketState, init_population
@@ -628,7 +629,7 @@ def _aggregate(
 
     log_price = banded_rows("log_price")
     series: dict[str, SeriesSummary] = {}
-    with np.errstate(over="ignore"):  # a spread of rows over 1e154 apart is inf
+    with np.errstate(over="ignore"):  # std squares deviations: over 1e154 apart is inf
         for name, total in fold.sums.items():
             mean = total / count
             if name not in BANDED:
@@ -636,7 +637,14 @@ def _aggregate(
                 continue
             rows = log_price if name == "log_price" else banded_rows(name)
             p10, p50, p90 = np.percentile(rows, [10.0, 50.0, 90.0], axis=0)
-            series[name] = SeriesSummary(mean, rows.std(axis=0), p10, p50, p90)
+            spread = rows.std(axis=0)
+            wide = np.isinf(spread)
+            if wide.any():
+                # banded rows are finite: scaled by its largest |row|, a
+                # column's squares cannot overflow
+                scale = np.abs(rows[:, wide]).max(axis=0)
+                spread[wide] = (rows[:, wide] / scale).std(axis=0) * scale
+            series[name] = SeriesSummary(mean, spread, p10, p50, p90)
     returns = np.diff(log_price, axis=1).ravel()
     del rows, log_price
     return EnsembleStats(
@@ -813,10 +821,7 @@ def fit_market_impact(
     at a bracket edge, and DivergenceError when that solve diverges.
     """
     low, high = bracket
-    if not 0.0 < low < high:
-        raise ConfigurationError(f"bracket must satisfy 0 < low < high, got ({low}, {high})")
-    if not tol > 0.0:
-        raise ConfigurationError(f"tol must be positive, got {tol}")
+    check_search(low, high, tol)
     times, external_value = investment_phase_series(times, external_value, 0.0)
     step = float(times[1] - times[0])
     horizon = float(times[-1])

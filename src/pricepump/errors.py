@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the checks parameter
-blocks run: every value finite, every duration a whole number of steps."""
+blocks run: every value finite, every duration a whole number of steps,
+every search interval in order."""
 from __future__ import annotations
 
 import math
@@ -35,6 +36,15 @@ def whole_steps(value: float, step: float, message: str) -> int:
     if abs(n * step - value) > step_slack(value):
         raise ConfigurationError(message)
     return n
+
+
+def check_search(low: float, high: float, tol: float) -> None:
+    """Raise ``ConfigurationError`` unless ``0 < low < high`` and ``tol > 0``:
+    the interval and tolerance of a bracketing search."""
+    if not 0.0 < low < high:
+        raise ConfigurationError(f"bracket must satisfy 0 < low < high, got ({low}, {high})")
+    if not tol > 0.0:
+        raise ConfigurationError(f"tol must be positive, got {tol}")
 
 
 class NoSupplyError(PricePumpError):

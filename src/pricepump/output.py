@@ -35,7 +35,7 @@ def write_json(path: Path, payload: dict) -> Path:
     return path
 
 
-def write_ensemble(stats: EnsembleStats, out_dir: Path, basename: str = "ensemble") -> list[Path]:
+def write_ensemble(stats: EnsembleStats, out_dir: Path, basename: str) -> list[Path]:
     table = {"t": stats.times}
     for name, summary in stats.series.items():
         table[f"{name}_mean"] = summary.mean
@@ -61,7 +61,7 @@ def write_ensemble(stats: EnsembleStats, out_dir: Path, basename: str = "ensembl
     return files
 
 
-def write_ode_solution(sol: OdeSolution, out_dir: Path, basename: str = "ode") -> list[Path]:
+def write_ode_solution(sol: OdeSolution, out_dir: Path, basename: str) -> list[Path]:
     table = {"t": sol.grid, "S": sol.capital, "R": sol.withdrawable}
     if sol.nominal_rate is not None:
         table["r_n"] = sol.nominal_rate

@@ -19,7 +19,14 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import BracketError, ConfigurationError, DivergenceError, check_finite, whole_steps
+from .errors import (
+    BracketError,
+    ConfigurationError,
+    DivergenceError,
+    check_finite,
+    check_search,
+    whole_steps,
+)
 from .market import MarketParams
 from .schedules import ScheduleSpec, schedule_eval
 
@@ -325,11 +332,11 @@ def critical_exponent(
     equal to the promised rate), where viability flips at a single growth
     rate: the schedule exp(a*t) is run through the classical solver and
     the rate is bisected to within ``tol`` or to the resolution of a
-    float, whichever is coarser.  A rate whose solve overflows
-    raises ``DivergenceError``; narrow the bracket or the horizon.
+    float, whichever is coarser.  A bracket whose top growth has no
+    normalization raises ``ConfigurationError`` before any solve; a rate
+    whose solve overflows raises ``DivergenceError``; narrow the bracket
+    or the horizon.
     """
-    if not tol > 0.0:
-        raise ConfigurationError(f"tol must be positive, got {tol}")
     if params.nominal_rate != 0.0 or params.promised_rate != params.withdrawal_rate:
         raise ConfigurationError(
             "critical exponent search requires zero nominal rate and "
@@ -339,8 +346,10 @@ def critical_exponent(
     if promised <= 0.0:
         raise ConfigurationError(f"promised_rate must be positive, got {promised}")
     low, high = bracket if bracket is not None else (0.25 * promised, 2.0 * promised)
-    if not 0.0 < low < high:
-        raise ConfigurationError(f"invalid bracket ({low}, {high})")
+    check_search(low, high, tol)
+    # every growth searched is at most high, so one check covers them all:
+    # above the normalization's limit, expm1(a) / a below overflows
+    ScheduleSpec(kind="exponential", first_year_total=0.0, growth=high)
 
     def survives(a: float) -> bool:
         # first_year_total chosen so the schedule is exactly exp(a*t)

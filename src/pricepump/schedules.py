@@ -24,6 +24,7 @@ class ScheduleSpec:
     (where ``expm1(growth)`` in the normalization overflows); it is
     ignored for the constant and linear kinds (the linear slope is pinned
     to 2x the first-year total by the normalization, with zero intercept).
+    A spec loads only if its normalization, ``amplitude``, is finite.
     """
 
     kind: str = "exponential"
@@ -40,47 +41,54 @@ class ScheduleSpec:
             raise ConfigurationError(
                 f"first_year_total must be >= 0, got {self.first_year_total}"
             )
-        if self.kind == "exponential":
-            # the normalization divides by expm1(growth), which overflows
-            # above log(float max), about 709.78
-            try:
-                normalizer = math.expm1(self.growth)
-            except OverflowError:
-                normalizer = math.inf
-            if not (math.isfinite(normalizer) and math.isfinite(self.growth)):
-                raise ConfigurationError(
-                    f"exponential growth must be finite and at most about 709.78, "
-                    f"got {self.growth}"
-                )
+        amplitude = self.amplitude
+        if math.isfinite(amplitude):
+            return
+        if self.kind == "exponential" and (
+            math.isnan(amplitude) or not math.isfinite(self.growth)
+        ):
+            raise ConfigurationError(
+                f"exponential growth must be finite and at most about 709.78, "
+                f"got {self.growth}"
+            )
+        raise ConfigurationError(
+            f"{self.kind} schedule with first_year_total {self.first_year_total} and "
+            f"growth {self.growth} has no finite first-year normalization"
+        )
 
-
-def schedule_amplitude(spec: ScheduleSpec) -> float:
-    """Leading coefficient implied by the first-year normalization."""
-    total = spec.first_year_total
-    if spec.kind == "constant":
-        return total
-    if spec.kind == "linear":
-        return 2.0 * total
-    if spec.growth == 0.0:
-        return total
-    return spec.growth * total / math.expm1(spec.growth)
+    @property
+    def amplitude(self) -> float:
+        """Leading coefficient implied by the first-year normalization:
+        the rate at t = 0 (the linear kind's slope).  NaN where
+        ``expm1(growth)`` overflows."""
+        total = self.first_year_total
+        if self.kind == "constant":
+            return total
+        if self.kind == "linear":
+            return 2.0 * total
+        if self.growth == 0.0:
+            return total
+        try:
+            return self.growth * total / math.expm1(self.growth)
+        except OverflowError:
+            return math.nan
 
 
 def schedule_eval(spec: ScheduleSpec, t):
-    """Flow rate at time ``t`` (scalar or array), in dollars per year."""
+    """Flow rate at time ``t`` (scalar or array), in dollars per year.
+    A rate past the largest float is inf, which the solvers and the
+    ledger fail typed on."""
     arr = np.asarray(t, dtype=float)
-    amplitude = schedule_amplitude(spec)
-    if amplitude == 0.0:
-        # no mass: exp(growth * t) may overflow, and 0 * inf would be NaN
-        values = np.zeros(arr.shape)
-    elif spec.kind == "constant":
-        values = np.full(arr.shape, amplitude)
-    elif spec.kind == "linear":
-        values = amplitude * arr
-    else:
-        # an overflow is inf, and an overflowed amplitude times an underflowed
-        # exponential NaN: the solvers and the ledger fail typed on both
-        with np.errstate(over="ignore", invalid="ignore"):
+    amplitude = spec.amplitude
+    with np.errstate(over="ignore"):
+        if amplitude == 0.0:
+            # no mass: exp(growth * t) may overflow, and 0 * inf would be NaN
+            values = np.zeros(arr.shape)
+        elif spec.kind == "constant":
+            values = np.full(arr.shape, amplitude)
+        elif spec.kind == "linear":
+            values = amplitude * arr
+        else:
             values = amplitude * np.exp(spec.growth * arr)
     values = np.where(arr < 0.0, 0.0, values)
     if arr.ndim == 0:

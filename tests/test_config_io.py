@@ -411,8 +411,9 @@ valid_documents = st.fixed_dictionaries(
         "schedule": st.none() | block(
             kind=st.sampled_from(SCHEDULE_KINDS),
             first_year_total=non_negative,
-            # an exponential growth above log(float max) overflows the normalization
-            growth=st.floats(max_value=math.log(sys.float_info.max), allow_infinity=False),
+            # the normalization overflows for an exponential growth above
+            # log(float max), and for one below -1e300 times a mass up to 1e6
+            growth=st.floats(-1e300, math.log(sys.float_info.max)),
         ),
         "aspp": st.none() | block(flow_rate=finite, horizon=finite, n_paths=st.integers(1)),
         "regimes": st.none() | block(
@@ -825,6 +826,20 @@ class TestCli:
                 "horizon 1000000000.0 at 360 trading days a year is 360000000000 days, "
                 "more than physical memory holds",
             ),
+            # a schedule whose first-year normalization overflows used to
+            # load, then fail every path (exit 3)
+            (
+                "cycle",
+                {"schedule": {"first_year_total": 1e4, "growth": -1e308}},
+                "exponential schedule with first_year_total 10000.0 and growth -1e+308 "
+                "has no finite first-year normalization",
+            ),
+            (
+                "cycle",
+                {"schedule": {"kind": "linear", "first_year_total": 1e308}},
+                "linear schedule with first_year_total 1e+308 and growth 0.1 "
+                "has no finite first-year normalization",
+            ),
         ],
     )
     def test_unrunnable_inputs_exit_code(self, tmp_path, capsys, verb, payload, message):
@@ -850,6 +865,21 @@ class TestCli:
         assert record == {"error": "ConfigurationError", "message": message}
         assert not out.exists()
 
+    def test_overflowing_linear_slope_exit_code(self, tmp_path, capsys):
+        # a slope of 2 * 1e308 used to load, then fail the solve at t = 0
+        payload = {"kind": "ponzi-classical", "ponzi": {"horizon": 2.0},
+                   "schedule": {"kind": "linear", "first_year_total": 1e308}}
+        cfg = self.write_config(tmp_path, payload)
+        out = tmp_path / "x"
+        assert main(["ponzi", "--config", cfg, "--out", str(out)]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {
+            "error": "ConfigurationError",
+            "message": "linear schedule with first_year_total 1e+308 and growth 0.1 "
+                       "has no finite first-year normalization",
+        }
+        assert not out.exists()
+
     def test_diverged_classical_solve_exit_code(self, tmp_path, capsys):
         cfg = self.write_config(
             tmp_path, {"kind": "ponzi-classical", "schedule": {"growth": 700.0}}
@@ -869,12 +899,20 @@ class TestCli:
         ("cycle", {"kind": "cycle", "market": {"n_agents": 20, "n_active": 5},
                    "schedule": {"growth": 60.0},
                    "cycle": {"pre_phase": 0.1, "maturity": 0.1, "horizon": 12.0, "n_paths": 2}}, 3),
-    ], ids=["schedule-overflow", "cash-weight-overflow", "overflows-in-workers"])
+        ("ponzi", {"kind": "ponzi-classical",
+                   "schedule": {"kind": "linear", "first_year_total": 1e307},
+                   "ponzi": {"horizon": 20.0}}, 3),
+        ("cycle", {"kind": "cycle", "market": {"n_agents": 20, "n_active": 5},
+                   "schedule": {"kind": "linear", "first_year_total": 1e307},
+                   "cycle": {"pre_phase": 0.1, "maturity": 0.1, "horizon": 12.0, "n_paths": 2}}, 3),
+    ], ids=["schedule-overflow", "cash-weight-overflow", "overflows-in-workers",
+            "linear-schedule-overflow", "linear-overflows-in-workers"])
     def test_overflow_writes_only_the_record_to_stderr(self, tmp_path, verb, payload, code):
-        # an overflowed schedule rate is inf, which fails the solve or the
-        # path typed, and an overflowed low-cash weight is exactly 0.0; both
-        # printed a RuntimeWarning ahead of the record, in the parent and in
-        # each worker, so the run is a fresh interpreter with two workers
+        # an overflowed schedule rate of any kind is inf, which fails the
+        # solve or the path typed, and an overflowed low-cash weight is
+        # exactly 0.0; both printed a RuntimeWarning ahead of the record, in
+        # the parent and in each worker, so the run is a fresh interpreter
+        # with two workers
         cfg = self.write_config(tmp_path, payload)
         argv = [verb, "--config", cfg, "--out", str(tmp_path / "out")]
         if verb != "ponzi":

@@ -121,7 +121,7 @@ def small_experiments(draw):
     schedule = ScheduleSpec(
         draw(st.sampled_from(["constant", "linear", "exponential"])),
         draw(st.floats(0.0, 1e4)),
-        draw(st.floats(-10.0, 10.0) | st.floats(max_value=MAX_GROWTH, allow_infinity=False)),
+        draw(st.floats(-10.0, 10.0) | st.floats(-1e300, MAX_GROWTH)),
     )
     pre_phase, maturity = draw(st.floats(0.0, 0.5)), draw(st.floats(0.0, 0.5))
     cycle = CycleConfig(
@@ -716,6 +716,13 @@ def synthetic_path(block, n_days, failing, path_index):
     )
 
 
+def far_apart_path(path_index):
+    """A synthetic path whose ``Hp`` rows lie 1e300 apart after day 0."""
+    record = synthetic_path(0, 3, frozenset(), path_index)
+    hazard = np.array([1.0, 1e300, 1e300, 1e300]) * path_index
+    return dataclasses.replace(record, hazard_investor=hazard)
+
+
 def exiting_path(exit_index, path_index):
     """A synthetic path whose worker process dies on path ``exit_index``."""
     if path_index == exit_index:
@@ -808,6 +815,18 @@ class TestEnsembleFold:
         workers = data.draw(st.sampled_from([1, 2]), label="workers")
         results = cycle_module._collect(units, workers, SMALL_MARKET)
         assert [ensemble_bits(lambda: result) for result in results] == expected
+
+    def test_spread_of_far_apart_rows_is_finite(self):
+        # std squares the deviations, which overflowed to an inf spread for
+        # rows over 1e154 apart; only such columns are recomputed
+        records = {i: far_apart_path(i) for i in range(2)}
+        with np.errstate(over="ignore"):  # the reference's Hp spread is inf
+            reference = stacked_aggregate(records, SMALL_MARKET, {})
+        stats, = cycle_module._collect([(far_apart_path, 2, 1)], 1, SMALL_MARKET)
+        assert stats.series["Hp"].std.tolist() == [0.5, 5e299, 5e299, 5e299]
+        assert stats.series["Hp"].std[0] == reference.series["Hp"].std[0]
+        for name in ("log_price", "Ha"):
+            assert stats.series[name].std.tobytes() == reference.series[name].std.tobytes()
 
     @pytest.mark.parametrize("cpus,affinity,n_workers,n_paths,pool", [
         (4, None, 3000, (2,), 2),  # never more workers than paths

@@ -18,7 +18,6 @@ from pricepump import (
     classical_ponzi_solve,
     collapse_time,
     critical_exponent,
-    schedule_amplitude,
     schedule_eval,
     speculative_ponzi_solve,
     steady_state_rate,
@@ -38,7 +37,7 @@ def closed_form_withdrawable(params, spec, grid):
     rp, rw, tm = params.promised_rate, params.withdrawal_rate, params.maturity
     q = rp - rw
     gain = math.exp(rp * tm)
-    amp = schedule_amplitude(spec)
+    amp = spec.amplitude
     u = grid - tm
     if spec.kind == "constant":
         if q == 0.0:
@@ -66,7 +65,7 @@ class TestSchedules:
 
     def test_exponential_amplitude(self):
         spec = ScheduleSpec("exponential", 5000.0, 0.1)
-        amp = schedule_amplitude(spec)
+        amp = spec.amplitude
         assert amp == pytest.approx(0.1 * 5000.0 / math.expm1(0.1), rel=1e-12)
         assert amp == pytest.approx(4754.17, abs=0.01)
         assert schedule_eval(spec, 0.0) == pytest.approx(amp)
@@ -93,9 +92,11 @@ class TestSchedules:
         values = schedule_eval(spec, np.array([-1.0, 0.0, 1.0]))
         assert np.allclose(values, [0.0, 0.0, 20.0])
 
-    @pytest.mark.parametrize("growth", [700.0, -700.0, 0.1])
+    @pytest.mark.parametrize("growth", [700.0, -700.0, 0.1, -sys.float_info.max, -1e308,
+                                        math.log(sys.float_info.max)])
     def test_zero_mass_exponential_is_exactly_zero(self, growth):
-        # exp(700 t) overflows past t = 1.014; no mass means no flow there too
+        # exp(700 t) overflows past t = 1.014; no mass means no flow there
+        # too, and a zero mass loads at any finite growth up to the limit
         spec = ScheduleSpec("exponential", 0.0, growth)
         values = schedule_eval(spec, np.array([-1.0, 0.0, 1.0, 2.0, 40.0]))
         assert values.tobytes() == np.zeros(5).tobytes()
@@ -108,12 +109,22 @@ class TestSchedules:
     def test_growth_up_to_the_normalization_limit(self):
         # expm1(growth) in the normalization overflows above log(float max)
         limit = math.log(sys.float_info.max)
-        assert schedule_amplitude(ScheduleSpec("exponential", 1.0, limit)) > 0.0
+        assert ScheduleSpec("exponential", 1.0, limit).amplitude > 0.0
         for growth in (math.nextafter(limit, math.inf), 800.0, math.inf, -math.inf, math.nan):
             with pytest.raises(ConfigurationError, match="exponential growth"):
                 ScheduleSpec("exponential", 1.0, growth)
         # the other kinds ignore the growth
         assert schedule_eval(ScheduleSpec("linear", 1.0, 800.0), 1.0) == 2.0
+
+    @pytest.mark.parametrize("kind,total,growth", [
+        ("exponential", 1e4, -1e308),  # growth * total overflows; expm1 is -1
+        ("exponential", 1e308, 10.0),  # growth * total overflows; expm1 does not
+        ("linear", 1e308, 0.1),  # the slope 2 * total overflows
+    ])
+    def test_overflowing_normalization_is_rejected(self, kind, total, growth):
+        # these used to load, and then fail every path or solve
+        with pytest.raises(ConfigurationError, match="no finite first-year normalization"):
+            ScheduleSpec(kind, total, growth)
 
 
 class TestSolverInputs:
@@ -291,6 +302,12 @@ print(json.dumps([critical_exponent(params, 20.0, tol) for tol in (0.005, 1e-300
         # inside the bracket the default search ended on: at most tol wide,
         # centred on its result
         assert abs(fine - coarse) <= 0.5 * 0.005
+
+    def test_bracket_above_the_growth_limit_is_rejected(self):
+        # expm1(800) / 800, the first-year mass of exp(800 t), used to raise
+        # a bare OverflowError
+        with pytest.raises(ConfigurationError, match="exponential growth"):
+            critical_exponent(PonziParams(), 10.0, 0.01, bracket=(0.1, 800.0))
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
     def test_tol_must_be_positive(self, tol):
