@@ -5,10 +5,12 @@ Both are integrated with fixed-step classical Runge-Kutta.  The
 maturing-inflow forcing switches on discontinuously at the maturity lag,
 which the grid is required to hit exactly (maturity must be an integer
 multiple of the step); stage evaluations at a switch point use one-sided
-values so the integrator keeps full order across it.  The speculative
-scheme is a delay system: the growth of maturing money is read from the
-stored running integral of the nominal rate, linearly interpolated at
-half-steps.
+values so the integrator keeps full order across it.  The classical
+scheme is linear with constant coefficients, so its RK4 step is one
+affine map whose recurrences are scanned in chunks of numpy arrays.  The
+speculative scheme is a delay system, stepped over Python floats: the
+growth of maturing money is read from the stored running integral of the
+nominal rate, linearly interpolated at half-steps.
 """
 from __future__ import annotations
 
@@ -123,13 +125,77 @@ def _schedule_stage_values(spec: ScheduleSpec, nodes: np.ndarray, step: float, s
     step`` (which is ``nodes[lag]``, even for a step a few ulps off the
     maturity).  The left-limit array is zero at the exact switch-on
     point; midpoints never hit it.
-    Returned as plain lists: the integration loops run on Python floats.
     """
     args = nodes - shift
     right = schedule_eval(spec, args)
     left = np.where(args > 0.0, right, 0.0)
     mid = schedule_eval(spec, args[:-1] + 0.5 * step)
-    return right.tolist(), left.tolist(), mid.tolist()
+    return right, left, mid
+
+
+# The classical solve runs in blocks of at most this many steps, so its
+# temporaries stay small; within a block, a scan chunk keeps the powers of
+# its recurrence coefficient within exp(+-_POWER_SPAN).
+_BLOCK_STEPS = 2048
+_POWER_SPAN = 30.0
+
+
+def _classical_increment(s, r, inflow, matured, rates, step):
+    """The classical scheme's RK4 increment of (S, R) over one step.
+
+    ``inflow`` and ``matured`` hold the schedule forcing at the step's
+    start, midpoint and end (the matured inflow already grown by the
+    promised rate); ``rates`` is (nominal, withdrawal, promised net of
+    withdrawal).  Works on floats and on arrays alike.
+    """
+    rn, rw, drift = rates
+    u1, um, u4 = inflow
+    v1, vm, v4 = matured
+    half = 0.5 * step
+    f1s = rn * s + u1 - rw * r
+    f1r = drift * r + v1
+    s2 = s + half * f1s
+    r2 = r + half * f1r
+    f2s = rn * s2 + um - rw * r2
+    f2r = drift * r2 + vm
+    s3 = s + half * f2s
+    r3 = r + half * f2r
+    f3s = rn * s3 + um - rw * r3
+    f3r = drift * r3 + vm
+    s4 = s + step * f3s
+    r4 = r + step * f3r
+    f4s = rn * s4 + u4 - rw * r4
+    f4r = drift * r4 + v4
+    sixth = step / 6.0
+    return sixth * (f1s + 2.0 * (f2s + f3s) + f4s), sixth * (f1r + 2.0 * (f2r + f3r) + f4r)
+
+
+def _powers(a: float) -> np.ndarray:
+    """a^1 .. a^m for the longest scan chunk m: at most a block, and short
+    enough that the powers stay within exp(+-_POWER_SPAN)."""
+    span = abs(math.log(a)) if 0.0 < a < math.inf else math.inf
+    chunk = _BLOCK_STEPS if span == 0.0 else max(1, min(_BLOCK_STEPS, int(_POWER_SPAN / span)))
+    return a ** np.arange(1.0, chunk + 1.0)
+
+
+def _scan(powers: np.ndarray, x: np.ndarray, c: np.ndarray) -> int:
+    """Fill x[1:] by x[i+1] = a*x[i] + c[i] from x[0], with ``powers`` from
+    ``_powers(a)``; return the index of the first non-finite node, or
+    x.size when every node is finite.
+
+    Each chunk from node k is a^j * (x[k] + cumsum(c / a^m)), with m
+    running over the chunk's steps; the scan stops at the first chunk
+    that holds a non-finite node.
+    """
+    for k in range(0, c.size, powers.size):
+        part = c[k:k + powers.size]
+        scale = powers[:part.size]
+        ahead = x[k + 1:k + 1 + part.size]
+        np.multiply(scale, x[k] + np.cumsum(part / scale), out=ahead)
+        finite = np.isfinite(ahead)
+        if not finite.all():
+            return k + 1 + int(np.argmin(finite))
+    return x.size
 
 
 def classical_ponzi_solve(
@@ -144,8 +210,13 @@ def classical_ponzi_solve(
     minus withdrawals); the withdrawable value compounds at the promised
     rate net of withdrawals and is fed by inflows made one maturity ago,
     grown by the promised rate over the maturity period.  The system is
-    linear, so no blow-up occurs at practical horizons; a state that does
-    overflow stays non-finite and raises ``DivergenceError``.
+    linear with constant coefficients, so an RK4 step is the affine map
+    y[i+1] = y[i] + D y[i] + q[i]: ``_classical_increment`` gives D from
+    the unit states with no forcing and q from the zero state under each
+    step's forcing.  D is upper triangular (R does not read S), so R and
+    then S follow first-order recurrences, scanned in chunks, block by
+    block of the grid.  A state that overflows raises ``DivergenceError``
+    naming the last node whose state is finite.
     """
     n = _grid_steps(horizon, step)
     lag = _delay_steps(params.maturity, step)
@@ -153,46 +224,38 @@ def classical_ponzi_solve(
     direct_r, _, direct_m = _schedule_stage_values(schedule, nodes, step, 0.0)
     delayed_r, delayed_l, delayed_m = _schedule_stage_values(schedule, nodes, step, lag * step)
 
-    rn, rw = params.nominal_rate, params.withdrawal_rate
-    drift = params.promised_rate - rw
+    rates = (params.nominal_rate, params.withdrawal_rate,
+             params.promised_rate - params.withdrawal_rate)
     try:
         matured_gain = math.exp(params.promised_rate * params.maturity)
     except OverflowError:
         matured_gain = math.inf  # the withdrawable value diverges at the first step
 
+    unforced = (0.0, 0.0, 0.0)
+    d_ss, _ = _classical_increment(1.0, 0.0, unforced, unforced, rates, step)
+    d_sr, d_rr = _classical_increment(0.0, 1.0, unforced, unforced, rates, step)
+    powers_s, powers_r = _powers(1.0 + d_ss), _powers(1.0 + d_rr)
     capital = np.empty(n + 1)
     withdrawable = np.empty(n + 1)
-    s = params.initial_capital
-    r = 0.0
-    capital[0] = s
-    withdrawable[0] = r
-    half = 0.5 * step
-    sixth = step / 6.0
-    for i in range(n):
-        f1s = rn * s + direct_r[i] - rw * r
-        f1r = drift * r + matured_gain * delayed_r[i]
-        s2 = s + half * f1s
-        r2 = r + half * f1r
-        f2s = rn * s2 + direct_m[i] - rw * r2
-        f2r = drift * r2 + matured_gain * delayed_m[i]
-        s3 = s + half * f2s
-        r3 = r + half * f2r
-        f3s = rn * s3 + direct_m[i] - rw * r3
-        f3r = drift * r3 + matured_gain * delayed_m[i]
-        s4 = s + step * f3s
-        r4 = r + step * f3r
-        f4s = rn * s4 + direct_r[i + 1] - rw * r4
-        f4r = drift * r4 + matured_gain * delayed_l[i + 1]
-        s += sixth * (f1s + 2.0 * (f2s + f3s) + f4s)
-        r += sixth * (f1r + 2.0 * (f2r + f3r) + f4r)
-        capital[i + 1] = s
-        withdrawable[i + 1] = r
-    # checked once, after the loop: the system is linear, so a state that
-    # overflowed stays inf or NaN up to the horizon
-    finite = np.isfinite(capital) & np.isfinite(withdrawable)
-    if not finite.all():
-        first = int(np.argmin(finite))
-        raise DivergenceError(float(nodes[max(first, 1) - 1]))
+    capital[0] = params.initial_capital
+    withdrawable[0] = 0.0
+    # inf * 0 before maturity is NaN: an overflowing gain diverges at once
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(0, n, _BLOCK_STEPS):
+            stop = min(k + _BLOCK_STEPS, n)
+            q_s, q_r = _classical_increment(
+                0.0, 0.0,
+                (direct_r[k:stop], direct_m[k:stop], direct_r[k + 1:stop + 1]),
+                (matured_gain * delayed_r[k:stop], matured_gain * delayed_m[k:stop],
+                 matured_gain * delayed_l[k + 1:stop + 1]),
+                rates, step,
+            )
+            finite_r = _scan(powers_r, withdrawable[k:stop + 1], q_r)
+            # S runs only over the nodes whose R is finite
+            finite = _scan(powers_s, capital[k:k + finite_r],
+                           d_sr * withdrawable[k:k + finite_r - 1] + q_s[:finite_r - 1])
+            if finite <= stop - k:
+                raise DivergenceError(float(nodes[k + finite - 1]))
     return OdeSolution(grid=nodes, capital=capital, withdrawable=withdrawable)
 
 
@@ -217,8 +280,12 @@ def speculative_ponzi_solve(
     n = _grid_steps(horizon, step)
     lag = _delay_steps(params.maturity, step)
     nodes = step * np.arange(n + 1)
-    direct_r, _, direct_m = _schedule_stage_values(schedule, nodes, step, 0.0)
-    delayed_r, delayed_l, delayed_m = _schedule_stage_values(schedule, nodes, step, lag * step)
+    direct_r, _, direct_m = (
+        v.tolist() for v in _schedule_stage_values(schedule, nodes, step, 0.0)
+    )
+    delayed_r, delayed_l, delayed_m = (
+        v.tolist() for v in _schedule_stage_values(schedule, nodes, step, lag * step)
+    )
 
     c0 = params.market_impact
     rw = params.withdrawal_rate

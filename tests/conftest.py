@@ -6,9 +6,20 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
+
+# Hypothesis's pytest plugin imports this module to report a failing
+# example, and the import warns (a DeprecationWarning from
+# mypy_extensions).  Under filterwarnings = ["error"] that warning would
+# end the session with INTERNALERROR instead of reporting the failure, so
+# the module is imported here once, with that warning ignored for this
+# import only.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 import pricepump
 from pricepump import (

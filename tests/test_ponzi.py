@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pricepump.ponzi as ponzi
 from pricepump import (
     BracketError,
     ConfigurationError,
@@ -152,6 +153,18 @@ class TestSolverInputs:
             solve(params(), spec, 5.0, value)
 
 
+# (nominal, promised, withdrawal): flat market, positive and negative
+# net drift, a shrinking capital, a fast-growing one, a high promise
+STAGEWISE_RATES = [
+    (0.0, 0.41, 0.41),
+    (0.02, 0.41, 0.3),
+    (0.02, 0.3, 0.41),
+    (-0.5, 0.2, 0.6),
+    (20.0, 0.41, 0.3),
+    (0.0, 8.0, 0.41),
+]
+
+
 class TestClassicalSolver:
     def test_overflowing_schedule_raises_divergence(self):
         # exp(700 t) overflows beyond t = 709.78 / 700, in the step after
@@ -166,6 +179,32 @@ class TestClassicalSolver:
         with pytest.raises(DivergenceError) as diverged:
             classical_ponzi_solve(params, ScheduleSpec("constant", 1.0), 5.0, DT)
         assert diverged.value.last_time == 0.0
+
+    @pytest.mark.parametrize("nominal_rate,last_node", [(50.0, 5110), (200.0, 1278),
+                                                        (5000.0, 92)])
+    def test_overflowing_state_names_its_last_finite_node(self, nominal_rate, last_node):
+        # capital grows by the RK4 factor a per step and overflows once a^i
+        # passes the float limit; the stagewise loop raised a few nodes
+        # earlier, when a stage's rn * S overflowed (14.0806, 3.51389 and
+        # 0.252778 years)
+        params = PonziParams(nominal_rate, 0.41, 0.3, 3.0, 1.0)
+        with pytest.raises(DivergenceError) as diverged:
+            classical_ponzi_solve(params, ScheduleSpec("constant", 1.0), 20.0, DT)
+        assert diverged.value.last_time == DT * last_node
+
+    @pytest.mark.parametrize("kind", ["constant", "linear", "exponential"])
+    @pytest.mark.parametrize("rates", STAGEWISE_RATES)
+    @pytest.mark.parametrize("maturity", [0.0, DT, 3.0])
+    def test_equals_stagewise_oracle(self, kind, rates, maturity):
+        params = PonziParams(*rates, maturity, 1.0)
+        spec = ScheduleSpec(kind, 1.0, 0.1)
+        # 2,160 steps: the solve crosses one block boundary
+        sol = classical_ponzi_solve(params, spec, 6.0, DT)
+        oracle = stagewise_classical_solve(params, spec, 6.0, DT)
+        assert np.array_equal(sol.grid, oracle.grid)
+        for name in ("capital", "withdrawable"):
+            got, want = getattr(sol, name), getattr(oracle, name)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_no_inflow_pure_exponential(self):
         params = PonziParams(0.05, 0.41, 0.41, 3.0, 2.0)
@@ -275,6 +314,13 @@ class TestCriticalExponent:
         params = PonziParams(0.0, 0.2, 0.2, 3.0, 0.0)
         value = critical_exponent(params, horizon=60.0, tol=0.005)
         assert value == pytest.approx(0.2, abs=0.02)
+
+    @pytest.mark.parametrize("rate", [0.41, 0.2])
+    def test_same_rate_as_stagewise_oracle(self, rate, monkeypatch):
+        params = PonziParams(0.0, rate, rate, 3.0, 0.0)
+        scanned = critical_exponent(params, horizon=60.0, tol=0.005)
+        monkeypatch.setattr(ponzi, "classical_ponzi_solve", stagewise_classical_solve)
+        assert critical_exponent(params, horizon=60.0, tol=0.005) == scanned
 
     def test_supercritical_schedule_survives(self):
         params = PonziParams(0.0, 0.41, 0.41, 3.0, 0.0)
@@ -428,6 +474,59 @@ class TestSpeculativeSolver:
             assert abs(a - b) / abs(b) < 1e-4
 
 
+def stagewise_classical_solve(params, schedule, horizon, step=DT):
+    """Reference classical solver: the four RK4 stages taken one step at a
+    time over Python floats.  ``classical_ponzi_solve`` evaluates the same
+    step as an affine map and must agree with it to rounding."""
+    n = _grid_steps(horizon, step)
+    lag = _delay_steps(params.maturity, step)
+    nodes = step * np.arange(n + 1)
+    direct_r, _, direct_m = (
+        v.tolist() for v in _schedule_stage_values(schedule, nodes, step, 0.0)
+    )
+    delayed_r, delayed_l, delayed_m = (
+        v.tolist() for v in _schedule_stage_values(schedule, nodes, step, lag * step)
+    )
+    rn, rw = params.nominal_rate, params.withdrawal_rate
+    drift = params.promised_rate - rw
+    try:
+        matured_gain = math.exp(params.promised_rate * params.maturity)
+    except OverflowError:
+        matured_gain = math.inf
+    capital = np.empty(n + 1)
+    withdrawable = np.empty(n + 1)
+    s = params.initial_capital
+    r = 0.0
+    capital[0] = s
+    withdrawable[0] = r
+    half = 0.5 * step
+    sixth = step / 6.0
+    for i in range(n):
+        f1s = rn * s + direct_r[i] - rw * r
+        f1r = drift * r + matured_gain * delayed_r[i]
+        s2 = s + half * f1s
+        r2 = r + half * f1r
+        f2s = rn * s2 + direct_m[i] - rw * r2
+        f2r = drift * r2 + matured_gain * delayed_m[i]
+        s3 = s + half * f2s
+        r3 = r + half * f2r
+        f3s = rn * s3 + direct_m[i] - rw * r3
+        f3r = drift * r3 + matured_gain * delayed_m[i]
+        s4 = s + step * f3s
+        r4 = r + step * f3r
+        f4s = rn * s4 + direct_r[i + 1] - rw * r4
+        f4r = drift * r4 + matured_gain * delayed_l[i + 1]
+        s += sixth * (f1s + 2.0 * (f2s + f3s) + f4s)
+        r += sixth * (f1r + 2.0 * (f2r + f3r) + f4r)
+        capital[i + 1] = s
+        withdrawable[i + 1] = r
+    finite = np.isfinite(capital) & np.isfinite(withdrawable)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        raise DivergenceError(float(nodes[max(first, 1) - 1]))
+    return OdeSolution(grid=nodes, capital=capital, withdrawable=withdrawable)
+
+
 def closure_speculative_solve(params, schedule, horizon, step=DT):
     """Reference speculative solver: the loop that built a stage closure
     every step and read the delayed J from the stored numpy array.
@@ -435,8 +534,12 @@ def closure_speculative_solve(params, schedule, horizon, step=DT):
     n = _grid_steps(horizon, step)
     lag = _delay_steps(params.maturity, step)
     nodes = step * np.arange(n + 1)
-    direct_r, _, direct_m = _schedule_stage_values(schedule, nodes, step, 0.0)
-    delayed_r, delayed_l, delayed_m = _schedule_stage_values(schedule, nodes, step, lag * step)
+    direct_r, _, direct_m = (
+        v.tolist() for v in _schedule_stage_values(schedule, nodes, step, 0.0)
+    )
+    delayed_r, delayed_l, delayed_m = (
+        v.tolist() for v in _schedule_stage_values(schedule, nodes, step, lag * step)
+    )
     c0 = params.market_impact
     rw = params.withdrawal_rate
     ext = params.external_rate
