@@ -8,15 +8,19 @@ multiple of the step); stage evaluations at a switch point use one-sided
 values so the integrator keeps full order across it.  The classical
 scheme is linear with constant coefficients, so its RK4 step is one
 affine map whose recurrences are scanned in chunks of numpy arrays.  The
-speculative scheme is a delay system, stepped over Python floats: the
-growth of maturing money is read from the stored running integral of the
-nominal rate, linearly interpolated at half-steps.
+speculative scheme is a delay system: its withdrawable value and the
+running integral of its nominal rate, from which the growth of maturing
+money is read (linearly interpolated at half-steps), are stepped over
+Python floats.  Its capital feeds neither, and given their stage values
+its RK4 step is affine with a coefficient per step, scanned like the
+classical one.
 """
 from __future__ import annotations
 
 import math
-from collections import deque
+from array import array
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -117,25 +121,31 @@ def _delay_steps(maturity: float, step: float) -> int:
     )
 
 
-def _schedule_stage_values(spec: ScheduleSpec, nodes: np.ndarray, step: float, shift: float):
-    """Schedule samples at nodes (both one-sided limits) and midpoints.
+def _schedule_stage_values(spec: ScheduleSpec, nodes: np.ndarray, step: float, lag: int):
+    """The schedule samples both solvers step with.
 
-    ``shift`` displaces the argument, so the same helper serves the direct
-    term r(t) and the delayed term r(t - maturity), shifted by ``lag *
+    Returns the direct term r(t) at the nodes and midpoints, and the
+    delayed term r(t - maturity) at the nodes, midpoints and as the
+    left limit at the nodes.  The delayed argument is shifted by ``lag *
     step`` (which is ``nodes[lag]``, even for a step a few ulps off the
-    maturity).  The left-limit array is zero at the exact switch-on
-    point; midpoints never hit it.
+    maturity), so its left limit is zero at the exact switch-on point;
+    midpoints never hit it.
     """
-    args = nodes - shift
-    right = schedule_eval(spec, args)
-    left = np.where(args > 0.0, right, 0.0)
-    mid = schedule_eval(spec, args[:-1] + 0.5 * step)
-    return right, left, mid
+
+    def sample(shift):
+        args = nodes - shift
+        return args, schedule_eval(spec, args), schedule_eval(spec, args[:-1] + 0.5 * step)
+
+    _, direct_r, direct_m = sample(0.0)
+    args, delayed_r, delayed_m = sample(lag * step)
+    delayed_l = np.where(args > 0.0, delayed_r, 0.0)
+    return direct_r, direct_m, delayed_r, delayed_m, delayed_l
 
 
-# The classical solve runs in blocks of at most this many steps, so its
-# temporaries stay small; within a block, a scan chunk keeps the powers of
-# its recurrence coefficient within exp(+-_POWER_SPAN).
+# Both solvers take their numpy stages in blocks of at most this many
+# steps, so their temporaries stay small; within a block, a scan chunk keeps
+# the running products of its recurrence coefficients within
+# exp(+-_POWER_SPAN).
 _BLOCK_STEPS = 2048
 _POWER_SPAN = 30.0
 
@@ -178,24 +188,51 @@ def _powers(a: float) -> np.ndarray:
     return a ** np.arange(1.0, chunk + 1.0)
 
 
+def _scan_chunk(scale: np.ndarray, x: np.ndarray, c: np.ndarray) -> None:
+    """Fill x[1:] by x[i+1] = a[i]*x[i] + c[i] from x[0], given the running
+    products scale[m] = a[0]*...*a[m]: x[1:] = scale * (x[0] + cumsum(c / scale))."""
+    np.multiply(scale, x[0] + np.cumsum(c / scale), out=x[1:])
+
+
 def _scan(powers: np.ndarray, x: np.ndarray, c: np.ndarray) -> int:
     """Fill x[1:] by x[i+1] = a*x[i] + c[i] from x[0], with ``powers`` from
     ``_powers(a)``; return the index of the first non-finite node, or
     x.size when every node is finite.
 
-    Each chunk from node k is a^j * (x[k] + cumsum(c / a^m)), with m
-    running over the chunk's steps; the scan stops at the first chunk
-    that holds a non-finite node.
+    The scan stops at the first chunk that holds a non-finite node.
     """
     for k in range(0, c.size, powers.size):
         part = c[k:k + powers.size]
-        scale = powers[:part.size]
-        ahead = x[k + 1:k + 1 + part.size]
-        np.multiply(scale, x[k] + np.cumsum(part / scale), out=ahead)
-        finite = np.isfinite(ahead)
+        _scan_chunk(powers[:part.size], x[k:k + 1 + part.size], part)
+        finite = np.isfinite(x[k + 1:k + 1 + part.size])
         if not finite.all():
             return k + 1 + int(np.argmin(finite))
     return x.size
+
+
+_SCALE_LOW, _SCALE_HIGH = math.exp(-_POWER_SPAN), math.exp(_POWER_SPAN)
+
+
+def _scan_varying(a: np.ndarray, x: np.ndarray, c: np.ndarray) -> None:
+    """Fill x[1:] by x[i+1] = a[i]*x[i] + c[i] from x[0].
+
+    Each chunk runs while the running product of a stays within
+    exp(+-_POWER_SPAN); a step whose own coefficient lies outside (zero
+    and non-finite included) is taken alone.  A non-finite node makes
+    every later one non-finite.
+    """
+    k = 0
+    while k < c.size:
+        scale = np.cumprod(a[k:])
+        magnitude = np.abs(scale)
+        inside = (magnitude >= _SCALE_LOW) & (magnitude <= _SCALE_HIGH)
+        m = inside.size if inside.all() else int(np.argmin(inside))
+        if m == 0:
+            x[k + 1] = a[k] * x[k] + c[k]
+            m = 1
+        else:
+            _scan_chunk(scale[:m], x[k:k + m + 1], c[k:k + m])
+        k += m
 
 
 def classical_ponzi_solve(
@@ -221,8 +258,9 @@ def classical_ponzi_solve(
     n = _grid_steps(horizon, step)
     lag = _delay_steps(params.maturity, step)
     nodes = step * np.arange(n + 1)
-    direct_r, _, direct_m = _schedule_stage_values(schedule, nodes, step, 0.0)
-    delayed_r, delayed_l, delayed_m = _schedule_stage_values(schedule, nodes, step, lag * step)
+    direct_r, direct_m, delayed_r, delayed_m, delayed_l = (
+        _schedule_stage_values(schedule, nodes, step, lag)
+    )
 
     rates = (params.nominal_rate, params.withdrawal_rate,
              params.promised_rate - params.withdrawal_rate)
@@ -259,6 +297,98 @@ def classical_ponzi_solve(
     return OdeSolution(grid=nodes, capital=capital, withdrawable=withdrawable)
 
 
+def _withdrawable_and_growth(params: SpeculativePonziParams, forcing, lag: int, step: float):
+    """Step the speculative scheme's R and J over Python floats.
+
+    Returns R at the nodes reached and J at those nodes behind max(lag, 1)
+    zeros, so that entries i and i + 1 are J one maturity before step i's
+    two ends.  The loop stops early at a step whose growth factor
+    overflows or whose R or J is not finite.
+    """
+    direct_r, direct_m, delayed_r, delayed_m, delayed_l = (v.tolist() for v in forcing)
+    c0 = params.market_impact
+    rw = params.withdrawal_rate
+    ext = params.external_rate
+    # with no delay, money matures as it arrives: its growth factor is 1
+    growth = math.exp if lag else (lambda _: 1.0)
+    isfinite = math.isfinite
+
+    r = 0.0
+    j = 0.0
+    # R and J are stored as raw doubles: a list of float objects takes four
+    # times the memory
+    withdrawable = array("d", [r])
+    # J at nodes at or before 0 is zero (when lag is 0, the past is never read)
+    past = array("d", [0.0] * (max(lag, 1) + 1))
+    half = 0.5 * step
+    sixth = step / 6.0
+    # inflow and matured inflow at the step's start, midpoint and end, and J
+    # one maturity before its two ends: the loop appends to past as it goes,
+    # and both iterators over it see each entry
+    for u1, um, u4, v1, vm, v4, j_start, j_end in zip(
+        direct_r, direct_m, islice(direct_r, 1, None),
+        delayed_r, delayed_m, islice(delayed_l, 1, None),
+        past, islice(past, 1, None),
+    ):
+        j_mid = 0.5 * (j_start + j_end)
+        try:
+            flow = u1 - rw * r
+            f1j = c0 * flow + ext
+            f1r = (f1j - rw) * r + v1 * growth(j - j_start)
+
+            r2 = r + half * f1r
+            j2 = j + half * f1j
+            flow = um - rw * r2
+            f2j = c0 * flow + ext
+            f2r = (f2j - rw) * r2 + vm * growth(j2 - j_mid)
+
+            r3 = r + half * f2r
+            j3 = j + half * f2j
+            flow = um - rw * r3
+            f3j = c0 * flow + ext
+            f3r = (f3j - rw) * r3 + vm * growth(j3 - j_mid)
+
+            r4 = r + step * f3r
+            j4 = j + step * f3j
+            flow = u4 - rw * r4
+            f4j = c0 * flow + ext
+            f4r = (f4j - rw) * r4 + v4 * growth(j4 - j_end)
+        except OverflowError:
+            break
+        r += sixth * (f1r + 2.0 * (f2r + f3r) + f4r)
+        j += sixth * (f1j + 2.0 * (f2j + f3j) + f4j)
+        if not (isfinite(r) and isfinite(j)):
+            break
+        withdrawable.append(r)
+        past.append(j)
+    return np.array(withdrawable), np.array(past)
+
+
+def _capital_map(flows, c0: float, step: float):
+    """alpha, beta of the RK4 step S + increment = alpha*S + beta, given
+    the four stage flows: stage k's slope is p_k*S + q_k."""
+    flow1, flow2, flow3, flow4 = flows
+    half = 0.5 * step
+    p1, q1 = c0 * flow1, flow1
+    p2, q2 = c0 * flow2 * (1.0 + half * p1), flow2 * (1.0 + c0 * half * q1)
+    p3, q3 = c0 * flow3 * (1.0 + half * p2), flow3 * (1.0 + c0 * half * q2)
+    p4, q4 = c0 * flow4 * (1.0 + step * p3), flow4 * (1.0 + c0 * step * q3)
+    sixth = step / 6.0
+    return 1.0 + sixth * (p1 + 2.0 * (p2 + p3) + p4), sixth * (q1 + 2.0 * (q2 + q3) + q4)
+
+
+def _capital_increment(s, flows, c0: float, step: float):
+    """The RK4 increment of S over one step, stage by stage, given the four
+    stage flows (dS = flow * (c0*S + 1))."""
+    flow1, flow2, flow3, flow4 = flows
+    half = 0.5 * step
+    f1s = flow1 * (c0 * s + 1.0)
+    f2s = flow2 * (c0 * (s + half * f1s) + 1.0)
+    f3s = flow3 * (c0 * (s + half * f2s) + 1.0)
+    f4s = flow4 * (c0 * (s + step * f3s) + 1.0)
+    return step / 6.0 * (f1s + 2.0 * (f2s + f3s) + f4s)
+
+
 def speculative_ponzi_solve(
     params: SpeculativePonziParams,
     schedule: ScheduleSpec,
@@ -270,97 +400,67 @@ def speculative_ponzi_solve(
     J is the running integral of the nominal rate; money invested one
     maturity ago matures grown by exp(J(t) - J(t - maturity)), with the
     past J read at the grid nodes one maturity back (linear interpolation
-    at half-steps; J = 0 for t <= 0).  Those nodes come from a buffer of
-    the last maturity's J values as Python floats, one entry per node
-    from t - maturity to t, seeded with the zeros of the nodes at or
-    before 0.  The four RK4 stages are written out in the loop, each as
-    flow = inflow - rw*R, rate = c0*flow + ext, dS = flow*(c0*S + 1) and
-    dR = (rate - rw)*R + matured inflow * growth, with dJ = rate.
+    at half-steps; J = 0 for t <= 0).  Each RK4 stage has flow = inflow -
+    rw*R, rate = c0*flow + ext, dS = flow*(c0*S + 1) and dR = (rate -
+    rw)*R + matured inflow * growth, with dJ = rate.
+
+    S feeds neither R nor J, so the solve has two phases.  R and J are
+    stepped over Python floats.  Then, block by block, the four stage
+    flows are rebuilt from the stored R, J and past J (growth factors by
+    ``np.exp``); given them, an RK4 step of S is the affine map
+    S[i+1] = alpha[i]*S[i] + beta[i], which is scanned in chunks.  A step
+    fails when its growth factor overflows, its R, J or S is not
+    finite, or the increment of S taken stage by stage from the scanned
+    S[i] is not finite; ``DivergenceError`` names the start node of the
+    earliest failing step.
     """
     n = _grid_steps(horizon, step)
     lag = _delay_steps(params.maturity, step)
     nodes = step * np.arange(n + 1)
-    direct_r, _, direct_m = (
-        v.tolist() for v in _schedule_stage_values(schedule, nodes, step, 0.0)
-    )
-    delayed_r, delayed_l, delayed_m = (
-        v.tolist() for v in _schedule_stage_values(schedule, nodes, step, lag * step)
-    )
+    forcing = _schedule_stage_values(schedule, nodes, step, lag)
+    withdrawable, past = _withdrawable_and_growth(params, forcing, lag, step)
+    taken = withdrawable.size - 1
+    log_growth = past[max(lag, 1):]
 
     c0 = params.market_impact
     rw = params.withdrawal_rate
     ext = params.external_rate
-    # with no delay, money matures as it arrives: its growth factor is 1
-    growth = math.exp if lag else (lambda _: 1.0)
-    isfinite = math.isfinite
-
-    capital = np.empty(n + 1)
-    withdrawable = np.empty(n + 1)
-    log_growth = np.zeros(n + 1)
-    s = params.initial_capital
-    r = 0.0
-    j = 0.0
-    capital[0] = s
-    withdrawable[0] = r
-    # J at nodes i - lag .. i: past[0] and past[1] are J one maturity
-    # before the step's two ends (when lag is 0, two zeros never used)
-    size = max(lag, 1) + 1
-    past = deque([0.0] * size, maxlen=size)
-
+    direct_r, direct_m, delayed_r, delayed_m, _ = forcing
+    growth = np.exp if lag else (lambda _: 1.0)
     half = 0.5 * step
-    sixth = step / 6.0
-    for i in range(n):
-        j_start = past[0]
-        j_end = past[1]
-        j_mid = 0.5 * (j_start + j_end)
-        try:
-            flow = direct_r[i] - rw * r
-            f1j = c0 * flow + ext
-            f1s = flow * (c0 * s + 1.0)
-            f1r = (f1j - rw) * r + delayed_r[i] * growth(j - j_start)
-
-            inflow = direct_m[i]
-            matured = delayed_m[i]
-            s2 = s + half * f1s
-            r2 = r + half * f1r
-            j2 = j + half * f1j
-            flow = inflow - rw * r2
-            f2j = c0 * flow + ext
-            f2s = flow * (c0 * s2 + 1.0)
-            f2r = (f2j - rw) * r2 + matured * growth(j2 - j_mid)
-
-            s3 = s + half * f2s
-            r3 = r + half * f2r
-            j3 = j + half * f2j
-            flow = inflow - rw * r3
-            f3j = c0 * flow + ext
-            f3s = flow * (c0 * s3 + 1.0)
-            f3r = (f3j - rw) * r3 + matured * growth(j3 - j_mid)
-
-            s4 = s + step * f3s
-            r4 = r + step * f3r
-            j4 = j + step * f3j
-            flow = direct_r[i + 1] - rw * r4
-            f4j = c0 * flow + ext
-            f4s = flow * (c0 * s4 + 1.0)
-            f4r = (f4j - rw) * r4 + delayed_l[i + 1] * growth(j4 - j_end)
-        except OverflowError:
-            raise DivergenceError(float(nodes[i])) from None
-        s += sixth * (f1s + 2.0 * (f2s + f3s) + f4s)
-        r += sixth * (f1r + 2.0 * (f2r + f3r) + f4r)
-        j += sixth * (f1j + 2.0 * (f2j + f3j) + f4j)
-        if not (isfinite(s) and isfinite(r) and isfinite(j)):
-            raise DivergenceError(float(nodes[i]))
-        capital[i + 1] = s
-        withdrawable[i + 1] = r
-        log_growth[i + 1] = j
-        past.append(j)
+    capital = np.empty(taken + 1)
+    capital[0] = params.initial_capital
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(0, taken, _BLOCK_STEPS):
+            stop = min(k + _BLOCK_STEPS, taken)
+            # the loop's stage flows, from the stored R, J and past J
+            r, j = withdrawable[k:stop], log_growth[k:stop]
+            j_start, j_end = past[k:stop], past[k + 1:stop + 1]
+            j_mid = 0.5 * (j_start + j_end)
+            inflow, matured = direct_m[k:stop], delayed_m[k:stop]
+            flow1 = direct_r[k:stop] - rw * r
+            f1j = c0 * flow1 + ext
+            r2 = r + half * ((f1j - rw) * r + delayed_r[k:stop] * growth(j - j_start))
+            flow2 = inflow - rw * r2
+            f2j = c0 * flow2 + ext
+            r3 = r + half * ((f2j - rw) * r2 + matured * growth(j + half * f1j - j_mid))
+            flow3 = inflow - rw * r3
+            f3r = (c0 * flow3 + ext - rw) * r3 + matured * growth(j + half * f2j - j_mid)
+            flows = (flow1, flow2, flow3, direct_r[k + 1:stop + 1] - rw * (r + step * f3r))
+            alpha, beta = _capital_map(flows, c0, step)
+            _scan_varying(alpha, capital[k:stop + 1], beta)
+            finite = (np.isfinite(capital[k + 1:stop + 1])
+                      & np.isfinite(_capital_increment(capital[k:stop], flows, c0, step)))
+            if not finite.all():
+                raise DivergenceError(float(nodes[k + int(np.argmin(finite))]))
+    if taken < n:
+        raise DivergenceError(float(nodes[taken]))
 
     return OdeSolution(
         grid=nodes,
         capital=capital,
         withdrawable=withdrawable,
-        nominal_rate=c0 * (np.asarray(direct_r) - rw * withdrawable) + ext,
+        nominal_rate=c0 * (direct_r - rw * withdrawable) + ext,
         log_growth=log_growth,
     )
 

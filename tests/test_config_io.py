@@ -1032,7 +1032,7 @@ class TestCli:
         # switch still falls on its node, so the fit reproduces the solve
         assert fit["rmse"] < 1e-6
         digest = hashlib.sha256((out / "fitted_ode.csv").read_bytes()).hexdigest()
-        assert digest == "4a170155dbd0e06731907718437c2cacdaf6f03ffbb7a6575147f3507ada7660"
+        assert digest == "c350e49345a1bd1bbb009ee3fddb6ad11ecaabd9705385ac2eb86ca1e2cbd5ac"
         assert sorted(path.name for path in out.iterdir()) == [
             "config.json", "fit.json", "fitted_ode.csv", "manifest.json",
         ]

@@ -1,10 +1,11 @@
 import hashlib
 import math
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pricepump.ponzi as ponzi
@@ -153,6 +154,14 @@ class TestSolverInputs:
             solve(params(), spec, 5.0, value)
 
 
+def assert_within_rounding(got, want, scale=None):
+    """got equals want to within 1e-12 of ``scale``, by default want's
+    largest magnitude: the scanned solvers against their step-by-step
+    oracles."""
+    scale = np.max(np.abs(want)) if scale is None else scale
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
 # (nominal, promised, withdrawal): flat market, positive and negative
 # net drift, a shrinking capital, a fast-growing one, a high promise
 STAGEWISE_RATES = [
@@ -203,8 +212,7 @@ class TestClassicalSolver:
         oracle = stagewise_classical_solve(params, spec, 6.0, DT)
         assert np.array_equal(sol.grid, oracle.grid)
         for name in ("capital", "withdrawable"):
-            got, want = getattr(sol, name), getattr(oracle, name)
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            assert_within_rounding(getattr(sol, name), getattr(oracle, name))
 
     def test_no_inflow_pure_exponential(self):
         params = PonziParams(0.05, 0.41, 0.41, 3.0, 2.0)
@@ -481,11 +489,8 @@ def stagewise_classical_solve(params, schedule, horizon, step=DT):
     n = _grid_steps(horizon, step)
     lag = _delay_steps(params.maturity, step)
     nodes = step * np.arange(n + 1)
-    direct_r, _, direct_m = (
-        v.tolist() for v in _schedule_stage_values(schedule, nodes, step, 0.0)
-    )
-    delayed_r, delayed_l, delayed_m = (
-        v.tolist() for v in _schedule_stage_values(schedule, nodes, step, lag * step)
+    direct_r, direct_m, delayed_r, delayed_m, delayed_l = (
+        v.tolist() for v in _schedule_stage_values(schedule, nodes, step, lag)
     )
     rn, rw = params.nominal_rate, params.withdrawal_rate
     drift = params.promised_rate - rw
@@ -527,18 +532,21 @@ def stagewise_classical_solve(params, schedule, horizon, step=DT):
     return OdeSolution(grid=nodes, capital=capital, withdrawable=withdrawable)
 
 
-def closure_speculative_solve(params, schedule, horizon, step=DT):
+def closure_speculative_solve(params, schedule, horizon, step=DT, capital_scale=None):
     """Reference speculative solver: the loop that built a stage closure
     every step and read the delayed J from the stored numpy array.
-    ``speculative_ponzi_solve`` must equal it bit for bit."""
+    ``speculative_ponzi_solve`` must equal its R, J and nominal rate bit
+    for bit, and its capital to rounding.
+
+    When ``capital_scale`` is a list, a solve that completes appends to it
+    the largest magnitude a capital step's rounding is relative to: its
+    stage terms step * dS, and S times the step's derivative in S, by which
+    a rounding of S[i] reaches S[i+1]."""
     n = _grid_steps(horizon, step)
     lag = _delay_steps(params.maturity, step)
     nodes = step * np.arange(n + 1)
-    direct_r, _, direct_m = (
-        v.tolist() for v in _schedule_stage_values(schedule, nodes, step, 0.0)
-    )
-    delayed_r, delayed_l, delayed_m = (
-        v.tolist() for v in _schedule_stage_values(schedule, nodes, step, lag * step)
+    direct_r, direct_m, delayed_r, delayed_m, delayed_l = (
+        v.tolist() for v in _schedule_stage_values(schedule, nodes, step, lag)
     )
     c0 = params.market_impact
     rw = params.withdrawal_rate
@@ -555,6 +563,7 @@ def closure_speculative_solve(params, schedule, horizon, step=DT):
     def past(idx):
         return log_growth[idx] if idx > 0 else 0.0
 
+    largest = 0.0
     half = 0.5 * step
     sixth = step / 6.0
     for i in range(n):
@@ -571,22 +580,29 @@ def closure_speculative_solve(params, schedule, horizon, step=DT):
             growth = 1.0 if j_past is None else math.exp(j_ - j_past)
             ds = flow * (c0 * s_ + 1.0)
             dr = (rate - rw) * r_ + matured_rate * growth
-            return ds, dr, rate
+            return ds, dr, rate, flow
 
         try:
-            f1s, f1r, f1j = rhs(direct_r[i], delayed_r[i], j1, s, r, j)
-            f2s, f2r, f2j = rhs(
+            f1s, f1r, f1j, g1 = rhs(direct_r[i], delayed_r[i], j1, s, r, j)
+            f2s, f2r, f2j, g2 = rhs(
                 direct_m[i], delayed_m[i], jm, s + half * f1s, r + half * f1r, j + half * f1j
             )
-            f3s, f3r, f3j = rhs(
+            f3s, f3r, f3j, g3 = rhs(
                 direct_m[i], delayed_m[i], jm, s + half * f2s, r + half * f2r, j + half * f2j
             )
-            f4s, f4r, f4j = rhs(
+            f4s, f4r, f4j, g4 = rhs(
                 direct_r[i + 1], delayed_l[i + 1], j4,
                 s + step * f3s, r + step * f3r, j + step * f3j,
             )
         except OverflowError:
             raise DivergenceError(float(nodes[i])) from None
+        d1 = c0 * g1
+        d2 = c0 * g2 * (1.0 + half * d1)
+        d3 = c0 * g3 * (1.0 + half * d2)
+        d4 = c0 * g4 * (1.0 + step * d3)
+        derivative = 1.0 + sixth * (d1 + 2.0 * (d2 + d3) + d4)
+        largest = max(largest, abs(derivative * s),
+                      step * max(abs(f1s), abs(f2s), abs(f3s), abs(f4s)))
         s += sixth * (f1s + 2.0 * (f2s + f3s) + f4s)
         r += sixth * (f1r + 2.0 * (f2r + f3r) + f4r)
         j += sixth * (f1j + 2.0 * (f2j + f3j) + f4j)
@@ -596,17 +612,21 @@ def closure_speculative_solve(params, schedule, horizon, step=DT):
         withdrawable[i + 1] = r
         log_growth[i + 1] = j
 
+    if capital_scale is not None:
+        capital_scale.append(largest)
     rate_series = c0 * (np.asarray(direct_r) - rw * withdrawable) + ext
     return OdeSolution(nodes, capital, withdrawable, rate_series, log_growth)
 
 
-SOLUTION_FIELDS = ("grid", "capital", "withdrawable", "nominal_rate", "log_growth")
+# The grid and the series the R/J loop gives, held bit for bit; the
+# capital, scanned from them, is held to rounding.
+LOOP_FIELDS = ("grid", "withdrawable", "nominal_rate", "log_growth")
 
 
-def solution_digest(sol):
-    """sha256 over the grid and every solution series, by name."""
+def solution_digest(sol, names=LOOP_FIELDS):
+    """sha256 over the named solution series, by name."""
     digest = hashlib.sha256()
-    for name in SOLUTION_FIELDS:
+    for name in names:
         digest.update(name.encode())
         digest.update(getattr(sol, name).tobytes())
     return digest.hexdigest()
@@ -618,36 +638,45 @@ def speculative_case(kind="exponential", mass=1.0, growth=0.1, horizon=8.0, **pa
     return SpeculativePonziParams(**params), ScheduleSpec(kind, mass, growth), horizon
 
 
-# Digests recorded from the speculative solver that built a stage closure
-# every step (``closure_speculative_solve``).  Any change to a single bit
-# of the grid or of a solution series changes them.  The exponential
-# schedule is sampled with ``np.exp``, which follows numpy's CPU dispatch,
-# so those digests hold for the machine type that recorded them (x86-64
-# with AVX-512); the property test below holds on any machine.
+# Two digests per case.  The first covers the grid and the series of the
+# R/J loop; it was recorded from the speculative solver that built a stage
+# closure every step (``closure_speculative_solve``), and any change to a
+# single bit of those series changes it.  The second covers the capital
+# as the scan gives it.  Schedules and growth factors are sampled with
+# ``np.exp``, which follows numpy's CPU dispatch, so the capital digests
+# (and the exponential schedule's loop digest) hold for the machine type
+# that recorded them (x86-64 with AVX-512); the property test below holds
+# on any machine.
 PINNED_SPECULATIVE = {
     "exponential": (
         speculative_case(),
-        "56f31084b2c3cf1e6870f8b326b298352e28713e876a78852bb900a083cc2739",
+        "d13e8d3e3ac4da1c4b6c8de3b4d2f3c22d0fdbe40e1da9fe8ea38e375fe94785",
+        "4f0ad9d5fb9bf902057666a56ee397d4d83df02dc72c43cf71f012b3cae3d0e1",
     ),
     "constant": (
         speculative_case("constant"),
-        "5251cb54a367be4fbeda1c2f2a8e92cf289d6049732b67e012cd583bc1996983",
+        "56e4c4aa08d0625b41b8a9ad17507ca4e7dedec5f33d2a19bf99486fc1dbf097",
+        "5b8254fec037a61ce44fe4a3005d37a6c0a77e6b79df0fe3afba5093e508714f",
     ),
     "linear": (
         speculative_case("linear"),
-        "cc8778641e56f820f742567372eb21a3039d908c7ac108b23780a57cf37ff178",
+        "c34d66d14bffc5723d6825fe4f0b2ca05e49ccbd4a1093a1a96f8681179d7dbe",
+        "5849becb937b530df36ab232f192929036235f8450984fb8edd6fac726759334",
     ),
     "no-delay": (
         speculative_case(maturity=0.0),
-        "0bb69c8928e8cf46ae2a8abef08cdd52c3b881f21c8097412c319d4a17d94eed",
+        "ee9ad2b30c5772093fec5fc224cf56e3777eb65723be585361ce0996af02d2ac",
+        "d05ef1becae0de650dcc3bd6f40f36087d40ef6a146aa8cb827fab91192cde5f",
     ),
     "one-step-delay": (
         speculative_case(maturity=DT),
-        "f7b07311c8f3427866f855e2e75e35d7b87f14e7581a083656674867c880cfa4",
+        "f0b5284cb6fcba2194ef438ee90860ebe6a11ad3e76454ed98d4440680e261a8",
+        "d92de20f191cf13b6d5338dd6b2dedb9f0afbec3447018b5c68eb9bf1fc68147",
     ),
     "external-rate-initial-capital": (
         speculative_case(market_impact=0.7, external_rate=0.05, initial_capital=2.0),
-        "5c91d1bab23ec8daa4fbb5ae1e4237ccf0202828ea0c2fc652f8ba27dd8d8ef6",
+        "be0a7218b1bbd171cad4c589aa27f7545fa848320f90f48af0cb1c50f4d1ef17",
+        "bf208ffd613dbef6ad76ff152da7f41eee265954f4e31936a9c5f45a1dda05f6",
     ),
 }
 
@@ -664,19 +693,20 @@ PINNED_SPECULATIVE_DIVERGENCE = {
 
 
 def solve_outcome(solve, params, spec, horizon, step=DT):
-    """The solution's bytes, or the divergence type and time."""
+    """The solution, or the divergence type and time."""
     try:
-        sol = solve(params, spec, horizon, step)
+        return solve(params, spec, horizon, step)
     except DivergenceError as diverged:
         return type(diverged), diverged.last_time
-    return tuple(getattr(sol, name).tobytes() for name in SOLUTION_FIELDS)
 
 
 class TestSpeculativeBitIdentity:
     @pytest.mark.parametrize("name", sorted(PINNED_SPECULATIVE))
     def test_solution_bits_are_pinned(self, name):
-        (params, spec, horizon), expected = PINNED_SPECULATIVE[name]
-        assert solution_digest(speculative_ponzi_solve(params, spec, horizon, DT)) == expected
+        (params, spec, horizon), loop, capital = PINNED_SPECULATIVE[name]
+        sol = speculative_ponzi_solve(params, spec, horizon, DT)
+        assert solution_digest(sol) == loop
+        assert solution_digest(sol, ("capital",)) == capital
 
     @pytest.mark.parametrize("name", sorted(PINNED_SPECULATIVE_DIVERGENCE))
     def test_divergence_is_pinned(self, name):
@@ -687,10 +717,39 @@ class TestSpeculativeBitIdentity:
         assert diverged.value.last_time == last_time
 
     def test_oracle_matches_pins(self):
-        (params, spec, horizon), expected = PINNED_SPECULATIVE["exponential"]
-        assert solution_digest(closure_speculative_solve(params, spec, horizon)) == expected
+        (params, spec, horizon), loop, _ = PINNED_SPECULATIVE["exponential"]
+        assert solution_digest(closure_speculative_solve(params, spec, horizon)) == loop
+
+    @pytest.mark.parametrize("maturity,last_time", [(0.0, 5.5), (0.5, 0.25)])
+    def test_overflowing_capital_stage_diverges(self, maturity, last_time):
+        # the capital's stage slopes overflow while its scanned node stays
+        # finite: the step fails as it does stage by stage
+        params = SpeculativePonziParams(1.484375, 0.0, maturity, 1.0)
+        spec = ScheduleSpec("linear", 3141.0, 0.0)
+        for solve in (speculative_ponzi_solve, closure_speculative_solve):
+            with pytest.raises(DivergenceError) as diverged:
+                solve(params, spec, 23 * 0.25, 0.25)
+            assert diverged.value.last_time == last_time
+
+    def test_capital_overflows_before_withdrawable_and_growth(self):
+        # nothing matures within the horizon, so R stays 0 and J = c0 * 1000 t
+        # stays finite, while S grows from 1e300 like exp(1000 t)
+        params = SpeculativePonziParams(1.0, WITHDRAWAL, 10.0, 1e300)
+        spec = ScheduleSpec("constant", 1000.0)
+        nodes = DT * np.arange(181)
+        lag = _delay_steps(10.0, DT)
+        forcing = _schedule_stage_values(spec, nodes, DT, lag)
+        withdrawable, _ = ponzi._withdrawable_and_growth(params, forcing, lag, DT)
+        assert withdrawable.size == nodes.size
+        for solve in (speculative_ponzi_solve, closure_speculative_solve):
+            with pytest.raises(DivergenceError) as diverged:
+                solve(params, spec, 0.5, DT)
+            assert diverged.value.last_time == nodes[4]
 
     @settings(deadline=None, max_examples=60)
+    @example(kind="linear", mass=1.5601046135207723, growth=0.0,
+             market_impact=1.5601046135207723, withdrawal_rate=1.5601046135207723, lag=5,
+             initial_capital=0.0, external_rate=0.0, step=1.0 / 12.0, n_steps=132)
     @given(
         kind=st.sampled_from(["constant", "linear", "exponential"]),
         mass=st.floats(0.0, 1e4),
@@ -712,9 +771,19 @@ class TestSpeculativeBitIdentity:
         )
         spec = ScheduleSpec(kind, mass, growth)
         horizon = n_steps * step
-        assert solve_outcome(speculative_ponzi_solve, params, spec, horizon, step) == (
-            solve_outcome(closure_speculative_solve, params, spec, horizon, step)
-        )
+        capital_scale = []
+        got = solve_outcome(speculative_ponzi_solve, params, spec, horizon, step)
+        want = solve_outcome(partial(closure_speculative_solve, capital_scale=capital_scale),
+                             params, spec, horizon, step)
+        if isinstance(want, tuple) or isinstance(got, tuple):
+            assert got == want
+            return
+        for name in LOOP_FIELDS:
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        # in the example above, S sits at the fixed point -1/c0 when a step
+        # whose derivative in S is -1.9e10 turns it into 356
+        scale = max(np.max(np.abs(want.capital)), capital_scale[0])
+        assert_within_rounding(got.capital, want.capital, scale)
 
 
 class TestSteadyStateRate:
