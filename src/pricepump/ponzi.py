@@ -5,15 +5,18 @@ Both are integrated with fixed-step classical Runge-Kutta.  The
 maturing-inflow forcing switches on discontinuously at the maturity lag,
 which the grid is required to hit exactly (maturity must be an integer
 multiple of the step); stage evaluations at a switch point use one-sided
-values so the integrator keeps full order across it.  The classical
-scheme is linear with constant coefficients, so its RK4 step is one
-affine map whose recurrences are scanned in chunks of numpy arrays.  The
-speculative scheme is a delay system: its withdrawable value and the
-running integral of its nominal rate, from which the growth of maturing
-money is read (linearly interpolated at half-steps), are stepped over
-Python floats.  Its capital feeds neither, and given their stage values
-its RK4 step is affine with a coefficient per step, scanned like the
-classical one.
+values so the integrator keeps full order across it.
+
+One scan, ``_scan``, fills a first-order recurrence x[i+1] = a[i]*x[i] +
+c[i] in chunks of numpy arrays, and both solvers end in it.  The
+classical scheme is linear with constant coefficients, so its RK4 step
+is one affine map: its withdrawable value and then its capital are
+scanned with a constant coefficient.  The speculative scheme is a delay
+system: its withdrawable value and the running integral of its nominal
+rate, from which the growth of maturing money is read (linearly
+interpolated at half-steps), are stepped over Python floats.  Its
+capital feeds neither, and given their stage values its RK4 step is
+affine, with a coefficient per step read off its stage formula.
 """
 from __future__ import annotations
 
@@ -180,59 +183,37 @@ def _classical_increment(s, r, inflow, matured, rates, step):
     return sixth * (f1s + 2.0 * (f2s + f3s) + f4s), sixth * (f1r + 2.0 * (f2r + f3r) + f4r)
 
 
-def _powers(a: float) -> np.ndarray:
-    """a^1 .. a^m for the longest scan chunk m: at most a block, and short
-    enough that the powers stay within exp(+-_POWER_SPAN)."""
-    span = abs(math.log(a)) if 0.0 < a < math.inf else math.inf
-    chunk = _BLOCK_STEPS if span == 0.0 else max(1, min(_BLOCK_STEPS, int(_POWER_SPAN / span)))
-    return a ** np.arange(1.0, chunk + 1.0)
-
-
-def _scan_chunk(scale: np.ndarray, x: np.ndarray, c: np.ndarray) -> None:
-    """Fill x[1:] by x[i+1] = a[i]*x[i] + c[i] from x[0], given the running
-    products scale[m] = a[0]*...*a[m]: x[1:] = scale * (x[0] + cumsum(c / scale))."""
-    np.multiply(scale, x[0] + np.cumsum(c / scale), out=x[1:])
-
-
-def _scan(powers: np.ndarray, x: np.ndarray, c: np.ndarray) -> int:
-    """Fill x[1:] by x[i+1] = a*x[i] + c[i] from x[0], with ``powers`` from
-    ``_powers(a)``; return the index of the first non-finite node, or
-    x.size when every node is finite.
-
-    The scan stops at the first chunk that holds a non-finite node.
-    """
-    for k in range(0, c.size, powers.size):
-        part = c[k:k + powers.size]
-        _scan_chunk(powers[:part.size], x[k:k + 1 + part.size], part)
-        finite = np.isfinite(x[k + 1:k + 1 + part.size])
-        if not finite.all():
-            return k + 1 + int(np.argmin(finite))
-    return x.size
-
-
 _SCALE_LOW, _SCALE_HIGH = math.exp(-_POWER_SPAN), math.exp(_POWER_SPAN)
 
 
-def _scan_varying(a: np.ndarray, x: np.ndarray, c: np.ndarray) -> None:
-    """Fill x[1:] by x[i+1] = a[i]*x[i] + c[i] from x[0].
+def _scan(a: np.ndarray, x: np.ndarray, c: np.ndarray) -> int:
+    """Fill x[1:] by x[i+1] = a[i]*x[i] + c[i] from x[0]; return the index
+    of the first non-finite node, or x.size when every node is finite.
 
     Each chunk runs while the running product of a stays within
-    exp(+-_POWER_SPAN); a step whose own coefficient lies outside (zero
-    and non-finite included) is taken alone.  A non-finite node makes
-    every later one non-finite.
+    exp(+-_POWER_SPAN), and its nodes are scale * (x[0] + cumsum(c /
+    scale)) for the running products scale; a step whose own coefficient
+    lies outside (zero and non-finite included) is taken alone.  ``a`` may
+    be longer than ``c``.  The scan stops at the first chunk that holds a
+    non-finite node and leaves the later nodes unfilled.
     """
     k = 0
     while k < c.size:
-        scale = np.cumprod(a[k:])
+        scale = np.cumprod(a[k:c.size])
         magnitude = np.abs(scale)
         inside = (magnitude >= _SCALE_LOW) & (magnitude <= _SCALE_HIGH)
         m = inside.size if inside.all() else int(np.argmin(inside))
-        if m == 0:
+        if m:
+            np.multiply(scale[:m], x[k] + np.cumsum(c[k:k + m] / scale[:m]),
+                        out=x[k + 1:k + 1 + m])
+        else:
             x[k + 1] = a[k] * x[k] + c[k]
             m = 1
-        else:
-            _scan_chunk(scale[:m], x[k:k + m + 1], c[k:k + m])
+        finite = np.isfinite(x[k + 1:k + 1 + m])
+        if not finite.all():
+            return k + 1 + int(np.argmin(finite))
         k += m
+    return x.size
 
 
 def classical_ponzi_solve(
@@ -254,6 +235,11 @@ def classical_ponzi_solve(
     then S follow first-order recurrences, scanned in chunks, block by
     block of the grid.  A state that overflows raises ``DivergenceError``
     naming the last node whose state is finite.
+
+    No stability check is made: |step * rate| for the nominal rate and
+    the promised rate net of withdrawals must stay inside RK4's stability
+    region (on the negative real axis, below about 2.78), or the finite
+    result means nothing.
     """
     n = _grid_steps(horizon, step)
     lag = _delay_steps(params.maturity, step)
@@ -272,7 +258,7 @@ def classical_ponzi_solve(
     unforced = (0.0, 0.0, 0.0)
     d_ss, _ = _classical_increment(1.0, 0.0, unforced, unforced, rates, step)
     d_sr, d_rr = _classical_increment(0.0, 1.0, unforced, unforced, rates, step)
-    powers_s, powers_r = _powers(1.0 + d_ss), _powers(1.0 + d_rr)
+    a_s, a_r = np.full(_BLOCK_STEPS, 1.0 + d_ss), np.full(_BLOCK_STEPS, 1.0 + d_rr)
     capital = np.empty(n + 1)
     withdrawable = np.empty(n + 1)
     capital[0] = params.initial_capital
@@ -288,9 +274,9 @@ def classical_ponzi_solve(
                  matured_gain * delayed_l[k + 1:stop + 1]),
                 rates, step,
             )
-            finite_r = _scan(powers_r, withdrawable[k:stop + 1], q_r)
+            finite_r = _scan(a_r, withdrawable[k:stop + 1], q_r)
             # S runs only over the nodes whose R is finite
-            finite = _scan(powers_s, capital[k:k + finite_r],
+            finite = _scan(a_s, capital[k:k + finite_r],
                            d_sr * withdrawable[k:k + finite_r - 1] + q_s[:finite_r - 1])
             if finite <= stop - k:
                 raise DivergenceError(float(nodes[k + finite - 1]))
@@ -364,28 +350,20 @@ def _withdrawable_and_growth(params: SpeculativePonziParams, forcing, lag: int, 
     return np.array(withdrawable), np.array(past)
 
 
-def _capital_map(flows, c0: float, step: float):
-    """alpha, beta of the RK4 step S + increment = alpha*S + beta, given
-    the four stage flows: stage k's slope is p_k*S + q_k."""
-    flow1, flow2, flow3, flow4 = flows
-    half = 0.5 * step
-    p1, q1 = c0 * flow1, flow1
-    p2, q2 = c0 * flow2 * (1.0 + half * p1), flow2 * (1.0 + c0 * half * q1)
-    p3, q3 = c0 * flow3 * (1.0 + half * p2), flow3 * (1.0 + c0 * half * q2)
-    p4, q4 = c0 * flow4 * (1.0 + step * p3), flow4 * (1.0 + c0 * step * q3)
-    sixth = step / 6.0
-    return 1.0 + sixth * (p1 + 2.0 * (p2 + p3) + p4), sixth * (q1 + 2.0 * (q2 + q3) + q4)
-
-
-def _capital_increment(s, flows, c0: float, step: float):
+def _capital_increment(s, forced, flows, c0: float, step: float):
     """The RK4 increment of S over one step, stage by stage, given the four
-    stage flows (dS = flow * (c0*S + 1))."""
+    stage flows: dS = flow * (c0*S + forced), where the scheme has forced = 1.
+
+    The step is affine in S, S + increment = alpha*S + beta: alpha - 1 is
+    the increment from S = 1 with forced = 0, beta the one from S = 0 with
+    forced = 1.
+    """
     flow1, flow2, flow3, flow4 = flows
     half = 0.5 * step
-    f1s = flow1 * (c0 * s + 1.0)
-    f2s = flow2 * (c0 * (s + half * f1s) + 1.0)
-    f3s = flow3 * (c0 * (s + half * f2s) + 1.0)
-    f4s = flow4 * (c0 * (s + step * f3s) + 1.0)
+    f1s = flow1 * (c0 * s + forced)
+    f2s = flow2 * (c0 * (s + half * f1s) + forced)
+    f3s = flow3 * (c0 * (s + half * f2s) + forced)
+    f4s = flow4 * (c0 * (s + step * f3s) + forced)
     return step / 6.0 * (f1s + 2.0 * (f2s + f3s) + f4s)
 
 
@@ -408,11 +386,16 @@ def speculative_ponzi_solve(
     stepped over Python floats.  Then, block by block, the four stage
     flows are rebuilt from the stored R, J and past J (growth factors by
     ``np.exp``); given them, an RK4 step of S is the affine map
-    S[i+1] = alpha[i]*S[i] + beta[i], which is scanned in chunks.  A step
-    fails when its growth factor overflows, its R, J or S is not
-    finite, or the increment of S taken stage by stage from the scanned
-    S[i] is not finite; ``DivergenceError`` names the start node of the
-    earliest failing step.
+    S[i+1] = alpha[i]*S[i] + beta[i], with alpha and beta read off the
+    stage formula, ``_capital_increment``; it is scanned in chunks.  A step
+    fails when its growth factor overflows, its R, J or S is not finite, or
+    the increment of S taken stage by stage from the scanned S[i] is not
+    finite; ``DivergenceError`` names the start node of the earliest
+    failing step.
+
+    No stability check is made: |step * c0 * flow| must stay inside RK4's
+    stability region (on the negative real axis, below about 2.78), or
+    the finite result means nothing.
     """
     n = _grid_steps(horizon, step)
     lag = _delay_steps(params.maturity, step)
@@ -447,12 +430,16 @@ def speculative_ponzi_solve(
             flow3 = inflow - rw * r3
             f3r = (c0 * flow3 + ext - rw) * r3 + matured * growth(j + half * f2j - j_mid)
             flows = (flow1, flow2, flow3, direct_r[k + 1:stop + 1] - rw * (r + step * f3r))
-            alpha, beta = _capital_map(flows, c0, step)
-            _scan_varying(alpha, capital[k:stop + 1], beta)
-            finite = (np.isfinite(capital[k + 1:stop + 1])
-                      & np.isfinite(_capital_increment(capital[k:stop], flows, c0, step)))
-            if not finite.all():
-                raise DivergenceError(float(nodes[k + int(np.argmin(finite))]))
+            alpha = 1.0 + _capital_increment(1.0, 0.0, flows, c0, step)
+            beta = _capital_increment(0.0, 1.0, flows, c0, step)
+            # the block's first `filled` steps end on a finite node; the
+            # earliest of them whose stages overflow fails, else the next one
+            filled = _scan(alpha, capital[k:stop + 1], beta) - 1
+            staged = np.isfinite(_capital_increment(
+                capital[k:k + filled], 1.0, tuple(f[:filled] for f in flows), c0, step))
+            failed = filled if staged.all() else int(np.argmin(staged))
+            if failed < stop - k:
+                raise DivergenceError(float(nodes[k + failed]))
     if taken < n:
         raise DivergenceError(float(nodes[taken]))
 

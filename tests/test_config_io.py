@@ -1032,7 +1032,7 @@ class TestCli:
         # switch still falls on its node, so the fit reproduces the solve
         assert fit["rmse"] < 1e-6
         digest = hashlib.sha256((out / "fitted_ode.csv").read_bytes()).hexdigest()
-        assert digest == "c350e49345a1bd1bbb009ee3fddb6ad11ecaabd9705385ac2eb86ca1e2cbd5ac"
+        assert digest == "3d5987ee28c879c984d767b41bcddc3e33a2795047a0a1c43570493fa795be31"
         assert sorted(path.name for path in out.iterdir()) == [
             "config.json", "fit.json", "fitted_ode.csv", "manifest.json",
         ]
