@@ -191,11 +191,11 @@ def _scan(a: np.ndarray, x: np.ndarray, c: np.ndarray) -> int:
     of the first non-finite node, or x.size when every node is finite.
 
     Each chunk runs while the running product of a stays within
-    exp(+-_POWER_SPAN), and its nodes are scale * (x[0] + cumsum(c /
-    scale)) for the running products scale; a step whose own coefficient
-    lies outside (zero and non-finite included) is taken alone.  ``a`` may
-    be longer than ``c``.  The scan stops at the first chunk that holds a
-    non-finite node and leaves the later nodes unfilled.
+    exp(+-_POWER_SPAN); from its first node x0 and those running products
+    scale, its nodes are scale * (x0 + cumsum(c / scale)).  A step whose
+    own coefficient lies outside (zero and non-finite included) is taken
+    alone.  ``a`` may be longer than ``c``.  The scan stops at the first
+    chunk that holds a non-finite node and leaves the later nodes unfilled.
     """
     k = 0
     while k < c.size:
