@@ -35,9 +35,7 @@ from .config import (
     parse_config,
     serialize_config,
 )
-from .cycle import (
-    EnsembleStats, RegimesBlock, fit_market_impact, investment_phase_series, run_ensembles,
-)
+from .cycle import EnsembleStats, fit_market_impact, investment_phase_series, run_ensembles
 from .errors import ConfigurationError, EnsembleFailedError, PricePumpError, whole_steps
 from .output import emit_series, read_csv_columns, write_json, write_manifest
 from .ponzi import (
@@ -124,12 +122,11 @@ def _write_ensembles(
 
 
 def _run_ensembles(args, cfg: ExperimentConfig, out: Path) -> dict[str, EnsembleStats]:
-    """Run the verb's ensembles (the three flows of a regimes block, else
-    its one block) in one call and write them with the run record."""
+    """Run the verb's ensemble block in one call and write its ensembles
+    (the three regimes of a regimes block) with the run record."""
     block = getattr(cfg, _VERBS[args.verb].block)
-    blocks = block.flows(cfg.market) if isinstance(block, RegimesBlock) else {"": block}
     results = run_ensembles(
-        cfg.market, cfg.hazard, cfg.schedule, blocks, cfg.seed, n_workers=args.threads
+        cfg.market, cfg.hazard, cfg.schedule, block, cfg.seed, n_workers=args.threads
     )
     _write_ensembles(out, cfg, results)
     return results

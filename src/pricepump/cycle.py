@@ -7,17 +7,18 @@ phase in which the market pumps its price on its own, an investment
 phase feeding a dollar schedule into the market, and, once the first
 money matures, a withdrawal phase in which investors take out their
 tracked withdrawable value at a target rate.  Paths are independent
-units of parallel work.  One runner, ``run_ensembles``, takes every
-ensemble of an experiment (one cycle, one flow, or the three flows of a
-regime comparison) and runs all their paths in one worker pool; each
+units of parallel work.  One runner, ``run_ensembles``, takes an
+experiment's one ensemble block (a cycle, a flow, or the three flows of
+a regime comparison) and runs its paths in one worker pool; each
 ensemble is folded in path-index order, whatever order its paths finish
 in.  The runner takes the configuration's blocks (``MarketParams``,
-``HazardParams``, ``ScheduleSpec``, ``CycleConfig``, ``FlowBlock``) as
-they are, and every path of every experiment runs through one day loop,
-``_run_days``.  The loop draws each day's active agents and the
-sessions clear them.  It runs one or more rows in lockstep: the three
-regimes of one path index start from the same population and draw the
-same subsets, so they run as three rows of one loop, drawn once.
+``HazardParams``, ``ScheduleSpec``, ``CycleConfig``, ``FlowBlock``,
+``RegimesBlock``) as they are, and every path of every experiment runs
+through one day loop, ``_run_days``.  The loop draws each day's active
+agents and the sessions clear them.  It runs one or more rows in
+lockstep: the three regimes of one path index start from the same
+population and draw the same subsets, so they run as three rows of one
+loop, drawn once.
 """
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import repeat
 from typing import Callable, Collection, Generator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -489,11 +491,11 @@ def run_flow_path(
     (dollars per year), with a cash snapshot at the horizon.
 
     ``flow`` may also be a tuple of flows of one horizon, as in every flow
-    unit of ``run_ensembles``: path ``path_index`` of each then runs as one
-    row of a lockstep day loop over one population and one subset draw a
-    day (``_run_days``), and the result lists, in order, each row's record
-    or the ``repr`` of the error that ended it.  Each row has the bits of
-    its own one-flow run.
+    ensemble of ``run_ensembles``: path ``path_index`` of each then runs as
+    one row of a lockstep day loop over one population and one subset draw
+    a day (``_run_days``), and the result lists, in order, each row's
+    record or the ``repr`` of the error that ended it.  Each row has the
+    bits of its own one-flow run.
     """
     flows = flow if isinstance(flow, tuple) else (flow,)
     horizon = flows[0].horizon
@@ -671,49 +673,43 @@ def _attempt(path: Callable[[int], object], index: int) -> object:
 
 
 def _collect(
-    units: list[tuple[Callable[[int], object], int, int]], n_workers: int, market: MarketParams
+    path: Callable[[int], object], n_paths: int, n_rows: int, n_workers: int,
+    market: MarketParams,
 ) -> list[EnsembleStats | EnsembleFailedError]:
-    """Run each unit ``(path, n_paths, n_rows)``'s path function on path
-    indices ``0 .. n_paths - 1`` and aggregate each of its rows; a row
-    whose every path failed gives its ``EnsembleFailedError``.  Returns
-    the rows' results, unit after unit.
+    """Run ``path`` on path indices ``0 .. n_paths - 1`` and aggregate each
+    of its ``n_rows`` rows; a row whose every path failed gives its
+    ``EnsembleFailedError``.  Returns the rows' results in row order.
 
-    A cycle unit's function returns the path's record; a flow unit's, of
-    one row or more, a list of one record or error text per row, as
+    A cycle's path function returns the path's record; a flow ensemble's,
+    of one row or more, a list of one record or error text per row, as
     ``run_flow_path`` does for a tuple of flows.  An error that ends the
-    whole call fails the path in every row of its unit.
+    whole call fails the path in every row.
 
     Every path runs through ``_attempt``: serially with ``map``, or with
-    ``pool.map`` in one pool of at most one worker per task and per CPU
+    ``pool.map`` in one pool of at most one worker per path and per CPU
     this process may run on (its affinity set, where the platform has
-    one), one task per path index of a unit.  Both yield in index order,
-    so each row is folded in index order and its failures are the same
-    for any worker count.  Each outcome is folded into its row's fold and
-    dropped in turn, and a unit's rows are aggregated as soon as its last
-    index is folded, so the parent holds few records and one unit's rows
-    at any time.  A worker process that dies breaks the pool, which ends
-    the run instead of failing the paths left; an error in the parent
-    cancels the paths not yet started."""
+    one), one task per path index.  Both yield in index order, so each
+    row is folded in index order and its failures are the same for any
+    worker count.  Each outcome is folded into its rows' folds and dropped
+    in turn, so the parent holds few records at any time.  A worker
+    process that dies breaks the pool, which ends the run instead of
+    failing the paths left; an error in the parent cancels the paths not
+    yet started."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    paths = [path for path, n, _ in units for _ in range(n)]
-    indices = [i for _, n, _ in units for i in range(n)]
-    n_workers = min(n_workers, len(paths), cpus)
+    n_workers = min(n_workers, n_paths, cpus)
     pool = ProcessPoolExecutor(max_workers=n_workers) if n_workers > 1 else None
     try:
-        outcomes = (pool.map if pool else map)(_attempt, paths, indices)
-        results = []
-        for _, n_paths, n_rows in units:
-            folds = [_EnsembleFold(n_paths) for _ in range(n_rows)]
-            for i, outcome in zip(range(n_paths), outcomes):
-                if not isinstance(outcome, list):  # one row's, or the whole unit's error
-                    outcome = [outcome] * n_rows
-                for fold, row in zip(folds, outcome):
-                    fold.add(i, row)
-            results += [_aggregate(fold, market) for fold in folds]
-        return results
+        outcomes = (pool.map if pool else map)(_attempt, repeat(path, n_paths), range(n_paths))
+        folds = [_EnsembleFold(n_paths) for _ in range(n_rows)]
+        for i, outcome in enumerate(outcomes):
+            if not isinstance(outcome, list):  # one row's, or the whole call's error
+                outcome = [outcome] * n_rows
+            for fold, row in zip(folds, outcome):
+                fold.add(i, row)
+        return [_aggregate(fold, market) for fold in folds]
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
@@ -723,26 +719,25 @@ def run_ensembles(
     market: MarketParams,
     hazard: HazardParams,
     schedule: ScheduleSpec,
-    blocks: dict[str, CycleConfig | FlowBlock],
+    block: CycleConfig | FlowBlock | RegimesBlock,
     base_seed: int,
     n_workers: int = 1,
 ) -> dict[str, EnsembleStats | EnsembleFailedError]:
-    """Run ``block.n_paths`` independent paths of each block and aggregate
-    each block's paths, by name in the order of ``blocks``.
+    """Run ``block.n_paths`` independent paths of the ensemble ``block``
+    and aggregate them: ``{"": result}``, or for a ``RegimesBlock`` one
+    result per regime of ``RegimesBlock.flows``, in its order.
 
-    A ``CycleConfig`` block runs investment-cycle paths under ``schedule``
+    A ``CycleConfig`` runs investment-cycle paths under ``schedule``
     (``run_path``); a ``FlowBlock`` runs constant-flow paths with the cash
-    histogram at the horizon (``run_flow_path``), as each regime of
-    ``RegimesBlock.flows`` does.  Flow blocks that share their horizon and
-    path count (the three regimes) run as rows of one unit, and a lone
-    one as a unit of one row: one ``run_flow_path`` call per path index
-    with the unit's tuple of flows, over one population and one stream.
-    Every block's day grid is checked before any path runs: a horizon or
-    signal that cannot run is a configuration error, not a failure of
-    every path.  A block whose every path failed maps to its
-    ``EnsembleFailedError`` and the other blocks still run; an outflow as
-    strong as the initial cash per year, for one, exhausts the market and
-    fails every path with ``LiquidityExhaustedError``.
+    histogram at the horizon (``run_flow_path``), and a ``RegimesBlock``
+    its three flows as the rows of one ``run_flow_path`` call per path
+    index, over one population and one stream.  The day grid is checked
+    before any path runs: a horizon or signal that cannot run is a
+    configuration error, not a failure of every path.  A regime whose
+    every path failed maps to its ``EnsembleFailedError`` and the other
+    regimes still run; an outflow as strong as the initial cash per year,
+    for one, exhausts the market and fails every path with
+    ``LiquidityExhaustedError``.
 
     Aggregates are indexed by path number, so the result is identical for
     any worker count and execution order; a count below 1 is a
@@ -750,23 +745,14 @@ def run_ensembles(
     """
     if n_workers < 1:
         raise ConfigurationError(f"worker count must be >= 1, got {n_workers}")
-    groups: dict[object, list[str]] = {}  # the names of each unit's rows
-    for name, block in blocks.items():
-        _day_times(market, block.horizon)
-        key = (block.horizon, block.n_paths) if isinstance(block, FlowBlock) else (name,)
-        groups.setdefault(key, []).append(name)
-    units = []
-    for names in groups.values():
-        block = blocks[names[0]]
-        if isinstance(block, CycleConfig):
-            path = partial(run_path, market, hazard, schedule, block, base_seed)
-        else:
-            flows = tuple(blocks[name] for name in names)
-            path = partial(run_flow_path, market, hazard, flows, base_seed)
-        units.append((path, block.n_paths, len(names)))
-    results = dict(zip((name for names in groups.values() for name in names),
-                       _collect(units, n_workers, market)))
-    return {name: results[name] for name in blocks}
+    _day_times(market, block.horizon)
+    if isinstance(block, CycleConfig):
+        names, path = ("",), partial(run_path, market, hazard, schedule, block, base_seed)
+    else:
+        flows = block.flows(market) if isinstance(block, RegimesBlock) else {"": block}
+        names = tuple(flows)
+        path = partial(run_flow_path, market, hazard, tuple(flows.values()), base_seed)
+    return dict(zip(names, _collect(path, block.n_paths, len(names), n_workers, market)))
 
 
 class CalibrationResult(NamedTuple):

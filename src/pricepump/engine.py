@@ -78,7 +78,8 @@ def trading_session(
     when its pre-trade stock at the new price exceeds k*cash (it sold, or
     it holds no cash), k/fear when it falls short (it bought), and stays k
     within a relative ``RATIO_TIE_RTOL``; the factors are scaled as
-    1 + (factor - 1) * level.
+    1 + (factor - 1) * level.  On a day that trades, a ``level`` outside
+    [0, 1] raises ``ValueError`` before any holding changes.
     """
     if not math.isfinite(external_flow):
         raise ValueError(f"external_flow must be finite, got {external_flow}")
@@ -127,6 +128,8 @@ def trading_session(
         greed = state.greed[active]
         fear = state.fear[active]
     else:
+        if not 0.0 <= level <= 1.0:
+            raise ValueError(f"level must lie in [0, 1], got {level}")
         greed = 1.0 + (state.greed[active] - 1.0) * level
         fear = 1.0 + (state.fear[active] - 1.0) * level
     # target update compares pre-trade holdings at the new price; done on

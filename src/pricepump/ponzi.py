@@ -541,7 +541,7 @@ def steady_state_rate(sol: OdeSolution, window: float) -> SteadyStateRate:
     """Mean nominal rate over the final ``window`` years, with its spread."""
     if sol.nominal_rate is None:
         raise ValueError("solution carries no nominal-rate series")
-    if window <= 0.0:
+    if not window > 0.0:
         raise ValueError(f"window must be positive, got {window}")
     span = float(sol.grid[-1] - sol.grid[0])
     if span < 2.0 * window:

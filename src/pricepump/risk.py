@@ -64,7 +64,7 @@ def cash_concentration(
     vanishes as all agents become cash-rich (it underflows to exactly 0
     once every agent holds more than about sqrt(745 * cash_scale)).
     """
-    if cash_scale <= 0.0:
+    if not cash_scale > 0.0:
         raise ValueError(f"cash_scale must be positive, got {cash_scale}")
     values = np.asarray(cash_values, dtype=float)
     if values.size == 0:
@@ -106,6 +106,8 @@ def investor_hazard(
     ``DivergenceError`` at the first day whose integrand or running sum
     is not finite.
     """
+    if start_day < 0:
+        raise ValueError(f"start_day must be >= 0, got {start_day}")
     price = np.asarray(price, dtype=float)
     hazard = np.zeros(price.size)
     if start_day >= price.size - 1:
@@ -147,8 +149,8 @@ def theoretical_return(
     ``greed*fear - 1`` up to an undetermined positive coefficient (taken
     as 1); it is reported but never drives control flow.
     """
-    if greed < 1.0 or fear < 1.0:
-        raise ValueError("factors must be >= 1")
+    if not (greed >= 1.0 and fear >= 1.0):
+        raise ValueError(f"factors greed and fear must be >= 1, got {greed} and {fear}")
     if not 1 <= n_active <= n_agents:
         raise ValueError(f"n_active must be in [1, {n_agents}], got {n_active}")
     exponent = n_active / (2.0 * n_agents)

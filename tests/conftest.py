@@ -42,7 +42,7 @@ def reference_zero_ensemble():
     market = MarketParams()
     start = time.perf_counter()
     stats = run_ensembles(
-        market, HazardParams(), ScheduleSpec(), {"": FlowBlock(0.0, 2.0, 100)}, 20240,
+        market, HazardParams(), ScheduleSpec(), FlowBlock(0.0, 2.0, 100), 20240,
         n_workers=WORKERS,
     )[""]
     return stats, time.perf_counter() - start
@@ -56,7 +56,7 @@ def homogeneous_ensemble():
     )
     start = time.perf_counter()
     stats = run_ensembles(
-        market, HazardParams(), ScheduleSpec(), {"": FlowBlock(0.0, 2.0, 100)}, 777,
+        market, HazardParams(), ScheduleSpec(), FlowBlock(0.0, 2.0, 100), 777,
         n_workers=WORKERS,
     )[""]
     return stats, time.perf_counter() - start
@@ -68,7 +68,7 @@ def cycle_ensemble():
     cfg = ExperimentConfig(kind="cycle", seed=42, cycle=CycleConfig(n_paths=100))
     start = time.perf_counter()
     stats = run_ensembles(
-        cfg.market, cfg.hazard, cfg.schedule, {"": cfg.cycle}, cfg.seed, n_workers=WORKERS
+        cfg.market, cfg.hazard, cfg.schedule, cfg.cycle, cfg.seed, n_workers=WORKERS
     )[""]
     return cfg, stats, time.perf_counter() - start
 

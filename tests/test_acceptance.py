@@ -202,7 +202,7 @@ def test_criterion_08_flow_regime_hazard_ordering():
     market = MarketParams()
     comparison = run_ensembles(
         market, HazardParams(), ScheduleSpec(),
-        RegimesBlock(horizon=2.0, n_paths=100).flows(market), base_seed=808, n_workers=WORKERS,
+        RegimesBlock(horizon=2.0, n_paths=100), base_seed=808, n_workers=WORKERS,
     )
     finals = {}
     for name, stats in comparison.items():
@@ -313,7 +313,7 @@ def test_criterion_11_numerical_hygiene():
     market = MarketParams(n_agents=100, n_active=25)
     ensembles = [
         run_ensembles(
-            market, HazardParams(), ScheduleSpec(), {"": FlowBlock(0.0, 0.5, 8)}, 42, n_workers=w
+            market, HazardParams(), ScheduleSpec(), FlowBlock(0.0, 0.5, 8), 42, n_workers=w
         )[""]
         for w in (1, 4, 8)
     ]

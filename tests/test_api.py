@@ -3,10 +3,12 @@ uses of the package: the module attributes its tracer wraps, the
 configuration documents it writes and the attributes it reads from them,
 the return values its span hooks read, and the constructors it calls with
 positional arguments.  An API cleanup that breaks one of them must fail
-here, not in a benchmark run."""
+here, not in a benchmark run; one that breaks README's library quick
+start must fail here too."""
 import argparse
 import ast
 import json
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -47,6 +49,16 @@ def test_every_public_name_resolves():
     missing = [name for name in pricepump.__all__ if not hasattr(pricepump, name)]
     assert missing == []
     assert len(set(pricepump.__all__)) == len(pricepump.__all__)
+
+
+def test_readme_quick_start_uses_public_names():
+    # compiled, not run: the block runs a 100-path, 20-year ensemble
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block, = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    tree = compile(block, "README.md", "exec", ast.PyCF_ONLY_AST)
+    used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "pp"}
+    assert used and sorted(used - set(pricepump.__all__)) == []
 
 
 def test_traced_attributes_exist():
@@ -153,7 +165,7 @@ def test_benchmark_return_shapes(tmp_path):
     assert pricepump.SessionOutcome._fields == ("cash_flow_in", "clamped")
     ensemble = pricepump.run_ensembles(
         market, pricepump.HazardParams(), pricepump.ScheduleSpec(),
-        {"": pricepump.FlowBlock(0.0, 0.1, 1)}, 1,
+        pricepump.FlowBlock(0.0, 0.1, 1), 1,
     )[""]
     solution = ponzi.classical_ponzi_solve(
         pricepump.PonziParams(0.0, 0.41, 0.41, 1.0, 1.0), pricepump.ScheduleSpec(), 2.0, 0.5

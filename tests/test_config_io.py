@@ -457,7 +457,7 @@ def test_serialized_config_reloads_identically(document):
 def small_flow_ensemble(flow_rate=0.0):
     market = MarketParams(n_agents=40, n_active=10)
     block = FlowBlock(flow_rate, 0.25, 2)
-    return run_ensembles(market, HazardParams(), ScheduleSpec(), {"": block}, 5)[""]
+    return run_ensembles(market, HazardParams(), ScheduleSpec(), block, 5)[""]
 
 
 @pytest.fixture()

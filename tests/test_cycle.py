@@ -69,7 +69,7 @@ def small_path(cycle, path_index, hazard=HAZARD, schedule=SMALL_SCHEDULE, base_s
 
 def one_ensemble(market, block, base_seed, n_workers=1, hazard=HAZARD, schedule=SMALL_SCHEDULE):
     """The one ensemble of ``block``: its stats, or its EnsembleFailedError."""
-    return run_ensembles(market, hazard, schedule, {"": block}, base_seed, n_workers)[""]
+    return run_ensembles(market, hazard, schedule, block, base_seed, n_workers)[""]
 
 
 def small_ensemble(cycle, n_workers=1):
@@ -180,7 +180,7 @@ class TestConfigs:
             RegimesBlock(n_paths=-1)
         with pytest.raises(ConfigurationError, match="below one trading day"):
             run_ensembles(SMALL_MARKET, HAZARD, SMALL_SCHEDULE,
-                          RegimesBlock(horizon=0.001, n_paths=2).flows(SMALL_MARKET), 1)
+                          RegimesBlock(horizon=0.001, n_paths=2), 1)
 
     def test_worker_count_below_one_is_rejected_before_any_path(self, monkeypatch):
         # a count of 0 used to run serially
@@ -634,9 +634,7 @@ class TestEnsembles:
 
     def test_regime_comparison_keeps_finished_regimes(self):
         regimes = RegimesBlock(outflow_rate=-3000.0, horizon=1.0, n_paths=2)
-        results = run_ensembles(
-            SMALL_MARKET, HAZARD, SMALL_SCHEDULE, regimes.flows(SMALL_MARKET), 1
-        )
+        results = run_ensembles(SMALL_MARKET, HAZARD, SMALL_SCHEDULE, regimes, 1)
         assert list(results) == ["investment", "zero", "withdrawal"]
         assert [type(result) for result in results.values()] == [
             EnsembleStats, EnsembleStats, EnsembleFailedError
@@ -716,6 +714,21 @@ def synthetic_path(block, n_days, failing, path_index):
     )
 
 
+def synthetic_rows(n_days, failing, whole, path_index):
+    """One path call of ``len(failing)`` synthetic rows: row ``r``'s
+    record, or its error text for the indices in ``failing[r]``; the whole
+    call raises for the indices in ``whole``."""
+    if path_index in whole:
+        raise DivergenceError(float(path_index), f"synthetic failure of call {path_index}")
+    rows = []
+    for row, fails in enumerate(failing):
+        try:
+            rows.append(synthetic_path(row, n_days, fails, path_index))
+        except PricePumpError as exc:
+            rows.append(repr(exc))
+    return rows
+
+
 def far_apart_path(path_index):
     """A synthetic path whose ``Hp`` rows lie 1e300 apart after day 0."""
     record = synthetic_path(0, 3, frozenset(), path_index)
@@ -790,31 +803,34 @@ class TestEnsembleFold:
     stacked reference aggregation, bit for bit."""
 
     @settings(deadline=None, max_examples=40)
-    @given(n_blocks=st.integers(2, 3), data=st.data())
-    def test_fold_matches_stacked_reference(self, n_blocks, data):
-        # several blocks through one _collect, each with its own path
-        # count, day count and failing paths, against its own reference
-        units, expected = [], []
-        for block in range(n_blocks):
-            n_paths = data.draw(st.integers(1, 6), label=f"n_paths {block}")
-            n_days = data.draw(st.integers(1, 12), label=f"n_days {block}")
-            failing = frozenset(
-                data.draw(st.sets(st.integers(0, n_paths - 1)), label=f"failing {block}")
-            )
-            worker = partial(synthetic_path, block, n_days, failing)
+    @given(n_rows=st.integers(1, 3), n_paths=st.integers(1, 6), n_days=st.integers(1, 12),
+           data=st.data())
+    def test_fold_matches_stacked_reference(self, n_rows, n_paths, n_days, data):
+        # one call of 1-3 rows per path index, each row with its own
+        # failing paths and some calls failing whole: each row against its
+        # own reference, with a whole call's error in every row
+        indices = st.sets(st.integers(0, n_paths - 1)).map(frozenset)
+        whole = data.draw(indices, label="whole-call failures")
+        failing = tuple(data.draw(indices, label=f"failing {row}") for row in range(n_rows))
+        path = partial(synthetic_rows, n_days, failing, whole)
+        expected = []
+        for row in range(n_rows):
             records, failures = {}, {}
             for i in range(n_paths):
                 try:
-                    records[i] = worker(i)
+                    outcome = path(i)[row]
                 except PricePumpError as exc:
-                    failures[i] = repr(exc)
+                    outcome = repr(exc)
+                if isinstance(outcome, str):
+                    failures[i] = outcome
+                else:
+                    records[i] = outcome
             expected.append(
                 ensemble_bits(lambda: stacked_aggregate(records, SMALL_MARKET, failures))
             )
-            units.append((worker, n_paths, 1))
-        workers = data.draw(st.sampled_from([1, 2]), label="workers")
-        results = cycle_module._collect(units, workers, SMALL_MARKET)
-        assert [ensemble_bits(lambda: result) for result in results] == expected
+        for workers in (1, 2):
+            results = cycle_module._collect(path, n_paths, n_rows, workers, SMALL_MARKET)
+            assert [ensemble_bits(lambda: result) for result in results] == expected, workers
 
     def test_spread_of_far_apart_rows_is_finite(self):
         # std squares the deviations, which overflowed to an inf spread for
@@ -822,35 +838,34 @@ class TestEnsembleFold:
         records = {i: far_apart_path(i) for i in range(2)}
         with np.errstate(over="ignore"):  # the reference's Hp spread is inf
             reference = stacked_aggregate(records, SMALL_MARKET, {})
-        stats, = cycle_module._collect([(far_apart_path, 2, 1)], 1, SMALL_MARKET)
+        stats, = cycle_module._collect(far_apart_path, 2, 1, 1, SMALL_MARKET)
         assert stats.series["Hp"].std.tolist() == [0.5, 5e299, 5e299, 5e299]
         assert stats.series["Hp"].std[0] == reference.series["Hp"].std[0]
         for name in ("log_price", "Ha"):
             assert stats.series[name].std.tobytes() == reference.series[name].std.tobytes()
 
-    @pytest.mark.parametrize("cpus,affinity,n_workers,n_paths,pool", [
-        (4, None, 3000, (2,), 2),  # never more workers than paths
-        (4, None, 3000, (8,), 4),  # nor than CPUs
-        (4, None, 3, (8,), 3),
-        (None, None, 3000, (8,), None),  # an unknown CPU count runs serially
-        (4, None, 3000, (1,), None),
-        (4, None, 3000, (1, 1, 1), 3),  # the paths of every block count
-        (2, {0}, 4, (8,), None),  # pinned to one of two CPUs: serial
-        (8, {0, 1}, 3000, (8, 8), 2),  # the CPUs it may run on, not the machine's
+    @pytest.mark.parametrize("cpus,affinity,n_workers,n_paths,n_rows,pool", [
+        (4, None, 3000, 2, 1, 2),  # never more workers than paths
+        (4, None, 3000, 8, 1, 4),  # nor than CPUs
+        (4, None, 3, 8, 1, 3),
+        (None, None, 3000, 8, 1, None),  # an unknown CPU count runs serially
+        (4, None, 3000, 1, 1, None),
+        (4, None, 3000, 1, 3, None),  # rows share their path's task: they do not count
+        (2, {0}, 4, 8, 1, None),  # pinned to one of two CPUs: serial
+        (8, {0, 1}, 3000, 8, 1, 2),  # the CPUs it may run on, not the machine's
     ], ids=["4-3000-2-2", "4-3000-8-4", "4-3-8-3", "None-3000-8-None", "4-3000-1-None",
-            "three-blocks", "affinity-1-of-2", "affinity-2-of-8"])
+            "one-path-of-three-rows", "affinity-1-of-2", "affinity-2-of-8"])
     def test_pool_is_capped_at_paths_and_cpus(
-        self, monkeypatch, cpus, affinity, n_workers, n_paths, pool
+        self, monkeypatch, cpus, affinity, n_workers, n_paths, n_rows, pool
     ):
         sizes = []
         monkeypatch.setattr(cycle_module, "ProcessPoolExecutor", recording_pool(sizes))
         set_cpus(monkeypatch, cpus, affinity)
-        # path 1 of every block with two or more paths fails
-        units = [(partial(synthetic_path, block, 3, frozenset({1})), n, 1)
-                 for block, n in enumerate(n_paths)]
-        pooled = cycle_module._collect(units, n_workers, SMALL_MARKET)
+        # path 1 of every row fails, where there is one
+        path = partial(synthetic_rows, 3, (frozenset({1}),) * n_rows, frozenset())
+        pooled = cycle_module._collect(path, n_paths, n_rows, n_workers, SMALL_MARKET)
         assert sizes == ([] if pool is None else [pool])
-        serial = cycle_module._collect(units, 1, SMALL_MARKET)
+        serial = cycle_module._collect(path, n_paths, n_rows, 1, SMALL_MARKET)
         assert [ensemble_bits(lambda: result) for result in pooled] == \
             [ensemble_bits(lambda: result) for result in serial]
 
@@ -859,15 +874,14 @@ class TestEnsembleFold:
         # of path failures: the paths it took down never ran
         set_cpus(monkeypatch, 2, {0, 1})
         with pytest.raises(BrokenExecutor):
-            cycle_module._collect([(partial(exiting_path, 3), 8, 1)], 2, SMALL_MARKET)
+            cycle_module._collect(partial(exiting_path, 3), 8, 1, 2, SMALL_MARKET)
 
     def test_unpicklable_path_error_fails_its_path_for_any_worker_count(self, monkeypatch):
         # a worker hands back the error's text, so an error that pickling
         # cannot rebuild is one failed path, not a broken pool
         set_cpus(monkeypatch, 2, {0, 1})
-        units = [(unpicklable_failure_path, 4, 1)]
-        serial, = cycle_module._collect(units, 1, SMALL_MARKET)
-        pooled, = cycle_module._collect(units, 2, SMALL_MARKET)
+        serial, = cycle_module._collect(unpicklable_failure_path, 4, 1, 1, SMALL_MARKET)
+        pooled, = cycle_module._collect(unpicklable_failure_path, 4, 1, 2, SMALL_MARKET)
         assert serial.failure_messages == (
             "path 1: TwoFieldError('day 1: synthetic')",
             "path 3: TwoFieldError('day 3: synthetic')",
@@ -875,15 +889,13 @@ class TestEnsembleFold:
         assert pooled.failure_messages == serial.failure_messages
 
     def test_parent_error_cancels_the_paths_not_started(self, tmp_path, monkeypatch):
-        def failing_aggregate(fold, market):
-            raise RuntimeError("aggregation failed")
+        def failing_add(fold, index, outcome):
+            raise RuntimeError("fold failed")
 
         set_cpus(monkeypatch, 2, {0, 1})
-        monkeypatch.setattr(cycle_module, "_aggregate", failing_aggregate)
-        units = [(partial(marked_path, tmp_path, block), n, 1)
-                 for block, n in enumerate((2, 16))]
-        with pytest.raises(RuntimeError, match="aggregation failed"):
-            cycle_module._collect(units, 2, SMALL_MARKET)
+        monkeypatch.setattr(cycle_module._EnsembleFold, "add", failing_add)
+        with pytest.raises(RuntimeError, match="fold failed"):
+            cycle_module._collect(partial(marked_path, tmp_path, 0), 18, 1, 2, SMALL_MARKET)
         assert len(list(tmp_path.iterdir())) < 18 / 2
 
     @pytest.mark.parametrize("hp_sign,kept", [(1.0, {"Ha"}), (-1.0, {"Ha", "Hp"})])

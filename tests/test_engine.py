@@ -198,6 +198,17 @@ def one_agent_state():
 
 
 class TestTradingSession:
+    @pytest.mark.parametrize("level", [math.nan, 2.0, -1.0])
+    def test_level_outside_unit_interval_is_rejected(self, level):
+        # such levels used to write NaN or out-of-range targets
+        state = market([10.0, 10.0], 10.0, [2.0, 1.0], greed=1.12, fear=1.11)
+        before = (state.stock_value.copy(), state.cash.copy(), state.target_ratio.copy())
+        with pytest.raises(ValueError, match=r"level must lie in \[0, 1\]"):
+            trading_session(state, draw(state, 2, 5), 0.0, level)
+        after = (state.stock_value, state.cash, state.target_ratio)
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+        assert state.price == 1.0 and state.day == 0
+
     def test_single_balanced_agent_fixed_point(self):
         state = one_agent_state()
         state, outcome = trading_session(state, draw(state, 1), 0.0)

@@ -867,6 +867,15 @@ class TestSteadyStateRate:
         with pytest.raises(ValueError):
             steady_state_rate(sol, 5.0)
 
+    @pytest.mark.parametrize("window", [math.nan, 0.0, -1.0])
+    def test_window_must_be_positive(self, window):
+        # a NaN window used to pass the check and average an empty tail
+        grid = np.arange(0, 8.0 + 1e-9, DT)
+        sol = OdeSolution(grid, np.ones_like(grid), np.zeros_like(grid),
+                          nominal_rate=np.zeros_like(grid))
+        with pytest.raises(ValueError, match="window must be positive"):
+            steady_state_rate(sol, window)
+
     def test_requires_rate_series(self):
         grid = np.arange(0, 40.0 + 1e-9, DT)
         sol = OdeSolution(grid, np.ones_like(grid), np.zeros_like(grid))

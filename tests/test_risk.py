@@ -34,6 +34,12 @@ class TestCashConcentration:
         with pytest.raises(ValueError):
             cash_concentration([], 70.0)
 
+    @pytest.mark.parametrize("scale", [math.nan, 0.0, -70.0])
+    def test_scale_must_be_positive(self, scale):
+        # a NaN scale used to return a NaN concentration
+        with pytest.raises(ValueError, match="cash_scale must be positive"):
+            cash_concentration(np.full(4, 10.0), scale)
+
     def test_permutation_invariant(self):
         rng = np.random.default_rng(0)
         cash = rng.uniform(0, 30, 64)
@@ -132,6 +138,11 @@ def reference_investor_hazard(price, start_day, target_rate, period, scale):
 
 class TestUnderperformanceHazard:
     """``investor_hazard``: the investor-side (underperformance) hazard."""
+
+    def test_negative_start_day_is_rejected(self):
+        # it used to fail with numpy's broadcast error
+        with pytest.raises(ValueError, match="start_day must be >= 0, got -1"):
+            investor_hazard(price_path(np.full(10, 0.3)), -1, 0.3, DAY)
 
     def test_zero_before_maturity(self):
         hazard = investor_hazard(price_path(np.full(5 * 360, 0.3)), 3 * 360, 0.3, DAY)
@@ -247,6 +258,12 @@ class TestTheoreticalReturn:
             theoretical_return(0.9, 1.0, 10, 5)
         with pytest.raises(ValueError):
             theoretical_return(1.1, 1.0, 10, 11)
+
+    @pytest.mark.parametrize("greed,fear", [(math.nan, 1.1), (1.1, math.nan), (0.9, 1.1)])
+    def test_factors_must_be_at_least_one(self, greed, fear):
+        # a NaN factor used to give a NaN daily factor
+        with pytest.raises(ValueError, match="factors greed and fear must be >= 1"):
+            theoretical_return(greed, fear, 500, 125)
 
 
 class TestReturnStats:
