@@ -15,10 +15,10 @@ in.  The runner takes the configuration's blocks (``MarketParams``,
 ``HazardParams``, ``ScheduleSpec``, ``CycleConfig``, ``FlowBlock``,
 ``RegimesBlock``) as they are, and every path of every experiment runs
 through one day loop, ``_run_days``.  The loop draws each day's active
-agents and the sessions clear them.  It runs one or more rows in
-lockstep: the three regimes of one path index start from the same
-population and draw the same subsets, so they run as three rows of one
-loop, drawn once.
+agents and the sessions clear them.  It runs one or more rows: the three
+regimes of one path index start from the same population and trade the
+same subsets, so they run as three rows of one loop, one after another,
+over one list of the path's daily draws.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import repeat
-from typing import Callable, Collection, Generator, NamedTuple, Optional, Sequence
+from typing import Callable, Collection, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -271,10 +271,10 @@ def _walk(
     day_times: list[float],
     state: MarketState,
     row: _Row,
-) -> Generator[None, np.ndarray, PathRecord]:
-    """One row's days on ``state``: records day 0, then trades each day's
-    active agents as they are sent, and returns the row's record after the
-    last day.
+    draws: Iterable[np.ndarray],
+) -> PathRecord:
+    """One row's days on ``state``: records day 0, then trades the active
+    agents of each day of ``draws``, and returns the row's record.
 
     The external flow is ``row.flow_rate`` dollars per year, or each day's
     request of the investor ``row.ledger``.  Without a ledger the ledger
@@ -313,8 +313,7 @@ def _walk(
     signal = market.signal
     clamp_events = 0
 
-    for day in range(n_days):
-        active = yield
+    for day, active in enumerate(draws):
         if ledger is not None:
             flow = ledger.request(day)
             if not math.isfinite(flow):
@@ -369,43 +368,37 @@ def _run_days(
     seed: tuple[int, int],
     rows: Sequence[_Row],
 ) -> list[PathRecord | Exception]:
-    """The day loop: ``rows`` in lockstep over one population, on the days
-    ``day_times`` (day 0 is the initial state).
+    """The day loop: ``rows`` over one population and one draw of active
+    agents a day, on the days ``day_times`` (day 0 is the initial state).
 
     The loop owns the path's stream, ``np.random.default_rng(seed)``; path
     ``i`` of an ensemble with seed ``s`` has ``seed = (s, i)``.  The stream
     draws the factor pairs, then the stock perturbations, then one
     ``choice(n_agents, n_active, replace=False)`` of the active agents per
-    day while a row runs, no-trade days included, so a path's bits never
-    depend on the worker count or on the order paths run in.  One loop
-    sends every running row (``_walk``) ``None``, which records its day 0,
-    then each day's active agents.  Every row after the first trades on
-    its own copy of the holdings (``_own_holdings``), so it has the bits
-    of a one-row run.  A row that returns or raises leaves with its record
-    or exception in its place; no draw depends on a row's state, so the
-    other rows go on unchanged.  Overflow and invalid-value warnings are
-    off in the loop: an overflowing low-cash weight is exactly 0.0, and a
-    price, flow, ledger value or total cash that is not finite ends its row.
+    trading day, no-trade days included, so a path's bits never depend on
+    the worker count or on the order paths run in.  Two or more rows share
+    the draws as a list; one row draws them as it goes and stops drawing
+    when it ends.  The rows run one after another (``_walk``), each on its
+    own copy of the holdings (``_own_holdings``); no draw depends on a
+    row's state, so each has the bits of a one-row run, and its outcome is
+    its record or the exception that ended it.  Overflow and invalid-value
+    warnings are off in the loop: an overflowing low-cash weight is exactly
+    0.0, and a price, flow, ledger value or total cash that is not finite
+    ends its row.
     """
     rng = np.random.default_rng(seed)
     state = init_population(market, rng)
-    n_agents, n_active = market.n_agents, market.n_active
-    states = [state] + [_own_holdings(state) for _ in rows[1:]]
-    walks = {k: _walk(market, hazard, day_times, own, row)
-             for k, (own, row) in enumerate(zip(states, rows))}
-    outcomes: list = [None] * len(rows)
-    active = None
+    draws: Iterable[np.ndarray] = (rng.choice(market.n_agents, market.n_active, replace=False)
+                                   for _ in range(len(day_times) - 1))
+    if len(rows) > 1:
+        draws = list(draws)
+    outcomes: list[PathRecord | Exception] = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in day_times:
-            for k, walk in list(walks.items()):
-                try:
-                    walk.send(active)
-                except Exception as exc:  # the row leaves; the stream and the other rows go on
-                    outcomes[k] = exc.value if isinstance(exc, StopIteration) else exc
-                    del walks[k]
-            if not walks:
-                break
-            active = rng.choice(n_agents, n_active, replace=False)
+        for row in rows:
+            try:
+                outcomes.append(_walk(market, hazard, day_times, _own_holdings(state), row, draws))
+            except Exception as exc:  # the row's outcome; the other rows go on
+                outcomes.append(exc)
     return outcomes
 
 
@@ -490,17 +483,19 @@ def run_flow_path(
     """Simulate one path under the constant external flow of ``flow``
     (dollars per year), with a cash snapshot at the horizon.
 
-    ``flow`` may also be a tuple of flows of one horizon, as in every flow
-    ensemble of ``run_ensembles``: path ``path_index`` of each then runs as
-    one row of a lockstep day loop over one population and one subset draw
-    a day (``_run_days``), and the result lists, in order, each row's
-    record or the ``repr`` of the error that ended it.  Each row has the
-    bits of its own one-flow run.
+    ``flow`` may also be a non-empty tuple of flows of one horizon, as in
+    every flow ensemble of ``run_ensembles``: path ``path_index`` of each
+    then runs as one row of one day loop, over one population and the same
+    list of daily subset draws (``_run_days``), and the result lists, in
+    order, each row's record or the ``repr`` of the error that ended it.
+    Each row has the bits of its own one-flow run.
     """
     flows = flow if isinstance(flow, tuple) else (flow,)
+    if not flows:
+        raise ConfigurationError("run_flow_path needs at least one flow, got the empty tuple ()")
     horizon = flows[0].horizon
     if any(f.horizon != horizon for f in flows):
-        raise ConfigurationError(f"flows in lockstep need one horizon, got {flows}")
+        raise ConfigurationError(f"flows sharing one day loop need one horizon, got {flows}")
     day_times = _day_times(market, horizon)
     horizon_day = (len(day_times) - 1,)
     outcomes = _run_days(market, hazard, day_times, (base_seed, path_index),
@@ -688,8 +683,8 @@ def _collect(
     Every path runs through ``_attempt``: serially with ``map``, or with
     ``pool.map`` in one pool of at most one worker per path and per CPU
     this process may run on (its affinity set, where the platform has
-    one), one task per path index.  Both yield in index order, so each
-    row is folded in index order and its failures are the same for any
+    one), one task per path index.  Both give results in index order, so
+    each row is folded in index order and its failures are the same for any
     worker count.  Each outcome is folded into its rows' folds and dropped
     in turn, so the parent holds few records at any time.  A worker
     process that dies breaks the pool, which ends the run instead of

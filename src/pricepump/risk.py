@@ -64,8 +64,8 @@ def cash_concentration(
     vanishes as all agents become cash-rich (it underflows to exactly 0
     once every agent holds more than about sqrt(745 * cash_scale)).
     """
-    if not cash_scale > 0.0:
-        raise ValueError(f"cash_scale must be positive, got {cash_scale}")
+    if not 0.0 < cash_scale < math.inf:
+        raise ValueError(f"cash_scale must be positive and finite, got {cash_scale}")
     values = np.asarray(cash_values, dtype=float)
     if values.size == 0:
         raise ValueError("cash_concentration needs at least one agent")
@@ -149,8 +149,8 @@ def theoretical_return(
     ``greed*fear - 1`` up to an undetermined positive coefficient (taken
     as 1); it is reported but never drives control flow.
     """
-    if not (greed >= 1.0 and fear >= 1.0):
-        raise ValueError(f"factors greed and fear must be >= 1, got {greed} and {fear}")
+    if not (1.0 <= greed < math.inf and 1.0 <= fear < math.inf):
+        raise ValueError(f"factors greed and fear must be >= 1 and finite, got {greed} and {fear}")
     if not 1 <= n_active <= n_agents:
         raise ValueError(f"n_active must be in [1, {n_agents}], got {n_active}")
     exponent = n_active / (2.0 * n_agents)

@@ -18,6 +18,8 @@ import pytest
 import pricepump
 from pricepump import cli, config, cycle, ponzi
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
 # (module, attribute path) pairs wrapped or read by the tracer
 TRACED = [
     (cli, "main"),
@@ -53,7 +55,7 @@ def test_every_public_name_resolves():
 
 def test_readme_quick_start_uses_public_names():
     # compiled, not run: the block runs a 100-path, 20-year ensemble
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    readme = README.read_text()
     block, = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
     tree = compile(block, "README.md", "exec", ast.PyCF_ONLY_AST)
     used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
@@ -226,3 +228,18 @@ def test_every_verb_is_one_subcommand():
     for name, verb in cli._VERBS.items():
         flags = {flag for action in sub.choices[name]._actions for flag in action.option_strings}
         assert ("--paths" in flags) == ("--threads" in flags) == (verb.block is not None)
+
+
+def test_readme_verb_table_matches_the_verbs():
+    # each row of README's verb table: the verb, its kinds (default first)
+    # and the block whose n_paths --paths sets, in the table's order
+    header = "| verb | kinds (default first) | `--paths` sets |\n|---|---|---|\n"
+    table = README.read_text().split(header, 1)[1].split("\n\n", 1)[0]
+    rows = []
+    for line in table.splitlines():
+        verb, kinds, paths = (cell.strip().strip("`") for cell in line.strip("|").split("|"))
+        rows.append((verb, tuple(kind.strip("`") for kind in kinds.split(", ")), paths))
+    assert rows == [
+        (name, verb.kinds, "(no ensemble)" if verb.block is None else f"{verb.block}.n_paths")
+        for name, verb in cli._VERBS.items()
+    ]

@@ -1202,10 +1202,19 @@ class TestGeneratedConfigs:
         assert expected[1].startswith("LiquidityExhaustedError('external share count overflowed")
         assert all(len(bits) == 64 for bits in expected[::2])
 
+    @pytest.mark.parametrize("flows,message", [
+        ((), r"needs at least one flow, got the empty tuple \(\)"),
+        ((FlowBlock(0.0, 1.0), FlowBlock(0.0, 2.0)), "flows sharing one day loop need one horizon"),
+    ], ids=["empty", "two-horizons"])
+    def test_flow_tuple_must_share_one_day_loop(self, flows, message):
+        # an empty tuple used to raise an untyped IndexError
+        with pytest.raises(ConfigurationError, match=message):
+            run_flow_path(SMALL_MARKET, HAZARD, flows, 7, 1)
+
     def test_exhausted_regime_run_record_is_unchanged(self, tmp_path):
         # every withdrawal path fails; the record, the failure texts and the
         # other two regimes' files equal those of separate runs per regime,
-        # as recorded before the regimes ran in lockstep
+        # as recorded before the regimes ran as rows of one day loop
         config = tmp_path / "config.json"
         config.write_text('{"kind": "regimes", "regimes": {"outflow_rate": -5000.0}}')
         out = tmp_path / "out"

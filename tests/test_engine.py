@@ -208,6 +208,15 @@ class TestTradingSession:
         after = (state.stock_value, state.cash, state.target_ratio)
         assert all(np.array_equal(a, b) for a, b in zip(before, after))
         assert state.price == 1.0 and state.day == 0
+        # on a no-trade day (the one active agent holds no cash) too, where
+        # the level used to go unchecked and the day advanced
+        state = market([1.0] * 8, [0.0] * 7 + [1.0], [1.0] * 8, 1.0, 1.0, 0.375)
+        before = (state.stock_value.copy(), state.cash.copy(), state.target_ratio.copy())
+        with pytest.raises(ValueError, match=r"level must lie in \[0, 1\]"):
+            trading_session(state, draw(state, 1), 0.0, level)
+        after = (state.stock_value, state.cash, state.target_ratio)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))
+        assert state.price == 0.375 and state.day == 0
 
     def test_single_balanced_agent_fixed_point(self):
         state = one_agent_state()

@@ -34,9 +34,9 @@ class TestCashConcentration:
         with pytest.raises(ValueError):
             cash_concentration([], 70.0)
 
-    @pytest.mark.parametrize("scale", [math.nan, 0.0, -70.0])
+    @pytest.mark.parametrize("scale", [math.nan, 0.0, -70.0, math.inf])
     def test_scale_must_be_positive(self, scale):
-        # a NaN scale used to return a NaN concentration
+        # a NaN scale used to return a NaN concentration, an infinite one 1.0
         with pytest.raises(ValueError, match="cash_scale must be positive"):
             cash_concentration(np.full(4, 10.0), scale)
 
@@ -259,9 +259,11 @@ class TestTheoreticalReturn:
         with pytest.raises(ValueError):
             theoretical_return(1.1, 1.0, 10, 11)
 
-    @pytest.mark.parametrize("greed,fear", [(math.nan, 1.1), (1.1, math.nan), (0.9, 1.1)])
+    @pytest.mark.parametrize("greed,fear", [(math.nan, 1.1), (1.1, math.nan), (0.9, 1.1),
+                                            (math.inf, math.inf), (math.inf, 1.1)])
     def test_factors_must_be_at_least_one(self, greed, fear):
-        # a NaN factor used to give a NaN daily factor
+        # a NaN factor, or two infinite ones, used to give a NaN daily
+        # factor, and one infinite factor an infinite one
         with pytest.raises(ValueError, match="factors greed and fear must be >= 1"):
             theoretical_return(greed, fear, 500, 125)
 
