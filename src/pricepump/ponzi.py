@@ -14,9 +14,12 @@ is one affine map: its withdrawable value and then its capital are
 scanned with a constant coefficient.  The speculative scheme is a delay
 system: its withdrawable value and the running integral of its nominal
 rate, from which the growth of maturing money is read (linearly
-interpolated at half-steps), are stepped over Python floats.  Its
-capital feeds neither, and given their stage values its RK4 step is
-affine, with a coefficient per step read off its stage formula.
+interpolated at half-steps), are stepped over Python floats from the
+first maturity on.  Before it nothing has matured, so the withdrawable
+value is exactly 0 and the integral's steps, which then read the
+schedule alone, are taken in numpy.  Its capital feeds neither, and
+given their stage values its RK4 step is affine, with a coefficient per
+step read off its stage formula.
 """
 from __future__ import annotations
 
@@ -185,6 +188,10 @@ def _classical_increment(s, r, inflow, matured, rates, step):
 
 _SCALE_LOW, _SCALE_HIGH = math.exp(-_POWER_SPAN), math.exp(_POWER_SPAN)
 
+# RK4's stability interval on the negative real axis ends at the real root
+# of 1 + z/2 + z**2/6 + z**3/24 = 0: below it, a decaying mode grows
+_RK4_REAL_LIMIT = -2.785293563405282
+
 
 def _scan(a: np.ndarray, x: np.ndarray, c: np.ndarray) -> int:
     """Fill x[1:] by x[i+1] = a[i]*x[i] + c[i] from x[0]; return the index
@@ -236,20 +243,27 @@ def classical_ponzi_solve(
     block of the grid.  A state that overflows raises ``DivergenceError``
     naming the last node whose state is finite.
 
-    No stability check is made: |step * rate| for the nominal rate and
-    the promised rate net of withdrawals must stay inside RK4's stability
-    region (on the negative real axis, below about 2.78), or the finite
-    result means nothing.
+    Both rates are constants, so RK4's stability is checked before any
+    step: ``ConfigurationError`` is raised when step * nominal rate or
+    step * (promised rate - withdrawal rate) lies below RK4's limit on the
+    negative real axis, about -2.7853, where a decaying mode would grow.
     """
     n = _grid_steps(horizon, step)
     lag = _delay_steps(params.maturity, step)
+    rates = (params.nominal_rate, params.withdrawal_rate,
+             params.promised_rate - params.withdrawal_rate)
+    for name, rate in (("nominal_rate", rates[0]),
+                       ("promised_rate - withdrawal_rate", rates[2])):
+        if step * rate < _RK4_REAL_LIMIT:
+            raise ConfigurationError(
+                f"step {step} times {name} {rate} is {step * rate}, below RK4's stability "
+                f"limit {_RK4_REAL_LIMIT:.4f} on the negative real axis"
+            )
     nodes = step * np.arange(n + 1)
     direct_r, direct_m, delayed_r, delayed_m, delayed_l = (
         _schedule_stage_values(schedule, nodes, step, lag)
     )
 
-    rates = (params.nominal_rate, params.withdrawal_rate,
-             params.promised_rate - params.withdrawal_rate)
     try:
         matured_gain = math.exp(params.promised_rate * params.maturity)
     except OverflowError:
@@ -284,37 +298,60 @@ def classical_ponzi_solve(
 
 
 def _withdrawable_and_growth(params: SpeculativePonziParams, forcing, lag: int, step: float):
-    """Step the speculative scheme's R and J over Python floats.
+    """Step the speculative scheme's R and J, in numpy up to the first
+    maturity and over Python floats from there.
 
     Returns R at the nodes reached and J at those nodes behind max(lag, 1)
     zeros, so that entries i and i + 1 are J one maturity before step i's
     two ends.  The loop stops early at a step whose growth factor
     overflows or whose R or J is not finite.
+
+    Before step ``lag`` nothing has matured: every delayed forcing term is
+    exactly 0.0 (the schedule is 0 for t < 0), so R stays +0.0 and J's
+    increments read the schedule alone.  They are taken elementwise, with
+    the loop's expressions in its order, and summed sequentially from 0.0,
+    which gives the loop's bits.  Unless a growth factor's argument in
+    those steps stays finite and below 700 (``math.exp`` overflows past
+    709.78), the loop runs from step 0 and fails where it always did.
     """
-    direct_r, direct_m, delayed_r, delayed_m, delayed_l = (v.tolist() for v in forcing)
     c0 = params.market_impact
     rw = params.withdrawal_rate
     ext = params.external_rate
+    half = 0.5 * step
+    sixth = step / 6.0
+    start = min(lag, forcing[1].size)
+    j_nodes = np.zeros(1)  # J at nodes 0 to start
+    if start:
+        # the loop's flows with R = +0.0; its third stage repeats the second
+        with np.errstate(over="ignore", invalid="ignore"):
+            f1j, f2j, f4j = (c0 * (u - rw * 0.0) + ext for u in (
+                forcing[0][:start], forcing[1][:start], forcing[0][1:start + 1]))
+            increments = sixth * (f1j + 2.0 * (f2j + f2j) + f4j)
+            j_nodes = np.add.accumulate(np.concatenate(([0.0], increments)))
+            j0 = j_nodes[:-1]  # J at each step's start
+            arguments = np.concatenate((j_nodes, j0 + half * f1j, j0 + half * f2j,
+                                        j0 + step * f2j))
+        if not (np.isfinite(arguments).all() and arguments.max() < 700.0):
+            start, j_nodes = 0, np.zeros(1)
+    direct_r, direct_m, delayed_r, delayed_m, delayed_l = (v[start:].tolist() for v in forcing)
     # with no delay, money matures as it arrives: its growth factor is 1
     growth = math.exp if lag else (lambda _: 1.0)
     isfinite = math.isfinite
 
     r = 0.0
-    j = 0.0
+    j = float(j_nodes[-1])
     # R and J are stored as raw doubles: a list of float objects takes four
     # times the memory
-    withdrawable = array("d", [r])
+    withdrawable = array("d", [r]) * (start + 1)
     # J at nodes at or before 0 is zero (when lag is 0, the past is never read)
-    past = array("d", [0.0] * (max(lag, 1) + 1))
-    half = 0.5 * step
-    sixth = step / 6.0
+    past = array("d", np.concatenate((np.zeros(max(lag, 1)), j_nodes)).tobytes())
     # inflow and matured inflow at the step's start, midpoint and end, and J
     # one maturity before its two ends: the loop appends to past as it goes,
     # and both iterators over it see each entry
     for u1, um, u4, v1, vm, v4, j_start, j_end in zip(
         direct_r, direct_m, islice(direct_r, 1, None),
         delayed_r, delayed_m, islice(delayed_l, 1, None),
-        past, islice(past, 1, None),
+        islice(past, start, None), islice(past, start + 1, None),
     ):
         j_mid = 0.5 * (j_start + j_end)
         try:
@@ -383,7 +420,10 @@ def speculative_ponzi_solve(
     rw)*R + matured inflow * growth, with dJ = rate.
 
     S feeds neither R nor J, so the solve has two phases.  R and J are
-    stepped over Python floats.  Then, block by block, the four stage
+    stepped first.  Until the first maturity every matured inflow is 0,
+    so R is exactly 0 and J's steps read the schedule alone: they are
+    taken in numpy; the float loop starts at the first maturity
+    (``_withdrawable_and_growth``).  Then, block by block, the four stage
     flows are rebuilt from the stored R, J and past J (growth factors by
     ``np.exp``); given them, an RK4 step of S is the affine map
     S[i+1] = alpha[i]*S[i] + beta[i], with alpha and beta read off the

@@ -933,6 +933,9 @@ class TestCli:
     @pytest.mark.parametrize("kind,ponzi,message", [
         ("ponzi-speculative", {"horizon": math.inf}, "horizon must be positive and finite, got inf"),
         ("ponzi-classical", {"maturity": math.inf}, "maturity must be finite, got inf"),
+        ("ponzi-classical", {"nominal_rate": -1100.0},
+         "step 0.002777777777777778 times nominal_rate -1100.0 is -3.055555555555556, below "
+         "RK4's stability limit -2.7853 on the negative real axis"),
     ])
     def test_non_finite_ponzi_timing_exit_code(self, tmp_path, capsys, kind, ponzi, message):
         cfg = self.write_config(tmp_path, {"kind": kind, "ponzi": ponzi})

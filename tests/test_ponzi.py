@@ -330,6 +330,25 @@ class TestClassicalSolver:
             doubled = classical_ponzi_solve(params, ScheduleSpec(kind, 2.0, 0.1), 15.0, DT)
             assert np.array_equal(doubled.withdrawable, 2.0 * base.withdrawable)
 
+    @pytest.mark.parametrize("rates,name", [
+        ((-1100.0, 0.41, 0.41), "nominal_rate"),
+        ((0.0, 0.41, 1100.41), "promised_rate - withdrawal_rate"),
+    ])
+    def test_step_outside_rk4_stability_is_rejected(self, rates, name, monkeypatch):
+        # step * rate = -3.06 lies below RK4's real-axis limit, -2.7853, where
+        # a decaying mode grows by 1 + z + z^2/2 + z^3/6 + z^4/24 = 1.49 a step
+        monkeypatch.setattr(ponzi, "_schedule_stage_values", None)  # no step is taken
+        with pytest.raises(ConfigurationError) as rejected:
+            classical_ponzi_solve(PonziParams(*rates, 3.0, 1.0), ScheduleSpec("constant", 1.0),
+                                  5.0, DT)
+        assert str(rejected.value).startswith(f"step {DT} times {name} -1100.0 is -3.05")
+
+    def test_step_inside_rk4_stability_solves(self):
+        # step * rate = -2.5: the decaying capital stays bounded
+        params = PonziParams(-900.0, 0.41, 0.41, 3.0, 1.0)
+        sol = classical_ponzi_solve(params, ScheduleSpec("constant", 1.0), 5.0, DT)
+        assert np.abs(sol.capital).max() <= 1.0
+
     def test_fourth_order_convergence(self):
         params = PonziParams(0.02, 0.41, 0.3, 3.0, 1.0)
         spec = ScheduleSpec("exponential", 1.0, 0.1)
@@ -800,6 +819,20 @@ class TestSpeculativeBitIdentity:
                 solve(params, spec, 0.5, DT)
             assert diverged.value.last_time == nodes[4]
 
+    def test_float_loop_starts_at_the_first_maturity(self, monkeypatch):
+        # the fit's 17-year solve: its first 1,080 steps, before the 3-year
+        # maturity, are taken in numpy, so the loop's four growth factors a
+        # step are computed for the other 5,040 steps only
+        params, spec, horizon = speculative_case(mass=1000.0, horizon=17.0, market_impact=1e-3)
+        n, lag = _grid_steps(horizon, DT), _delay_steps(MATURITY, DT)
+        forcing = _schedule_stage_values(spec, DT * np.arange(n + 1), DT, lag)
+        calls = []
+        exp = math.exp
+        monkeypatch.setattr(math, "exp", lambda x: calls.append(x) or exp(x))
+        withdrawable, _ = ponzi._withdrawable_and_growth(params, forcing, lag, DT)
+        assert (n, lag, withdrawable.size) == (6120, 1080, n + 1)
+        assert len(calls) == 4 * 5040
+
     @settings(deadline=None, max_examples=60)
     @example(kind="linear", mass=1.5601046135207723, growth=0.0,
              market_impact=1.5601046135207723, withdrawal_rate=1.5601046135207723, lag=5,
@@ -815,6 +848,18 @@ class TestSpeculativeBitIdentity:
              lag=360, initial_capital=2.0, external_rate=0.05, step=DT, n_steps=4320)
     @example(kind="constant", mass=62.0, growth=0.0, market_impact=0.98, withdrawal_rate=0.41,
              lag=5400, initial_capital=0.0, external_rate=0.0, step=DT, n_steps=4320)
+    # Three solves that start in numpy: the fit's shape, whose 1,080 steps
+    # before the 3-year maturity leave the float loop; one whose J passes
+    # 700 before its 1-year maturity, so the loop runs from step 0 and its
+    # growth factor overflows (near node 255); and one whose maturity lies
+    # past the horizon, so every step runs in numpy.
+    @example(kind="exponential", mass=1000.0, growth=0.1, market_impact=1e-3,
+             withdrawal_rate=0.41, lag=1080, initial_capital=0.0, external_rate=0.0, step=DT,
+             n_steps=6120)
+    @example(kind="constant", mass=1000.0, growth=0.0, market_impact=1.0, withdrawal_rate=0.41,
+             lag=360, initial_capital=0.0, external_rate=0.0, step=DT, n_steps=400)
+    @example(kind="exponential", mass=10.0, growth=0.1, market_impact=0.7, withdrawal_rate=0.41,
+             lag=400, initial_capital=2.0, external_rate=0.05, step=DT, n_steps=300)
     @given(
         kind=st.sampled_from(["constant", "linear", "exponential"]),
         mass=st.floats(0.0, 1e4),
