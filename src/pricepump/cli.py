@@ -77,6 +77,15 @@ def _table_error(key: str, path: str, reason: object) -> ConfigurationError:
     return ConfigurationError(f"{key} {path}: {reason}")
 
 
+def _column(key: str, path: str, table: dict, *names: str):
+    """The first of ``names`` that the table named by ``key`` holds."""
+    for name in names:
+        if name in table:
+            return table[name]
+    wanted = " or ".join(map(repr, names))
+    raise _table_error(key, path, f"no column {wanted}; found {sorted(table)}")
+
+
 def _read_table(key: str, path: str) -> dict:
     """The CSV file named by the configuration key ``key``; one that cannot
     be read or parsed is a configuration error."""
@@ -177,12 +186,10 @@ def _cmd_fit(args, cfg: ExperimentConfig, out: Path) -> None:
     pre_phase, source = cfg.cycle.pre_phase, cfg.fit.source_csv
     if source:
         table = _read_table("fit.source_csv", source)
-        column = "S_ext_mean" if "S_ext_mean" in table else "S_ext"
-        if column not in table:
-            raise _table_error("fit.source_csv", source,
-                               f"no column 'S_ext_mean' or 'S_ext'; found {sorted(table)}")
+        values = _column("fit.source_csv", source, table, "S_ext_mean", "S_ext")
+        times = _column("fit.source_csv", source, table, "t")
         try:
-            tau, observed = investment_phase_series(table["t"], table[column], pre_phase)
+            tau, observed = investment_phase_series(times, values, pre_phase)
         except ValueError as exc:  # not finite, too few rows, an uneven grid, none at pre_phase
             raise _table_error("fit.source_csv", source, exc) from exc
         _write_run_record(out, cfg, {})
@@ -216,11 +223,9 @@ def _cmd_stats(args, cfg: ExperimentConfig, out: Path) -> None:
         raise ConfigurationError("stats requires 'stats.input_csv'")
     source = cfg.stats.input_csv
     table = _read_table("stats.input_csv", source)
-    column = cfg.stats.price_column
-    if column not in table:
-        raise _table_error("stats.input_csv", source, f"no column {column!r}; found {sorted(table)}")
+    prices = _column("stats.input_csv", source, table, cfg.stats.price_column)
     try:
-        measured = return_stats(table[column])
+        measured = return_stats(prices)
     except ValueError as exc:  # too few prices, or one not finite and positive
         raise _table_error("stats.input_csv", source, exc) from exc
     predicted = cfg.market.theoretical()

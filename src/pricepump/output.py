@@ -104,10 +104,13 @@ def write_manifest(
 
 def read_csv_columns(path: str | Path) -> dict[str, np.ndarray]:
     """Read one of this package's CSV files back into named float arrays;
-    a table without data rows is a ValueError."""
+    a table without data rows, or with a column name twice, is a ValueError."""
     path = Path(path)
     with open(path) as handle:
         header = handle.readline().strip().split(",")
+        repeated = [name for name in header if header.count(name) > 1]
+        if repeated:
+            raise ValueError(f"column {repeated[0]!r} appears more than once in the header")
         if not any(line.partition("#")[0].strip() for line in handle):
             raise ValueError("no data rows below the header")
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)

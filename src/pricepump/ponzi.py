@@ -14,12 +14,17 @@ is one affine map: its withdrawable value and then its capital are
 scanned with a constant coefficient.  The speculative scheme is a delay
 system: its withdrawable value and the running integral of its nominal
 rate, from which the growth of maturing money is read (linearly
-interpolated at half-steps), are stepped over Python floats from the
-first maturity on.  Before it nothing has matured, so the withdrawable
-value is exactly 0 and the integral's steps, which then read the
-schedule alone, are taken in numpy.  Its capital feeds neither, and
-given their stage values its RK4 step is affine, with a coefficient per
-step read off its stage formula.
+interpolated at half-steps), are stepped over Python floats.  Before the
+first maturity nothing has matured, so the withdrawable value is exactly
+0 and the integral's steps, which then read the schedule alone, are
+taken in numpy, up to the first step whose growth factor could overflow;
+the float loop starts there.  Its capital feeds neither, and given their
+stage values its RK4 step is affine, with a coefficient per step read
+off its stage formula.
+
+Both solvers refuse steps outside RK4's stability interval on the
+negative real axis: the classical one checks its constant rates before
+any step, the speculative one each step's stage flows.
 """
 from __future__ import annotations
 
@@ -310,41 +315,39 @@ def _withdrawable_and_growth(params: SpeculativePonziParams, forcing, lag: int, 
     exactly 0.0 (the schedule is 0 for t < 0), so R stays +0.0 and J's
     increments read the schedule alone.  They are taken elementwise, with
     the loop's expressions in its order, and summed sequentially from 0.0,
-    which gives the loop's bits.  Unless a growth factor's argument in
-    those steps stays finite and below 700 (``math.exp`` overflows past
-    709.78), the loop runs from step 0 and fails where it always did.
+    which gives the loop's bits.  Numpy keeps the steps before the first
+    one whose J at its end is not finite, or whose growth factors'
+    arguments do not all stay below 700 (``math.exp`` overflows past
+    709.78); the loop starts there.
     """
-    c0 = params.market_impact
-    rw = params.withdrawal_rate
-    ext = params.external_rate
+    # Python floats: numpy scalars would make every stage numpy arithmetic
+    c0, rw, ext, step = map(float, (params.market_impact, params.withdrawal_rate,
+                                    params.external_rate, step))
     half = 0.5 * step
     sixth = step / 6.0
-    start = min(lag, forcing[1].size)
-    j_nodes = np.zeros(1)  # J at nodes 0 to start
-    if start:
-        # the loop's flows with R = +0.0; its third stage repeats the second
-        with np.errstate(over="ignore", invalid="ignore"):
-            f1j, f2j, f4j = (c0 * (u - rw * 0.0) + ext for u in (
-                forcing[0][:start], forcing[1][:start], forcing[0][1:start + 1]))
-            increments = sixth * (f1j + 2.0 * (f2j + f2j) + f4j)
-            j_nodes = np.add.accumulate(np.concatenate(([0.0], increments)))
-            j0 = j_nodes[:-1]  # J at each step's start
-            arguments = np.concatenate((j_nodes, j0 + half * f1j, j0 + half * f2j,
-                                        j0 + step * f2j))
-        if not (np.isfinite(arguments).all() and arguments.max() < 700.0):
-            start, j_nodes = 0, np.zeros(1)
+    before = min(lag, forcing[1].size)
+    # the loop's flows with R = +0.0; its third stage repeats the second
+    with np.errstate(over="ignore", invalid="ignore"):
+        f1j, f2j, f4j = (c0 * (u - rw * 0.0) + ext for u in (
+            forcing[0][:before], forcing[1][:before], forcing[0][1:before + 1]))
+        increments = sixth * (f1j + 2.0 * (f2j + f2j) + f4j)
+        j_nodes = np.add.accumulate(np.concatenate(([0.0], increments)))
+        j0 = j_nodes[:-1]  # J at each step's start
+        arguments = np.array((j0, j0 + half * f1j, j0 + half * f2j, j0 + step * f2j))
+        kept = np.isfinite(j_nodes[1:]) & (arguments < 700.0).all(axis=0)
+    start = kept.size if kept.all() else int(np.argmin(kept))
     direct_r, direct_m, delayed_r, delayed_m, delayed_l = (v[start:].tolist() for v in forcing)
     # with no delay, money matures as it arrives: its growth factor is 1
     growth = math.exp if lag else (lambda _: 1.0)
     isfinite = math.isfinite
 
     r = 0.0
-    j = float(j_nodes[-1])
+    j = float(j_nodes[start])
     # R and J are stored as raw doubles: a list of float objects takes four
     # times the memory
     withdrawable = array("d", [r]) * (start + 1)
     # J at nodes at or before 0 is zero (when lag is 0, the past is never read)
-    past = array("d", np.concatenate((np.zeros(max(lag, 1)), j_nodes)).tobytes())
+    past = array("d", np.concatenate((np.zeros(max(lag, 1)), j_nodes[:start + 1])).tobytes())
     # inflow and matured inflow at the step's start, midpoint and end, and J
     # one maturity before its two ends: the loop appends to past as it goes,
     # and both iterators over it see each entry
@@ -422,20 +425,23 @@ def speculative_ponzi_solve(
     S feeds neither R nor J, so the solve has two phases.  R and J are
     stepped first.  Until the first maturity every matured inflow is 0,
     so R is exactly 0 and J's steps read the schedule alone: they are
-    taken in numpy; the float loop starts at the first maturity
-    (``_withdrawable_and_growth``).  Then, block by block, the four stage
-    flows are rebuilt from the stored R, J and past J (growth factors by
-    ``np.exp``); given them, an RK4 step of S is the affine map
-    S[i+1] = alpha[i]*S[i] + beta[i], with alpha and beta read off the
-    stage formula, ``_capital_increment``; it is scanned in chunks.  A step
-    fails when its growth factor overflows, its R, J or S is not finite, or
-    the increment of S taken stage by stage from the scanned S[i] is not
-    finite; ``DivergenceError`` names the start node of the earliest
-    failing step.
+    taken in numpy up to the first step whose J at its end is not finite
+    or whose growth factor's argument reaches 700, and the float loop
+    takes the rest (``_withdrawable_and_growth``).  Then, block by block,
+    the four stage flows are rebuilt from the stored R, J and past J
+    (growth factors by ``np.exp``); given them, an RK4 step of S is the
+    affine map S[i+1] = alpha[i]*S[i] + beta[i], with alpha and beta read
+    off the stage formula, ``_capital_increment``; it is scanned in
+    chunks.
 
-    No stability check is made: |step * c0 * flow| must stay inside RK4's
-    stability region (on the negative real axis, below about 2.78), or
-    the finite result means nothing.
+    A step fails when its growth factor overflows, its R, J or S is not
+    finite, the increment of S taken stage by stage from the scanned S[i]
+    is not finite, or a stage's step * c0 * flow (the step times the
+    stage's derivative of dS in S) lies below RK4's stability limit on the
+    negative real axis, about -2.7853, where a decaying capital would
+    grow.  ``DivergenceError`` names the start node of the earliest
+    failing step; for an unstable stage its message names that product
+    and the limit.  Growth, step * c0 * flow above 0, is not bounded.
     """
     n = _grid_steps(horizon, step)
     lag = _delay_steps(params.maturity, step)
@@ -478,6 +484,16 @@ def speculative_ponzi_solve(
             staged = np.isfinite(_capital_increment(
                 capital[k:k + filled], 1.0, tuple(f[:filled] for f in flows), c0, step))
             failed = filled if staged.all() else int(np.argmin(staged))
+            # so does one with a stage outside RK4's stability region, which
+            # is named first when both fall on the same step
+            lowest = step * c0 * np.minimum.reduce(flows)
+            unstable = lowest[:failed + 1] < _RK4_REAL_LIMIT
+            if unstable.any():
+                i = int(np.argmax(unstable))
+                raise DivergenceError(float(nodes[k + i]), (
+                    f"step {step} times market_impact times a stage's flow is {lowest[i]} "
+                    f"at t={nodes[k + i]:.6g}, below RK4's stability limit "
+                    f"{_RK4_REAL_LIMIT:.4f} on the negative real axis"))
             if failed < stop - k:
                 raise DivergenceError(float(nodes[k + failed]))
     if taken < n:

@@ -9,6 +9,7 @@ import argparse
 import ast
 import json
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -243,3 +244,24 @@ def test_readme_verb_table_matches_the_verbs():
         (name, verb.kinds, "(no ensemble)" if verb.block is None else f"{verb.block}.n_paths")
         for name, verb in cli._VERBS.items()
     ]
+
+
+def test_package_imports_only_the_standard_library_and_numpy():
+    # numpy is the one runtime dependency; the test extras (scipy,
+    # hypothesis) are installed wherever this suite runs, so a stray import
+    # of one of them would pass here and break a numpy-only install
+    allowed = set(sys.stdlib_module_names) | {"numpy", "__future__"}
+    imported = set()
+    for module in Path(pricepump.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(module.read_text(), str(module))):
+            if isinstance(node, ast.Import):
+                imported.update((module.name, alias.name) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add((module.name, node.module))
+    assert sorted(entry for entry in imported if entry[1].partition(".")[0] not in allowed) == []
+
+
+def test_experiment_kinds_are_the_verbs_kinds():
+    # declared twice: once for the configuration, once per verb
+    assert config.EXPERIMENT_KINDS == tuple(
+        kind for verb in cli._VERBS.values() for kind in verb.kinds)

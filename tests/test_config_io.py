@@ -890,6 +890,23 @@ class TestCli:
         assert record["error"] == "DivergenceError"
         assert not (out / "ode.csv").exists()
 
+    def test_unstable_speculative_solve_exit_code(self, tmp_path, capsys):
+        # a monthly step leaves RK4's stability region at t = 9.5; this
+        # used to exit 0 with a capital that jumps to 355.6 at the end
+        c = 1.5601046135207723
+        cfg = self.write_config(tmp_path, {
+            "kind": "ponzi-speculative",
+            "schedule": {"kind": "linear", "first_year_total": c, "growth": 0.0},
+            "ponzi": {"market_impact": c, "withdrawal_rate": c, "maturity": 5.0 / 12.0,
+                      "horizon": 11.0, "step": 1.0 / 12.0, "steady_window": 5.0},
+        })
+        out = tmp_path / "x"
+        assert main(["ponzi", "--config", cfg, "--out", str(out)]) == 3
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "DivergenceError"
+        assert "at t=9.5, below RK4's stability limit -2.7853" in record["message"]
+        assert not (out / "ode.csv").exists()
+
     @pytest.mark.parametrize("verb,payload,code", [
         ("ponzi", {"kind": "ponzi-classical", "schedule": {"kind": "exponential", "growth": 700.0},
                    "ponzi": {"horizon": 2.0}}, 3),
@@ -1131,10 +1148,17 @@ class TestCli:
          "no column 'price'; found ['t', 'x']"),
         ("fit-c0", "fit.source_csv", "t,x\n3,0.0\n4,1.0\n5,2.0\n",
          "no column 'S_ext_mean' or 'S_ext'; found ['t', 'x']"),
+        ("fit-c0", "fit.source_csv", "time,S_ext\n3,0.0\n4,1.0\n5,2.0\n",
+         "no column 't'; found ['S_ext', 'time']"),
+        ("stats", "stats.input_csv", "price,price\n1.0,1.1\n1.1,1.2\n1.2,1.3\n",
+         "column 'price' appears more than once in the header"),
+        ("fit-c0", "fit.source_csv", "t,S_ext,t\n3,0.0,0\n4,1.0,1\n5,2.0,2\n",
+         "column 't' appears more than once in the header"),
     ], ids=["stats-missing", "stats-two-rows", "stats-zero-price", "fit-missing",
             "fit-two-rows", "fit-uneven-grid", "fit-no-warmup-end", "stats-nan-price",
             "stats-inf-price", "fit-nan-value", "stats-header-only", "fit-header-only",
-            "stats-field-count", "fit-field-count", "stats-no-column", "fit-no-column"])
+            "stats-field-count", "fit-field-count", "stats-no-column", "fit-no-column",
+            "fit-no-time-column", "stats-repeated-column", "fit-repeated-column"])
     @pytest.mark.filterwarnings("error")
     def test_unusable_input_table_exit_code(self, tmp_path, capsys, verb, key, rows, reason):
         # these used to exit 1 with a bare FileNotFoundError or ValueError,
@@ -1143,7 +1167,9 @@ class TestCli:
         # fit source ended the search at a bracket edge (exit 3), and a
         # header-only table warned on stderr ahead of the record; a missing
         # file, a field-count mismatch and a missing column named the path
-        # twice, or without the key
+        # twice, or without the key; a fit source without a 't' column
+        # exited 1 with a bare KeyError, and of a repeated column name the
+        # last column was read (stats exited 0, the fit used the wrong 't')
         table = tmp_path / "table.csv"
         if rows is not None:
             table.write_text(rows)

@@ -605,16 +605,19 @@ def stagewise_classical_solve(params, schedule, horizon, step=DT):
     return OdeSolution(grid=nodes, capital=capital, withdrawable=withdrawable)
 
 
-def closure_speculative_solve(params, schedule, horizon, step=DT, capital_scale=None):
+def closure_speculative_solve(params, schedule, horizon, step=DT, capital_scale=None,
+                              unstable=None):
     """Reference speculative solver: the loop that built a stage closure
-    every step and read the delayed J from the stored numpy array.
-    ``speculative_ponzi_solve`` must equal its R, J and nominal rate bit
-    for bit, and its capital to rounding.
+    every step and read the delayed J from the stored numpy array.  It
+    makes no stability check.  ``speculative_ponzi_solve`` must equal its
+    R, J and nominal rate bit for bit, and its capital to rounding.
 
     When ``capital_scale`` is a list, a solve that completes appends to it
     the largest magnitude a capital step's rounding is relative to: its
     stage terms step * dS, and S times the step's derivative in S, by which
-    a rounding of S[i] reaches S[i+1]."""
+    a rounding of S[i] reaches S[i+1].  When ``unstable`` is a list, the
+    start time of each step with a stage whose step * c0 * flow lies below
+    RK4's stability limit is appended to it."""
     n = _grid_steps(horizon, step)
     lag = _delay_steps(params.maturity, step)
     nodes = step * np.arange(n + 1)
@@ -669,6 +672,8 @@ def closure_speculative_solve(params, schedule, horizon, step=DT, capital_scale=
             )
         except OverflowError:
             raise DivergenceError(float(nodes[i])) from None
+        if unstable is not None and step * c0 * min(g1, g2, g3, g4) < ponzi._RK4_REAL_LIMIT:
+            unstable.append(float(nodes[i]))
         d1 = c0 * g1
         d2 = c0 * g2 * (1.0 + half * d1)
         d3 = c0 * g3 * (1.0 + half * d2)
@@ -819,21 +824,71 @@ class TestSpeculativeBitIdentity:
                 solve(params, spec, 0.5, DT)
             assert diverged.value.last_time == nodes[4]
 
-    def test_float_loop_starts_at_the_first_maturity(self, monkeypatch):
+    @pytest.mark.parametrize("case,taken,exp_calls", [
         # the fit's 17-year solve: its first 1,080 steps, before the 3-year
         # maturity, are taken in numpy, so the loop's four growth factors a
         # step are computed for the other 5,040 steps only
-        params, spec, horizon = speculative_case(mass=1000.0, horizon=17.0, market_impact=1e-3)
-        n, lag = _grid_steps(horizon, DT), _delay_steps(MATURITY, DT)
-        forcing = _schedule_stage_values(spec, DT * np.arange(n + 1), DT, lag)
+        ({"mass": 1000.0, "horizon": 17.0, "market_impact": 1e-3}, 6120, 4 * 5040),
+        # J passes 700 before the 1-year maturity: numpy keeps the steps
+        # whose growth factors' arguments stay below 700, and the loop takes
+        # four more before the fifth step's last growth factor overflows
+        # (the loop used to run from step 0, with 1,024 calls)
+        ({"kind": "constant", "mass": 1000.0, "growth": 0.0, "horizon": 4.0,
+          "maturity": 1.0}, 255, 20),
+    ], ids=["fit", "overflow-before-maturity"])
+    def test_float_loop_starts_at_the_first_maturity(self, monkeypatch, case, taken, exp_calls):
+        params, spec, horizon = speculative_case(**case)
+        n, lag = _grid_steps(horizon, DT), _delay_steps(params.maturity, DT)
+        nodes = DT * np.arange(n + 1)
+        forcing = _schedule_stage_values(spec, nodes, DT, lag)
         calls = []
         exp = math.exp
         monkeypatch.setattr(math, "exp", lambda x: calls.append(x) or exp(x))
         withdrawable, _ = ponzi._withdrawable_and_growth(params, forcing, lag, DT)
-        assert (n, lag, withdrawable.size) == (6120, 1080, n + 1)
-        assert len(calls) == 4 * 5040
+        assert withdrawable.size == taken + 1
+        assert len(calls) == exp_calls
+        monkeypatch.undo()
+        if taken < n:
+            with pytest.raises(DivergenceError) as diverged:
+                speculative_ponzi_solve(params, spec, horizon, DT)
+            assert diverged.value.last_time == nodes[taken]
+
+    def test_step_outside_rk4_stability_diverges(self):
+        # the property test's linear example: the step from t = 9.5 has a
+        # stage whose step * c0 * flow is about -2.816, below RK4's limit;
+        # it used to complete, its capital jumping from -1/c0 to 355.6 in
+        # the last step
+        c = 1.5601046135207723
+        params = SpeculativePonziParams(c, c, 5.0 / 12.0)
+        with pytest.raises(DivergenceError) as diverged:
+            speculative_ponzi_solve(params, ScheduleSpec("linear", c, 0.0), 11.0, 1.0 / 12.0)
+        assert diverged.value.last_time == 9.5
+        message = str(diverged.value)
+        assert message.startswith(
+            "step 0.08333333333333333 times market_impact times a stage's flow is -2.816")
+        assert message.endswith(
+            " at t=9.5, below RK4's stability limit -2.7853 on the negative real axis")
+
+    def test_numpy_scalar_parameters_solve_as_python_floats(self):
+        # the float loop converts its parameters to Python floats: numpy
+        # scalars used to make every stage numpy arithmetic (2.2 times as
+        # slow), and an overflowing stage warned instead of failing the step
+        params, spec, horizon = speculative_case(mass=1000.0, horizon=17.0, market_impact=1e-3)
+        scalars = SpeculativePonziParams(*map(np.float64, (1e-3, WITHDRAWAL, MATURITY, 0.0, 0.0)))
+        want = speculative_ponzi_solve(params, spec, horizon, DT)
+        got = speculative_ponzi_solve(scalars, spec, horizon, np.float64(DT))
+        for name in LOOP_FIELDS + ("capital",):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        c0, rw = 0.004237587160604063, 0.40359014922421627
+        outcomes = []
+        for params in (SpeculativePonziParams(c0, rw), SpeculativePonziParams(np.float64(c0), rw)):
+            with pytest.raises(DivergenceError) as diverged:
+                speculative_ponzi_solve(params, spec, horizon, DT)
+            outcomes.append((diverged.value.last_time, str(diverged.value)))
+        assert outcomes[0] == outcomes[1]
 
     @settings(deadline=None, max_examples=60)
+    # leaves RK4's stability region at t = 9.5 (see the test above)
     @example(kind="linear", mass=1.5601046135207723, growth=0.0,
              market_impact=1.5601046135207723, withdrawal_rate=1.5601046135207723, lag=5,
              initial_capital=0.0, external_rate=0.0, step=1.0 / 12.0, n_steps=132)
@@ -850,9 +905,9 @@ class TestSpeculativeBitIdentity:
              lag=5400, initial_capital=0.0, external_rate=0.0, step=DT, n_steps=4320)
     # Three solves that start in numpy: the fit's shape, whose 1,080 steps
     # before the 3-year maturity leave the float loop; one whose J passes
-    # 700 before its 1-year maturity, so the loop runs from step 0 and its
-    # growth factor overflows (near node 255); and one whose maturity lies
-    # past the horizon, so every step runs in numpy.
+    # 700 before its 1-year maturity, so the loop starts a few steps before
+    # its growth factor overflows (at node 255); and one whose maturity
+    # lies past the horizon, so every step runs in numpy.
     @example(kind="exponential", mass=1000.0, growth=0.1, market_impact=1e-3,
              withdrawal_rate=0.41, lag=1080, initial_capital=0.0, external_rate=0.0, step=DT,
              n_steps=6120)
@@ -881,17 +936,22 @@ class TestSpeculativeBitIdentity:
         )
         spec = ScheduleSpec(kind, mass, growth)
         horizon = n_steps * step
-        capital_scale = []
+        capital_scale, unstable = [], []
         got = solve_outcome(speculative_ponzi_solve, params, spec, horizon, step)
-        want = solve_outcome(partial(closure_speculative_solve, capital_scale=capital_scale),
-                             params, spec, horizon, step)
+        want = solve_outcome(
+            partial(closure_speculative_solve, capital_scale=capital_scale, unstable=unstable),
+            params, spec, horizon, step,
+        )
+        if unstable:
+            # the first step outside RK4's stability region fails at its
+            # start node, whatever the oracle makes of it or of later steps
+            want = DivergenceError, unstable[0]
         if isinstance(want, tuple) or isinstance(got, tuple):
             assert got == want
             return
         for name in LOOP_FIELDS:
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-        # in the linear example, S sits at the fixed point -1/c0 when a step
-        # whose derivative in S is -1.9e10 turns it into 356
+        # a rounding of S[i] reaches S[i+1] scaled by the step's derivative in S
         scale = max(np.max(np.abs(want.capital)), capital_scale[0])
         assert_within_rounding(got.capital, want.capital, scale)
 
